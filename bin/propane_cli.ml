@@ -480,6 +480,36 @@ module Recipe = struct
 
   let campaign_of r =
     build_campaign ~cases:r.cases ~times:r.times ~full:r.full ~model:r.model ()
+
+  (* Fields a resume may change: they decide which runs execute and how
+     records reach the disk, never what a run's outcome is. *)
+  let scheduling =
+    [ "jobs"; "journal_batch"; "fail_fast"; "stop_when"; "keep_traces" ]
+
+  (* The first field, in encoding order, on which [a] and [b] describe
+     different campaigns, with both values; the config's own fields
+     count one by one. *)
+  let first_difference a b =
+    let kv f =
+      Option.map
+        (fun i ->
+          (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
+        (String.index_opt f '=')
+    in
+    let fields r =
+      List.filter_map kv (String.split_on_char ';' (encode r))
+      |> List.concat_map (function
+           | "config", c -> List.filter_map kv (String.split_on_char ',' c)
+           | field -> [ field ])
+    in
+    let fa = fields a and fb = fields b in
+    let value fs k = Option.value ~default:"(unset)" (List.assoc_opt k fs) in
+    List.find_map
+      (fun k ->
+        let va = value fa k and vb = value fb k in
+        if List.mem k scheduling || String.equal va vb then None
+        else Some (k, va, vb))
+      (List.map fst fa @ List.map fst fb)
 end
 
 let write_telemetry path telemetry =
@@ -600,6 +630,30 @@ let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
       chaos_hang;
     }
   in
+  (* A resume continues the journal's own campaign: outcomes of two
+     experiment grids, or of two engine settings, must never share one
+     journal. *)
+  (match journal with
+  | Some path when resume && Sys.file_exists path -> (
+      match Propane.Journal.load path with
+      | Ok { Propane.Journal.recipe = Some line; _ } -> (
+          match Recipe.decode line with
+          | Error msg ->
+              prerr_endline ("propane campaign: --resume: " ^ msg);
+              exit 1
+          | Ok journalled -> (
+              match Recipe.first_difference journalled recipe with
+              | None -> ()
+              | Some (field, was, now) ->
+                  Printf.eprintf
+                    "propane campaign: --resume: %s records another \
+                     campaign (%s=%s in the journal, %s=%s here)\n"
+                    path field was field now;
+                  exit 1))
+      | Ok _ | Error _ ->
+          (* no recipe to compare, or a load error the engine reports *)
+          ())
+  | _ -> ());
   let campaign = Recipe.campaign_of recipe in
   Format.printf "%a@." Propane.Campaign.pp campaign;
   let sut = Recipe.sut_of recipe in

@@ -1,6 +1,7 @@
 let src = Logs.Src.create "cluster.coordinator" ~doc:"campaign coordinator"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Session = Propane.Runner.Session
 
 type conn = {
   id : int;
@@ -33,6 +34,8 @@ let serve ?(batch_max = 16) ?(heartbeat_timeout_s = 30.) ?on_event ?on_tick
   let emit ev =
     match on_event with Some f -> f ev | None -> ()
   in
+  (* Workers run their goldens lazily in their own processes. *)
+  emit (Propane.Runner.Goldens_done { testcases = 0 });
   let tick () = match on_tick with Some f -> f () | None -> () in
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 8 in
   let next_id = ref 0 in
@@ -124,8 +127,14 @@ let serve ?(batch_max = 16) ?(heartbeat_timeout_s = 30.) ?on_event ?on_tick
     | Protocol.Heartbeat -> ()
     | Protocol.Request_batch -> give_work c
     | Protocol.Result { index; retries; outcome } ->
-        if index < 0 || index >= total then
-          kill ~reason:(Printf.sprintf "result index %d out of range" index) c
+        (* Only a run handed to this connection may be recorded; a stray
+           result would be journalled as if it had been scheduled. *)
+        if not (List.mem index c.outstanding) then
+          kill
+            ~reason:
+              (Printf.sprintf "result for run %d, which it does not hold"
+                 index)
+            c
         else begin
           c.outstanding <- List.filter (fun i -> i <> index) c.outstanding;
           Session.record session ~index ~worker:c.id ~retries outcome

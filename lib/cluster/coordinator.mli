@@ -4,9 +4,10 @@
     to survive scaling out to many processes: it hands out batches of
     experiment indices to whichever workers attach, watches per-worker
     heartbeat deadlines, reassigns a dead worker's outstanding runs to
-    the survivors, and merges the results into a journal and
-    {!Propane.Results.t} that are {e byte-identical} to what a serial
-    {!Propane.Runner.run} over the same [(seed, campaign)] produces.
+    the survivors, and feeds the results to the same
+    {!Propane.Runner.Session} a serial {!Propane.Runner.run} drives, so
+    its journal and {!Propane.Results.t} are {e byte-identical} to
+    that run's over the same [(seed, campaign)].
 
     {b Determinism argument.}  A run's outcome depends only on the
     campaign seed and its experiment index ({!Propane.Runner.executor}),
@@ -30,7 +31,9 @@
     retry semantics of the local engine.  Batch sizes adapt:
     [queue / (2 * workers)] capped at [batch_max] and floored at 1, so
     the campaign tail degenerates to single-run batches and a straggler
-    can strand at most one run. *)
+    can strand at most one run.  A result for an index the connection
+    does not hold kills the connection too: only handed-out runs are
+    ever recorded. *)
 
 val serve :
   ?batch_max:int ->
@@ -61,8 +64,9 @@ val serve :
     indices, so outcomes and journals stay byte-identical to a
     restricted serial run), and [cells] writes cell provenance records
     after the header of a freshly created journal.  [plan] attaches a
-    budget scheduler as the session's work source ({!Session.create}):
-    rounds allocate from completed results at deterministic barriers,
+    budget scheduler as the work source of the campaign's
+    {!Propane.Runner.Session}: rounds allocate from completed results
+    at deterministic barriers,
     so the cluster derives the same round sequence — and writes the
     same journal bytes — as a serial or [--jobs] run of the same
     planned campaign.  While a round barrier waits on outstanding

@@ -1,64 +1,15 @@
 type divergence = { signal : string; first_ms : int }
 
-let check_signal_sets ~golden ~run =
-  let gs = Trace_set.signals golden and rs = Trace_set.signals run in
-  if not (List.equal String.equal gs rs) then
-    invalid_arg "Golden.compare_runs: trace sets cover different signals"
-
 let compare_runs ?until_ms ~golden ~run () =
-  check_signal_sets ~golden ~run;
+  if
+    not
+      (List.equal String.equal (Trace_set.signals golden)
+         (Trace_set.signals run))
+  then invalid_arg "Golden.compare_runs: trace sets cover different signals";
   List.filter_map
     (fun signal ->
       match
         Trace.first_difference ?until_ms
-          (Trace_set.trace golden signal)
-          (Trace_set.trace run signal)
-      with
-      | None -> None
-      | Some first_ms -> Some { signal; first_ms })
-    (Trace_set.signals golden)
-
-let diverged ?until_ms ~golden ~run signal =
-  Trace.first_difference ?until_ms
-    (Trace_set.trace golden signal)
-    (Trace_set.trace run signal)
-
-type tolerance = { epsilon : int; hold_ms : int }
-
-let exact = { epsilon = 0; hold_ms = 0 }
-
-let first_tolerant_difference ?(from_ms = 0) ?(until_ms = max_int) tolerance
-    golden run =
-  if not (String.equal (Trace.signal golden) (Trace.signal run)) then
-    invalid_arg
-      (Printf.sprintf "Golden.first_tolerant_difference: comparing %S with %S"
-         (Trace.signal golden) (Trace.signal run));
-  let common = min (Trace.length golden) (Trace.length run) in
-  let stop = min common until_ms in
-  (* [streak] counts consecutive out-of-band samples ending just before
-     position [j]. *)
-  let rec go j streak =
-    if j >= stop then
-      if
-        Trace.length golden <> Trace.length run
-        && common >= from_ms && common < until_ms
-      then Some common
-      else None
-    else if abs (Trace.get golden j - Trace.get run j) > tolerance.epsilon
-    then
-      let streak = streak + 1 in
-      if streak > tolerance.hold_ms then Some (j - tolerance.hold_ms)
-      else go (j + 1) streak
-    else go (j + 1) 0
-  in
-  go (max from_ms 0) 0
-
-let compare_runs_tolerant ?from_ms ?until_ms ~tolerance_for ~golden ~run () =
-  check_signal_sets ~golden ~run;
-  List.filter_map
-    (fun signal ->
-      match
-        first_tolerant_difference ?from_ms ?until_ms (tolerance_for signal)
           (Trace_set.trace golden signal)
           (Trace_set.trace run signal)
       with

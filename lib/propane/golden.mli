@@ -21,57 +21,6 @@ val compare_runs :
     shorter — are ignored.
     @raise Invalid_argument if the runs trace different signal sets. *)
 
-val diverged :
-  ?until_ms:int -> golden:Trace_set.t -> run:Trace_set.t -> string -> int option
-(** First divergence of one signal. *)
-
-(** {1 Tolerance-based comparison}
-
-    Section 7.3 notes that exact first-difference comparison is only
-    valid because the whole platform runs in simulated time; "for
-    continuous signals ... fluctuations between similar runs in a real
-    environment may be normal".  For campaigns against real targets a
-    comparison must ignore such fluctuations.  A {!tolerance} declares,
-    per signal, how far and for how long a sample may stray before it
-    counts as a divergence. *)
-
-type tolerance = {
-  epsilon : int;
-      (** absolute sample difference that is still considered equal *)
-  hold_ms : int;
-      (** the difference must exceed [epsilon] for this many
-          {e consecutive} milliseconds before it is reported (0 =
-          immediately) *)
-}
-
-val exact : tolerance
-(** [{epsilon = 0; hold_ms = 0}] — the simulated-time semantics. *)
-
-val first_tolerant_difference :
-  ?from_ms:int -> ?until_ms:int -> tolerance -> Trace.t -> Trace.t -> int option
-(** Tolerance-based analogue of {!Trace.first_difference}, with the
-    same [[from_ms, until_ms)] window and the same length-mismatch tail
-    rule: a length mismatch inside the window counts as an immediate
-    divergence at the end of the shorter trace.  The first argument is
-    the golden trace.  With {!exact} this coincides with
-    {!Trace.first_difference} (property-tested).
-    @raise Invalid_argument if the traces cover different signals. *)
-
-val compare_runs_tolerant :
-  ?from_ms:int ->
-  ?until_ms:int ->
-  tolerance_for:(string -> tolerance) ->
-  golden:Trace_set.t ->
-  run:Trace_set.t ->
-  unit ->
-  divergence list
-(** Like {!compare_runs}, but a signal only diverges at the first
-    millisecond starting a window of [hold_ms + 1] consecutive samples
-    that each differ by more than [epsilon].  A length mismatch inside
-    the window still counts as an immediate divergence.  With
-    [tolerance_for = fun _ -> exact] this coincides with
-    {!compare_runs} (property-tested). *)
-
 (** {1 Frozen goldens}
 
     After recording, a golden run is {e frozen} into a compact

@@ -170,9 +170,9 @@ val validate :
 (** Checks that a loaded journal belongs to the given campaign —
     matching SUT, campaign name, seed, size, and every entry index in
     range.  Mismatched metadata means the journal records a different
-    campaign; refusing loudly beats silently corrupting a resume.  Both
-    the local {!Runner.run} resume path and the cluster coordinator use
-    this before trusting a journal's entries. *)
+    campaign; refusing loudly beats silently corrupting a resume.  The
+    scheduling core ({!Runner.Session}) every backend drives uses this
+    before trusting a journal's entries. *)
 
 val completed : t -> (int, Results.outcome) Hashtbl.t
 (** The entries as an index-keyed table, last occurrence winning — a

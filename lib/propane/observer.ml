@@ -88,64 +88,6 @@ let divergence ?(from_ms = 0) ?(until_ms = max_int) ?scratch
   in
   (make ~on_sample ~finish ~saturated (), divergences)
 
-(* Streaming equivalent of [Golden.first_tolerant_difference]: a signal
-   diverges at the first millisecond starting [hold_ms + 1] consecutive
-   out-of-band samples. *)
-let tolerant_divergence ?(from_ms = 0) ?(until_ms = max_int) ~tolerance_for
-    (golden : Golden.frozen) =
-  let n = Golden.frozen_signal_count golden in
-  let golden_ms = golden.Golden.frozen_duration in
-  let samples = golden.Golden.samples in
-  let tolerances =
-    Array.map tolerance_for golden.Golden.frozen_signals
-  in
-  let first = Array.make n (-1) in
-  let streak = Array.make n 0 in
-  let remaining = ref n in
-  let on_sample ~ms values =
-    if !remaining > 0 && ms >= from_ms && ms < until_ms && ms < golden_ms then
-      for s = 0 to n - 1 do
-        if first.(s) < 0 then begin
-          let tol = tolerances.(s) in
-          if abs (values.(s) - samples.((s * golden_ms) + ms)) > tol.Golden.epsilon
-          then begin
-            streak.(s) <- streak.(s) + 1;
-            if streak.(s) > tol.Golden.hold_ms then begin
-              first.(s) <- ms - tol.Golden.hold_ms;
-              decr remaining
-            end
-          end
-          else streak.(s) <- 0
-        end
-      done
-  in
-  let finish ~run_ms =
-    if run_ms <> golden_ms then begin
-      let common = min run_ms golden_ms in
-      if common >= from_ms && common < until_ms then
-        for s = 0 to n - 1 do
-          if first.(s) < 0 then begin
-            first.(s) <- common;
-            decr remaining
-          end
-        done
-    end
-  in
-  let saturated () = !remaining = 0 in
-  let divergences () =
-    let acc = ref [] in
-    for s = n - 1 downto 0 do
-      if first.(s) >= 0 then
-        acc :=
-          { Golden.signal = golden.Golden.frozen_signals.(s);
-            first_ms = first.(s);
-          }
-          :: !acc
-    done;
-    !acc
-  in
-  (make ~on_sample ~finish ~saturated (), divergences)
-
 let recorder ~signals =
   let set = Trace_set.create ~signals () in
   let on_sample ~ms:_ values = Trace_set.sample_array set values in

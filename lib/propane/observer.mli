@@ -68,16 +68,6 @@ val divergence :
     @raise Invalid_argument if [scratch] is shorter than the golden's
     signal count. *)
 
-val tolerant_divergence :
-  ?from_ms:int ->
-  ?until_ms:int ->
-  tolerance_for:(string -> Golden.tolerance) ->
-  Golden.frozen ->
-  t * (unit -> Golden.divergence list)
-(** Tolerance-based variant matching {!Golden.compare_runs_tolerant}:
-    a signal diverges at the first millisecond starting [hold_ms + 1]
-    consecutive samples out of the [epsilon] band. *)
-
 val recorder : signals:string list -> t * (unit -> Trace_set.t)
 (** Records every sample into a {!Trace_set} (for consumers that still
     need raw traces).  Never saturates, so combining it with a

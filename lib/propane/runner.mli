@@ -194,9 +194,11 @@ end
     same {!Results.t} as [jobs = 1], and an interrupted campaign
     resumed from its journal matches an uninterrupted one exactly.
 
-    Journals are additionally {e byte}-identical across [jobs] values:
-    parallel completions pass through a reorder buffer and are written
-    in strict campaign-index order (see {!run}). *)
+    Every backend — {!run}'s serial loop and worker domains, the
+    cluster coordinator and the campaign service — drives the same
+    {!Session}, which owns the bookkeeping: journal, resume, work
+    source, live analysis, stop rule and result fold.  Journals are
+    therefore {e byte}-identical across all of them. *)
 
 type event =
   | Started of { total : int; skipped : int; jobs : int }
@@ -232,9 +234,163 @@ type event =
   | Finished of { completed : int; total : int }  (** emitted last *)
 
 exception Failed_run of { index : int; outcome : Results.outcome }
-(** Raised by {!run} under [fail_fast] when a run is still crashed or
-    hung after its retry budget.  The failed outcome has already been
-    journalled and reported via [Run_done] when this escapes. *)
+(** Raised under [fail_fast] when a run is still crashed or hung after
+    its retry budget.  The failed outcome — and every other finished
+    run — has already been journalled and reported via [Run_done] when
+    this escapes. *)
+
+(** {1 The scheduling core} *)
+
+module Session : sig
+  (** One campaign's execution state, independent of how runs are
+      executed: the outcome table, the work source, the
+      strict-index-order journal cursor, the live analysis feed and the
+      adaptive stop rule.  A transport pulls indices with {!take},
+      executes them anywhere, and hands outcomes back with {!record};
+      {!Runner.run} does that with in-process domains,
+      [Cluster.Coordinator.serve] over a socket, and the campaign
+      service for many sessions over one fleet.
+
+      {b Journal.}  With [config.journal] every outcome is streamed to
+      an append-only {!Journal}.  Records pass through a reorder
+      buffer: a cursor writes them in strict campaign-index order, so
+      a journal is byte-identical to the serial one whatever the
+      completion order — out-of-order completions park in memory until
+      the gap before them fills.  Records are committed every
+      [journal_batch] appends and at {!flush}/close, so a killed
+      campaign loses at most [journal_batch - 1] records plus a
+      truncated fragment, and what is on disk is always an exact
+      prefix of the serial journal.  Only an early stop (fail-fast,
+      stop rule, cancellation, an exception) appends completed runs
+      beyond a never-filled gap out of order, just before close, so no
+      finished work is lost.
+
+      {b Resume.}  With [config.resume] an existing journal is
+      replayed first: it must match the campaign's SUT, name, seed and
+      size; its indices are never handed out again, its outcomes prime
+      the live analysis (in index order) and a budget plan (which
+      re-derives its round sequence instead of re-executing it).
+
+      {b Stop rule.}  With [config.stop_when] (requires [live]) the
+      session stops handing out work once {!Live.satisfied} holds;
+      runs already handed out still complete and journal.  The runs
+      never executed are absent from the results and the journal, so
+      an early-stopped campaign resumes exactly where it stopped if
+      re-run without the rule.
+
+      {b Fail-fast.}  With [config.fail_fast] the first failed outcome
+      is journalled at once (out of order if need be) and nothing more
+      is handed out; {!finish} raises {!Failed_run}.
+
+      A session is not thread-safe: one domain owns it. *)
+
+  type t
+
+  val create :
+    ?label:string ->
+    ?on_event:(event -> unit) ->
+    ?recipe:string ->
+    ?live:Live.t ->
+    ?select:(int -> bool) ->
+    ?cells:Journal.cell list ->
+    ?plan:Plan.t ->
+    config:Config.t ->
+    sut:string ->
+    campaign:string ->
+    total:int ->
+    unit ->
+    t
+  (** Validates [config], opens (or resumes) the journal, replays
+      journalled outcomes, primes the live analysis and emits
+      [Started] (and an [Analysis_tick] for a replay).  [label]
+      (default ["Session.create"]) prefixes [Invalid_argument]
+      messages.  [recipe] (non-empty) is stored in a freshly created
+      journal's header ({!Journal.create}) so [propane replay] can
+      rebuild the campaign; [cells] writes cell provenance records
+      ({!Journal.append_cells}) right after it; resumes rewrite
+      neither.  [select] restricts scheduling to the indices it
+      accepts; the rest keep their full-campaign meaning but never
+      run.  [plan] attaches a freshly created budget scheduler as the
+      work source — required when [config.budget] is set; its rounds
+      are journalled ({!Journal.append_rounds}) when it runs to
+      exhaustion.  Transports emit [Goldens_done] themselves.
+      @raise Invalid_argument on an invalid config, a journal that
+      fails to load or belongs to another campaign, [stop_when]
+      without [live], or a budget without a plan. *)
+
+  val candidates : t -> int list
+  (** Every index the work source could still hand out, ascending —
+      the runs a transport must prepare goldens for. *)
+
+  val take : t -> batch_max:int -> workers:int -> int list
+  (** Pops the next batch off the work source — adaptively sized as
+      [queue / (2 * workers)] clamped to [\[1, batch_max\]] — or [[]]
+      when nothing is runnable now, the stop rule fired, or a
+      fail-fast failure is pending.  Under a budget plan an empty take
+      can also mean a round barrier is waiting on outstanding runs:
+      recorded results refill the queue, so callers with runs in
+      flight must keep polling until {!complete}. *)
+
+  val requeue : t -> int list -> unit
+  (** Returns a dead worker's outstanding indices to the {e head} of
+      the queue: the reorder buffer is stalled on exactly these. *)
+
+  val record :
+    t -> index:int -> worker:int -> retries:int -> Results.outcome -> unit
+  (** Records one completed run: advances the journal cursor, emits
+      [Run_done], feeds the live analysis, evaluates the stop rule and
+      arms the fail-fast abort.  A duplicate (a reassigned run
+      finishing twice) is dropped — outcomes are index-deterministic,
+      so the first copy stands.  Callers must only record indices
+      they handed out.
+      @raise Invalid_argument if [index] is outside the campaign. *)
+
+  val flush : t -> unit
+  (** Commits batched journal appends; a polling transport calls it
+      once per tick so records reach the disk at most one tick after
+      the cursor wrote them. *)
+
+  val finish : t -> Results.t
+  (** Completes the session: writes any out-of-order tail, journals
+      an exhausted plan's rounds, emits [Finished], closes the journal
+      and folds the outcome table into results in campaign order.
+      @raise Failed_run (after writing the tail and closing the
+      journal) if fail-fast captured a failure. *)
+
+  val abort : t -> unit
+  (** Cancellation path: writes every completed outcome to the
+      journal (out of order past the cursor), then closes it.  No
+      [Finished] event, no results.  Idempotent, and a no-op after
+      {!finish}. *)
+
+  val close : t -> unit
+  (** Closes the journal without the tail — the crash-consistent
+      shutdown path.  Idempotent. *)
+
+  val completed : t -> int
+  (** Runs completed so far, journal replays included. *)
+
+  val scheduled : t -> int
+  (** Replays plus every run the work source has enqueued so far —
+      constant for unplanned campaigns, growing round by round under a
+      budget plan. *)
+
+  val pending : t -> int
+  (** Queue length: runs not yet handed out. *)
+
+  val complete : t -> bool
+  (** The work source is exhausted: nothing more will be handed out
+      and every handed-out run has an outcome. *)
+
+  val stopping : t -> bool
+  (** The stop rule fired: hand out nothing more, drain what is out. *)
+
+  val failed : t -> (int * Results.outcome) option
+  (** The fail-fast failure, if one occurred. *)
+
+  val live : t -> Live.t option
+  (** The live analysis, for telemetry and ranking snapshots. *)
+end
 
 val run :
   ?config:Config.t ->
@@ -250,118 +406,50 @@ val run :
   Results.t
 (** Runs every experiment of {!Campaign.experiments} under [config]
     (default {!Config.default}) and returns the outcomes in campaign
-    order.  Campaign options live in the {!Config.t}; only the runtime
-    attachments — callbacks and the stateful live analysis — remain
-    parameters.  Field names below refer to the config record.
+    order.  [run] is a driver of one {!Session} (label
+    ["Runner.run"]): [live], [select], [cells], [recipe], [plan] and
+    the config's journal, resume, stop-rule and fail-fast fields mean
+    exactly what they mean there.  Deselected, unallocated and
+    never-reached indices are absent from the returned results.
 
-    {b Partial campaigns (cell reuse).}  [select] restricts execution
-    to the experiment indices it accepts — the scheduling primitive
-    behind [campaign --reuse] ({!Reuse}), where only the runs
-    injecting into dirty targets are re-executed.  Indices keep their
-    full-campaign meaning: each selected run draws the same RNG stream
-    and produces the same outcome as in an unrestricted campaign, the
-    journal keeps the full campaign [total], and resume composes with
-    selection (a journalled index is skipped, a deselected one never
-    runs).  Deselected indices are absent from the returned
-    {!Results.t}.  [cells] writes cell provenance records
-    ({!Journal.append_cells}) right after the header of a freshly
-    created journal — resumes never rewrite them.  [recipe] is stored
-    in a freshly created journal's header ({!Journal.create}) so
-    [propane replay] can rebuild the campaign; resumes keep the
-    original line.
-
-    {b Live analysis and adaptive stopping.}  [live] attaches a
-    {!Live.t}: every completed outcome (including journal replays, in
-    index order) is folded into its streaming estimation and
-    incremental analysis, and each refresh is reported as an
-    {!event.Analysis_tick}.  [stop_when] (requires [live]) ends the
-    campaign as soon as {!Live.satisfied} holds: with [jobs = 1] no
-    further run starts — the stop point is deterministic for a fixed
-    seed — while with [jobs > 1] workers stop taking new runs and the
-    runs already in flight still complete and journal (which runs
-    those are depends on scheduling, but each of their outcomes is
-    index-deterministic as always).  The runs never executed are
-    simply absent from the returned {!Results.t} and from the journal,
-    so an early-stopped campaign resumes exactly where it stopped if
-    re-run without the rule.
-
-    {b Budgeted campaigns (the plan layer).}  [plan] attaches a
-    {!Plan.t} work source: instead of executing every (selected)
-    experiment, the budget scheduler decides round by round which
-    indices run, feeding completed outcomes back into its own analysis
-    at deterministic barriers — see {!Plan}.  Requires
-    [config.budget]; the plan must be freshly created for this run (it
-    is primed with the journal's replayed outcomes, which is how a
-    resumed planned campaign re-derives its round sequence instead of
-    re-executing it).  When the plan runs to exhaustion, its
-    allocation history is appended to the journal
-    ({!Journal.append_rounds}) after any parked records, so planned
-    journals are byte-identical across [jobs] values, cluster
-    execution and kill-and-resume just like unplanned ones.  Indices
-    the plan never allocates are absent from the returned results and
-    the journal, exactly like deselected ones.
-
-    [jobs] (default 1) is the number of worker domains.  With
-    [jobs = 1] everything happens in the calling domain; otherwise
-    [jobs] domains execute injection runs while the calling domain
-    coordinates.  Golden runs execute up front in the calling domain
-    and are frozen ({!Golden.freeze}) before being shared read-only
-    across domains; every injection run gets a fresh SUT instance, so
-    the SUT's [instantiate] must not rely on global mutable state.
+    Golden runs execute up front in the calling domain, only for the
+    test cases the session's {!Session.candidates} still need, and are
+    frozen ({!Golden.freeze}) before being shared read-only; then
+    [Goldens_done] is emitted.  With [jobs = 1] every run executes in
+    the calling domain and a stop or failure starts no further run —
+    the stop point is deterministic for a fixed seed.  Otherwise
+    [jobs] worker domains each receive one index at a time from the
+    calling domain, which owns the session; after a stop or failure
+    at most the one run in flight per domain still completes and
+    journals.  An exception escaping a worker domain likewise stops
+    the hand-out, drains the runs in flight and is re-raised.  Every
+    injection run gets a fresh SUT instance, so [instantiate] must not
+    rely on global mutable state.
 
     By default runs are streamed: no per-run trace is materialized and
     a run stops as soon as every signal has diverged.  [keep_traces]
-    (default false) attaches a {!Observer.recorder} to every injection
-    run, restoring the legacy record-everything data path (full-length
-    runs, per-run trace allocation) — outcomes are identical either
-    way, this only changes cost.  [on_run_traces] receives each run's
-    recorded traces (implies [keep_traces]); like [on_event] it is
-    always called from the calling domain, in completion order.
-
-    [journal] streams every outcome to an append-only {!Journal} at
-    that path.  Appends pass through a reorder buffer: a cursor writes
-    records in strict campaign-index order, so the journal of a
-    [jobs = n] campaign is byte-identical to the serial one — out of
-    order completions park in memory (workers never stall on the
-    writer) until the gap before them fills.  Records are committed to
-    disk every [journal_batch] appends (and at close), so a killed
-    campaign loses at most [journal_batch - 1] records plus a
-    truncated fragment; what is on disk is always an exact prefix of
-    the serial journal, and resume re-runs exactly the missing tail.
-    Only an early stop (fail-fast, adaptive rule) can append completed
-    runs beyond a never-filled gap out of order, just before close, so
-    no finished work is lost.  With [resume] (requires [journal]) a
-    pre-existing journal is replayed first: completed experiment
-    indices are skipped and the campaign continues where it stopped.
-    The journal must match the campaign's SUT, name, seed and size.
-
-    [on_event] observes the life of the campaign (see {!event});
-    events are always emitted from the calling domain, in order, so
-    the callback needs no synchronisation.  Feed them to
-    {!Telemetry.observe} for throughput and ETA.
+    attaches a {!Observer.recorder} to every injection run, restoring
+    the record-everything data path (full-length runs, per-run trace
+    allocation) — outcomes are identical either way, only the cost
+    changes.  [on_run_traces] receives each run's recorded traces
+    (implies [keep_traces]).  It and [on_event] are only ever called
+    from the calling domain, in completion order, so they need no
+    synchronisation; feed the events to {!Telemetry.observe} for
+    throughput and ETA.
 
     {b Failure handling.}  A run whose SUT raises or (with
     [run_timeout_ms]) exceeds its wall-clock budget does {e not} abort
     the campaign: it yields a {!Results.Crashed} / {!Results.Hung}
     outcome (see {!observed_run}), journalled and counted like any
-    other.  [retries] (default 0) re-executes such a run up to that
-    many times — each attempt on a fresh RNG stream derived from the
-    seed, index and attempt number, so retried campaigns stay
-    order-independent — and keeps the last attempt's outcome.
-    [fail_fast] (default [false]) restores abort semantics: once a
-    run's retry budget is exhausted, {!Failed_run} is raised after the
-    failed outcome has been journalled; with [jobs > 1] the remaining
-    workers stop taking new runs, finish (and journal) the runs
-    already in flight, and the campaign raises after they drain.  The
-    same prompt-abort path serves any exception escaping a worker.
-    Note that [Hung] is inherently wall-clock dependent: which runs
-    hang (and therefore what a retry re-executes) can differ between
-    invocations on a loaded machine, while [Crashed] outcomes are
-    fully deterministic.
+    other.  [retries] re-executes such a run up to that many times —
+    each attempt on a fresh RNG stream derived from the seed, index
+    and attempt number — and keeps the last attempt's outcome.  Under
+    [fail_fast] a failure that survives its retries ends the campaign
+    with {!Failed_run}.  [Hung] is inherently wall-clock dependent:
+    which runs hang can differ between invocations on a loaded
+    machine, while [Crashed] outcomes are fully deterministic.
 
-    @raise Invalid_argument if {!Config.validate} rejects [config], if
-    [stop_when] is set without [live], or if a journal fails to load
-    or belongs to a different campaign.
+    @raise Invalid_argument as {!Session.create} does.
     @raise Failed_run under [fail_fast] as described above.
     @raise Sys_error on journal I/O failure. *)
 
@@ -389,30 +477,3 @@ val executor :
     whoever coordinates the indices.
     @raise Invalid_argument on an invalid config or an index outside
     the campaign. *)
-
-(** {1 Deprecated entry points} *)
-
-type progress = { completed : int; total : int }
-
-val run_campaign :
-  ?max_ms:int ->
-  ?seed:int64 ->
-  ?truncate_after_ms:int ->
-  ?on_progress:(progress -> unit) ->
-  Sut.t ->
-  Campaign.t ->
-  Results.t
-[@@ocaml.deprecated "use Runner.run instead"]
-(** [run] with [~jobs:1]; [on_progress] sees every {!Run_done}. *)
-
-val run_campaign_parallel :
-  ?max_ms:int ->
-  ?seed:int64 ->
-  ?truncate_after_ms:int ->
-  ?domains:int ->
-  Sut.t ->
-  Campaign.t ->
-  Results.t
-[@@ocaml.deprecated "use Runner.run with ~jobs instead"]
-(** [run] with [~jobs:domains] (default: the recommended domain count
-    minus one, at least 1).  @raise Invalid_argument if [domains < 1]. *)

@@ -1,6 +1,7 @@
 let src = Logs.Src.create "service" ~doc:"campaign-as-a-service daemon"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Session = Propane.Runner.Session
 
 type spec = {
   tenant : string;
@@ -53,7 +54,7 @@ type phase =
 type campaign = {
   cid : string;
   spec : spec;
-  session : Cluster.Session.t;
+  session : Session.t;
   telemetry : Propane.Telemetry.t;
   mutable phase : phase;
   mutable started : bool;  (* manifest flipped to Running *)
@@ -103,7 +104,7 @@ let active c = match c.phase with Active -> true | _ -> false
 let phase_state c =
   match c.phase with
   | Active ->
-      if Cluster.Session.completed c.session > 0 || c.started then
+      if Session.completed c.session > 0 || c.started then
         Manifest.Running
       else Manifest.Queued
   | Draining (s, _) | Final (s, _) -> s
@@ -142,7 +143,7 @@ let finalize t c state reason =
 
 (* Runs [Session.finish]: the one place Failed_run surfaces. *)
 let finish_session t c =
-  match Cluster.Session.finish c.session with
+  match Session.finish c.session with
   | results ->
       (* The campaign's deliverable outlives its session: save the
          results next to the journal so GET /campaigns/:id/results can
@@ -171,11 +172,14 @@ let create_campaign t ~cid spec =
   in
   let telemetry = Propane.Telemetry.create () in
   let session =
-    Cluster.Session.create ~label:"Service"
+    Session.create ~label:"Service"
       ~on_event:(Propane.Telemetry.observe telemetry)
       ~recipe:spec.recipe ?live:spec.live ?plan:spec.plan ~config
       ~sut:spec.sut ~campaign:spec.name ~total:spec.total ()
   in
+  (* Fleet workers run their goldens lazily in their own processes. *)
+  Propane.Telemetry.observe telemetry
+    (Propane.Runner.Goldens_done { testcases = 0 });
   { cid; spec; session; telemetry; phase = Active; started = false }
 
 let submit t body =
@@ -259,7 +263,7 @@ let recover t =
                         m "recovered campaign %s (%s): %d of %d runs \
                            journalled"
                           e.id spec.name
-                          (Cluster.Session.completed c.session)
+                          (Session.completed c.session)
                           spec.total)
                 | exception Invalid_argument msg ->
                     Manifest.transition t.manifest ~id:e.id Manifest.Failed
@@ -271,9 +275,9 @@ let recover t =
 
 let runnable c =
   active c
-  && (not (Cluster.Session.stopping c.session))
-  && Cluster.Session.failed c.session = None
-  && Cluster.Session.pending c.session > 0
+  && (not (Session.stopping c.session))
+  && Session.failed c.session = None
+  && Session.pending c.session > 0
 
 (* Weighted fair share of the fleet: apportion the joined workers over
    the runnable campaigns proportionally to their weights (largest
@@ -351,7 +355,7 @@ let kill_worker t ~reason w =
           m "worker %d died (%s); reassigning %d outstanding runs of %s"
             w.wid reason (List.length lost) cid);
       (match Hashtbl.find_opt t.campaigns cid with
-      | Some c when active c -> Cluster.Session.requeue c.session lost
+      | Some c when active c -> Session.requeue c.session lost
       | Some _ | None ->
           (* A draining or finalized campaign no longer wants them. *)
           ()));
@@ -413,7 +417,7 @@ let give_work t w =
           end
           else begin
             match
-              Cluster.Session.take c.session ~batch_max:t.cfg.batch_max
+              Session.take c.session ~batch_max:t.cfg.batch_max
                 ~workers:(max 1 (assigned_count t cid))
             with
             | [] -> w.wants_work <- true
@@ -478,10 +482,13 @@ let handle_worker t w msg =
           match Hashtbl.find_opt t.campaigns cid with
           | None -> kill_worker t ~reason:"result for unknown campaign" w
           | Some c ->
-              if index < 0 || index >= c.spec.total then
+              (* Only a run handed to this worker may be recorded; a
+                 stray result would be journalled as if scheduled. *)
+              if not (List.mem index w.outstanding) then
                 kill_worker t
                   ~reason:
-                    (Printf.sprintf "result index %d out of range" index)
+                    (Printf.sprintf
+                       "result for run %d, which it does not hold" index)
                   w
               else begin
                 w.outstanding <- List.filter (fun i -> i <> index) w.outstanding;
@@ -493,7 +500,7 @@ let handle_worker t w msg =
                        deliberately dropped by a cancel). *)
                     ()
                 | Active | Draining _ ->
-                    Cluster.Session.record c.session ~index ~worker:w.wid
+                    Session.record c.session ~index ~worker:w.wid
                       ~retries outcome
               end))
 
@@ -508,7 +515,7 @@ let estimate_json (e : Propagation.Estimate.t) =
     ]
 
 let rankings_json c =
-  match Cluster.Session.live c.session with
+  match Session.live c.session with
   | None -> Json.Null
   | Some live -> (
       match Propane.Live.snapshot live with
@@ -536,7 +543,7 @@ let rankings_json c =
                rows))
 
 let digest_json c =
-  match Cluster.Session.live c.session with
+  match Session.live c.session with
   | None -> Json.Null
   | Some live ->
       let d = Propane.Live.digest live in
@@ -562,10 +569,10 @@ let campaign_json ?(verbose = false) t c =
       ("reason", Json.Str (phase_reason c));
       ("total", Json.Num (float_of_int c.spec.total));
       ( "scheduled",
-        Json.Num (float_of_int (Cluster.Session.scheduled c.session)) );
+        Json.Num (float_of_int (Session.scheduled c.session)) );
       ( "completed",
-        Json.Num (float_of_int (Cluster.Session.completed c.session)) );
-      ("pending", Json.Num (float_of_int (Cluster.Session.pending c.session)));
+        Json.Num (float_of_int (Session.completed c.session)) );
+      ("pending", Json.Num (float_of_int (Session.pending c.session)));
       ( "outstanding",
         Json.Num (float_of_int (outstanding_of t c.cid)) );
       ( "workers",
@@ -624,7 +631,7 @@ let fleet_json t =
      a full batch, so that is the unit the sizing hint speaks in. *)
   let queue_depth =
     List.fold_left
-      (fun acc c -> acc + Cluster.Session.pending c.session)
+      (fun acc c -> acc + Session.pending c.session)
       0
       (List.filter runnable (campaigns_in_order t))
   in
@@ -890,13 +897,13 @@ let advance_campaigns t =
       | Final _ -> ()
       | Draining (target, reason) ->
           if outstanding_of t c.cid = 0 then begin
-            Cluster.Session.abort c.session;
+            Session.abort c.session;
             finalize t c target reason
           end
       | Active ->
-          if Cluster.Session.failed c.session <> None then finish_session t c
-          else if Cluster.Session.complete c.session then begin
-            if Cluster.Session.stopping c.session then begin
+          if Session.failed c.session <> None then finish_session t c
+          else if Session.complete c.session then begin
+            if Session.stopping c.session then begin
               (* Adaptive stop: drain in-flight runs first so their
                  outcomes reach the journal tail. *)
               if outstanding_of t c.cid = 0 then finish_session t c
@@ -904,7 +911,7 @@ let advance_campaigns t =
             else finish_session t c
           end
           else if
-            Cluster.Session.stopping c.session && outstanding_of t c.cid = 0
+            Session.stopping c.session && outstanding_of t c.cid = 0
           then finish_session t c)
     (campaigns_in_order t)
 
@@ -1048,7 +1055,7 @@ let run ?on_tick ?(stop = fun () -> `Continue) cfg =
     advance_campaigns t;
     distribute t;
     List.iter
-      (fun c -> if occupied c then Cluster.Session.flush c.session)
+      (fun c -> if occupied c then Session.flush c.session)
       (campaigns_in_order t);
     tick ();
     (match stop () with
@@ -1075,7 +1082,7 @@ let run ?on_tick ?(stop = fun () -> `Continue) cfg =
          every open campaign in the manifest for the next start. *)
       broadcast_done t;
       List.iter
-        (fun c -> if occupied c then Cluster.Session.close c.session)
+        (fun c -> if occupied c then Session.close c.session)
         (campaigns_in_order t);
       Manifest.close t.manifest;
       close_everything t;

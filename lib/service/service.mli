@@ -2,7 +2,7 @@
 
     One long-lived daemon owns a fleet of {!Cluster.Worker.join}
     workers and a crash-safe queue of named campaigns, multiplexing
-    many {!Cluster.Session}s over the shared fleet:
+    many {!Propane.Runner.Session}s over the shared fleet:
 
     - {b Fleet}: workers register once ({!Cluster.Protocol.Join}) and
       are retargeted across campaigns with

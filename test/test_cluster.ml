@@ -401,23 +401,25 @@ let serial_reference ~journal =
     ~config:(Propane.Runner.Config.make ~seed ~jobs:1 ~journal ())
     (scaler_sut ()) scaler_campaign
 
+let make_executor ?(sut = scaler_sut) (w : Cluster.Protocol.welcome) =
+  if Propane.Campaign.size scaler_campaign <> w.total then
+    Error "campaign size mismatch"
+  else
+    Ok
+      (Propane.Runner.executor ~seed:w.Cluster.Protocol.seed (sut ())
+         scaler_campaign)
+
 (* Workers run in their own domains; [Coordinator.serve] blocks the
    test's domain.  [worker_hooks] gives each spawned worker its own
    [on_result] so one can be told to die while the others drain the
-   campaign. *)
+   campaign.  Every domain is joined, also when [serve] raises. *)
 let cluster_run ?(heartbeat_timeout_s = 30.) ?journal ?(resume = false)
     ?(worker_hooks = [ None; None ]) ?(extra_clients = fun _ -> [])
-    ?(sut = scaler_sut) ?live ?stop_when ?select ?cells ?budget ?plan () =
+    ?(sut = scaler_sut) ?live ?stop_when ?select ?cells ?budget ?plan
+    ?fail_fast ?on_event () =
   let addr = Cluster.Address.Unix_sock (tmp_path ".sock") in
   let listen = Cluster.Address.listen addr in
-  let make (w : Cluster.Protocol.welcome) =
-    if Propane.Campaign.size scaler_campaign <> w.total then
-      Error "campaign size mismatch"
-    else
-      Ok
-        (Propane.Runner.executor ~seed:w.Cluster.Protocol.seed (sut ())
-           scaler_campaign)
-  in
+  let make = make_executor ~sut in
   let workers =
     List.map
       (fun on_result ->
@@ -428,25 +430,23 @@ let cluster_run ?(heartbeat_timeout_s = 30.) ?journal ?(resume = false)
       worker_hooks
   in
   let clients = extra_clients addr in
-  let results =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close listen with Unix.Unix_error _ -> ());
-        Cluster.Address.unlink addr)
-      (fun () ->
-        let config =
-          Propane.Runner.Config.make ~seed ?journal ~resume
-            ~jobs:(max 1 (List.length worker_hooks))
-            ?stop_when ?budget ()
-        in
-        Cluster.Coordinator.serve ~heartbeat_timeout_s ?live ?select ?cells
-          ?plan ~config ~batch_max:8 ~listen ~sut:"scaler" ~campaign:"scaler"
-          ~total:(Propane.Campaign.size scaler_campaign)
-          ())
-  in
-  List.iter (fun d -> ignore (Domain.join d)) workers;
-  List.iter (fun d -> ignore (Domain.join d)) clients;
-  results
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close listen with Unix.Unix_error _ -> ());
+      Cluster.Address.unlink addr;
+      List.iter (fun d -> ignore (Domain.join d)) workers;
+      List.iter (fun d -> ignore (Domain.join d)) clients)
+    (fun () ->
+      let config =
+        Propane.Runner.Config.make ~seed ?journal ~resume
+          ~jobs:(max 1 (List.length worker_hooks))
+          ?stop_when ?budget ?fail_fast ()
+      in
+      Cluster.Coordinator.serve ~heartbeat_timeout_s ?on_event ?live ?select
+        ?cells ?plan ~config ~batch_max:8 ~listen ~sut:"scaler"
+        ~campaign:"scaler"
+        ~total:(Propane.Campaign.size scaler_campaign)
+        ())
 
 let check_results_match what serial cluster =
   Alcotest.(check int)
@@ -617,6 +617,127 @@ let integration_tests =
             ~extra_clients:stalling ()
         in
         check_results_match "results" serial cluster);
+    Alcotest.test_case "fail-fast through the coordinator keeps finished work"
+      `Slow (fun () ->
+        let crashing () =
+          Propane.Fault.wrap ~crash_after_ms:0 (scaler_sut ())
+        in
+        let serial_path = tmp_path ".journal" in
+        let cluster_path = tmp_path ".journal" in
+        let serial =
+          Propane.Runner.run
+            ~config:(Propane.Runner.Config.make ~seed ~journal:serial_path ())
+            (crashing ()) scaler_campaign
+        in
+        let reported = ref [] in
+        (match
+           cluster_run ~journal:cluster_path ~sut:crashing
+             ~worker_hooks:[ None ] ~fail_fast:true
+             ~on_event:(function
+               | Propane.Runner.Run_done { index; _ } ->
+                   reported := index :: !reported
+               | _ -> ())
+             ()
+         with
+        | exception Propane.Runner.Failed_run _ -> ()
+        | _ -> Alcotest.fail "expected Failed_run");
+        let journalled =
+          match Propane.Journal.load cluster_path with
+          | Ok j -> List.map fst j.Propane.Journal.entries
+          | Error msg -> Alcotest.failf "journal: %s" msg
+        in
+        if !reported = [] then Alcotest.fail "no run reported";
+        List.iter
+          (fun index ->
+            if not (List.mem index journalled) then
+              Alcotest.failf "run %d reported, not journalled" index)
+          !reported;
+        let resumed =
+          cluster_run ~journal:cluster_path ~resume:true ~sut:crashing
+            ~worker_hooks:[ None ] ()
+        in
+        check_results_match "resumed" serial resumed;
+        Alcotest.(check string)
+          "journal bytes" (read_file serial_path) (read_file cluster_path);
+        Sys.remove serial_path;
+        Sys.remove cluster_path);
+    Alcotest.test_case "a stray result kills its connection, not the journal"
+      `Slow (fun () ->
+        let serial_path = tmp_path ".journal" in
+        let cluster_path = tmp_path ".journal" in
+        let serial = serial_reference ~journal:serial_path in
+        let total = Propane.Campaign.size scaler_campaign in
+        let hung_up = ref false in
+        (* A hand-rolled client takes a batch and answers for a run
+           outside it, with a genuine outcome of another run.  Only
+           after the coordinator hangs up does a real worker attach and
+           drain the campaign alone. *)
+        let stray addr =
+          [
+            Domain.spawn (fun () ->
+                (match Cluster.Address.connect addr with
+                | Error _ -> ()
+                | Ok fd ->
+                    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+                    let reader = Cluster.Frame.reader fd in
+                    let send m =
+                      Cluster.Frame.write fd
+                        (Cluster.Protocol.encode_to_coordinator m)
+                    in
+                    let receive () =
+                      match Cluster.Frame.read reader with
+                      | Ok (Some p) -> (
+                          match Cluster.Protocol.decode_to_worker p with
+                          | Ok m -> Some m
+                          | Error _ -> None)
+                      | Ok None | Error _ -> None
+                      | exception Unix.Unix_error _ -> None
+                    in
+                    send
+                      (Cluster.Protocol.Hello
+                         {
+                           version = Cluster.Protocol.version;
+                           host = "stray";
+                           pid = 1;
+                           config_digest = "";
+                         });
+                    ignore (receive ());
+                    send Cluster.Protocol.Request_batch;
+                    (match receive () with
+                    | Some (Cluster.Protocol.Batch (first :: _ as batch)) ->
+                        let outside =
+                          List.find
+                            (fun i -> not (List.mem i batch))
+                            (List.init total (fun i -> total - 1 - i))
+                        in
+                        let outcome, _ =
+                          Propane.Runner.executor ~seed (scaler_sut ())
+                            scaler_campaign first
+                        in
+                        send
+                          (Cluster.Protocol.Result
+                             { index = outside; retries = 0; outcome });
+                        (* End of stream, not the receive timeout. *)
+                        hung_up :=
+                          (match Cluster.Frame.read reader with
+                          | Ok None -> true
+                          | Ok (Some _) | Error _ -> false
+                          | exception Unix.Unix_error _ -> false)
+                    | _ -> ());
+                    (try Unix.close fd with Unix.Unix_error _ -> ()));
+                Cluster.Worker.run ~connect:addr ~make:(fun w -> make_executor w) ());
+          ]
+        in
+        let cluster =
+          cluster_run ~journal:cluster_path ~worker_hooks:[]
+            ~extra_clients:stray ()
+        in
+        Alcotest.(check bool) "stray connection killed" true !hung_up;
+        check_results_match "results" serial cluster;
+        Alcotest.(check string)
+          "journal bytes" (read_file serial_path) (read_file cluster_path);
+        Sys.remove serial_path;
+        Sys.remove cluster_path);
     Alcotest.test_case "cluster resume skips journalled runs" `Slow
       (fun () ->
         let serial_path = tmp_path ".journal" in

@@ -490,102 +490,6 @@ let golden_tests =
 
 (* ------------------------------------------------------------------ *)
 
-let tolerant_tests =
-  let run_of values =
-    let set = Propane.Trace_set.create ~signals:[ "a" ] () in
-    List.iter (fun v -> Propane.Trace_set.sample set (fun _ -> v)) values;
-    set
-  in
-  let tol epsilon hold_ms _signal = { Propane.Golden.epsilon; hold_ms } in
-  [
-    Alcotest.test_case "differences within epsilon are ignored" `Quick
-      (fun () ->
-        let golden = run_of [ 10; 20; 30 ] and run = run_of [ 12; 18; 31 ] in
-        Alcotest.(check int)
-          "none" 0
-          (List.length
-             (Propane.Golden.compare_runs_tolerant ~tolerance_for:(tol 2 0)
-                ~golden ~run ())));
-    Alcotest.test_case "differences beyond epsilon are reported" `Quick
-      (fun () ->
-        let golden = run_of [ 10; 20; 30 ] and run = run_of [ 10; 25; 30 ] in
-        match
-          Propane.Golden.compare_runs_tolerant ~tolerance_for:(tol 2 0)
-            ~golden ~run ()
-        with
-        | [ { Propane.Golden.signal = "a"; first_ms = 1 } ] -> ()
-        | _ -> Alcotest.fail "expected one divergence at 1");
-    Alcotest.test_case "hold requires a sustained excursion" `Quick (fun () ->
-        let golden = run_of [ 0; 0; 0; 0; 0; 0 ] in
-        let spike = run_of [ 0; 9; 0; 0; 0; 0 ] in
-        let sustained = run_of [ 0; 9; 9; 9; 0; 0 ] in
-        let tolerance = tol 1 2 in
-        Alcotest.(check int)
-          "spike ignored" 0
-          (List.length
-             (Propane.Golden.compare_runs_tolerant ~tolerance_for:tolerance
-                ~golden ~run:spike ()));
-        match
-          Propane.Golden.compare_runs_tolerant ~tolerance_for:tolerance
-            ~golden ~run:sustained ()
-        with
-        | [ { Propane.Golden.first_ms = 1; _ } ] -> ()
-        | _ -> Alcotest.fail "expected divergence at the excursion start");
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"exact tolerance coincides with first-difference GRC"
-         ~count:200
-         QCheck2.Gen.(
-           pair
-             (list_size (int_range 1 20) (int_range 0 50))
-             (list_size (int_range 1 20) (int_range 0 50)))
-         (fun (xs, ys) ->
-           let n = min (List.length xs) (List.length ys) in
-           let take l = List.filteri (fun i _ -> i < n) l in
-           let golden = run_of (take xs) and run = run_of (take ys) in
-           Propane.Golden.compare_runs_tolerant
-             ~tolerance_for:(fun _ -> Propane.Golden.exact)
-             ~golden ~run ()
-           = Propane.Golden.compare_runs ~golden ~run ()));
-    (* The unified signature: same [from_ms]/[until_ms] window and the
-       same length-mismatch tail rule as [Trace.first_difference]. *)
-    Alcotest.test_case "tail mismatch before from_ms is ignored" `Quick
-      (fun () ->
-        let t values = Propane.Trace.of_list ~signal:"a" values in
-        Alcotest.(check (option int))
-          "ignored" None
-          (Propane.Golden.first_tolerant_difference ~from_ms:3
-             Propane.Golden.exact
-             (t [ 1; 2; 3; 4 ])
-             (t [ 1; 2 ]));
-        Alcotest.(check (option int))
-          "inside the window" (Some 2)
-          (Propane.Golden.first_tolerant_difference ~from_ms:2
-             Propane.Golden.exact
-             (t [ 1; 2; 3; 4 ])
-             (t [ 1; 2 ])));
-    check_raises_invalid "tolerant comparison rejects different signals"
-      (fun () ->
-        Propane.Golden.first_tolerant_difference Propane.Golden.exact
-          (Propane.Trace.of_list ~signal:"x" [ 1 ])
-          (Propane.Trace.of_list ~signal:"y" [ 1 ]));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"exact tolerant difference matches first_difference on any \
-                window"
-         ~count:300
-         QCheck2.Gen.(
-           let samples = list_size (int_range 0 12) (int_range 0 2) in
-           pair (pair samples samples) (pair (int_range 0 14) (int_range 0 14)))
-         (fun ((xs, ys), (from_ms, until_ms)) ->
-           let t values = Propane.Trace.of_list ~signal:"a" values in
-           Propane.Golden.first_tolerant_difference ~from_ms ~until_ms
-             Propane.Golden.exact (t xs) (t ys)
-           = Propane.Trace.first_difference ~from_ms ~until_ms (t xs) (t ys)));
-  ]
-
-(* ------------------------------------------------------------------ *)
-
 let observer_tests =
   (* Two-signal runs: [set_of a b] pairs sample lists of equal length. *)
   let set_of a b =
@@ -623,25 +527,6 @@ let observer_tests =
            let post = Propane.Golden.compare_runs ?until_ms ~golden ~run () in
            let obs, divergences =
              Propane.Observer.divergence ?until_ms
-               (Propane.Golden.freeze golden)
-           in
-           drive obs ra rb;
-           divergences () = post));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make
-         ~name:"streaming tolerant observer agrees with compare_runs_tolerant"
-         ~count:500
-         QCheck2.Gen.(
-           pair runs_gen (pair (int_range 0 2) (int_range 0 3)))
-         (fun ((ga, gb, ra, rb, until_ms), (epsilon, hold_ms)) ->
-           let golden = set_of ga gb and run = set_of ra rb in
-           let tolerance_for _ = { Propane.Golden.epsilon; hold_ms } in
-           let post =
-             Propane.Golden.compare_runs_tolerant ?until_ms ~tolerance_for
-               ~golden ~run ()
-           in
-           let obs, divergences =
-             Propane.Observer.tolerant_divergence ?until_ms ~tolerance_for
                (Propane.Golden.freeze golden)
            in
            drive obs ra rb;
@@ -3153,6 +3038,116 @@ let fault_tests =
                 (crashing ()) scaler_campaign
             in
             check_same_results "resumed" baseline resumed));
+    Alcotest.test_case
+      "fail-fast journals every reported run, serial and parallel" `Quick
+      (fun () ->
+        let baseline = runner ~seed:3L (crashing ()) scaler_campaign in
+        List.iter
+          (fun jobs ->
+            let path = Filename.temp_file "propane_fault" ".journal" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                let reported = ref [] in
+                (match
+                   runner ~seed:3L ~jobs ~journal:path ~fail_fast:true
+                     ~on_event:(function
+                       | Propane.Runner.Run_done { index; _ } ->
+                           reported := index :: !reported
+                       | _ -> ())
+                     (crashing ()) scaler_campaign
+                 with
+                | exception Propane.Runner.Failed_run _ -> ()
+                | _ -> Alcotest.fail "expected Failed_run");
+                let journalled =
+                  match Propane.Journal.load path with
+                  | Ok j -> List.map fst j.Propane.Journal.entries
+                  | Error msg -> Alcotest.failf "journal: %s" msg
+                in
+                List.iter
+                  (fun index ->
+                    if not (List.mem index journalled) then
+                      Alcotest.failf "jobs %d: run %d reported, not journalled"
+                        jobs index)
+                  !reported;
+                let resumed =
+                  runner ~seed:3L ~jobs ~journal:path ~resume:true
+                    (crashing ()) scaler_campaign
+                in
+                check_same_results
+                  (Printf.sprintf "jobs %d resumed" jobs)
+                  baseline resumed))
+          [ 1; 3 ]);
+    Alcotest.test_case
+      "a fail-fast session journals runs parked beyond the failure" `Quick
+      (fun () ->
+        (* The session driven as a two-worker coordinator drives it:
+           worker A holds runs 0-3 and worker B runs 4-5.  B's run 5
+           lands first and parks (the cursor waits on 0), then A's run 0
+           crashes.  Run 5 is finished work and must reach the
+           journal. *)
+        let module S = Propane.Runner.Session in
+        let path = Filename.temp_file "propane_fault" ".journal" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let config =
+              Propane.Runner.Config.make ~seed:3L ~journal:path
+                ~fail_fast:true ()
+            in
+            let s =
+              S.create ~config ~sut:"scaler" ~campaign:"scaler"
+                ~total:(Propane.Campaign.size scaler_campaign)
+                ()
+            in
+            Alcotest.(check (list int))
+              "worker A" [ 0; 1; 2; 3 ]
+              (S.take s ~batch_max:4 ~workers:1);
+            Alcotest.(check (list int))
+              "worker B" [ 4; 5 ]
+              (S.take s ~batch_max:2 ~workers:1);
+            let outcome sut index =
+              fst (Propane.Runner.executor ~seed:3L sut scaler_campaign index)
+            in
+            S.record s ~index:5 ~worker:1 ~retries:0
+              (outcome (scaler_sut ()) 5);
+            S.record s ~index:0 ~worker:0 ~retries:0
+              (outcome (crashing ()) 0);
+            (match S.finish s with
+            | exception Propane.Runner.Failed_run { index = 0; _ } -> ()
+            | _ -> Alcotest.fail "expected Failed_run for run 0");
+            match Propane.Journal.load path with
+            | Ok j ->
+                Alcotest.(check (list int))
+                  "journalled" [ 0; 5 ]
+                  (List.sort compare (List.map fst j.Propane.Journal.entries))
+            | Error msg -> Alcotest.failf "journal: %s" msg));
+    Alcotest.test_case
+      "an exception escaping a worker domain is re-raised after the drain"
+      `Quick (fun () ->
+        (* A target the SUT lacks makes every run raise outside the
+           per-run crash barrier. *)
+        let campaign =
+          Propane.Campaign.make ~name:"bad" ~targets:[ "zz" ]
+            ~testcases:[ Propane.Testcase.make ~id:"ramp" ~params:[] ]
+            ~times:(List.map Sim.Sim_time.of_ms [ 10; 20; 30; 40; 50 ])
+            ~errors:[ Propane.Error_model.Bit_flip 0 ]
+        in
+        let path = Filename.temp_file "propane_fault" ".journal" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            (match
+               runner ~seed:3L ~jobs:3 ~journal:path (scaler_sut ()) campaign
+             with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail "expected Invalid_argument");
+            match Propane.Journal.load path with
+            | Ok j ->
+                Alcotest.(check int)
+                  "nothing journalled" 0
+                  (List.length j.Propane.Journal.entries)
+            | Error msg -> Alcotest.failf "journal: %s" msg));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -3428,7 +3423,6 @@ let () =
       ("config", config_tests);
       ("telemetry", telemetry_tests);
       ("live", live_tests);
-      ("golden_tolerant", tolerant_tests);
       ("severity", severity_tests);
       ("fault", fault_tests);
     ]

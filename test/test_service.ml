@@ -704,6 +704,84 @@ let service_tests =
               `Drain)
         in
         Alcotest.(check bool) "clean shutdown" true (result = Ok ()));
+    Alcotest.test_case "a stray result kills its worker, not the journal"
+      `Slow (fun () ->
+        let solo_a = solo_journal "a" in
+        let total = Propane.Campaign.size (campaign_of_kind "a") in
+        let state_dir = fresh_state_dir () in
+        let listen =
+          Cluster.Address.Unix_sock (Filename.concat state_dir "f.sock")
+        in
+        let hung_up = ref false and real = ref None in
+        let result =
+          with_service ~workers:0 ~state_dir (fun addr ->
+              let id = submit_ok ~addr (submission "a") in
+              (* A hand-rolled fleet worker takes a batch and answers for
+                 a run outside it, with a genuine outcome of another
+                 run.  Only after the service hangs up does a real
+                 worker join and drain the campaign alone. *)
+              (match Cluster.Address.connect listen with
+              | Error msg -> Alcotest.failf "connect: %s" msg
+              | Ok fd ->
+                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+                  let reader = Cluster.Frame.reader fd in
+                  let send m =
+                    Cluster.Frame.write fd
+                      (Cluster.Protocol.encode_to_coordinator m)
+                  in
+                  let rec receive () =
+                    match Cluster.Frame.read reader with
+                    | Ok (Some p) -> (
+                        match Cluster.Protocol.decode_to_worker p with
+                        | Ok Cluster.Protocol.Ping -> receive ()
+                        | Ok m -> Some m
+                        | Error _ -> None)
+                    | Ok None | Error _ -> None
+                    | exception Unix.Unix_error _ -> None
+                  in
+                  send
+                    (Cluster.Protocol.Join
+                       { version = Cluster.Protocol.version; host = "stray";
+                         pid = 1 });
+                  (match receive () with
+                  | Some (Cluster.Protocol.Assign w) -> (
+                      send Cluster.Protocol.Request_batch;
+                      match (receive (), worker_make w) with
+                      | Some (Cluster.Protocol.Batch (first :: _ as batch)),
+                        Ok exec ->
+                          let outside =
+                            List.find
+                              (fun i -> not (List.mem i batch))
+                              (List.init total (fun i -> total - 1 - i))
+                          in
+                          send
+                            (Cluster.Protocol.Result
+                               { index = outside; retries = 0;
+                                 outcome = fst (exec first) });
+                          (* End of stream, not the receive timeout. *)
+                          hung_up :=
+                            (match Cluster.Frame.read reader with
+                            | Ok None -> true
+                            | Ok (Some _) | Error _ -> false
+                            | exception Unix.Unix_error _ -> false)
+                      | _ -> Alcotest.fail "expected a batch")
+                  | _ -> Alcotest.fail "expected an assignment");
+                  (try Unix.close fd with Unix.Unix_error _ -> ()));
+              real :=
+                Some
+                  (Domain.spawn (fun () ->
+                       Cluster.Worker.join ~connect:listen ~make:worker_make
+                         ()));
+              wait_until ~what:"campaign done" (fun () ->
+                  state_of ~addr id = "done");
+              Alcotest.(check string)
+                "journal bytes" solo_a
+                (read_file (Filename.concat state_dir (id ^ ".journal")));
+              `Drain)
+        in
+        Option.iter (fun d -> ignore (Domain.join d)) !real;
+        Alcotest.(check bool) "stray worker killed" true !hung_up;
+        Alcotest.(check bool) "clean shutdown" true (result = Ok ()));
   ]
 
 let () =
