@@ -128,7 +128,10 @@ let full_arg =
 
 let window_arg =
   let doc = "Direct-attribution window in ms (see Estimator)." in
-  Arg.(value & opt int 64 & info [ "window" ] ~docv:"MS" ~doc)
+  Arg.(
+    value
+    & opt (int_at_least 1 "--window") 64
+    & info [ "window" ] ~docv:"MS" ~doc)
 
 let progress_arg =
   let doc = "Print progress every $(docv) runs (0 = silent)." in

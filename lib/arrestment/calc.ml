@@ -106,3 +106,24 @@ let descriptor =
         Signals.i;
       ]
     ~outputs:[ Signals.i; Signals.set_value ]
+
+type state = {
+  s_last_cp_pulscnt : int;
+  s_last_cp_mscnt : int;
+  s_current_sv : int;
+  s_finished : bool;
+}
+
+let save t =
+  {
+    s_last_cp_pulscnt = t.last_cp_pulscnt;
+    s_last_cp_mscnt = t.last_cp_mscnt;
+    s_current_sv = t.current_sv;
+    s_finished = t.finished;
+  }
+
+let restore t s =
+  t.last_cp_pulscnt <- s.s_last_cp_pulscnt;
+  t.last_cp_mscnt <- s.s_last_cp_mscnt;
+  t.current_sv <- s.s_current_sv;
+  t.finished <- s.s_finished

@@ -27,6 +27,14 @@ type t
 val create : Propane.Signal_store.t -> t
 val step : t -> unit
 
+type state
+(** The last checkpoint, the set point and the finished latch, saved
+    for {!Propane.Sut.state_hook}.  Immutable: saving copies,
+    restoring copies back. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [pulscnt; mscnt; slow_speed; stopped; i]; outputs
     [i; SetValue]. *)

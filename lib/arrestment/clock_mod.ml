@@ -25,3 +25,8 @@ let descriptor =
   Propagation.Sw_module.make ~name:"CLOCK"
     ~inputs:[ Signals.ms_slot_nbr ]
     ~outputs:[ Signals.mscnt; Signals.ms_slot_nbr ]
+
+type state = int
+
+let save t = t.ms
+let restore t ms = t.ms <- ms

@@ -13,5 +13,13 @@ type t
 val create : Propane.Signal_store.t -> t
 val step : t -> unit
 
+type state
+(** The internal millisecond counter, saved for
+    {!Propane.Sut.state_hook}.  Immutable: saving copies, restoring
+    copies back. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [ms_slot_nbr]; outputs [mscnt; ms_slot_nbr]. *)

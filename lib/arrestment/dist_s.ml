@@ -93,3 +93,36 @@ let descriptor =
   Propagation.Sw_module.make ~name:"DIST_S"
     ~inputs:[ Signals.pacnt; Signals.tic1; Signals.tcnt ]
     ~outputs:[ Signals.pulscnt; Signals.slow_speed; Signals.stopped ]
+
+type state = {
+  s_prev_pacnt : int;
+  s_total : int;
+  s_no_pulse_ms : int;
+  s_saw_pulse : bool;
+  s_slow_ms : int;
+  s_window : int array;  (* a copy, never the live ring *)
+  s_window_pos : int;
+  s_window_sum : int;
+}
+
+let save t =
+  {
+    s_prev_pacnt = t.prev_pacnt;
+    s_total = t.total;
+    s_no_pulse_ms = t.no_pulse_ms;
+    s_saw_pulse = t.saw_pulse;
+    s_slow_ms = t.slow_ms;
+    s_window = Array.copy t.window;
+    s_window_pos = t.window_pos;
+    s_window_sum = t.window_sum;
+  }
+
+let restore t s =
+  t.prev_pacnt <- s.s_prev_pacnt;
+  t.total <- s.s_total;
+  t.no_pulse_ms <- s.s_no_pulse_ms;
+  t.saw_pulse <- s.s_saw_pulse;
+  t.slow_ms <- s.s_slow_ms;
+  Array.blit s.s_window 0 t.window 0 window_ms;
+  t.window_pos <- s.s_window_pos;
+  t.window_sum <- s.s_window_sum

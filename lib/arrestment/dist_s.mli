@@ -21,5 +21,13 @@ type t
 val create : Propane.Signal_store.t -> t
 val step : t -> unit
 
+type state
+(** The pulse-counting variables and the window ring, saved for
+    {!Propane.Sut.state_hook}.  Immutable: saving copies, restoring
+    copies back. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [PACNT; TIC1; TCNT]; outputs [pulscnt; slow_speed; stopped]. *)

@@ -65,3 +65,27 @@ let elapsed_ms t = t.elapsed_ms
 
 let finished t =
   t.rest_ms >= Params.finished_hold_ms || Physics.overrun t.physics
+
+type state = {
+  s_physics : Physics.state;
+  s_prev_pulses : int;
+  s_latch_pending : bool;
+  s_elapsed_ms : int;
+  s_rest_ms : int;
+}
+
+let save t =
+  {
+    s_physics = Physics.save t.physics;
+    s_prev_pulses = t.prev_pulses;
+    s_latch_pending = t.latch_pending;
+    s_elapsed_ms = t.elapsed_ms;
+    s_rest_ms = t.rest_ms;
+  }
+
+let restore t s =
+  Physics.restore t.physics s.s_physics;
+  t.prev_pulses <- s.s_prev_pulses;
+  t.latch_pending <- s.s_latch_pending;
+  t.elapsed_ms <- s.s_elapsed_ms;
+  t.rest_ms <- s.s_rest_ms

@@ -27,6 +27,14 @@ val pre_step : t -> unit
 val post_step : t -> unit
 val convert_adc : t -> unit
 
+type state
+(** The hardware-side counters and the physics, saved for
+    {!Propane.Sut.state_hook}.  Register values live in the signal
+    store and are saved with it. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val elapsed_ms : t -> int
 val finished : t -> bool
 (** The aircraft has been at rest for {!Params.finished_hold_ms}, or

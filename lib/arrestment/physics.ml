@@ -43,3 +43,12 @@ let overrun t = t.x_m > Params.runway_length_m
 
 let pp ppf t =
   Fmt.pf ppf "x=%.1fm v=%.1fm/s p=%.0f" t.x_m t.v_mps t.pressure
+
+type state = { s_x_m : float; s_v_mps : float; s_pressure : float }
+
+let save t = { s_x_m = t.x_m; s_v_mps = t.v_mps; s_pressure = t.pressure }
+
+let restore t s =
+  t.x_m <- s.s_x_m;
+  t.v_mps <- s.s_v_mps;
+  t.pressure <- s.s_pressure

@@ -18,6 +18,14 @@ val step_ms : t -> commanded_pressure:int -> unit
     (0 .. {!Params.pressure_full_scale}); the applied pressure follows
     it through the valve's first-order lag. *)
 
+type state
+(** Position, velocity and applied pressure, saved for
+    {!Propane.Sut.state_hook}.  The mass is a test-case constant and
+    is not part of it. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val position_m : t -> float
 val velocity_mps : t -> float
 val applied_pressure : t -> int

@@ -48,3 +48,17 @@ let step t =
 let descriptor =
   Propagation.Sw_module.make ~name:"PRES_S" ~inputs:[ Signals.adc ]
     ~outputs:[ Signals.in_value ]
+
+type state = { s_last : int; s_have_last : bool; s_rejected_once : bool }
+
+let save t =
+  {
+    s_last = t.last;
+    s_have_last = t.have_last;
+    s_rejected_once = t.rejected_once;
+  }
+
+let restore t s =
+  t.last <- s.s_last;
+  t.have_last <- s.s_have_last;
+  t.rejected_once <- s.s_rejected_once

@@ -19,5 +19,12 @@ val create : Propane.Signal_store.t -> start_conversion:(unit -> unit) -> t
 
 val step : t -> unit
 
+type state
+(** The spike filter's variables, saved for {!Propane.Sut.state_hook}.
+    Immutable: saving copies, restoring copies back. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [ADC]; outputs [InValue]. *)

@@ -32,8 +32,14 @@ val paper_testcases : Propane.Testcase.t list
     x 5 velocities uniformly in 40-80 m/s (Section 7.3). *)
 
 val sut : ?guards:guard list -> ?fault:Propane.Fault.spec -> unit -> Propane.Sut.t
-(** Fresh SUT description.  [guards] are installed on every instance
-    (and therefore present in golden and injection runs alike).
+(** Fresh SUT description.  Its instances carry a
+    {!Propane.Sut.state_hook} saving the signal store, every module's
+    variables, the environment and physics, and the scheduler's
+    position, so injection runs start at their first fire.  [guards]
+    are installed on every instance (and therefore present in golden
+    and injection runs alike); a guarded instance carries no hook,
+    because guard closures hold per-run state the saved state cannot
+    copy.
     [fault] wraps the SUT in a {!Propane.Fault} chaos harness, making
     injected runs crash or hang on schedule — the vehicle for
     exercising the runner's failure handling against the real system.

@@ -36,3 +36,8 @@ let descriptor =
   Propagation.Sw_module.make ~name:"V_REG"
     ~inputs:[ Signals.set_value; Signals.in_value ]
     ~outputs:[ Signals.out_value ]
+
+type state = int
+
+let save t = t.integ
+let restore t integ = t.integ <- integ

@@ -13,5 +13,12 @@ type t
 val create : Propane.Signal_store.t -> t
 val step : t -> unit
 
+type state
+(** The PI integrator, saved for {!Propane.Sut.state_hook}.
+    Immutable: saving copies, restoring copies back. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [SetValue; InValue]; outputs [OutValue]. *)

@@ -295,6 +295,8 @@ let instantiate t _testcase =
           Array.iteri
             (fun i h -> buf.(i) <- Propane.Signal_store.peek_handle h)
             peek_handles);
+    (* Block, plant and stimulus closures hold opaque state. *)
+    state_hook = None;
   }
 
 let sut ?fault t =

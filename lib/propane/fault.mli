@@ -46,7 +46,10 @@ val apply : spec -> Sut.t -> Sut.t
 (** The wrapped SUT keeps its name and signals; only [instantiate] is
     intercepted.  A hanging run without a runner watchdog is still
     bounded: it merely takes [hang_step_wall_ms] of wall-clock per
-    remaining simulated millisecond. *)
+    remaining simulated millisecond.  Wrapped instances keep the inner
+    {!Sut.state_hook}: a run restored at its first fire still arms the
+    countdown on its injection, so crash and hang timing is the same
+    as for a run started at millisecond 0. *)
 
 val wrap :
   ?crash_after_ms:int ->

@@ -35,10 +35,30 @@ type frozen = private {
   samples : int array;
       (** signal-major samples: value of signal [s] at millisecond [ms]
           is [samples.(s * frozen_duration + ms)].  Read-only. *)
+  saved_at : int array;
+      (** ascending milliseconds at which the golden run saved the
+          SUT's state ({!Sut.state_hook}); empty for SUTs without the
+          hook *)
+  saved : Sut.state array;
+      (** [saved.(i)] is the state at the start of millisecond
+          [saved_at.(i)], i.e. after that many steps.  Read-only. *)
 }
 
 val freeze : Trace_set.t -> frozen
-(** Copies a recorded golden run into its frozen form. *)
+(** Copies a recorded golden run into its frozen form, with no saved
+    states. *)
+
+val freeze_saved : saved:(int * Sut.state) list -> Trace_set.t -> frozen
+(** {!freeze}, keeping the SUT states the golden run saved as
+    [(ms, state)] pairs — the state at the start of millisecond [ms].
+    @raise Invalid_argument unless the instants are strictly ascending
+    and inside [\[1, duration)]. *)
+
+val latest_saved : frozen -> upto:int -> (int * Sut.state) option
+(** The saved state with the largest instant [<= upto], if any: where
+    a run whose first corruption fires at [upto] can start, since
+    everything it simulates before that millisecond is the golden
+    run. *)
 
 val frozen_signals : frozen -> string list
 val frozen_signal_count : frozen -> int

@@ -21,7 +21,10 @@ type t = {
           through that millisecond. *)
   on_sample : ms:int -> int array -> unit;
       (** Called once per simulated millisecond with the value of every
-          traced signal, after the SUT stepped through [ms]. *)
+          traced signal, after the SUT stepped through [ms].  A run
+          started from a saved golden state ({!Runner.run_experiment})
+          is sampled from that millisecond on: the ones before it are
+          the golden run's. *)
   finish : run_ms:int -> unit;
       (** Called once when the run ends (normally, early-exited, or
           SUT-finished) with the number of sampled milliseconds. *)
@@ -47,15 +50,14 @@ val combine : t list -> t
     saturates — disables early exit. *)
 
 val divergence :
-  ?from_ms:int ->
   ?until_ms:int ->
   ?scratch:int array ->
   Golden.frozen ->
   t * (unit -> Golden.divergence list)
 (** [divergence golden] is a streaming observer detecting, per signal,
-    the first millisecond in [[from_ms, until_ms)] where the run
-    disagrees with the frozen golden, plus a thunk returning the
-    divergences found so far (golden signal order).  Semantics —
+    the first millisecond before [until_ms] where the run disagrees
+    with the frozen golden, plus a thunk returning the divergences
+    found so far (golden signal order).  Semantics —
     including the length-mismatch tail rule applied at [finish] — match
     {!Golden.compare_runs} over recorded traces exactly
     (property-tested).  Saturates once every signal has diverged.

@@ -36,22 +36,46 @@ let sampler_of ~arena (instance : Sut.instance) =
       fun buf ->
         Array.iteri (fun i n -> buf.(i) <- instance.Sut.read n) arena.a_names
 
-let golden_run ?(max_ms = default_max_ms) (sut : Sut.t) testcase =
+(* The golden loop.  With a state hook, the instance's state is saved
+   at the start of every millisecond in [instants] (ascending, each
+   > 0) the run reaches; [instants] is only forced then, so SUTs without
+   the hook never pay for collecting them. *)
+let golden_saving ~max_ms ~instants (sut : Sut.t) testcase =
   let arena = make_arena sut in
   let instance = sut.Sut.instantiate testcase in
   let traces = Trace_set.create ~signals:(Sut.signal_names sut) () in
   let sampler = sampler_of ~arena instance in
   let buf = arena.a_buf in
+  let hook = instance.Sut.state_hook in
+  let save_at = if Option.is_some hook then instants () else [||] in
+  let saved = ref [] and next = ref 0 in
   let rec go ms =
-    if ms >= max_ms || instance.Sut.finished () then traces
-    else begin
+    if ms < max_ms && not (instance.Sut.finished ()) then begin
+      if !next < Array.length save_at && save_at.(!next) = ms then begin
+        Option.iter (fun h -> saved := (ms, h.Sut.save ()) :: !saved) hook;
+        incr next
+      end;
       instance.Sut.step ();
       sampler buf;
       Trace_set.sample_array traces buf;
       go (ms + 1)
     end
   in
-  go 0
+  go 0;
+  (traces, List.rev !saved)
+
+let golden_run ?(max_ms = default_max_ms) sut testcase =
+  fst (golden_saving ~max_ms ~instants:(fun () -> [||]) sut testcase)
+
+let frozen_of ~max_ms ~instants sut testcase =
+  let traces, saved = golden_saving ~max_ms ~instants sut testcase in
+  Golden.freeze_saved ~saved traces
+
+let frozen_golden ?(max_ms = default_max_ms) ?(save_at = []) sut testcase =
+  let instants () =
+    Array.of_list (List.sort_uniq Int.compare (List.filter (( < ) 0) save_at))
+  in
+  frozen_of ~max_ms ~instants sut testcase
 
 (* Crash reasons travel through tab-separated journals and result
    files; separators inside an exception message must not break a
@@ -59,8 +83,8 @@ let golden_run ?(max_ms = default_max_ms) (sut : Sut.t) testcase =
 let sanitize_reason s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
-let observed_run_in ~arena ?rng ?run_timeout_ms (sut : Sut.t) ~duration_ms
-    testcase injection (observer : Observer.t) =
+let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
+    ~duration_ms testcase injection (observer : Observer.t) =
   let target = injection.Injection.target in
   if not (Sut.has_signal sut target) then
     invalid_arg
@@ -90,9 +114,18 @@ let observed_run_in ~arena ?rng ?run_timeout_ms (sut : Sut.t) ~duration_ms
       Results.Crashed
         { at_ms = ms; reason = sanitize_reason (Printexc.to_string exn) }
   in
-  (match sut.Sut.instantiate testcase with
+  (match
+     let instance = sut.Sut.instantiate testcase in
+     (* [from] is a golden state saved no later than the first fire:
+        everything before it would re-simulate the golden run. *)
+     match (from, instance.Sut.state_hook) with
+     | Some (ms, state), Some hook ->
+         hook.Sut.restore state;
+         (instance, ms)
+     | _ -> (instance, 0)
+   with
   | exception e -> crash ~ms:0 e
-  | instance ->
+  | instance, start ->
       let sampler = sampler_of ~arena instance in
       let buf = arena.a_buf in
       (* Each millisecond: watchdog, finish check, injection, step,
@@ -137,7 +170,7 @@ let observed_run_in ~arena ?rng ?run_timeout_ms (sut : Sut.t) ~duration_ms
                     run_ms := ms + 1
                   else go (ms + 1))
       in
-      go 0);
+      go start);
   observer.Observer.finish ~run_ms:!run_ms;
   (!run_ms, !status)
 
@@ -175,9 +208,17 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms
   let div, divergences =
     Observer.divergence ?until_ms ~scratch:arena.a_first golden
   in
+  (* Riders such as a recorder must see every sample, so only a bare
+     divergence run skips the golden prefix. *)
+  let from =
+    match observers with
+    | [] ->
+        Golden.latest_saved golden ~upto:(Injection.first_fire_ms injection)
+    | _ :: _ -> None
+  in
   let _run_ms, status =
-    observed_run_in ~arena ?rng ?run_timeout_ms sut ~duration_ms testcase
-      injection
+    observed_run_in ~arena ?rng ?run_timeout_ms ?from sut ~duration_ms
+      testcase injection
       (Observer.combine (div :: observers))
   in
   let divergences =
@@ -256,7 +297,10 @@ module Config = struct
     }
 
   let validate t =
-    if t.jobs < 1 then Error "jobs must be >= 1"
+    if t.max_ms < 1 then Error "max_ms must be >= 1"
+    else if match t.truncate_after_ms with Some ms -> ms < 0 | None -> false
+    then Error "truncate_after_ms must be >= 0"
+    else if t.jobs < 1 then Error "jobs must be >= 1"
     else if t.retries < 0 then Error "retries must be >= 0"
     else if
       match t.run_timeout_ms with Some ms -> ms < 1 | None -> false
@@ -417,13 +461,38 @@ let rng_for ?(attempt = 0) seed index =
 
 module String_map = Map.Make (String)
 
+(* The instants a golden run saves its state at, per test case: the
+   distinct first fires (> 0) of [indices], ascending.  Built lazily,
+   the first time a golden instance turns out to carry a state hook. *)
+let first_fires experiments (indices : int Seq.t) =
+  let by_testcase =
+    lazy
+      (Seq.fold_left
+         (fun acc idx ->
+           let tc, injection = experiments.(idx) in
+           let ms = Injection.first_fire_ms injection in
+           if ms <= 0 then acc
+           else
+             String_map.update (Testcase.id tc)
+               (fun l -> Some (ms :: Option.value l ~default:[]))
+               acc)
+         String_map.empty indices
+      |> String_map.map (fun l ->
+             Array.of_list (List.sort_uniq Int.compare l)))
+  in
+  fun tc () ->
+    Option.value ~default:[||]
+      (String_map.find_opt (Testcase.id tc) (Lazy.force by_testcase))
+
 (* Frozen golden runs for exactly the test cases the remaining
    experiments need — a resumed campaign does not re-execute goldens
-   whose injection runs are all journalled.  The recording trace sets
-   are dropped immediately after freezing, so a campaign holds one
-   compact immutable array per test case, shared read-only across
-   worker domains. *)
+   whose injection runs are all journalled — each saving the SUT's state
+   at the first fires of those runs.  The recording trace sets are
+   dropped immediately after freezing, so a campaign holds one compact
+   immutable array (plus its saved states) per test case, shared
+   read-only across worker domains. *)
 let goldens_for ~max_ms sut experiments remaining =
+  let instants = first_fires experiments (List.to_seq remaining) in
   List.fold_left
     (fun acc idx ->
       let tc, _ = experiments.(idx) in
@@ -431,7 +500,9 @@ let goldens_for ~max_ms sut experiments remaining =
       if String_map.mem id acc then acc
       else begin
         Log.debug (fun m -> m "golden run for %s" id);
-        String_map.add id (Golden.freeze (golden_run ~max_ms sut tc)) acc
+        String_map.add id
+          (frozen_of ~max_ms ~instants:(instants tc) sut tc)
+          acc
       end)
     String_map.empty remaining
 
@@ -499,6 +570,9 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
   let experiments = Array.of_list (Campaign.experiments campaign) in
   let total = Array.length experiments in
   let arena = make_arena sut in
+  (* A worker may be handed any index, so each golden saves the state
+     at every first fire of its test case. *)
+  let instants = first_fires experiments (Seq.init total Fun.id) in
   let goldens : (string, Golden.frozen) Hashtbl.t = Hashtbl.create 8 in
   let golden_for tc =
     let id = Testcase.id tc in
@@ -506,7 +580,7 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
     | Some frozen -> frozen
     | None ->
         Log.debug (fun m -> m "golden run for %s" id);
-        let frozen = Golden.freeze (golden_run ~max_ms sut tc) in
+        let frozen = frozen_of ~max_ms ~instants:(instants tc) sut tc in
         Hashtbl.add goldens id frozen;
         frozen
   in

@@ -10,13 +10,25 @@
     duration of its test case's golden run — or less, when every
     monitored signal has already diverged and the divergence observer
     saturates — so divergence timestamps compare sample by sample
-    without any per-run trace materialization. *)
+    without any per-run trace materialization.  For SUTs with a
+    {!Sut.state_hook} the golden run also saves its state at the runs'
+    first fires, and each injection run starts there instead of at
+    millisecond 0 (see {!run_experiment}). *)
 
 val default_max_ms : int
 (** 20,000 simulated ms. *)
 
 val golden_run : ?max_ms:int -> Sut.t -> Testcase.t -> Trace_set.t
 (** Runs without injections and returns the reference traces. *)
+
+val frozen_golden :
+  ?max_ms:int -> ?save_at:int list -> Sut.t -> Testcase.t -> Golden.frozen
+(** {!golden_run}, frozen ({!Golden.freeze}).  When the SUT's instances
+    carry a {!Sut.state_hook}, the golden run also saves the state at
+    the start of each millisecond of [save_at] (default none) that is
+    positive and before the run's end ([saved_at] and [saved] of
+    {!Golden.frozen}); the campaign engine saves at the first fires of
+    the runs it will execute. *)
 
 val observed_run :
   ?rng:Simkernel.Rng.t ->
@@ -96,6 +108,16 @@ val run_experiment :
     for {e their} saturation, so adding a recorder restores the full
     fixed-duration run.
 
+    {b Start.}  Without [observers], when the instance carries a
+    {!Sut.state_hook} and [golden] saved a state at or before the
+    injection's first fire ({!Golden.latest_saved}), the fresh instance
+    is restored to the latest such state and the run starts at that
+    millisecond instead of 0: under single-error semantics everything
+    before the first fire is the golden run, so the outcome is
+    unchanged (property-tested against the ms-0 path).  Riders start
+    at 0, since they may need every sample.  [golden] must then come
+    from the same SUT.
+
     The outcome carries the run's {!Results.status} (see
     {!observed_run} for crash and [run_timeout_ms] watchdog
     semantics).  A [Crashed] outcome keeps its divergences — every
@@ -165,9 +187,9 @@ module Config : sig
       checks the combination. *)
 
   val validate : t -> (unit, string) result
-  (** [jobs >= 1], [retries >= 0], [run_timeout_ms >= 1],
-      [journal_batch >= 1], [budget >= 1] when set, and [resume] only
-      with a [journal]. *)
+  (** [max_ms >= 1], [truncate_after_ms >= 0], [jobs >= 1],
+      [retries >= 0], [run_timeout_ms >= 1], [journal_batch >= 1],
+      [budget >= 1] when set, and [resume] only with a [journal]. *)
 
   val encode : t -> string
   (** Serialises for a cluster recipe: [,]-separated [k=v] fields, no
@@ -426,12 +448,16 @@ val run :
     injection run gets a fresh SUT instance, so [instantiate] must not
     rely on global mutable state.
 
-    By default runs are streamed: no per-run trace is materialized and
-    a run stops as soon as every signal has diverged.  [keep_traces]
-    attaches a {!Observer.recorder} to every injection run, restoring
-    the record-everything data path (full-length runs, per-run trace
-    allocation) — outcomes are identical either way, only the cost
-    changes.  [on_run_traces] receives each run's recorded traces
+    By default runs are streamed: no per-run trace is materialized, a
+    run starts at its injection's first fire from the state its golden
+    run saved there (for SUTs with a {!Sut.state_hook}; see
+    {!run_experiment}), and it stops as soon as every signal has
+    diverged.  Each golden saves the state at the distinct first fires
+    of its test case's {!Session.candidates}.  [keep_traces] attaches
+    a {!Observer.recorder} to every injection run, restoring the
+    record-everything data path (runs from millisecond 0, full-length,
+    per-run trace allocation) — outcomes are identical either way,
+    only the cost changes.  [on_run_traces] receives each run's recorded traces
     (implies [keep_traces]).  It and [on_event] are only ever called
     from the calling domain, in completion order, so they need no
     synchronisation; feed the events to {!Telemetry.observe} for
@@ -470,7 +496,9 @@ val executor :
     [seed] is a separate argument — a cluster worker learns it from
     the coordinator's [Welcome], not from the shipped recipe.  Partial
     application matters: golden runs execute lazily the first time an
-    index needs their test case and stay memoised across calls.
+    index needs their test case and stay memoised across calls.  Each
+    saves the SUT's state at the first fire of every experiment of its
+    test case, so every run starts there as in {!run}.
 
     Of [config] only [max_ms], [truncate_after_ms], [run_timeout_ms]
     and [retries] apply — scheduling and journalling fields belong to

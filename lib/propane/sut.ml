@@ -1,3 +1,6 @@
+type state = ..
+type state_hook = { save : unit -> state; restore : state -> unit }
+
 type instance = {
   read : string -> int;
   write : string -> int -> unit;
@@ -5,6 +8,7 @@ type instance = {
   step : unit -> unit;
   finished : unit -> bool;
   snapshot : (int array -> unit) option;
+  state_hook : state_hook option;
 }
 
 type t = {

@@ -11,6 +11,47 @@
     PROPANE's trap-based injection: consumers see the corrupted value
     until the producer next overwrites it. *)
 
+type state = ..
+(** An instance's saved execution state.  Each SUT extends the type
+    with a private constructor of its own, so no other SUT (and no
+    generic code) can read, build or mistake it for another's. *)
+
+type state_hook = {
+  save : unit -> state;
+      (** a copy of everything the instance's future behaviour depends
+          on; the result must share no mutable structure with the
+          instance, since it outlives it and is restored into other
+          instances, possibly concurrently from several domains *)
+  restore : state -> unit;
+      (** overwrite this instance's state with a saved one; the saved
+          value itself is never mutated (copy out of it, never alias
+          it).  @raise Invalid_argument for another SUT's state *)
+}
+(** Save and restore of an instance's state: the contract that lets
+    the runner start an injection run at its first fire instead of at
+    millisecond 0.
+
+    {b Contract.}  Let [a] be an instance that took [k] {!instance.step}s
+    from instantiation with no injection and no [write], and [b] a
+    fresh instance of the same SUT and test case.  After
+    [b.restore (a.save ())], stepping, sampling, [read], [inject] and
+    [finished] on [b] must behave exactly as they would on [a] from
+    then on.  [save] therefore captures every piece of mutable state:
+    signal values, module-internal variables, the environment and
+    physics, the scheduler's position, and any internal random
+    generator.  [restore] is called at most once, right after
+    instantiation, and only with a state saved from the same test
+    case's golden run.
+
+    A wrapper that builds instances with [{ inner with step; ... }]
+    inherits its inner instance's hook: restore then rewinds the inner
+    state while the wrapper's own per-run state stays fresh.  That is
+    only right when the wrapper's behaviour depends on nothing that
+    happened before the run's first injection ({!Fault}, for example,
+    arms on [inject]).  A wrapper whose behaviour depends on the
+    number of steps (or anything else) since instantiation must set
+    [state_hook = None]. *)
+
 type instance = {
   read : string -> int;
       (** raw current value of a signal (tracing; never fires traps);
@@ -31,6 +72,12 @@ type instance = {
           The runner's streaming observer loop uses it when present to
           avoid one name lookup per signal per millisecond; [None]
           falls back to per-name [read]. *)
+  state_hook : state_hook option;
+      (** optional save/restore of the instance's state (see
+          {!state_hook}).  With it, each injection run starts from the
+          golden run's state at its first fire instead of re-simulating
+          the golden prefix from millisecond 0; [None] keeps every run
+          starting at 0. *)
 }
 
 type t = {

@@ -53,3 +53,11 @@ let run t ~ms =
 let ticks t = t.ticks
 let slot_count t = t.slots
 let last_slot t = t.last_slot
+
+type state = { s_ticks : int; s_last_slot : int option }
+
+let save t = { s_ticks = t.ticks; s_last_slot = t.last_slot }
+
+let restore t s =
+  t.ticks <- s.s_ticks;
+  t.last_slot <- s.s_last_slot

@@ -45,3 +45,12 @@ val ticks : t -> int
 val slot_count : t -> int
 val last_slot : t -> int option
 (** Slot selected by the most recent tick. *)
+
+type state
+(** The scheduler's position: tick count and last selected slot.  The
+    task table is wiring, not state, and is not part of it. *)
+
+val save : t -> state
+val restore : t -> state -> unit
+(** [restore t s] sets [t]'s position to [s]; [t] must have the same
+    wiring as the scheduler [s] was saved from. *)

@@ -160,6 +160,7 @@ let scaler_sut () =
             (Propane.Signal_store.read store "x" lsr 4));
       finished = (fun () -> !t >= 100);
       snapshot = None;
+      state_hook = None;
     }
   in
   {

@@ -255,6 +255,7 @@ let scaler_sut ?(slow = false) () =
             (Propane.Signal_store.read store "x" lsr 4));
       finished = (fun () -> !t >= 100);
       snapshot = None;
+      state_hook = None;
     }
   in
   {
