@@ -529,19 +529,6 @@ let ablation () =
    BENCH_campaign.json with the full per-module interval data so CI
    can track how far each model moves the paper's module ranking. *)
 
-let model_specs =
-  [
-    "single-bit";
-    "multi-bit:2";
-    "burst:4";
-    "stuck-at";
-    "offset:64";
-    "noise:16";
-    "uniform";
-    "delayed:8";
-    "intermittent:4:16";
-  ]
-
 let models () =
   section "Error-model ablation: permeability-ranking shift per model";
   let testcases =
@@ -565,7 +552,7 @@ let models () =
         with
         | Ok errors -> (spec, errors)
         | Error msg -> failwith (spec ^ ": " ^ msg))
-      model_specs
+      Arrestment.Recipe.models
   in
   match
     Propane.Ablation.study

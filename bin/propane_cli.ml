@@ -1,13 +1,7 @@
-(* propane — command-line front end for the PROPANE reproduction.
-
-   Sub-commands:
-     analyze    propagation analysis of the arrestment system using the
-                paper's (reconstructed) permeability values
-     campaign   run a fault-injection campaign and print the measured
-                tables
-     example    analyse the five-module example system of Figs. 2-5
-     golden     execute one golden run and summarise it
-     placement  print EDM/ERM placement proposals *)
+(* propane — command-line front end for the PROPANE reproduction; the
+   sub-commands are listed in [main] at the end.  Arrestment campaigns
+   are defined by [Arrestment.Recipe]: this file parses flags, picks a
+   transport and prints. *)
 
 open Cmdliner
 
@@ -81,9 +75,9 @@ let dot_dir =
   let doc = "Also write Graphviz .dot files for every graph and tree into $(docv)." in
   Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"DIR" ~doc)
 
-(* analyze_cmd itself is defined after the campaign machinery: its
+(* analyze_cmd itself is defined after the campaign flags: its
    --by-model mode runs real (reduced) campaigns, one per error-model
-   roster, and needs the workload grid helpers below. *)
+   roster, shaped by --cases, --times, --seed, --window and --jobs. *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -116,11 +110,11 @@ let seed_arg =
 
 let cases_arg =
   let doc = "Test cases per axis: $(docv) masses x $(docv) velocities (paper: 5)." in
-  Arg.(value & opt int 3 & info [ "cases" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 2 "--cases") 3 & info [ "cases" ] ~docv:"N" ~doc)
 
 let times_arg =
   let doc = "Number of injection instants, evenly spread in 0.5-5.0 s (paper: 10)." in
-  Arg.(value & opt int 4 & info [ "times" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1 "--times") 4 & info [ "times" ] ~docv:"N" ~doc)
 
 let full_arg =
   let doc = "Run the paper-scale campaign (25 cases, 10 times, 52,000 runs)." in
@@ -193,7 +187,10 @@ let model_arg =
      $(b,delayed:MS)[:SPEC] and $(b,intermittent:PERIOD:WINDOW)[:SPEC] \
      (defaulting to wrapping single-bit)."
   in
-  Arg.(value & opt model_conv "single-bit" & info [ "model" ] ~docv:"SPEC" ~doc)
+  Arg.(
+    value
+    & opt model_conv Arrestment.Recipe.default_model
+    & info [ "model" ] ~docv:"SPEC" ~doc)
 
 let journal_arg =
   let doc =
@@ -259,7 +256,7 @@ let chaos_crash_arg =
   in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 0 "--chaos-crash-after")) None
     & info [ "chaos-crash-after" ] ~docv:"MS" ~doc)
 
 let chaos_hang_arg =
@@ -268,7 +265,9 @@ let chaos_hang_arg =
      step) from $(docv) simulated milliseconds after its injection on."
   in
   Arg.(
-    value & opt (some int) None & info [ "chaos-hang-after" ] ~docv:"MS" ~doc)
+    value
+    & opt (some (int_at_least 0 "--chaos-hang-after")) None
+    & info [ "chaos-hang-after" ] ~docv:"MS" ~doc)
 
 let stop_when_conv =
   let parse s =
@@ -353,167 +352,7 @@ let telemetry_arg =
   in
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
 
-let default_model = "single-bit"
-
-let roster_or_die model =
-  match
-    Propane.Error_model.roster_of_string ~width:Arrestment.Signals.width model
-  with
-  | Ok errors -> errors
-  | Error msg ->
-      (* The --model converter already validated; this only triggers on
-         a recipe forged outside the CLI. *)
-      prerr_endline ("propane: bad error-model roster: " ^ msg);
-      exit 124
-
-let campaign_workload ~cases ~times ~full =
-  let testcases =
-    if full then Arrestment.System.paper_testcases
-    else
-      Propane.Testcase.grid
-        [
-          Propane.Testcase.uniform_axis "mass" ~lo:8_000.0 ~hi:20_000.0
-            ~steps:(max 2 cases);
-          Propane.Testcase.uniform_axis "velocity" ~lo:40.0 ~hi:80.0
-            ~steps:(max 2 cases);
-        ]
-  in
-  let times =
-    if full then Propane.Campaign.paper_times
-    else
-      List.init (max 1 times) (fun j ->
-          Simkernel.Sim_time.of_ms (500 + (j * 4500 / max 1 (times - 1))))
-  in
-  (testcases, times)
-
-let build_campaign ~cases ~times ~full ~model () =
-  let testcases, times = campaign_workload ~cases ~times ~full in
-  let base = if full then "paper-7.3" else "reduced-7.3" in
-  (* The default roster keeps the historical campaign name (and so the
-     journal header bytes); any other roster is part of the campaign's
-     identity and must show up in validation. *)
-  let name =
-    if String.equal model default_model then base else base ^ "+" ^ model
-  in
-  Propane.Campaign.make ~name ~targets:Arrestment.Model.injection_targets
-    ~testcases ~times ~errors:(roster_or_die model)
-
-(* The coordinator's Welcome carries this opaque recipe so a bare
-   [propane worker --connect ADDR] can rebuild the exact campaign and
-   SUT the coordinator is running — the cluster library itself stays
-   SUT-agnostic. *)
-module Recipe = struct
-  type t = {
-    cases : int;
-    times : int;
-    full : bool;
-    model : string;  (* error-model roster spec, see Error_model *)
-    window : int;
-    config : Propane.Runner.Config.t;
-        (* the engine's own option record, embedded via its codec so
-           worker-side execution options cannot drift from what the
-           local engine accepts *)
-    chaos_crash : int option;
-    chaos_hang : int option;
-  }
-
-  let magic = "propane-recipe3"
-
-  let encode r =
-    let opt = function None -> "" | Some n -> string_of_int n in
-    Printf.sprintf
-      "%s;cases=%d;times=%d;full=%b;model=%s;window=%d;config=%s;chaos_crash=%s;chaos_hang=%s"
-      magic r.cases r.times r.full r.model r.window
-      (Propane.Runner.Config.encode r.config)
-      (opt r.chaos_crash) (opt r.chaos_hang)
-
-  let decode s =
-    match String.split_on_char ';' s with
-    | v :: fields when String.equal v magic -> (
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun f ->
-            match String.index_opt f '=' with
-            | Some i ->
-                Hashtbl.replace tbl (String.sub f 0 i)
-                  (String.sub f (i + 1) (String.length f - i - 1))
-            | None -> ())
-          fields;
-        let get parse k =
-          match Hashtbl.find_opt tbl k with
-          | None -> failwith (Printf.sprintf "missing field %s" k)
-          | Some v -> (
-              match parse v with
-              | Some x -> x
-              | None -> failwith (Printf.sprintf "bad field %s=%s" k v))
-        in
-        let opt v = if String.equal v "" then Some None
-          else Option.map Option.some (int_of_string_opt v)
-        in
-        let config v = Result.to_option (Propane.Runner.Config.decode v) in
-        try
-          Ok
-            {
-              cases = get int_of_string_opt "cases";
-              times = get int_of_string_opt "times";
-              full = get bool_of_string_opt "full";
-              model = get Option.some "model";
-              window = get int_of_string_opt "window";
-              config = get config "config";
-              chaos_crash = get opt "chaos_crash";
-              chaos_hang = get opt "chaos_hang";
-            }
-        with Failure msg -> Error ("bad campaign recipe: " ^ msg))
-    | v :: _ ->
-        Error
-          (Printf.sprintf
-             "campaign recipe %S is not %S; coordinator and worker binaries \
-              disagree"
-             v magic)
-    | [] -> Error "empty campaign recipe"
-
-  let sut_of r =
-    let fault =
-      match (r.chaos_crash, r.chaos_hang) with
-      | None, None -> None
-      | crash_after_ms, hang_after_ms ->
-          Some (Propane.Fault.spec ?crash_after_ms ?hang_after_ms ())
-    in
-    Arrestment.System.sut ?fault ()
-
-  let campaign_of r =
-    build_campaign ~cases:r.cases ~times:r.times ~full:r.full ~model:r.model ()
-
-  (* Fields a resume may change: they decide which runs execute and how
-     records reach the disk, never what a run's outcome is. *)
-  let scheduling =
-    [ "jobs"; "journal_batch"; "fail_fast"; "stop_when"; "keep_traces" ]
-
-  (* The first field, in encoding order, on which [a] and [b] describe
-     different campaigns, with both values; the config's own fields
-     count one by one. *)
-  let first_difference a b =
-    let kv f =
-      Option.map
-        (fun i ->
-          (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
-        (String.index_opt f '=')
-    in
-    let fields r =
-      List.filter_map kv (String.split_on_char ';' (encode r))
-      |> List.concat_map (function
-           | "config", c -> List.filter_map kv (String.split_on_char ',' c)
-           | field -> [ field ])
-    in
-    let fa = fields a and fb = fields b in
-    let value fs k = Option.value ~default:"(unset)" (List.assoc_opt k fs) in
-    List.find_map
-      (fun k ->
-        let va = value fa k and vb = value fb k in
-        if List.mem k scheduling || String.equal va vb then None
-        else Some (k, va, vb))
-      (List.map fst fa @ List.map fst fb)
-end
+module Recipe = Arrestment.Recipe
 
 let write_telemetry path telemetry =
   let json =
@@ -531,9 +370,10 @@ let write_telemetry path telemetry =
 (* Distributed mode: bind the listener, spawn the local pool (each
    worker is this same binary re-invoked as [propane worker]), and let
    the coordinator schedule everything.  The listener is bound before
-   any worker starts, so workers never race it. *)
-let run_cluster_campaign ~recipe ~sut ~campaign ~config ~on_event ~workers
-    ~listen ~chaos_kill ~live ?select ?cells ?plan () =
+   any worker starts, so workers never race it.  The Welcome carries
+   the recipe, from which a bare worker rebuilds the campaign. *)
+let run_cluster_campaign ~recipe ~(prepared : Recipe.prepared) ~on_event
+    ~workers ~listen ~chaos_kill =
   let addr =
     match listen with
     | Some a -> a
@@ -544,7 +384,7 @@ let run_cluster_campaign ~recipe ~sut ~campaign ~config ~on_event ~workers
              (Printf.sprintf "propane-%d.sock" (Unix.getpid ())))
   in
   let fd = Cluster.Address.listen addr in
-  let total = Propane.Campaign.size campaign in
+  let total = Propane.Campaign.size prepared.campaign in
   let pool =
     if workers = 0 then None
     else begin
@@ -572,170 +412,55 @@ let run_cluster_campaign ~recipe ~sut ~campaign ~config ~on_event ~workers
     (fun () ->
       Cluster.Coordinator.serve ~on_event
         ~on_tick:(fun () -> Option.iter Cluster.Local.tend pool)
-        ?live ?select ?cells ?plan
-        ~recipe:(Recipe.encode recipe)
-        ~config ~listen:fd ~sut:sut.Propane.Sut.name
-        ~campaign:campaign.Propane.Campaign.name ~total ())
+        ?live:prepared.live ?select:prepared.select ?cells:prepared.cells
+        ?plan:prepared.plan ~recipe:(Recipe.encode recipe)
+        ~config:recipe.Recipe.config ~listen:fd
+        ~sut:prepared.sut.Propane.Sut.name
+        ~campaign:prepared.campaign.Propane.Campaign.name ~total ())
 
-let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
-    ~jobs ~journal ~resume ~journal_batch ~telemetry ~keep_traces
-    ~run_timeout_ms ~retries ~fail_fast ~chaos_crash ~chaos_hang ~workers
-    ~listen ~chaos_kill ~stop_when ~reuse ~budget ~plan_mode () =
-  if resume && journal = None then begin
-    prerr_endline "propane campaign: --resume requires --journal";
-    exit 1
-  end;
-  let cluster = workers > 0 || listen <> None in
-  if cluster && keep_traces then begin
-    prerr_endline
-      "propane campaign: --keep-traces is unavailable with --workers/--listen \
-       (traces stay inside the worker processes)";
-    exit 1
-  end;
-  if cluster && jobs <> 1 then begin
-    prerr_endline
-      "propane campaign: --jobs parallelises in-process domains; it cannot \
-       combine with --workers/--listen";
-    exit 1
-  end;
-  if (not cluster) && chaos_kill <> None then begin
-    prerr_endline
-      "propane campaign: --chaos-worker-kill-after needs worker processes \
-       (--workers)";
-    exit 1
-  end;
-  (* One Config.t drives every mode: the local engine gets it directly,
-     the coordinator reads its scheduling/journal fields, and the
-     recipe embeds it so remote workers execute runs under the exact
-     same options. *)
-  let config =
-    Propane.Runner.Config.make ~seed ~truncate_after_ms:(window * 2)
-      ?run_timeout_ms:
-        (if run_timeout_ms <= 0 then None else Some run_timeout_ms)
-      ~retries ~fail_fast
-      ~jobs:(if cluster then max workers 1 else jobs)
-      ?journal ~resume ~journal_batch ~keep_traces ?stop_when ?budget
-      ~plan:plan_mode ()
-  in
-  let recipe =
-    {
-      Recipe.cases;
-      times;
-      full;
-      model;
-      window;
-      (* [jobs] is host-local scheduling, not part of the campaign's
-         identity: normalising it keeps the journal's recipe line — and
-         so the whole journal — byte-identical across serial, --jobs
-         and cluster executions of the same campaign. *)
-      config = { config with Propane.Runner.Config.jobs = 1 };
-      chaos_crash;
-      chaos_hang;
-    }
-  in
-  (* A resume continues the journal's own campaign: outcomes of two
-     experiment grids, or of two engine settings, must never share one
-     journal. *)
-  (match journal with
-  | Some path when resume && Sys.file_exists path -> (
+let refuse msg =
+  prerr_endline ("propane campaign: " ^ msg);
+  exit 1
+
+(* A resume continues the journal's own campaign: outcomes of two
+   experiment grids, or of two engine settings, must never share one
+   journal.  Resumable scheduling options may differ: the encoding
+   writes them at their defaults. *)
+let check_resume (recipe : Recipe.t) =
+  match recipe.config.Propane.Runner.Config.journal with
+  | Some path when recipe.config.resume && Sys.file_exists path -> (
       match Propane.Journal.load path with
       | Ok { Propane.Journal.recipe = Some line; _ } -> (
           match Recipe.decode line with
-          | Error msg ->
-              prerr_endline ("propane campaign: --resume: " ^ msg);
-              exit 1
+          | Error msg -> refuse ("--resume: " ^ msg)
           | Ok journalled -> (
               match Recipe.first_difference journalled recipe with
               | None -> ()
               | Some (field, was, now) ->
-                  Printf.eprintf
-                    "propane campaign: --resume: %s records another \
-                     campaign (%s=%s in the journal, %s=%s here)\n"
-                    path field was field now;
-                  exit 1))
+                  refuse
+                    (Printf.sprintf
+                       "--resume: %s records another campaign (%s=%s in the \
+                        journal, %s=%s here)"
+                       path field was field now)))
       | Ok _ | Error _ ->
           (* no recipe to compare, or a load error the engine reports *)
           ())
-  | _ -> ());
-  let campaign = Recipe.campaign_of recipe in
-  Format.printf "%a@." Propane.Campaign.pp campaign;
-  let sut = Recipe.sut_of recipe in
-  (* The cache key recipe covers exactly the options a cell's counters
-     depend on.  Scheduling and durability knobs (jobs, journalling,
-     fail-fast, stop rule) are deliberately absent: they change which
-     runs execute or where records land, never a completed run's
-     outcome, so estimates cached under one schedule are valid under
-     any other. *)
-  let reuse_plan =
-    Option.map
-      (fun dir ->
-        let {
-          Propane.Runner.Config.max_ms;
-          seed;
-          truncate_after_ms;
-          run_timeout_ms;
-          retries;
-          _;
-        } =
-          config
-        in
-        let opt = function None -> "-" | Some v -> string_of_int v in
-        let recipe =
-          Printf.sprintf
-            "max_ms=%d;seed=%Ld;truncate=%s;timeout=%s;retries=%d;window=%d;chaos=%s,%s"
-            max_ms seed (opt truncate_after_ms) (opt run_timeout_ms) retries
-            window (opt chaos_crash) (opt chaos_hang)
-        in
-        Propane.Reuse.plan ~recipe ~sut ~model:Arrestment.Model.system ~dir
-          campaign)
-      reuse
+  | _ -> ()
+
+let run_measured_campaign ~recipe ~progress ~telemetry ~workers ~listen
+    ~chaos_kill ~reuse =
+  check_resume recipe;
+  let prepared =
+    try Recipe.prepare ?reuse recipe with Invalid_argument msg -> refuse msg
   in
+  let { Recipe.campaign; reuse; _ } = prepared in
+  Format.printf "%a@." Propane.Campaign.pp campaign;
   Option.iter
     (fun plan ->
       Format.printf "reused %d of %d cells@."
         (Propane.Reuse.reused_cells plan)
         (Propane.Reuse.total_cells plan))
-    reuse_plan;
-  let select = Option.map Propane.Reuse.select reuse_plan in
-  let cells = Option.map Propane.Reuse.journal_cells reuse_plan in
-  (* The budget scheduler: one Plan.t instance is the work source for
-     whichever backend runs the campaign (serial, --jobs, --workers).
-     --reuse composes: cached cells are deselected, so they receive
-     zero fresh allocation and the budget concentrates on the dirty
-     targets. *)
-  let plan =
-    Option.map
-      (fun budget ->
-        try
-          Propane.Plan.create ~mode:plan_mode ?select
-            ~attribution:(Propane.Estimator.Direct { window_ms = window })
-            ~budget ~model:Arrestment.Model.system ~campaign ()
-        with Invalid_argument msg ->
-          prerr_endline ("propane campaign: " ^ msg);
-          exit 1)
-      budget
-  in
-  (* The live analysis mirrors the post-campaign estimation exactly
-     (same attribution window, same failure accounting), so the stop
-     rule judges the same numbers the final tables print.  Under
-     --reuse only the dirty targets' cells are fed fresh runs, so the
-     rule watches those — cached cells are already as precise as they
-     will get.  A budgeted campaign needs it too: batch estimation
-     rejects the partial coverage a plan deliberately leaves behind,
-     the live stream tolerates it. *)
-  let live =
-    if stop_when = None && budget = None then None
-    else
-      Some
-        (Propane.Live.create
-           ~attribution:(Propane.Estimator.Direct { window_ms = window })
-           ~model:Arrestment.Model.system
-           ~targets:
-             (match reuse_plan with
-             | Some plan -> Propane.Reuse.dirty_targets plan
-             | None -> campaign.Propane.Campaign.targets)
-           ())
-  in
+    reuse;
   let tele = Propane.Telemetry.create () in
   let on_event ev =
     Propane.Telemetry.observe tele ev;
@@ -750,12 +475,14 @@ let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
   in
   let results =
     try
-      if cluster then
-        run_cluster_campaign ~recipe ~sut ~campaign ~config ~on_event ~workers
-          ~listen ~chaos_kill ~live ?select ?cells ?plan ()
+      if workers > 0 || listen <> None then
+        run_cluster_campaign ~recipe ~prepared ~on_event ~workers ~listen
+          ~chaos_kill
       else
-        Propane.Runner.run ~config ~on_event ?live ?select ?cells ?plan
-          ~recipe:(Recipe.encode recipe) sut campaign
+        Propane.Runner.run ~config:recipe.config ~on_event
+          ?live:prepared.live ?select:prepared.select ?cells:prepared.cells
+          ?plan:prepared.plan ~recipe:(Recipe.encode recipe) prepared.sut
+          campaign
     with Propane.Runner.Failed_run { index; outcome } ->
       Option.iter (fun path -> write_telemetry path tele) telemetry;
       Format.eprintf "propane campaign: run %d %a; aborting (--fail-fast)@."
@@ -771,9 +498,12 @@ let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
      the "N of M" it reports must too: M is the selected (dirty) run
      count, not the campaign size the cache already covers. *)
   let selected_total =
-    match reuse_plan with
+    match reuse with
     | Some plan -> Propane.Reuse.selected_runs plan
     | None -> Propane.Campaign.size campaign
+  in
+  let { Propane.Runner.Config.stop_when; budget; plan = mode; _ } =
+    recipe.config
   in
   (match stop_when with
   | Some rule when Propane.Results.count results < selected_total ->
@@ -781,68 +511,23 @@ let run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
         (Propane.Results.count results)
         selected_total Propane.Live.pp_rule rule
   | _ -> ());
-  (match plan with
-  | Some p ->
+  Option.iter
+    (fun p ->
       let nrounds =
         List.fold_left
           (fun acc (r : Propane.Journal.round) -> max acc (r.round + 1))
           0 (Propane.Plan.rounds p)
       in
       Format.printf "plan %s: %d of %d runs in %d round%s (--budget %d)@."
-        (Propane.Plan.mode_to_string plan_mode)
+        (Propane.Plan.mode_to_string mode)
         (Propane.Results.count results)
         selected_total nrounds
         (if nrounds = 1 then "" else "s")
-        (Option.value ~default:0 budget)
-  | None -> ());
-  match reuse_plan with
-  | Some plan ->
-      (* Composition replaces both estimation paths: cached rows seed
-         the stream, fresh outcomes fold in, and the matrices are
-         byte-identical to a from-scratch campaign's (property-tested).
-         Freshly measured complete targets flow back into the cache. *)
-      let stream =
-        Propane.Reuse.compose
-          ~attribution:(Propane.Estimator.Direct { window_ms = window })
-          plan results
-      in
-      (match Propane.Reuse.persist plan stream results with
-      | Ok () -> ()
-      | Error msg ->
-          prerr_endline ("propane campaign: " ^ msg);
-          exit 1);
-      (match Propane.Reuse.write_stats plan with
-      | Ok () -> ()
-      | Error msg ->
-          prerr_endline ("propane campaign: " ^ msg);
-          exit 1);
-      ( results,
-        analysis_or_die Arrestment.Model.system
-          (Propane.Estimator.Stream.matrices stream) )
-  | None -> (
-  match live with
-  | Some l -> (
-      (* The live analysis has already folded in every outcome — and,
-         unlike batch estimation, it tolerates a partial campaign that
-         never reached some targets (their cells simply keep zero-trial
-         intervals). *)
-      match Propane.Live.snapshot l with
-      | Ok analysis -> (results, analysis)
-      | Error msg ->
-          prerr_endline
-            ("propane: inconsistent permeability matrices: " ^ msg);
-          exit 124)
-  | None -> (
-      let attribution = Propane.Estimator.Direct { window_ms = window } in
-      match
-        Propane.Estimator.estimate_all ~attribution
-          ~model:Arrestment.Model.system results
-      with
-      | Error msg ->
-          prerr_endline ("propane campaign: " ^ msg);
-          exit 124
-      | Ok matrices ->
-          (results, analysis_or_die Arrestment.Model.system matrices)))
+        (Option.value ~default:0 budget))
+    prepared.plan;
+  match Recipe.analyse ?reuse ~window:recipe.window results with
+  | Ok analysis -> (results, analysis)
+  | Error msg -> refuse msg
 
 let save_arg =
   let doc = "Save the raw campaign results to $(docv) (see Propane.Storage)." in
@@ -866,37 +551,8 @@ let reuse_arg =
    and injection grid, so any ranking shift is attributable to the
    error model alone — the axis the paper's Section 6 flags but never
    measures. *)
-let ablation_specs =
-  [
-    "single-bit";
-    "multi-bit:2";
-    "burst:4";
-    "stuck-at";
-    "offset:64";
-    "noise:16";
-    "uniform";
-    "delayed:8";
-    "intermittent:4:16";
-  ]
-
 let run_model_ablation ~cases ~times ~seed ~window ~jobs ~ci () =
-  let config =
-    Propane.Runner.Config.make ~seed ~truncate_after_ms:(window * 2) ~jobs ()
-  in
-  let testcases, times = campaign_workload ~cases ~times ~full:false in
-  let campaign_of errors =
-    Propane.Campaign.make ~name:"ablation-7.3"
-      ~targets:Arrestment.Model.injection_targets ~testcases ~times ~errors
-  in
-  let rosters =
-    List.map (fun spec -> (spec, roster_or_die spec)) ablation_specs
-  in
-  match
-    Propane.Ablation.study ~config
-      ~attribution:(Propane.Estimator.Direct { window_ms = window })
-      ~sut:(Arrestment.System.sut ()) ~model:Arrestment.Model.system
-      ~campaign_of rosters
-  with
+  match Recipe.ablation (Recipe.make ~cases ~times ~seed ~window ~jobs ()) with
   | Error msg ->
       prerr_endline ("propane analyze: " ^ msg);
       exit 124
@@ -996,12 +652,33 @@ let campaign_cmd =
   let run () cases times full model seed window progress jobs journal resume
       journal_batch telemetry keep_traces run_timeout_ms retries fail_fast
       chaos_crash chaos_hang workers listen chaos_kill stop_when ci save reuse
-      budget plan_mode =
+      budget plan =
+    let cluster = workers > 0 || listen <> None in
+    if resume && journal = None then refuse "--resume requires --journal";
+    if cluster && keep_traces then
+      refuse
+        "--keep-traces is unavailable with --workers/--listen (traces stay \
+         inside the worker processes)";
+    if cluster && jobs <> 1 then
+      refuse
+        "--jobs parallelises in-process domains; it cannot combine with \
+         --workers/--listen";
+    if (not cluster) && chaos_kill <> None then
+      refuse "--chaos-worker-kill-after needs worker processes (--workers)";
+    (* One recipe drives every mode: the local engine gets its config
+       directly, the coordinator reads its scheduling and journal
+       fields, and remote workers rebuild the campaign from its
+       encoding. *)
+    let recipe =
+      Recipe.make ~cases ~times ~full ~model ~window ~seed ~run_timeout_ms
+        ~retries ~fail_fast
+        ~jobs:(if cluster then max workers 1 else jobs)
+        ?journal ~resume ~journal_batch ~keep_traces ?stop_when ?budget ~plan
+        ?chaos_crash ?chaos_hang ()
+    in
     let results, analysis =
-      run_measured_campaign ~cases ~times ~full ~model ~seed ~window ~progress
-        ~jobs ~journal ~resume ~journal_batch ~telemetry ~keep_traces
-        ~run_timeout_ms ~retries ~fail_fast ~chaos_crash ~chaos_hang ~workers
-        ~listen ~chaos_kill ~stop_when ~reuse ~budget ~plan_mode ()
+      run_measured_campaign ~recipe ~progress ~telemetry ~workers ~listen
+        ~chaos_kill ~reuse
     in
     Option.iter
       (fun path ->
@@ -1044,15 +721,24 @@ let campaign_cmd =
       $ workers_arg $ listen_arg $ chaos_kill_arg $ stop_when_arg $ ci_arg
       $ save_arg $ reuse_arg $ budget_arg $ plan_arg)
 
+
 (* ------------------------------------------------------------------ *)
 
 (* Plan preview: the analytical half of a budgeted campaign without
    executing anything — the priors every target would start from, and
    (given --budget) the deterministic round-0 split. *)
 let plan_cmd =
-  let run () cases times full model seed window budget plan_mode =
-    ignore seed;
-    let campaign = build_campaign ~cases ~times ~full ~model () in
+  let run () cases times full model window budget plan_mode =
+    let prepared =
+      try
+        Recipe.prepare
+          (Recipe.make ~cases ~times ~full ~model ~window ?budget
+             ~plan:plan_mode ())
+      with Invalid_argument msg ->
+        prerr_endline ("propane plan: " ^ msg);
+        exit 1
+    in
+    let campaign = prepared.campaign in
     Format.printf "%a@." Propane.Campaign.pp campaign;
     let priors =
       Propane.Plan.priors ~model:Arrestment.Model.system
@@ -1060,16 +746,7 @@ let plan_cmd =
     in
     let pilot =
       Option.map
-        (fun budget ->
-          let p =
-            try
-              Propane.Plan.create ~mode:plan_mode ~priors
-                ~attribution:(Propane.Estimator.Direct { window_ms = window })
-                ~budget ~model:Arrestment.Model.system ~campaign ()
-            with Invalid_argument msg ->
-              prerr_endline ("propane plan: " ^ msg);
-              exit 1
-          in
+        (fun p ->
           (* A zero-size take allocates round 0 without handing out (or
              executing) anything; the preview then reads the recorded
              round — the same bytes a real run would journal. *)
@@ -1080,7 +757,7 @@ let plan_cmd =
                 Some (r.Propane.Journal.target, r.Propane.Journal.runs)
               else None)
             (Propane.Plan.rounds p))
-        budget
+        prepared.plan
     in
     Format.printf
       "analytical priors (flat 0.5 permeability matrices, %d runs per \
@@ -1126,7 +803,7 @@ let plan_cmd =
           $(b,propane campaign --budget) run would execute and journal.")
     Term.(
       const run $ log_term $ cases_arg $ times_arg $ full_arg $ model_arg
-      $ seed_arg $ window_arg $ budget_arg $ plan_arg)
+      $ window_arg $ budget_arg $ plan_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1137,8 +814,8 @@ let executor_of_welcome (w : Cluster.Protocol.welcome) =
   match Recipe.decode w.Cluster.Protocol.config with
   | Error _ as e -> e
   | Ok recipe ->
-      let campaign = Recipe.campaign_of recipe in
-      let sut = Recipe.sut_of recipe in
+      let campaign = Recipe.campaign recipe in
+      let sut = Recipe.sut recipe in
       if not (String.equal campaign.Propane.Campaign.name w.campaign) then
         Error
           (Printf.sprintf "coordinator runs campaign %S, its recipe builds %S"
@@ -1157,8 +834,8 @@ let executor_of_welcome (w : Cluster.Protocol.welcome) =
            and retries; only the seed is authoritative from the
            Welcome, not the recipe. *)
         Ok
-          (Propane.Runner.executor ~config:recipe.Recipe.config ~seed:w.seed
-             sut campaign)
+          (Propane.Runner.executor ~config:recipe.config ~seed:w.seed sut
+             campaign)
 
 let worker_cmd =
   let connect_arg =
@@ -1289,116 +966,67 @@ module Submission = struct
     let* json =
       Result.map_error (fun m -> "body is not JSON: " ^ m) (J.parse body)
     in
-    let field name access ~default =
+    (* An absent field takes the recipe's default. *)
+    let field name access =
       match J.member name json with
-      | None | Some J.Null -> Ok default
+      | None | Some J.Null -> Ok None
       | Some v -> (
           match access v with
-          | Some x -> Ok x
+          | Some x -> Ok (Some x)
           | None -> Error (Printf.sprintf "bad field %S" name))
     in
-    let* tenant = field "tenant" J.str ~default:"default" in
+    let parsed name of_string =
+      let* s = field name J.str in
+      match s with
+      | None -> Ok None
+      | Some s -> Result.map Option.some (of_string s)
+    in
+    let* tenant = field "tenant" J.str in
+    let tenant = Option.value ~default:"default" tenant in
     let* () = if tenant = "" then Error "empty tenant" else Ok () in
-    let* weight = field "weight" J.int ~default:1 in
+    let* weight = field "weight" J.int in
+    let weight = Option.value ~default:1 weight in
     let* () =
       if weight >= 1 then Ok () else Error "weight must be at least 1"
     in
-    let* cases = field "cases" J.int ~default:3 in
-    let* times = field "times" J.int ~default:4 in
-    let* full = field "full" J.bool ~default:false in
-    let* model = field "model" J.str ~default:default_model in
-    let* _roster =
-      Propane.Error_model.roster_of_string ~width:Arrestment.Signals.width
-        model
-    in
+    let* cases = field "cases" J.int in
+    let* times = field "times" J.int in
+    let* full = field "full" J.bool in
+    let* model = field "model" J.str in
     let* seed =
-      field "seed"
-        (fun v -> Option.bind (J.str v) Int64.of_string_opt)
-        ~default:42L
+      field "seed" (fun v -> Option.bind (J.str v) Int64.of_string_opt)
     in
-    let* window = field "window" J.int ~default:64 in
-    let* () = if window >= 1 then Ok () else Error "window must be >= 1" in
-    let* run_timeout_ms = field "run_timeout_ms" J.int ~default:0 in
-    let* retries = field "retries" J.int ~default:0 in
-    let* () = if retries >= 0 then Ok () else Error "retries must be >= 0" in
-    let* fail_fast = field "fail_fast" J.bool ~default:false in
-    let* stop_when =
-      match J.member "stop_when" json with
-      | None | Some J.Null -> Ok None
-      | Some v -> (
-          match J.str v with
-          | None -> Error "bad field \"stop_when\""
-          | Some s -> Result.map Option.some (Propane.Live.rule_of_string s))
+    let* window = field "window" J.int in
+    let* run_timeout_ms = field "run_timeout_ms" J.int in
+    let* retries = field "retries" J.int in
+    let* fail_fast = field "fail_fast" J.bool in
+    let* stop_when = parsed "stop_when" Propane.Live.rule_of_string in
+    let* budget = field "budget" J.int in
+    let* plan = parsed "plan" Propane.Plan.mode_of_string in
+    let recipe =
+      Recipe.make ?cases ?times ?full ?model ?seed ?window ?run_timeout_ms
+        ?retries ?fail_fast ?stop_when ?budget ?plan ()
     in
-    let* budget =
-      match J.member "budget" json with
-      | None | Some J.Null -> Ok None
-      | Some v -> (
-          match J.int v with
-          | Some b when b >= 1 -> Ok (Some b)
-          | _ -> Error "bad field \"budget\"")
-    in
-    let* plan_mode =
-      match J.member "plan" json with
-      | None | Some J.Null -> Ok Propane.Plan.Adaptive
-      | Some v -> (
-          match J.str v with
-          | None -> Error "bad field \"plan\""
-          | Some s -> Propane.Plan.mode_of_string s)
-    in
-    match
-      let config =
-        Propane.Runner.Config.make ~seed ~truncate_after_ms:(window * 2)
-          ?run_timeout_ms:
-            (if run_timeout_ms <= 0 then None else Some run_timeout_ms)
-          ~retries ~fail_fast ~jobs:1 ?stop_when ?budget ~plan:plan_mode ()
-      in
-      let recipe =
-        {
-          Recipe.cases;
-          times;
-          full;
-          model;
-          window;
-          config;
-          chaos_crash = None;
-          chaos_hang = None;
-        }
-      in
-      let campaign = Recipe.campaign_of recipe in
-      let sut = Recipe.sut_of recipe in
-      (* Always attach a live analysis — GET /campaigns/:id serves
-         rankings with Wilson CIs while the campaign is in flight. *)
-      let live =
-        Propane.Live.create
-          ~attribution:(Propane.Estimator.Direct { window_ms = window })
-          ~model:Arrestment.Model.system
-          ~targets:campaign.Propane.Campaign.targets ()
-      in
-      (* Each parse builds a fresh plan — plans are single-use work
-         sources, and a recovered campaign must re-derive its rounds
-         from its own journal, not inherit a spent scheduler. *)
-      let plan =
-        Option.map
-          (fun budget ->
-            Propane.Plan.create ~mode:plan_mode
-              ~attribution:(Propane.Estimator.Direct { window_ms = window })
-              ~budget ~model:Arrestment.Model.system ~campaign ())
-          budget
-      in
-      {
-        Propane_service.Service.tenant;
-        weight;
-        name = campaign.Propane.Campaign.name;
-        sut = sut.Propane.Sut.name;
-        total = Propane.Campaign.size campaign;
-        recipe = Recipe.encode recipe;
-        config;
-        live = Some live;
-        plan;
-      }
-    with
-    | spec -> Ok spec
+    (* Always attach a live analysis — GET /campaigns/:id serves
+       rankings with Wilson CIs while the campaign is in flight.  Each
+       parse prepares a fresh plan: plans are single-use work sources,
+       and a recovered campaign must re-derive its rounds from its own
+       journal, not inherit a spent scheduler.  [prepare] refuses what
+       [Recipe.validate] refuses, so a bad submission is a 400. *)
+    match Recipe.prepare ~live:true recipe with
+    | { Recipe.sut; campaign; live; plan; _ } ->
+        Ok
+          {
+            Propane_service.Service.tenant;
+            weight;
+            name = campaign.Propane.Campaign.name;
+            sut = sut.Propane.Sut.name;
+            total = Propane.Campaign.size campaign;
+            recipe = Recipe.encode recipe;
+            config = recipe.config;
+            live;
+            plan;
+          }
     | exception Invalid_argument msg -> Error msg
 end
 
@@ -1784,9 +1412,9 @@ let replay_cmd =
       | Some r -> (
           match Recipe.decode r with Ok r -> r | Error msg -> die msg)
     in
-    let sut = Recipe.sut_of recipe in
-    let campaign = Recipe.campaign_of recipe in
-    let config = recipe.Recipe.config in
+    let sut = Recipe.sut recipe in
+    let campaign = Recipe.campaign recipe in
+    let config = recipe.config in
     (match
        Propane.Journal.validate j ~path ~sut:sut.Propane.Sut.name
          ~campaign:campaign.Propane.Campaign.name
@@ -1800,19 +1428,14 @@ let replay_cmd =
       | Some o -> o
       | None -> die (Printf.sprintf "journal has no record for index %d" index)
     in
-    (* Scheduling and durability knobs are irrelevant to a single run's
-       outcome; strip them (the budget included — a plan decides which
-       runs execute, never how one executes) so the replay is a plain
-       serial execution that cannot touch the journal it is checking. *)
+    (* Only the outcome fields matter to a single run; the rest (the
+       budget included — a plan decides which runs execute, never how
+       one executes) go, so the replay is a plain serial execution that
+       cannot touch the journal it is checking. *)
     let config =
       {
-        config with
-        Propane.Runner.Config.jobs = 1;
-        journal = None;
-        resume = false;
-        fail_fast = false;
-        stop_when = None;
-        budget = None;
+        (Propane.Runner.Config.restrict (fun role -> role = `Outcome) config)
+        with
         keep_traces;
       }
     in
@@ -1859,22 +1482,7 @@ let replay_cmd =
       | None -> die "engine returned no traces despite --keep-traces"
       | Some ts ->
           let out = Printf.sprintf "%s.run%d.csv" path index in
-          let oc = open_out out in
-          let signals = Propane.Trace_set.signals ts in
-          output_string oc ("ms," ^ String.concat "," signals ^ "\n");
-          let dur = Propane.Trace_set.duration_ms ts in
-          for ms = 0 to dur - 1 do
-            output_string oc (string_of_int ms);
-            List.iter
-              (fun s ->
-                output_char oc ',';
-                output_string oc
-                  (string_of_int
-                     (Propane.Trace.get (Propane.Trace_set.trace ts s) ms)))
-              signals;
-            output_char oc '\n'
-          done;
-          close_out oc;
+          Report.Csv.write_file out (Report.Csv.of_trace_set ts);
           Printf.printf "traces written to %s\n" out
   in
   Cmd.v
@@ -1908,16 +1516,11 @@ let with_loaded_results load f =
 let estimate_cmd =
   let run () load window ci =
     with_loaded_results load (fun results ->
-        let attribution = Propane.Estimator.Direct { window_ms = window } in
-        match
-          Propane.Estimator.estimate_all ~attribution
-            ~model:Arrestment.Model.system results
-        with
+        match Recipe.analyse ~window results with
         | Error msg ->
-            prerr_endline msg;
+            prerr_endline ("propane estimate: " ^ msg);
             exit 1
-        | Ok matrices ->
-            let analysis = analysis_or_die Arrestment.Model.system matrices in
+        | Ok analysis ->
             print_analysis_tables
               ~reference:(Arrestment.Model.paper_matrices ())
               ~ci analysis)
@@ -1994,20 +1597,7 @@ let golden_cmd =
     let tc = Arrestment.System.testcase ~mass_kg:mass ~velocity_mps:velocity in
     let traces = Propane.Runner.golden_run sut tc in
     let dur = Propane.Trace_set.duration_ms traces in
-    if csv then begin
-      let signals = Propane.Trace_set.signals traces in
-      print_endline ("ms," ^ String.concat "," signals);
-      for ms = 0 to dur - 1 do
-        print_string (string_of_int ms);
-        List.iter
-          (fun s ->
-            print_char ',';
-            print_string
-              (string_of_int (Propane.Trace.get (Propane.Trace_set.trace traces s) ms)))
-          signals;
-        print_newline ()
-      done
-    end
+    if csv then print_string (Report.Csv.of_trace_set traces)
     else begin
       Printf.printf "arrestment of %.0f kg at %.0f m/s: %d ms\n" mass velocity
         dur;

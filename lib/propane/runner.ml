@@ -255,6 +255,17 @@ module Config = struct
     plan : Plan.mode;
   }
 
+  type role = [ `Outcome | `Resumable | `Plan ]
+
+  (* The one classification of the fields by what they can change,
+     keyed by their [encode] names.  A field listed nowhere counts as
+     [`Outcome]: over-keying a cached estimate costs only a miss. *)
+  let role = function
+    | "jobs" | "journal_batch" | "fail_fast" | "stop_when" | "keep_traces" ->
+        `Resumable
+    | "budget" | "plan" -> `Plan
+    | _ -> `Outcome
+
   let default =
     {
       max_ms = default_max_ms;
@@ -294,6 +305,27 @@ module Config = struct
       stop_when;
       budget;
       plan;
+    }
+
+  let restrict keep t =
+    let field name v d = if keep (role name) then v else d in
+    {
+      max_ms = field "max_ms" t.max_ms default.max_ms;
+      seed = field "seed" t.seed default.seed;
+      truncate_after_ms =
+        field "truncate_after_ms" t.truncate_after_ms default.truncate_after_ms;
+      run_timeout_ms =
+        field "run_timeout_ms" t.run_timeout_ms default.run_timeout_ms;
+      retries = field "retries" t.retries default.retries;
+      fail_fast = field "fail_fast" t.fail_fast default.fail_fast;
+      jobs = field "jobs" t.jobs default.jobs;
+      journal = t.journal;
+      resume = t.resume;
+      journal_batch = field "journal_batch" t.journal_batch default.journal_batch;
+      keep_traces = field "keep_traces" t.keep_traces default.keep_traces;
+      stop_when = field "stop_when" t.stop_when default.stop_when;
+      budget = field "budget" t.budget default.budget;
+      plan = field "plan" t.plan default.plan;
     }
 
   let validate t =

@@ -160,6 +160,21 @@ module Config : sig
             meaningless without [budget] *)
   }
 
+  type role = [ `Outcome | `Resumable | `Plan ]
+  (** What a field can change.  [`Outcome]: a completed run's outcome,
+      so these fields, and only these, key cached estimates.
+      [`Resumable]: which runs execute and how records reach the disk;
+      a resume may change them, and campaign recipes reset them to
+      {!default}'s so every invocation of one campaign journals the same
+      header.  [`Plan]: which runs execute; pinned on resume, irrelevant
+      to any one run. *)
+
+  val role : string -> role
+  (** The role of a field by its {!encode} name — the one place a
+      field is classified: [jobs], [journal_batch], [fail_fast],
+      [stop_when] and [keep_traces] are [`Resumable], [budget] and
+      [plan] are [`Plan], and every other name counts as [`Outcome]. *)
+
   val default : t
   (** [max_ms = default_max_ms], [seed = 42], no truncation, no
       watchdog, no retries, no fail-fast, [jobs = 1], no journal,
@@ -185,6 +200,11 @@ module Config : sig
   (** {!default} with the given fields replaced.  Construction never
       fails; {!validate} (called by every entry point taking a config)
       checks the combination. *)
+
+  val restrict : (role -> bool) -> t -> t
+  (** Keeps the fields whose {!role} satisfies the predicate and resets
+      the others to {!default}'s; the host-local [journal] and [resume]
+      are kept. *)
 
   val validate : t -> (unit, string) result
   (** [max_ms >= 1], [truncate_after_ms >= 0], [jobs >= 1],

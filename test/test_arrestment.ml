@@ -955,6 +955,177 @@ let envelope_tests =
              (trace_values traces "ms_slot_nbr")));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The campaign recipe: codec, validation, field classification and
+   the one estimation ending. *)
+
+let recipe_gen =
+  let open QCheck2.Gen in
+  let* cases = int_range 2 6 in
+  let* times = int_range 1 6 in
+  let* full = bool in
+  let* model =
+    oneofl [ "single-bit"; "multi-bit:2"; "stuck-at:5"; "burst:4"; "delayed:8" ]
+  in
+  let* window = int_range 1 200 in
+  let* seed = map Int64.of_int (int_range 0 1_000_000) in
+  let* run_timeout_ms = int_range 0 500 in
+  let* retries = int_range 0 3 in
+  let* budget = opt (int_range 13 2_000) in
+  let* plan = oneofl Propane.Plan.[ Adaptive; Uniform ] in
+  let* chaos_crash = opt (int_range 0 100) in
+  let+ chaos_hang = opt (int_range 0 100) in
+  (* The codec writes the plan mode only under a budget. *)
+  let plan = Option.map (fun _ -> plan) budget in
+  Recipe.make ~cases ~times ~full ~model ~window ~seed ~run_timeout_ms ~retries
+    ?budget ?plan ?chaos_crash ?chaos_hang ()
+
+(* Random values for the resumable scheduling fields. *)
+let reschedule_gen =
+  let open QCheck2.Gen in
+  let* jobs = int_range 1 8 in
+  let* journal_batch = int_range 1 64 in
+  let* fail_fast = bool in
+  let* stop_when =
+    opt (oneofl [ `Rankings_stable 3; `Ci_width 0.4; `Ci_width 0.125 ])
+  in
+  let+ keep_traces = bool in
+  fun (r : Recipe.t) ->
+    {
+      r with
+      config =
+        { r.config with jobs; journal_batch; fail_fast; stop_when; keep_traces };
+    }
+
+(* A different value: [None] becomes [Some lo]. *)
+let bump ?(lo = 0) = function None -> Some lo | Some n -> Some (n + 1)
+
+(* One change per outcome field, each of which must move the cache key. *)
+let outcome_changes : (string * (Recipe.t -> Recipe.t)) list =
+  [
+    ("seed", fun r -> { r with config = { r.config with seed = Int64.succ r.config.seed } });
+    ("window", fun r -> Recipe.{ r with window = r.window + 1 });
+    ("retries", fun r -> { r with config = { r.config with retries = r.config.retries + 1 } });
+    ( "run_timeout_ms",
+      fun r ->
+        { r with config = { r.config with run_timeout_ms = bump ~lo:1 r.config.run_timeout_ms } } );
+    ("max_ms", fun r -> { r with config = { r.config with max_ms = r.config.max_ms + 1 } });
+    ("chaos_crash", fun r -> { r with chaos_crash = bump r.chaos_crash });
+    ("chaos_hang", fun r -> { r with chaos_hang = bump r.chaos_hang });
+  ]
+
+let contains ~needle hay =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let recipe_property ?(count = 200) ~print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ~print gen prop)
+
+let recipe_tests =
+  [
+    recipe_property "decode (encode r) = Ok r" recipe_gen ~print:Recipe.encode
+      (fun r -> Recipe.decode (Recipe.encode r) = Ok r);
+    recipe_property "every outcome field moves the cache key" recipe_gen
+      ~print:Recipe.encode
+      (fun r ->
+        List.for_all
+          (fun (field, change) ->
+            (not (String.equal (Recipe.key r) (Recipe.key (change r))))
+            || QCheck2.Test.fail_reportf "%s left the key unchanged" field)
+          outcome_changes);
+    recipe_property "scheduling and plan fields keep the cache key"
+      QCheck2.Gen.(
+        let* r = recipe_gen in
+        let* reschedule = reschedule_gen in
+        let* budget = opt (int_range 13 2_000) in
+        let+ plan = oneofl Propane.Plan.[ Adaptive; Uniform ] in
+        (r, reschedule { r with config = { r.config with budget; plan } }))
+      ~print:(fun (a, b) -> Recipe.encode a ^ "\n" ^ Recipe.encode b)
+      (fun (a, b) -> String.equal (Recipe.key a) (Recipe.key b));
+    Alcotest.test_case "congruent roster spellings share every cell" `Quick
+      (fun () ->
+        let cells model =
+          let r = Recipe.make ~cases:2 ~times:1 ~model () in
+          List.map
+            (fun (c : Propane.Cell.t) -> c.key)
+            (Propane.Cell.plan ~sut:(Recipe.sut r) ~model:Model.system
+               ~recipe:(Recipe.key r) (Recipe.campaign r))
+              .cells
+        in
+        Alcotest.(check (list string))
+          "stuck-at:5 vs stuck-at:65541" (cells "stuck-at:5")
+          (cells "stuck-at:65541"));
+    recipe_property "first_difference is None exactly for resumable changes"
+      QCheck2.Gen.(
+        let* r = recipe_gen in
+        let* reschedule = reschedule_gen in
+        let+ change =
+          oneofl
+            (outcome_changes
+            @ [
+                ("cases", fun r -> Recipe.{ r with cases = r.cases + 1 });
+                ("model", fun r -> { r with model = "burst:2" });
+                ( "budget",
+                  fun r ->
+                    { r with config = { r.config with budget = bump ~lo:1 r.config.budget } } );
+              ])
+        in
+        (r, reschedule r, change))
+      ~print:(fun (r, _, (field, _)) -> field ^ " of " ^ Recipe.encode r)
+      (fun (r, rescheduled, (_, change)) ->
+        Recipe.first_difference r rescheduled = None
+        && Recipe.first_difference r (change r) <> None);
+    Alcotest.test_case "decode refuses every out-of-range field" `Quick
+      (fun () ->
+        let ok = Recipe.make () in
+        List.iter
+          (fun (field, (r : Recipe.t)) ->
+            match Recipe.decode (Recipe.encode r) with
+            | Ok _ -> Alcotest.failf "decode accepted a bad %s" field
+            | Error msg ->
+                if not (contains ~needle:field msg) then
+                  Alcotest.failf "%s: message %S does not name it" field msg)
+          [
+            ("cases", { ok with cases = -4 });
+            ("times", { ok with times = 0 });
+            ("window", { ok with window = 0 });
+            ("chaos_crash", { ok with chaos_crash = Some (-5) });
+            ("chaos_hang", { ok with chaos_hang = Some (-1) });
+            ("model", { ok with model = "stuck-nowhere" });
+            ("retries", { ok with config = { ok.config with retries = -1 } });
+          ]);
+    recipe_property ~count:4 ~print:Recipe.encode
+      "prepare and the one ending match estimate_all"
+      QCheck2.Gen.(
+        let* model = oneofl [ "single-bit"; "stuck-at"; "delayed:8" ] in
+        let* window = int_range 8 128 in
+        let+ seed = map Int64.of_int (int_range 0 1_000) in
+        Recipe.make ~cases:2 ~times:1 ~model ~window ~seed ())
+      (fun r ->
+        let p = Recipe.prepare r in
+        let results =
+          Propane.Runner.run ~config:r.config ?live:p.live ?plan:p.plan p.sut
+            p.campaign
+        in
+        let render a =
+          Fmt.str "%a" Propagation.Analysis.pp_summary a
+          ^ Report.Table.render (Report.Experiments.table1 ~ci:true a)
+        in
+        let batch =
+          Result.bind
+            (Propane.Estimator.estimate_all
+               ~attribution:(Propane.Estimator.Direct { window_ms = r.window })
+               ~model:Model.system results)
+            (Propagation.Analysis.run Model.system)
+        in
+        match (Recipe.analyse ~window:r.window results, batch) with
+        | Ok a, Ok b -> String.equal (render a) (render b)
+        | _ -> false);
+  ]
+
 let () =
   Alcotest.run "arrestment"
     [
@@ -966,4 +1137,5 @@ let () =
       ("restore", restore_tests @ [ restore_property ]);
       ("campaign", campaign_tests);
       ("envelope", envelope_tests);
+      ("recipe", recipe_tests);
     ]

@@ -3263,6 +3263,35 @@ let config_tests =
               "journal dropped" true
               (c'.C.journal = None && not c'.C.resume);
             Alcotest.(check int) "jobs kept" 2 c'.C.jobs);
+    Alcotest.test_case "restrict resets exactly the fields role names" `Quick
+      (fun () ->
+        (* Every encoded field set away from its default, so a name
+           [restrict] and [role] spell differently shows up here. *)
+        let c =
+          C.make ~max_ms:123 ~seed:99L ~truncate_after_ms:7 ~run_timeout_ms:44
+            ~retries:3 ~fail_fast:true ~jobs:5 ~journal_batch:17
+            ~keep_traces:true ~stop_when:(`Rankings_stable 9) ~budget:40
+            ~plan:Propane.Plan.Uniform ()
+        in
+        let fields c =
+          List.map
+            (fun f ->
+              let i = String.index f '=' in
+              (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
+            (String.split_on_char ',' (C.encode c))
+        in
+        List.iter
+          (fun role ->
+            let kept = fields (C.restrict (fun r -> r <> role) c) in
+            List.iter
+              (fun (k, v) ->
+                let expected =
+                  if C.role k = role then List.assoc_opt k (fields C.default)
+                  else Some v
+                in
+                Alcotest.(check (option string)) k expected (List.assoc_opt k kept))
+              (fields c))
+          [ `Outcome; `Resumable; `Plan ]);
     Alcotest.test_case "decode rejects unknown fields" `Quick (fun () ->
         match C.decode "max_ms=5,flux_capacitor=1" with
         | Error _ -> ()
