@@ -370,7 +370,7 @@ let write_telemetry path telemetry =
 (* Distributed mode: bind the listener, spawn the local pool (each
    worker is this same binary re-invoked as [propane worker]), and let
    the coordinator schedule everything.  The listener is bound before
-   any worker starts, so workers never race it.  The Welcome carries
+   any worker starts, so workers never race it.  The Assign carries
    the recipe, from which a bare worker rebuilds the campaign. *)
 let run_cluster_campaign ~recipe ~(prepared : Recipe.prepared) ~on_event
     ~workers ~listen ~chaos_kill =
@@ -807,9 +807,9 @@ let plan_cmd =
 
 (* ------------------------------------------------------------------ *)
 
-(* The welcome-to-executor bridge shared by one-shot and fleet workers:
-   decode the recipe, rebuild the campaign and SUT, and refuse a
-   coordinator whose recipe disagrees with its own announcement. *)
+(* The worker's executor for each Assign: decode the recipe, rebuild
+   the campaign and SUT, and refuse a server whose recipe disagrees
+   with its own announcement. *)
 let executor_of_welcome (w : Cluster.Protocol.welcome) =
   match Recipe.decode w.Cluster.Protocol.config with
   | Error _ as e -> e
@@ -832,7 +832,7 @@ let executor_of_welcome (w : Cluster.Protocol.welcome) =
       else
         (* The shipped config already carries truncation, watchdog
            and retries; only the seed is authoritative from the
-           Welcome, not the recipe. *)
+           Assign, not the recipe. *)
         Ok
           (Propane.Runner.executor ~config:recipe.config ~seed:w.seed sut
              campaign)
@@ -840,7 +840,7 @@ let executor_of_welcome (w : Cluster.Protocol.welcome) =
 let worker_cmd =
   let connect_arg =
     let doc =
-      "Coordinator address (unix:PATH or tcp:HOST:PORT), as given to \
+      "Server address (unix:PATH or tcp:HOST:PORT), as given to \
        $(b,propane campaign --listen) or $(b,propane serve --listen)."
     in
     Arg.(
@@ -858,46 +858,26 @@ let worker_cmd =
       & opt (some (int_at_least 1 "--die-after")) None
       & info [ "die-after" ] ~docv:"N" ~doc)
   in
-  let fleet_arg =
-    let doc =
-      "Join a $(b,propane serve) fleet instead of a single campaign: \
-       register once, then execute whatever campaign the service assigns, \
-       being retargeted across campaigns until the service dismisses the \
-       fleet."
-    in
-    Arg.(value & flag & info [ "fleet" ] ~doc)
-  in
   let pin_config_arg =
     let doc =
-      "Refuse the handshake unless the coordinator's campaign recipe hashes \
-       to $(docv) (MD5 hex) — pins the worker to one exact campaign \
-       configuration.  One-shot connections only; a fleet worker is \
-       retargeted by the service and validates each assignment instead."
+      "Serve only campaigns whose recipe hashes to $(docv) (MD5 hex): the \
+       worker checks every assignment and exits with status 1, naming \
+       both digests, at the first campaign of another recipe."
     in
     Arg.(
       value
       & opt (some string) None
       & info [ "pin-config" ] ~docv:"DIGEST" ~doc)
   in
-  let run () connect die_after fleet pin_config =
-    if fleet && pin_config <> None then begin
-      prerr_endline
-        "propane worker: --pin-config applies to the one-shot handshake and \
-         cannot combine with --fleet";
-      exit 1
-    end;
+  let run () connect die_after pin_config =
     let on_result =
       Option.map (fun n ~completed -> if completed >= n then exit 42) die_after
     in
-    let make = executor_of_welcome in
-    let outcome =
-      if fleet then Cluster.Worker.join ?on_result ~connect ~make ()
-      else
-        Cluster.Worker.run ?on_result ?config_digest:pin_config ~connect ~make
-          ()
-    in
-    match outcome with
-    | Ok n -> Logs.info (fun m -> m "campaign complete; executed %d runs" n)
+    match
+      Cluster.Worker.run ?on_result ?config_digest:pin_config ~connect
+        ~make:executor_of_welcome ()
+    with
+    | Ok n -> Logs.info (fun m -> m "dismissed; executed %d runs" n)
     | Error msg ->
         prerr_endline ("propane worker: " ^ msg);
         exit 1
@@ -905,16 +885,14 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Serve a campaign coordinator: connect to a $(b,propane campaign \
-          --listen) process, pull batches of runs, execute them, and stream \
-          the outcomes back.  The coordinator's welcome tells the worker \
-          which campaign to build; results are deterministic per run, so any \
-          number of workers on any machines produce the same campaign.  With \
-          $(b,--fleet), join a $(b,propane serve) daemon instead and execute \
-          every campaign it assigns.")
-    Term.(
-      const run $ log_term $ connect_arg $ die_after_arg $ fleet_arg
-      $ pin_config_arg)
+         "Serve a $(b,propane campaign --listen) coordinator or a \
+          $(b,propane serve) daemon: connect, join, pull batches of runs, \
+          execute them, and stream the outcomes back until dismissed.  Each \
+          assignment tells the worker which campaign to build, and a daemon \
+          may retarget it from campaign to campaign; results are \
+          deterministic per run, so any number of workers on any machines \
+          produce the same campaign.")
+    Term.(const run $ log_term $ connect_arg $ die_after_arg $ pin_config_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1082,7 +1060,7 @@ let serve_cmd =
   in
   let serve_listen_arg =
     let doc =
-      "Fleet endpoint for $(b,propane worker --fleet) connections (default \
+      "Fleet endpoint for $(b,propane worker) connections (default \
        unix:$(b,STATE_DIR)/fleet.sock)."
     in
     Arg.(
@@ -1133,7 +1111,9 @@ let serve_cmd =
   let heartbeat_arg =
     let doc =
       "Reassign a worker's outstanding runs after $(docv) seconds of \
-       silence."
+       silence.  Fleet connections that have not joined, and HTTP \
+       connections that have not delivered their request, are closed \
+       after $(docv) seconds too."
     in
     Arg.(
       value & opt float 30.0 & info [ "heartbeat-timeout" ] ~docv:"S" ~doc)
@@ -1181,7 +1161,6 @@ let serve_cmd =
                  "worker";
                  "--connect";
                  Cluster.Address.to_string listen;
-                 "--fleet";
                |]
              ~n:workers ())
     in
@@ -1206,7 +1185,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the campaign service: a long-lived daemon owning a fleet of \
-          $(b,propane worker --fleet) processes and a crash-safe queue of \
+          $(b,propane worker) processes and a crash-safe queue of \
           named campaigns, multiplexed over the fleet by tenant-assigned \
           weights.  Campaigns are submitted and monitored over a JSON HTTP \
           control surface ($(b,propane submit)/$(b,status)/$(b,cancel), or \

@@ -19,11 +19,9 @@ val module_digests : (string * string) list
     plus the module's signal interface.  Editing a module (bumping its
     tag) invalidates exactly the cached cells that observed it. *)
 
-val paper_permeabilities : (string * float array array) list
+val paper_matrices : unit -> Propagation.Perm_matrix.t Propagation.String_map.t
 (** The permeability matrices as estimated by the paper, for the
     entries that are legible in our source of Table 1/Table 2; values
     we could not recover are interpolated and marked in EXPERIMENTS.md.
     Useful for exercising the analysis pipeline against the paper's
     numbers without re-running the fault-injection campaign. *)
-
-val paper_matrices : unit -> Propagation.Perm_matrix.t Propagation.String_map.t

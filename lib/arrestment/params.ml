@@ -23,7 +23,6 @@ let integrator_limit = 100_000
 (* Detection thresholds (DIST_S) *)
 let slow_speed_gap_ticks = 2_000
 let slow_speed_debounce_ms = 0
-let stopped_gap_ticks = 40_000
 let stopped_debounce_ms = 400
 
 (* Sensor conditioning (PRES_S) *)

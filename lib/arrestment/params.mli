@@ -67,7 +67,6 @@ val slow_speed_gap_ticks : int
 val slow_speed_debounce_ms : int
 (** consecutive milliseconds the gap must persist. *)
 
-val stopped_gap_ticks : int
 val stopped_debounce_ms : int
 
 (** {1 Sensor conditioning (PRES_S)} *)

@@ -6,7 +6,7 @@
     [estimate] and [analyze --by-model], and the service's submission
     parser — so they cannot disagree on what a flag means.  The
     encoding is the opaque string a journal header and a cluster
-    Welcome carry: a bare [propane worker] or a later [propane replay]
+    Assign carry: a bare [propane worker] or a later [propane replay]
     rebuilds the exact campaign and SUT from it. *)
 
 type t = {

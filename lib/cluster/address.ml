@@ -64,6 +64,21 @@ let listen ?(backlog = 64) addr =
      raise e);
   fd
 
+let accept listen =
+  let rec go acc =
+    match Unix.accept ~cloexec:true listen with
+    | fd, _ ->
+        Unix.clear_nonblock fd;
+        (match Unix.getsockname fd with
+        | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+        | Unix.ADDR_UNIX _ | (exception Unix.Unix_error _) -> ());
+        go (fd :: acc)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        List.rev acc
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc
+  in
+  go []
+
 let connect ?(attempts = 40) ?(delay_s = 0.05) addr =
   let rec go n =
     let fd = socket_for addr in

@@ -22,6 +22,11 @@ val listen : ?backlog:int -> t -> Unix.file_descr
     socket path is unlinked first; TCP sets [SO_REUSEADDR].
     @raise Unix.Unix_error when binding fails. *)
 
+val accept : Unix.file_descr -> Unix.file_descr list
+(** Accepts every connection pending on a {!listen}ing descriptor
+    without blocking, oldest first.  The accepted descriptors are
+    blocking and close-on-exec, with [TCP_NODELAY] set for TCP. *)
+
 val connect :
   ?attempts:int -> ?delay_s:float -> t -> (Unix.file_descr, string) result
 (** Connects, retrying [attempts] times (default 40) every [delay_s]

@@ -20,20 +20,19 @@
     merely equivalent, at the price that a coordinator crash re-runs
     the buffered out-of-order tail on resume.
 
-    {b Robustness rules.}  A worker is declared dead when its
-    connection drops or when it holds outstanding runs and has not
-    sent any message for [heartbeat_timeout_s] (workers heartbeat
+    {b Robustness rules.}  The workers' connections are a {!Fleet}:
+    a connection that does not [Join] within [heartbeat_timeout_s], or
+    that holds runs and sends nothing for as long (workers heartbeat
     before every run, so the budget must only exceed the slowest
-    single run, golden included).  Its outstanding indices return to
-    the head of the queue — ahead of unstarted work, because the
-    journal's reorder buffer is waiting on them — and the dead
-    connection is excluded from further scheduling, mirroring the
-    retry semantics of the local engine.  Batch sizes adapt:
-    [queue / (2 * workers)] capped at [batch_max] and floored at 1, so
-    the campaign tail degenerates to single-run batches and a straggler
-    can strand at most one run.  A result for an index the connection
-    does not hold kills the connection too: only handed-out runs are
-    ever recorded. *)
+    single run, golden included), is closed.  A dead worker's
+    outstanding indices return to the head of the queue — ahead of
+    unstarted work, because the journal's reorder buffer is waiting on
+    them — mirroring the retry semantics of the local engine.  Batch
+    sizes adapt: [queue / (2 * workers)] capped at [batch_max] and
+    floored at 1, so the campaign tail degenerates to single-run
+    batches and a straggler can strand at most one run.  A result for
+    an index the connection does not hold kills the connection too:
+    only handed-out runs are ever recorded. *)
 
 val serve :
   ?batch_max:int ->
@@ -83,7 +82,7 @@ val serve :
     fields ([max_ms], [truncate_after_ms], [run_timeout_ms],
     [retries]) apply worker-side: embed them in [recipe]
     ({!Propane.Runner.Config.encode}), which is handed verbatim to
-    every worker in its {!Protocol.welcome}.  [journal], [resume] and
+    every worker in its {!Protocol.Assign}.  [journal], [resume] and
     [on_event] behave as in {!Propane.Runner.run}; [Goldens_done] is
     emitted immediately with [testcases = 0] (workers run goldens
     lazily in their own processes) and

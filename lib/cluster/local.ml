@@ -68,10 +68,13 @@ let shutdown t =
       t.pids;
     (* Grace period, then escalate: a worker blocked in [Unix.read] on
        the coordinator socket dies to SIGTERM immediately; SIGKILL only
-       matters if one is wedged in uninterruptible state. *)
+       matters if one is wedged in uninterruptible state.  Poll finely:
+       a worker dismissed with [Done] is usually still tearing down when
+       the coordinator gets here, and every poll interval is paid at the
+       end of each campaign. *)
     let deadline = Unix.gettimeofday () +. 2.0 in
     while t.pids <> [] && Unix.gettimeofday () < deadline do
-      if reap t = 0 then Unix.sleepf 0.02
+      if reap t = 0 then Unix.sleepf 0.001
     done;
     List.iter
       (fun pid ->

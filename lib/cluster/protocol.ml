@@ -1,4 +1,4 @@
-let version = 2
+let version = 3
 
 type welcome = {
   sut : string;
@@ -9,14 +9,12 @@ type welcome = {
 }
 
 type to_coordinator =
-  | Hello of { version : int; host : string; pid : int; config_digest : string }
   | Join of { version : int; host : string; pid : int }
   | Request_batch
   | Result of { index : int; retries : int; outcome : Propane.Results.outcome }
   | Heartbeat
 
 type to_worker =
-  | Welcome of welcome
   | Assign of welcome
   | Batch of int list
   | Ping
@@ -59,12 +57,6 @@ let add_outcome b (o : Propane.Results.outcome) =
 let encode_to_coordinator msg =
   let b = Buffer.create 64 in
   (match msg with
-  | Hello { version; host; pid; config_digest } ->
-      Buffer.add_uint8 b 1;
-      add_int b version;
-      add_str b host;
-      add_int b pid;
-      add_str b config_digest
   | Request_batch -> Buffer.add_uint8 b 2
   | Result { index; retries; outcome } ->
       Buffer.add_uint8 b 3;
@@ -89,9 +81,6 @@ let add_welcome b { sut; campaign; seed; total; config } =
 let encode_to_worker msg =
   let b = Buffer.create 64 in
   (match msg with
-  | Welcome w ->
-      Buffer.add_uint8 b 1;
-      add_welcome b w
   | Assign w ->
       Buffer.add_uint8 b 6;
       add_welcome b w
@@ -202,12 +191,6 @@ let decode f s =
 let decode_to_coordinator =
   decode (fun c ->
       match get_u8 c "message tag" with
-      | 1 ->
-          let version = get_int c "version" in
-          let host = get_str c "host" in
-          let pid = get_int c "pid" in
-          let config_digest = get_str c "config digest" in
-          Hello { version; host; pid; config_digest }
       | 2 -> Request_batch
       | 3 ->
           let index = get_int c "index" in
@@ -233,7 +216,6 @@ let get_welcome c =
 let decode_to_worker =
   decode (fun c ->
       match get_u8 c "message tag" with
-      | 1 -> Welcome (get_welcome c)
       | 2 ->
           let n = get_int c "batch size" in
           Batch (get_list n (fun () -> get_int c "batch index"))
@@ -246,10 +228,6 @@ let decode_to_worker =
 (* ---------------------------- debug ------------------------------- *)
 
 let pp_to_coordinator ppf = function
-  | Hello { version; host; pid; config_digest } ->
-      if String.equal config_digest "" then
-        Fmt.pf ppf "hello v%d %s/%d" version host pid
-      else Fmt.pf ppf "hello v%d %s/%d (pinned %s)" version host pid config_digest
   | Join { version; host; pid } ->
       Fmt.pf ppf "join v%d %s/%d" version host pid
   | Request_batch -> Fmt.string ppf "request-batch"
@@ -259,8 +237,6 @@ let pp_to_coordinator ppf = function
   | Heartbeat -> Fmt.string ppf "heartbeat"
 
 let pp_to_worker ppf = function
-  | Welcome { sut; campaign; total; _ } ->
-      Fmt.pf ppf "welcome %s/%s (%d runs)" sut campaign total
   | Assign { sut; campaign; total; _ } ->
       Fmt.pf ppf "assign %s/%s (%d runs)" sut campaign total
   | Batch indices -> Fmt.pf ppf "batch of %d" (List.length indices)

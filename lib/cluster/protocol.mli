@@ -7,40 +7,44 @@
     that the line-based on-disk formats must sanitise away
     (property-tested; see [test_cluster.ml]).
 
-    The conversation is strictly pull-based:
+    The conversation is strictly pull-based, and the same whether a
+    single-campaign coordinator ([propane campaign --listen]) or the
+    multi-campaign service ([propane serve]) is on the other end:
     {v
-    worker                         coordinator
-      Hello {version; host; pid} ->
-                                <- Welcome {sut; campaign; seed; total; config}
+    worker                         server
+      Join {version; host; pid} ->
+                                <- Assign {sut; campaign; seed; total; config}
+                                   | Reject reason
       Request_batch             ->
                                 <- Batch [i0; i1; ...]
       Result {index; outcome}   ->      (one per run, in batch order)
       ...
       Request_batch             ->
-                                <- Batch [...] | Done
+                                <- Batch [...] | Assign {...} | Done
     v}
     [Heartbeat] may be sent at any time to prove liveness; every
-    message counts as one.  The coordinator answers a [Request_batch]
-    that arrives while other workers still hold outstanding runs with
-    silence (the worker blocks reading) until either new work appears
-    — a dead worker's batch being reassigned — or the campaign
-    completes with [Done].  [Ping] asks a blocked worker to prove
-    liveness with a [Heartbeat].
+    message counts as one.  The server answers a [Request_batch] that
+    finds no work with silence (the worker blocks reading) until new
+    work appears — a dead worker's batch being reassigned, or a newly
+    submitted campaign — or until it sends [Done].  [Ping] asks a
+    blocked worker to prove liveness with a [Heartbeat].
 
-    A worker whose [Hello] carries the wrong protocol version, or a
-    [config_digest] pin that does not match the coordinator's recipe,
-    receives [Reject] naming the mismatched field and must exit.
+    [Assign] (re)targets the worker at a campaign: the worker rebuilds
+    its executor from the [welcome] and resumes with [Request_batch].
+    A coordinator assigns its one campaign right after [Join]; the
+    service assigns whichever campaign its fair share picks once one is
+    runnable (until then the joined worker waits, answering pings), and
+    may retarget the worker between batches.  A worker pinned to one
+    recipe checks each [Assign] itself and leaves on a mismatch.
 
-    Fleet mode ({!Propane_service}-style daemons) replaces the opening
-    [Hello]/[Welcome] pair with [Join]/[Assign]: a joining worker
-    registers without binding to any campaign, and the service sends
-    [Assign] — the same [welcome] payload — whenever it (re)targets the
-    worker at a campaign, including between batches.  After an
-    [Assign], the worker rebuilds its executor and resumes the
-    [Request_batch] conversation above. *)
+    A [Join] with another protocol version receives [Reject] naming
+    both versions, and the worker must exit.  [Join] keeps the tag and
+    layout it had in version 2, so a version-2 worker gets that
+    [Reject] too; a version-2 [Hello] no longer decodes, and the
+    server disconnects it. *)
 
 val version : int
-(** Current protocol version (2).  Bump on any change to the message
+(** Current protocol version (3).  Bump on any change to the message
     encodings below. *)
 
 type welcome = {
@@ -55,22 +59,17 @@ type welcome = {
 }
 
 type to_coordinator =
-  | Hello of { version : int; host : string; pid : int; config_digest : string }
-      (** one-shot handshake; [config_digest = ""] means "any recipe",
-          a non-empty digest pins the worker to a specific recipe
-          ([Digest.to_hex] of the coordinator's [welcome.config]) *)
   | Join of { version : int; host : string; pid : int }
-      (** fleet registration: no campaign binding; the service answers
-          with [Assign] when work exists *)
+      (** the handshake: the server answers with [Assign] when it has
+          a campaign for the worker, or [Reject] on version skew *)
   | Request_batch
   | Result of { index : int; retries : int; outcome : Propane.Results.outcome }
   | Heartbeat
 
 type to_worker =
-  | Welcome of welcome
   | Assign of welcome
-      (** fleet (re)targeting: rebuild the executor for this campaign,
-          then continue requesting batches *)
+      (** (re)targeting: rebuild the executor for this campaign, then
+          continue requesting batches *)
   | Batch of int list  (** experiment indices to execute, in order *)
   | Ping
   | Done

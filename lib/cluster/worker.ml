@@ -2,15 +2,12 @@ let src = Logs.Src.create "cluster.worker" ~doc:"campaign worker process"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let ignore_sigpipe () =
-  (* A dying coordinator must surface as EPIPE on our next send, not as
-     a fatal SIGPIPE. *)
-  match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-  | _ -> ()
-  | exception Invalid_argument _ -> ()
-
 let run ?host ?pid ?(config_digest = "") ?on_result ~connect ~make () =
-  ignore_sigpipe ();
+  (* A dying server must surface as EPIPE on our next send, not as a
+     fatal SIGPIPE. *)
+  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
+  | _ -> ()
+  | exception Invalid_argument _ -> ());
   let host = match host with Some h -> h | None -> Unix.gethostname () in
   let pid = match pid with Some p -> p | None -> Unix.getpid () in
   match Address.connect connect with
@@ -24,188 +21,93 @@ let run ?host ?pid ?(config_digest = "") ?on_result ~connect ~make () =
           let recv () =
             match Frame.read reader with
             | Error msg -> Error msg
-            | Ok None -> Error "coordinator closed the connection"
-            | Ok (Some payload) -> Protocol.decode_to_worker payload
-          in
-          let ( let* ) = Result.bind in
-          try
-            send
-              (Protocol.Hello
-                 { version = Protocol.version; host; pid; config_digest });
-            let* welcome =
-              match recv () with
-              | Ok (Protocol.Welcome w) -> Ok w
-              | Ok (Protocol.Reject reason) ->
-                  Error (Printf.sprintf "coordinator rejected us: %s" reason)
-              | Ok msg ->
-                  Error
-                    (Fmt.str "expected a welcome, got %a" Protocol.pp_to_worker
-                       msg)
-              | Error msg -> Error msg
-            in
-            let* execute = make welcome in
-            Log.info (fun m ->
-                m "serving %s/%s (%d runs) as %s/%d" welcome.Protocol.sut
-                  welcome.Protocol.campaign welcome.Protocol.total host pid);
-            let completed = ref 0 in
-            let request_batch () =
-              match send Protocol.Request_batch with
-              | () -> recv ()
-              | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> (
-                  (* The coordinator may have completed the campaign and
-                     closed our socket while this request was in flight;
-                     the [Done] it broadcast first is still readable. *)
-                  match recv () with
-                  | Ok Protocol.Done -> Ok Protocol.Done
-                  | Ok _ | Error _ ->
-                      Error "connection to coordinator lost: EPIPE (write)")
-            in
-            let rec batches () =
-              let* msg = request_batch () in
-              match msg with
-              | Protocol.Done -> Ok !completed
-              | Protocol.Ping ->
-                  send Protocol.Heartbeat;
-                  batches ()
-              | Protocol.Batch indices ->
-                  (* Results are buffered and flushed in one write per
-                     batch, halving the per-run syscalls on the hot
-                     path; the per-run heartbeat still flows, covering
-                     the watchdog.  A failed outcome flushes at once so
-                     a fail-fast coordinator aborts promptly. *)
-                  let buffered = ref [] in
-                  let flush_results () =
-                    Frame.write_many fd (List.rev !buffered);
-                    buffered := []
-                  in
-                  List.iter
-                    (fun index ->
-                      (* The heartbeat covers the (possibly lazy golden
-                         plus injection) run about to start. *)
-                      send Protocol.Heartbeat;
-                      let outcome, retries = execute index in
-                      buffered :=
-                        Protocol.encode_to_coordinator
-                          (Protocol.Result { index; retries; outcome })
-                        :: !buffered;
-                      if
-                        Propane.Results.is_failed
-                          outcome.Propane.Results.status
-                      then flush_results ();
-                      incr completed;
-                      match on_result with
-                      | Some f -> f ~completed:!completed
-                      | None -> ())
-                    indices;
-                  flush_results ();
-                  batches ()
-              | Protocol.Welcome _ | Protocol.Assign _ | Protocol.Reject _ ->
-                  Error
-                    (Fmt.str "unexpected mid-campaign message %a"
-                       Protocol.pp_to_worker msg)
-            in
-            batches ()
-          with Unix.Unix_error (err, fn, _) ->
-            Error
-              (Printf.sprintf "connection to coordinator lost: %s (%s)"
-                 (Unix.error_message err) fn))
-
-let join ?host ?pid ?on_result ~connect ~make () =
-  ignore_sigpipe ();
-  let host = match host with Some h -> h | None -> Unix.gethostname () in
-  let pid = match pid with Some p -> p | None -> Unix.getpid () in
-  match Address.connect connect with
-  | Error msg -> Error msg
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let reader = Frame.reader fd in
-          let send msg = Frame.write fd (Protocol.encode_to_coordinator msg) in
-          let recv () =
-            match Frame.read reader with
-            | Error msg -> Error msg
-            | Ok None -> Error "service closed the connection"
+            | Ok None -> Error "server closed the connection"
             | Ok (Some payload) -> Protocol.decode_to_worker payload
           in
           let ( let* ) = Result.bind in
           let completed = ref 0 in
-          let rebuild w =
-            let* execute = make w in
-            Log.info (fun m ->
-                m "assigned %s/%s (%d runs) as %s/%d" w.Protocol.sut
-                  w.Protocol.campaign w.Protocol.total host pid);
-            Ok execute
+          (* Every Assign rebuilds the executor: a new campaign means
+             new goldens.  The pin is checked here, on each Assign, so
+             it holds however often a service retargets us. *)
+          let assign (w : Protocol.welcome) =
+            let digest = Digest.to_hex (Digest.string w.config) in
+            if config_digest <> "" && config_digest <> digest then
+              Error
+                (Printf.sprintf
+                   "config digest: worker pinned %s, server assigned %s/%s \
+                    with %s"
+                   config_digest w.sut w.campaign digest)
+            else
+              let* execute = make w in
+              Log.info (fun m ->
+                  m "serving %s/%s (%d runs) as %s/%d" w.sut w.campaign
+                    w.total host pid);
+              Ok execute
           in
-          (* Unlike the one-shot loop, an idle fleet worker blocks in
-             [recv] with nothing outstanding; the service pings it to
-             prove liveness and sends [Assign] when work (re)appears.
-             Every [Assign] rebuilds the executor — a fresh campaign
-             means fresh goldens. *)
-          let rec serve_campaign execute =
-            send Protocol.Request_batch;
-            let* msg = recv () in
-            match msg with
-            | Protocol.Done -> Ok !completed
-            | Protocol.Ping ->
+          (* Results are buffered and flushed in one write per batch,
+             halving the per-run syscalls on the hot path; the per-run
+             heartbeat still flows, covering the watchdog.  A failed
+             outcome flushes at once so a fail-fast server aborts
+             promptly. *)
+          let run_batch execute indices =
+            let buffered = ref [] in
+            let flush_results () =
+              Frame.write_many fd (List.rev !buffered);
+              buffered := []
+            in
+            List.iter
+              (fun index ->
+                (* The heartbeat covers the (possibly lazy golden plus
+                   injection) run about to start. *)
                 send Protocol.Heartbeat;
-                serve_campaign execute
-            | Protocol.Assign w ->
-                let* execute = rebuild w in
-                serve_campaign execute
-            | Protocol.Batch indices ->
-                let buffered = ref [] in
-                let flush_results () =
-                  Frame.write_many fd (List.rev !buffered);
-                  buffered := []
-                in
-                List.iter
-                  (fun index ->
-                    send Protocol.Heartbeat;
-                    let outcome, retries = execute index in
-                    buffered :=
-                      Protocol.encode_to_coordinator
-                        (Protocol.Result { index; retries; outcome })
-                      :: !buffered;
-                    if Propane.Results.is_failed outcome.Propane.Results.status
-                    then flush_results ();
-                    incr completed;
-                    match on_result with
-                    | Some f -> f ~completed:!completed
-                    | None -> ())
-                  indices;
-                flush_results ();
-                serve_campaign execute
-            | Protocol.Welcome _ | Protocol.Reject _ ->
-                Error
-                  (Fmt.str "unexpected fleet message %a" Protocol.pp_to_worker
-                     msg)
+                let outcome, retries = execute index in
+                buffered :=
+                  Protocol.encode_to_coordinator
+                    (Protocol.Result { index; retries; outcome })
+                  :: !buffered;
+                if Propane.Results.is_failed outcome.Propane.Results.status
+                then flush_results ();
+                incr completed;
+                match on_result with
+                | Some f -> f ~completed:!completed
+                | None -> ())
+              indices;
+            flush_results ()
           in
-          let rec await_assignment () =
+          (* [await] blocks for the server's next message: a parked
+             worker may wait here through pings until work appears. *)
+          let rec await execute =
             let* msg = recv () in
-            match msg with
-            | Protocol.Done -> Ok !completed
-            | Protocol.Ping ->
+            match (msg, execute) with
+            | Protocol.Ping, _ ->
                 send Protocol.Heartbeat;
-                await_assignment ()
-            | Protocol.Assign w ->
-                (* From here on [serve_campaign] owns the conversation:
-                   a drained campaign leaves the worker parked in its
-                   Request_batch, and the service answers with the next
-                   [Assign] or the final [Done]. *)
-                let* execute = rebuild w in
-                serve_campaign execute
-            | Protocol.Reject reason ->
-                Error (Printf.sprintf "service rejected us: %s" reason)
-            | Protocol.Welcome _ | Protocol.Batch _ ->
-                Error
-                  (Fmt.str "unexpected fleet message %a" Protocol.pp_to_worker
-                     msg)
+                await execute
+            | Protocol.Done, _ -> Ok !completed
+            | Protocol.Reject reason, _ ->
+                Error (Printf.sprintf "server rejected us: %s" reason)
+            | Protocol.Assign w, _ ->
+                let* execute = assign w in
+                request (Some execute)
+            | Protocol.Batch indices, Some execute ->
+                run_batch execute indices;
+                request (Some execute)
+            | Protocol.Batch _, None -> Error "batch before any assignment"
+          and request execute =
+            match send Protocol.Request_batch with
+            | () -> await execute
+            | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> (
+                (* The server may have completed the campaign and closed
+                   our socket while this request was in flight; the
+                   [Done] it sent first is still readable. *)
+                match recv () with
+                | Ok Protocol.Done -> Ok !completed
+                | Ok _ | Error _ ->
+                    Error "connection to server lost: EPIPE (write)")
           in
           try
             send (Protocol.Join { version = Protocol.version; host; pid });
-            await_assignment ()
+            await None
           with Unix.Unix_error (err, fn, _) ->
             Error
-              (Printf.sprintf "connection to service lost: %s (%s)"
+              (Printf.sprintf "connection to server lost: %s (%s)"
                  (Unix.error_message err) fn))

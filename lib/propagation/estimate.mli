@@ -75,12 +75,9 @@ val scale : float -> t -> t
 
 (** {1 Comparison} *)
 
-val overlaps : t -> t -> bool
-(** Do the confidence intervals intersect? *)
-
 val separated : t -> t -> bool
-(** [not (overlaps a b)]: the ordering of the two values is outside
-    each other's confidence interval. *)
+(** The confidence intervals do not intersect: the ordering of the two
+    values is outside each other's confidence interval. *)
 
 val equal : ?eps:float -> t -> t -> bool
 (** Value and bounds within [eps] (default [1e-12]) {e and} identical

@@ -26,8 +26,6 @@ let pair_compare a b =
       | c -> c)
   | c -> c
 
-let pair_equal a b = pair_compare a b = 0
-
 module Pair_set = Set.Make (struct
   type t = pair
 

@@ -48,10 +48,6 @@ val matrix : t -> string -> Perm_matrix.t
 val permeability : t -> pair -> float
 (** Weight of a pair.  @raise Invalid_argument on unknown module/ports. *)
 
-val permeability_estimate : t -> pair -> Estimate.t
-(** The full estimate behind a pair's weight.
-    @raise Invalid_argument on unknown module/ports. *)
-
 val arcs : t -> arc list
 val incoming_arcs : t -> string -> arc list
 (** Arcs whose destination is the given module (module-local feedback
@@ -62,11 +58,9 @@ val outgoing_arcs : t -> string -> arc list
 
 val arc_count : t -> int
 
-val pair_equal : pair -> pair -> bool
 val pp_pair : Format.formatter -> pair -> unit
 (** Prints the paper's notation, e.g. ["P^CALC_{2,1}"]. *)
 
-val pp_arc : Format.formatter -> arc -> unit
 val pp : Format.formatter -> t -> unit
 
 module Pair_set : Set.S with type elt = pair

@@ -112,10 +112,6 @@ let column t ~output =
 let row_sum t ~input = Array.fold_left ( +. ) 0.0 (row t ~input)
 let column_sum t ~output = Array.fold_left ( +. ) 0.0 (column t ~output)
 
-let row_sum_estimate t ~input =
-  check_ports t ~ctx:"row_sum_estimate" ~input ~output:1;
-  Estimate.sum (Array.to_list t.cells.(input - 1))
-
 let column_sum_estimate t ~output =
   check_ports t ~ctx:"column_sum_estimate" ~input:1 ~output;
   Estimate.sum (List.map (fun r -> r.(output - 1)) (Array.to_list t.cells))

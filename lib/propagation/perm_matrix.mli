@@ -69,7 +69,6 @@ val column : t -> output:int -> float array
 
 val row_sum : t -> input:int -> float
 val column_sum : t -> output:int -> float
-val row_sum_estimate : t -> input:int -> Estimate.t
 val column_sum_estimate : t -> output:int -> Estimate.t
 
 val fold : (input:int -> output:int -> float -> 'a -> 'a) -> t -> 'a -> 'a

@@ -29,7 +29,6 @@ let check_key key =
   else Ok ()
 
 let path ~dir ~key = Filename.concat dir key
-let stats_path ~dir = Filename.concat dir "stats.json"
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then

@@ -41,5 +41,3 @@ type stats = {
 val write_stats : dir:string -> stats -> (unit, string) result
 (** Write [stats] as JSON to [dir]/stats.json (atomic, like
     {!store}) — the artifact CI uploads to track cache-hit rates. *)
-
-val stats_path : dir:string -> string

@@ -23,6 +23,11 @@ let key_of ~sut_name ~module_name ~module_digest ~target ~outputs ~shape
     @ [ shape ] @ errors @ [ recipe ]);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Canonical description of the width-independent campaign dimensions
+   every cell of the campaign shares: test-case ids and parameters and
+   injection times (targets excluded — each cell names its own; error
+   models enter separately via [errors_of], canonicalized at the
+   target's width). *)
 let shape_of (campaign : Campaign.t) =
   let buf = Buffer.create 256 in
   let field s =

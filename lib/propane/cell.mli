@@ -50,13 +50,6 @@ val key_of :
 (** The raw key constructor; exposed for tests.  Any single differing
     component yields a different key. *)
 
-val shape_of : Campaign.t -> string
-(** Canonical description of the width-independent campaign dimensions
-    every cell of the campaign shares: test-case ids and parameters and
-    injection times (targets excluded — each cell names its own; error
-    models enter separately via {!errors_of}, canonicalized at the
-    target's width). *)
-
 val errors_of : width:int -> Campaign.t -> string list
 (** The campaign's error models as width-aware canonical descriptions
     ({!Error_model.canonicalize}): behaviourally identical spellings

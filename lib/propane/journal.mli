@@ -105,26 +105,20 @@ type cell = {
   reused : bool;
 }
 
-val append_cell : writer -> cell -> (unit, string) result
-(** Writes one cell provenance record.  Fails if a field contains a
-    separator character. *)
-
 val append_cells : writer -> cell list -> (unit, string) result
-(** {!append_cell} for every element, then commits: a reuse plan is
-    durable in full before the first outcome lands. *)
+(** Writes one cell provenance record per element, then commits: a
+    reuse plan is durable in full before the first outcome lands.
+    Fails if a field contains a separator character. *)
 
 type round = { round : int; target : string; runs : int }
 (** One plan-round allocation: [runs] injection runs granted to
     [target] in round [round] (0-based; round 0 is the pilot). *)
 
-val append_round : writer -> round -> (unit, string) result
-(** Writes one plan-round record.  Fails if the target contains a
-    separator character or a count is negative. *)
-
 val append_rounds : writer -> round list -> (unit, string) result
-(** {!append_round} for every element, then commits — called once when
-    a planned campaign finishes, so the full allocation history lands
-    in one batch. *)
+(** Writes one plan-round record per element, then commits — called
+    once when a planned campaign finishes, so the full allocation
+    history lands in one batch.  Fails if a target contains a separator
+    character or a count is negative. *)
 
 val flush : writer -> unit
 (** Commits any buffered records now.  A no-op when nothing is

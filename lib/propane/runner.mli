@@ -514,7 +514,7 @@ val executor :
     at that index, whatever process or machine executes it, because
     each run's RNG stream is derived from [seed] and the index alone.
     [seed] is a separate argument — a cluster worker learns it from
-    the coordinator's [Welcome], not from the shipped recipe.  Partial
+    the server's [Assign], not from the shipped recipe.  Partial
     application matters: golden runs execute lazily the first time an
     index needs their test case and stay memoised across calls.  Each
     saves the SUT's state at the first fire of every experiment of its

@@ -19,7 +19,6 @@
 type state = Queued | Running | Done | Cancelled | Failed
 
 val state_to_string : state -> string
-val state_of_string : string -> (state, string) result
 
 val terminal : state -> bool
 (** [Done], [Cancelled] and [Failed] are terminal: they never leave

@@ -60,23 +60,13 @@ type campaign = {
   mutable started : bool;  (* manifest flipped to Running *)
 }
 
-type wconn = {
-  wid : int;
-  wfd : Unix.file_descr;
-  wdec : Cluster.Frame.decoder;
-  mutable joined : bool;
-  mutable host : string;
-  mutable pid : int;
-  mutable assigned : string option;  (* campaign id *)
-  mutable wants_work : bool;  (* parked, waiting for an assignment/batch *)
-  mutable outstanding : int list;
-  mutable deadline : float;  (* armed only while outstanding <> [] *)
-  mutable last_seen : float;
-  mutable last_ping : float;
-  mutable done_runs : int;
+(* An HTTP connection must deliver its request within [deadline]. *)
+type hconn = {
+  hid : int;
+  hfd : Unix.file_descr;
+  hc : Http.conn;
+  deadline : float;
 }
-
-type hconn = { hid : int; hfd : Unix.file_descr; hc : Http.conn }
 
 type t = {
   cfg : config;
@@ -84,11 +74,10 @@ type t = {
   campaigns : (string, campaign) Hashtbl.t;
   mutable order : string list;  (* submission order, oldest first *)
   mutable next_id : int;
-  workers : (int, wconn) Hashtbl.t;
-  mutable next_wid : int;
+  fleet : campaign Cluster.Fleet.t;
   https : (int, hconn) Hashtbl.t;
   mutable next_hid : int;
-  worker_listen : Unix.file_descr;
+  fleet_listen : Unix.file_descr;
   http_listen : Unix.file_descr;
 }
 
@@ -115,12 +104,6 @@ let phase_reason c =
 (* A campaign occupies a queue slot until it reaches a terminal
    state — draining ones still do, their runs are still in flight. *)
 let occupied c = match c.phase with Final _ -> false | _ -> true
-
-let outstanding_of t cid =
-  Hashtbl.fold
-    (fun _ w n ->
-      if w.assigned = Some cid then n + List.length w.outstanding else n)
-    t.workers 0
 
 (* ------------------------- campaign lifecycle --------------------- *)
 
@@ -230,7 +213,8 @@ let cancel t c =
       c.phase <- Draining (Manifest.Cancelled, "cancelled by operator");
       Log.info (fun m ->
           m "campaign %s (%s): cancelling, draining %d in-flight runs" c.cid
-            c.spec.name (outstanding_of t c.cid))
+            c.spec.name
+            (Cluster.Fleet.outstanding t.fleet c))
 
 (* Restart recovery: every non-terminal manifest entry is re-parsed
    and its session recreated with resume semantics — the journal
@@ -325,14 +309,6 @@ let allocation_targets ~nworkers runnables =
       floors
   end
 
-let assigned_count t cid =
-  Hashtbl.fold
-    (fun _ w n -> if w.joined && w.assigned = Some cid then n + 1 else n)
-    t.workers 0
-
-let joined_count t =
-  Hashtbl.fold (fun _ w n -> if w.joined then n + 1 else n) t.workers 0
-
 let welcome_of (c : campaign) =
   {
     Cluster.Protocol.sut = c.spec.sut;
@@ -342,167 +318,69 @@ let welcome_of (c : campaign) =
     config = c.spec.recipe;
   }
 
-let send_to w msg = Cluster.Frame.write w.wfd (Cluster.Protocol.encode_to_worker msg)
-
-let kill_worker t ~reason w =
-  Hashtbl.remove t.workers w.wid;
-  (try Unix.close w.wfd with Unix.Unix_error _ -> ());
-  (match (w.outstanding, w.assigned) with
-  | [], _ | _, None ->
-      Log.info (fun m -> m "worker %d left (%s)" w.wid reason)
-  | lost, Some cid ->
-      Log.warn (fun m ->
-          m "worker %d died (%s); reassigning %d outstanding runs of %s"
-            w.wid reason (List.length lost) cid);
-      (match Hashtbl.find_opt t.campaigns cid with
-      | Some c when active c -> Session.requeue c.session lost
-      | Some _ | None ->
-          (* A draining or finalized campaign no longer wants them. *)
-          ()));
-  w.outstanding <- []
-
-(* The scheduling decision for one work-hungry worker. *)
-let give_work t w =
-  let runnables = List.filter runnable (campaigns_in_order t) in
-  match runnables with
-  | [] -> w.wants_work <- true
-  | _ -> (
-      let targets =
-        allocation_targets ~nworkers:(max 1 (joined_count t)) runnables
+(* The campaign a work-hungry worker should serve next. *)
+let choose t serving =
+  match List.filter runnable (campaigns_in_order t) with
+  | [] -> None
+  | runnables -> (
+      let workers = List.length (Cluster.Fleet.workers t.fleet) in
+      let targets = allocation_targets ~nworkers:(max 1 workers) runnables in
+      let target c =
+        match List.assoc_opt c.cid targets with Some n -> n | None -> 0
       in
-      let target cid =
-        match List.assoc_opt cid targets with Some n -> n | None -> 0
-      in
+      let assigned c = Cluster.Fleet.serving t.fleet c in
       let current =
-        match w.assigned with
-        | Some cid when List.exists (fun c -> c.cid = cid) runnables ->
-            Some cid
+        match serving with
+        | Some c when List.memq c runnables -> Some c
         | _ -> None
       in
-      let choice =
-        match current with
-        | Some cid when assigned_count t cid <= target cid -> Some cid
-        | _ ->
-            (* Most under-allocated runnable campaign; earliest
-               submission wins ties (runnables are in order). *)
-            let best =
-              List.fold_left
-                (fun acc c ->
-                  let deficit = target c.cid - assigned_count t c.cid in
-                  match acc with
-                  | Some (_, d) when d >= deficit -> acc
-                  | _ -> Some (c.cid, deficit))
-                None runnables
-            in
-            (match (best, current) with
-            | Some (cid, deficit), _ when deficit > 0 -> Some cid
-            | _, Some cid -> Some cid  (* everyone is full; stay put *)
-            | Some (cid, _), None -> Some cid
-            | None, None -> None)
-      in
-      match choice with
-      | None -> w.wants_work <- true
-      | Some cid -> (
-          let c = Hashtbl.find t.campaigns cid in
-          if w.assigned <> Some cid then begin
-            (* Retarget: the worker rebuilds its executor and comes
-               back with a Request_batch. *)
-            w.assigned <- Some cid;
-            w.wants_work <- false;
-            mark_running t c;
-            Propane.Telemetry.observe c.telemetry
-              (Propane.Runner.Worker_attached
-                 { worker = w.wid; host = w.host; pid = w.pid });
-            send_to w (Cluster.Protocol.Assign (welcome_of c))
-          end
-          else begin
-            match
-              Session.take c.session ~batch_max:t.cfg.batch_max
-                ~workers:(max 1 (assigned_count t cid))
-            with
-            | [] -> w.wants_work <- true
-            | batch ->
-                w.wants_work <- false;
-                w.outstanding <- batch;
-                w.deadline <- Unix.gettimeofday () +. t.cfg.heartbeat_timeout_s;
-                mark_running t c;
-                send_to w (Cluster.Protocol.Batch batch)
-          end))
+      match current with
+      | Some c when assigned c <= target c -> Some c
+      | _ -> (
+          (* Most under-allocated runnable campaign; earliest
+             submission wins ties (runnables are in order). *)
+          let best =
+            List.fold_left
+              (fun acc c ->
+                let deficit = target c - assigned c in
+                match acc with
+                | Some (_, d) when d >= deficit -> acc
+                | _ -> Some (c, deficit))
+              None runnables
+          in
+          match (best, current) with
+          | Some (c, deficit), _ when deficit > 0 -> Some c
+          | _, Some c -> Some c (* everyone is full; stay put *)
+          | Some (c, _), None -> Some c
+          | None, None -> None))
 
-let distribute t =
-  if List.exists runnable (campaigns_in_order t) then
-    Hashtbl.iter
-      (fun _ w ->
-        if w.joined && w.wants_work then
-          match give_work t w with
-          | () -> ()
-          | exception Unix.Unix_error (err, _, _) ->
-              kill_worker t ~reason:(Unix.error_message err) w)
-      (Hashtbl.copy t.workers)
-
-(* ------------------------ worker messages ------------------------- *)
-
-let handle_worker t w msg =
-  w.deadline <- Unix.gettimeofday () +. t.cfg.heartbeat_timeout_s;
-  w.last_seen <- Unix.gettimeofday ();
-  match msg with
-  | Cluster.Protocol.Join { version; host; pid } ->
-      if version <> Cluster.Protocol.version then begin
-        let reason =
-          Printf.sprintf
-            "protocol version: worker speaks %d, service speaks %d" version
-            Cluster.Protocol.version
-        in
-        (try send_to w (Cluster.Protocol.Reject reason)
-         with Unix.Unix_error _ -> ());
-        kill_worker t ~reason w
-      end
-      else begin
-        w.joined <- true;
-        w.host <- host;
-        w.pid <- pid;
-        w.wants_work <- true;
-        Log.info (fun m -> m "worker %d joined: %s/%d" w.wid host pid);
-        give_work t w
-      end
-  | Cluster.Protocol.Hello _ ->
-      (try
-         send_to w
-           (Cluster.Protocol.Reject
-              "one-shot handshake: this is a fleet service; reconnect with a \
-               fleet registration (propane worker --fleet)")
-       with Unix.Unix_error _ -> ());
-      kill_worker t ~reason:"one-shot hello on a fleet service" w
-  | Cluster.Protocol.Heartbeat -> ()
-  | Cluster.Protocol.Request_batch -> give_work t w
-  | Cluster.Protocol.Result { index; retries; outcome } -> (
-      match w.assigned with
-      | None -> kill_worker t ~reason:"result without an assignment" w
-      | Some cid -> (
-          match Hashtbl.find_opt t.campaigns cid with
-          | None -> kill_worker t ~reason:"result for unknown campaign" w
-          | Some c ->
-              (* Only a run handed to this worker may be recorded; a
-                 stray result would be journalled as if scheduled. *)
-              if not (List.mem index w.outstanding) then
-                kill_worker t
-                  ~reason:
-                    (Printf.sprintf
-                       "result for run %d, which it does not hold" index)
-                  w
-              else begin
-                w.outstanding <- List.filter (fun i -> i <> index) w.outstanding;
-                w.done_runs <- w.done_runs + 1;
-                match c.phase with
-                | Final _ ->
-                    (* A straggler for a finalized campaign: the journal
-                       is closed, the run's outcome already recorded (or
-                       deliberately dropped by a cancel). *)
-                    ()
-                | Active | Draining _ ->
-                    Session.record c.session ~index ~worker:w.wid
-                      ~retries outcome
-              end))
+let source t =
+  {
+    Cluster.Fleet.choose = choose t;
+    welcome = welcome_of;
+    attached =
+      (fun c ~worker ~host ~pid ->
+        mark_running t c;
+        Propane.Telemetry.observe c.telemetry
+          (Propane.Runner.Worker_attached { worker; host; pid }));
+    take =
+      (fun c ~workers ->
+        Session.take c.session ~batch_max:t.cfg.batch_max ~workers);
+    record =
+      (fun c ~index ~worker ~retries outcome ->
+        match c.phase with
+        | Final _ ->
+            (* A straggler for a finalized campaign: the journal is
+               closed, the run's outcome already recorded (or
+               deliberately dropped by a cancel). *)
+            ()
+        | Active | Draining _ ->
+            Session.record c.session ~index ~worker ~retries outcome);
+    requeue =
+      (fun c lost ->
+        (* A draining or finalized campaign no longer wants them. *)
+        if active c then Session.requeue c.session lost);
+  }
 
 (* ----------------------------- HTTP ------------------------------- *)
 
@@ -574,9 +452,8 @@ let campaign_json ?(verbose = false) t c =
         Json.Num (float_of_int (Session.completed c.session)) );
       ("pending", Json.Num (float_of_int (Session.pending c.session)));
       ( "outstanding",
-        Json.Num (float_of_int (outstanding_of t c.cid)) );
-      ( "workers",
-        Json.Num (float_of_int (assigned_count t c.cid)) );
+        Json.Num (float_of_int (Cluster.Fleet.outstanding t.fleet c)) );
+      ("workers", Json.Num (float_of_int (Cluster.Fleet.serving t.fleet c)));
     ]
   in
   if not verbose then Json.Obj base
@@ -600,31 +477,26 @@ let campaign_json ?(verbose = false) t c =
 
 let fleet_json t =
   let now = Unix.gettimeofday () in
+  let roster = Cluster.Fleet.workers t.fleet in
   let workers =
-    List.filter_map
-      (fun w ->
-        if not w.joined then None
-        else
-          Some
-            (Json.Obj
-               [
-                 ("id", Json.Num (float_of_int w.wid));
-                 ("host", Json.Str w.host);
-                 ("pid", Json.Num (float_of_int w.pid));
-                 ( "campaign",
-                   match w.assigned with
-                   | Some cid -> Json.Str cid
-                   | None -> Json.Null );
-                 ( "outstanding",
-                   Json.Num (float_of_int (List.length w.outstanding)) );
-                 ("completed", Json.Num (float_of_int w.done_runs));
-                 ( "idle",
-                   Json.Bool (w.wants_work && w.outstanding = []) );
-                 ( "last_seen_s",
-                   Json.Num (Float.max 0.0 (now -. w.last_seen)) );
-               ]))
-      (Hashtbl.fold (fun _ w acc -> w :: acc) t.workers []
-      |> List.sort (fun a b -> compare a.wid b.wid))
+    List.map
+      (fun (w : campaign Cluster.Fleet.worker) ->
+        Json.Obj
+          [
+            ("id", Json.Num (float_of_int w.id));
+            ("host", Json.Str w.host);
+            ("pid", Json.Num (float_of_int w.pid));
+            ( "campaign",
+              match w.serving with
+              | Some c -> Json.Str c.cid
+              | None -> Json.Null );
+            ( "outstanding",
+              Json.Num (float_of_int (List.length w.outstanding)) );
+            ("completed", Json.Num (float_of_int w.completed));
+            ("idle", Json.Bool w.parked);
+            ("last_seen_s", Json.Num (Float.max 0.0 (now -. w.last_seen)));
+          ])
+      roster
   in
   (* Bottleneck diagnosis: queued runs with no idle worker means the
      fleet is the constraint; each extra worker could immediately take
@@ -636,10 +508,8 @@ let fleet_json t =
       (List.filter runnable (campaigns_in_order t))
   in
   let idle =
-    Hashtbl.fold
-      (fun _ w n ->
-        if w.joined && w.wants_work && w.outstanding = [] then n + 1 else n)
-      t.workers 0
+    List.length
+      (List.filter (fun (w : campaign Cluster.Fleet.worker) -> w.parked) roster)
   in
   let bottleneck, hint =
     if queue_depth > 0 && idle = 0 then begin
@@ -807,88 +677,40 @@ let handle_http t h =
 
 (* --------------------------- main loop ---------------------------- *)
 
-let accept_loop listen ~on_fd =
-  let rec go () =
-    match Unix.accept ~cloexec:true listen with
-    | fd, _ ->
-        Unix.clear_nonblock fd;
-        (match Unix.getsockname fd with
-        | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-        | Unix.ADDR_UNIX _ | (exception Unix.Unix_error _) -> ());
-        on_fd fd;
-        go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
-let read_worker t w =
-  let buf = Bytes.create 65536 in
-  let drain () =
-    let rec frames () =
-      match Cluster.Frame.next w.wdec with
-      | Error msg -> kill_worker t ~reason:msg w
-      | Ok None -> ()
-      | Ok (Some payload) -> (
-          match Cluster.Protocol.decode_to_coordinator payload with
-          | Error msg -> kill_worker t ~reason:msg w
-          | Ok msg -> (
-              match handle_worker t w msg with
-              | () -> if Hashtbl.mem t.workers w.wid then frames ()
-              | exception Unix.Unix_error (err, _, _) ->
-                  kill_worker t ~reason:(Unix.error_message err) w))
-    in
-    frames ()
-  in
-  match Unix.read w.wfd buf 0 (Bytes.length buf) with
-  | 0 -> kill_worker t ~reason:"disconnected" w
-  | n ->
-      Cluster.Frame.feed w.wdec (Bytes.sub_string buf 0 n);
-      drain ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error (err, _, _) ->
-      kill_worker t ~reason:(Unix.error_message err) w
+let close_http t h =
+  Hashtbl.remove t.https h.hid;
+  try Unix.close h.hfd with Unix.Unix_error _ -> ()
 
 let read_http t h =
   let buf = Bytes.create 16384 in
   match Unix.read h.hfd buf 0 (Bytes.length buf) with
-  | 0 ->
-      Hashtbl.remove t.https h.hid;
-      (try Unix.close h.hfd with Unix.Unix_error _ -> ())
+  | 0 -> close_http t h
   | n ->
       Http.feed h.hc (Bytes.sub_string buf 0 n);
       handle_http t h
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) ->
-      Hashtbl.remove t.https h.hid;
-      (try Unix.close h.hfd with Unix.Unix_error _ -> ())
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      ()
+  | exception Unix.Unix_error (_, _, _) -> close_http t h
 
-let check_deadlines t =
+(* The control surface serves one request per connection; a client
+   that has not delivered it within the heartbeat budget is cut off,
+   like a worker that never joins. *)
+let serve_http t readable =
+  if List.memq t.http_listen readable then
+    List.iter
+      (fun hfd ->
+        let deadline = Unix.gettimeofday () +. t.cfg.heartbeat_timeout_s in
+        let h = { hid = t.next_hid; hfd; hc = Http.conn (); deadline } in
+        t.next_hid <- t.next_hid + 1;
+        Hashtbl.add t.https h.hid h)
+      (Cluster.Address.accept t.http_listen);
   let now = Unix.gettimeofday () in
-  Hashtbl.iter
-    (fun _ w ->
-      if w.outstanding <> [] && now > w.deadline then
-        kill_worker t
-          ~reason:
-            (Printf.sprintf "no heartbeat for %.1f s" t.cfg.heartbeat_timeout_s)
-          w
-      else if
-        w.joined && w.outstanding = []
-        && now -. w.last_seen > t.cfg.heartbeat_timeout_s /. 2.
-        && now -. w.last_ping > t.cfg.heartbeat_timeout_s /. 2.
-      then begin
-        (* Parked workers are blocked in a read with nothing
-           outstanding; ping so GET /fleet's liveness ages stay honest
-           and half-dead connections get noticed. *)
-        w.last_ping <- now;
-        match send_to w Cluster.Protocol.Ping with
-        | () -> ()
-        | exception Unix.Unix_error (err, _, _) ->
-            kill_worker t ~reason:(Unix.error_message err) w
-      end)
-    (Hashtbl.copy t.workers)
+  List.iter
+    (fun h ->
+      if List.memq h.hfd readable then read_http t h
+      else if now > h.deadline then close_http t h)
+    (Hashtbl.fold (fun _ h acc -> h :: acc) t.https [])
 
 let advance_campaigns t =
   List.iter
@@ -896,7 +718,7 @@ let advance_campaigns t =
       match c.phase with
       | Final _ -> ()
       | Draining (target, reason) ->
-          if outstanding_of t c.cid = 0 then begin
+          if Cluster.Fleet.outstanding t.fleet c = 0 then begin
             Session.abort c.session;
             finalize t c target reason
           end
@@ -906,32 +728,24 @@ let advance_campaigns t =
             if Session.stopping c.session then begin
               (* Adaptive stop: drain in-flight runs first so their
                  outcomes reach the journal tail. *)
-              if outstanding_of t c.cid = 0 then finish_session t c
+              if Cluster.Fleet.outstanding t.fleet c = 0 then
+                finish_session t c
             end
             else finish_session t c
           end
           else if
-            Session.stopping c.session && outstanding_of t c.cid = 0
+            Session.stopping c.session
+            && Cluster.Fleet.outstanding t.fleet c = 0
           then finish_session t c)
     (campaigns_in_order t)
 
-let broadcast_done t =
-  Hashtbl.iter
-    (fun _ w ->
-      if w.joined then
-        try send_to w Cluster.Protocol.Done with Unix.Unix_error _ -> ())
-    t.workers
-
 let close_everything t =
-  Hashtbl.iter
-    (fun _ w -> try Unix.close w.wfd with Unix.Unix_error _ -> ())
-    t.workers;
-  Hashtbl.reset t.workers;
+  Cluster.Fleet.close t.fleet;
   Hashtbl.iter
     (fun _ h -> try Unix.close h.hfd with Unix.Unix_error _ -> ())
     t.https;
   Hashtbl.reset t.https;
-  (try Unix.close t.worker_listen with Unix.Unix_error _ -> ());
+  (try Unix.close t.fleet_listen with Unix.Unix_error _ -> ());
   (try Unix.close t.http_listen with Unix.Unix_error _ -> ());
   Cluster.Address.unlink t.cfg.listen;
   Cluster.Address.unlink t.cfg.http
@@ -947,9 +761,6 @@ let mkdir_p dir =
   go dir
 
 let run ?on_tick ?(stop = fun () -> `Continue) cfg =
-  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-  | _ -> ()
-  | exception Invalid_argument _ -> ());
   if cfg.queue_max < 1 then invalid_arg "Service.run: queue_max must be >= 1";
   if cfg.tenant_quota < 1 then
     invalid_arg "Service.run: tenant_quota must be >= 1";
@@ -962,7 +773,7 @@ let run ?on_tick ?(stop = fun () -> `Continue) cfg =
     | Ok m -> m
     | Error msg -> invalid_arg (Printf.sprintf "Service.run: %s" msg)
   in
-  let worker_listen = Cluster.Address.listen cfg.listen in
+  let fleet_listen = Cluster.Address.listen cfg.listen in
   let http_listen = Cluster.Address.listen cfg.http in
   let t =
     {
@@ -971,11 +782,12 @@ let run ?on_tick ?(stop = fun () -> `Continue) cfg =
       campaigns = Hashtbl.create 16;
       order = [];
       next_id = 1;
-      workers = Hashtbl.create 16;
-      next_wid = 0;
+      fleet =
+        Cluster.Fleet.create ~heartbeat_timeout_s:cfg.heartbeat_timeout_s
+          fleet_listen;
       https = Hashtbl.create 8;
       next_hid = 0;
-      worker_listen;
+      fleet_listen;
       http_listen;
     }
   in
@@ -987,77 +799,19 @@ let run ?on_tick ?(stop = fun () -> `Continue) cfg =
         (Cluster.Address.to_string cfg.http)
         cfg.state_dir
         (Hashtbl.length t.campaigns));
-  let tick () = match on_tick with Some f -> f () | None -> () in
+  let source = source t in
   let finished = ref None in
   while !finished = None do
-    let fds =
-      t.worker_listen :: t.http_listen
-      :: Hashtbl.fold (fun _ w acc -> w.wfd :: acc) t.workers
-           (Hashtbl.fold (fun _ h acc -> h.hfd :: acc) t.https [])
+    let extra =
+      t.http_listen :: Hashtbl.fold (fun _ h acc -> h.hfd :: acc) t.https []
     in
-    let timeout =
-      Hashtbl.fold
-        (fun _ w acc ->
-          if w.outstanding = [] then acc
-          else Float.min acc (w.deadline -. Unix.gettimeofday ()))
-        t.workers 0.25
-      |> Float.max 0.01
-    in
-    (match Unix.select fds [] [] timeout with
-    | readable, _, _ ->
-        if List.mem t.worker_listen readable then
-          accept_loop t.worker_listen ~on_fd:(fun fd ->
-              let w =
-                {
-                  wid = t.next_wid;
-                  wfd = fd;
-                  wdec = Cluster.Frame.decoder ();
-                  joined = false;
-                  host = "";
-                  pid = 0;
-                  assigned = None;
-                  wants_work = false;
-                  outstanding = [];
-                  deadline = Unix.gettimeofday () +. cfg.heartbeat_timeout_s;
-                  last_seen = Unix.gettimeofday ();
-                  last_ping = 0.0;
-                  done_runs = 0;
-                }
-              in
-              t.next_wid <- t.next_wid + 1;
-              Hashtbl.add t.workers w.wid w);
-        if List.mem t.http_listen readable then
-          accept_loop t.http_listen ~on_fd:(fun fd ->
-              let h = { hid = t.next_hid; hfd = fd; hc = Http.conn () } in
-              t.next_hid <- t.next_hid + 1;
-              Hashtbl.add t.https h.hid h);
-        List.iter
-          (fun fd ->
-            if fd != t.worker_listen && fd != t.http_listen then begin
-              (match
-                 Hashtbl.fold
-                   (fun _ w acc -> if w.wfd == fd then Some w else acc)
-                   t.workers None
-               with
-              | Some w -> read_worker t w
-              | None -> (
-                  match
-                    Hashtbl.fold
-                      (fun _ h acc -> if h.hfd == fd then Some h else acc)
-                      t.https None
-                  with
-                  | Some h -> read_http t h
-                  | None -> ()))
-            end)
-          readable
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    check_deadlines t;
+    serve_http t (Cluster.Fleet.poll ~extra t.fleet source);
     advance_campaigns t;
-    distribute t;
+    Cluster.Fleet.distribute t.fleet source;
     List.iter
       (fun c -> if occupied c then Session.flush c.session)
       (campaigns_in_order t);
-    tick ();
+    Option.iter (fun f -> f ()) on_tick;
     (match stop () with
     | `Continue ->
         if
@@ -1080,7 +834,7 @@ let run ?on_tick ?(stop = fun () -> `Continue) cfg =
   | _ ->
       (* Graceful drain: dismiss the fleet, flush what ran, leave
          every open campaign in the manifest for the next start. *)
-      broadcast_done t;
+      Cluster.Fleet.dismiss t.fleet;
       List.iter
         (fun c -> if occupied c then Session.close c.session)
         (campaigns_in_order t);

@@ -1,12 +1,13 @@
 (** Campaign-as-a-service: a persistent, multi-tenant injection fleet.
 
-    One long-lived daemon owns a fleet of {!Cluster.Worker.join}
-    workers and a crash-safe queue of named campaigns, multiplexing
-    many {!Propane.Runner.Session}s over the shared fleet:
+    One long-lived daemon owns a {!Cluster.Fleet} of
+    {!Cluster.Worker.run} workers and a crash-safe queue of named
+    campaigns, multiplexing many {!Propane.Runner.Session}s over the
+    shared fleet:
 
-    - {b Fleet}: workers register once ({!Cluster.Protocol.Join}) and
-      are retargeted across campaigns with
-      {!Cluster.Protocol.Assign} — no reconnect between campaigns.
+    - {b Fleet}: workers join once ({!Cluster.Protocol.Join}) and are
+      retargeted across campaigns with {!Cluster.Protocol.Assign} — no
+      reconnect between campaigns.
     - {b Persistence}: each campaign writes the same journal a serial
       [propane campaign --journal] run would ({e byte-identical} — the
       determinism contract of {!Propane.Runner}); a service-level
@@ -72,7 +73,10 @@ type config = {
   queue_max : int;  (** max queued-or-running campaigns *)
   tenant_quota : int;  (** max queued-or-running per tenant *)
   batch_max : int;  (** per-worker batch cap, as [--batch] *)
-  heartbeat_timeout_s : float;  (** reassign a worker's runs after this *)
+  heartbeat_timeout_s : float;
+      (** reassign a silent worker's runs after this; a fleet
+          connection that has not joined, or an HTTP connection that
+          has not delivered its request, is closed after it too *)
   exit_when_idle : bool;
       (** drain and return once at least one campaign was accepted and
           all campaigns are terminal — for tests and batch drivers *)

@@ -99,11 +99,6 @@ let gen_to_coordinator =
   QCheck2.Gen.(
     oneof
       [
-        map3
-          (fun host pid config_digest ->
-            Cluster.Protocol.Hello
-              { version = Cluster.Protocol.version; host; pid; config_digest })
-          gen_nasty_string gen_small_nat gen_nasty_string;
         map2
           (fun host pid ->
             Cluster.Protocol.Join
@@ -121,13 +116,6 @@ let gen_to_worker =
   QCheck2.Gen.(
     oneof
       [
-        map3
-          (fun sut campaign (seed, total, config) ->
-            Cluster.Protocol.Welcome { sut; campaign; seed; total; config })
-          gen_nasty_string gen_nasty_string
-          (triple
-             (map Int64.of_int int)
-             gen_small_nat gen_nasty_string);
         map3
           (fun sut campaign (seed, total, config) ->
             Cluster.Protocol.Assign { sut; campaign; seed; total; config })
@@ -598,12 +586,11 @@ let integration_tests =
                         (Cluster.Protocol.encode_to_coordinator m)
                     in
                     send
-                      (Cluster.Protocol.Hello
+                      (Cluster.Protocol.Join
                          {
                            version = Cluster.Protocol.version;
                            host = "stall";
                            pid = 1;
-                           config_digest = "";
                          });
                     ignore (Cluster.Frame.read reader);
                     send Cluster.Protocol.Request_batch;
@@ -695,12 +682,11 @@ let integration_tests =
                       | exception Unix.Unix_error _ -> None
                     in
                     send
-                      (Cluster.Protocol.Hello
+                      (Cluster.Protocol.Join
                          {
                            version = Cluster.Protocol.version;
                            host = "stray";
                            pid = 1;
-                           config_digest = "";
                          });
                     ignore (receive ());
                     send Cluster.Protocol.Request_batch;
@@ -734,6 +720,61 @@ let integration_tests =
             ~extra_clients:stray ()
         in
         Alcotest.(check bool) "stray connection killed" true !hung_up;
+        check_results_match "results" serial cluster;
+        Alcotest.(check string)
+          "journal bytes" (read_file serial_path) (read_file cluster_path);
+        Sys.remove serial_path;
+        Sys.remove cluster_path);
+    Alcotest.test_case "asking for more while holding a batch kills the \
+                        connection" `Slow (fun () ->
+        let serial_path = tmp_path ".journal" in
+        let cluster_path = tmp_path ".journal" in
+        let serial = serial_reference ~journal:serial_path in
+        let hung_up = ref false in
+        (* A hand-rolled client asks for a second batch without
+           answering the first: its runs must return to the queue, not
+           be orphaned by a new batch.  A real worker then drains the
+           campaign alone. *)
+        let greedy addr =
+          [
+            Domain.spawn (fun () ->
+                (match Cluster.Address.connect addr with
+                | Error _ -> ()
+                | Ok fd ->
+                    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+                    let reader = Cluster.Frame.reader fd in
+                    let send m =
+                      Cluster.Frame.write fd
+                        (Cluster.Protocol.encode_to_coordinator m)
+                    in
+                    send
+                      (Cluster.Protocol.Join
+                         {
+                           version = Cluster.Protocol.version;
+                           host = "greedy";
+                           pid = 1;
+                         });
+                    ignore (Cluster.Frame.read reader);
+                    send Cluster.Protocol.Request_batch;
+                    ignore (Cluster.Frame.read reader);
+                    send Cluster.Protocol.Request_batch;
+                    (* End of stream, not the receive timeout. *)
+                    hung_up :=
+                      (match Cluster.Frame.read reader with
+                      | Ok None -> true
+                      | Ok (Some _) | Error _ -> false
+                      | exception Unix.Unix_error _ -> false);
+                    (try Unix.close fd with Unix.Unix_error _ -> ()));
+                Cluster.Worker.run ~connect:addr
+                  ~make:(fun w -> make_executor w)
+                  ());
+          ]
+        in
+        let cluster =
+          cluster_run ~journal:cluster_path ~worker_hooks:[]
+            ~extra_clients:greedy ()
+        in
+        Alcotest.(check bool) "greedy connection killed" true !hung_up;
         check_results_match "results" serial cluster;
         Alcotest.(check string)
           "journal bytes" (read_file serial_path) (read_file cluster_path);
@@ -835,9 +876,9 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
-(* A hand-rolled client that opens the conversation with [msg] and
+(* A hand-rolled client that sends [payload] as its first frame and
    captures the coordinator's first reply. *)
-let handshake_probe msg out addr =
+let handshake_probe payload out addr =
   Domain.spawn (fun () ->
       match Cluster.Address.connect addr with
       | Error e ->
@@ -849,8 +890,7 @@ let handshake_probe msg out addr =
               try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
               let reader = Cluster.Frame.reader fd in
-              Cluster.Frame.write fd
-                (Cluster.Protocol.encode_to_coordinator msg);
+              Cluster.Frame.write fd payload;
               (match Cluster.Frame.read reader with
               | Ok (Some p) -> (
                   match Cluster.Protocol.decode_to_worker p with
@@ -865,59 +905,72 @@ let handshake_probe msg out addr =
               | Error e -> out := Error e);
               Ok 0))
 
+(* Version 2's opening message: tag 1, version, host, pid, digest. *)
+let v2_hello =
+  let b = Buffer.create 32 in
+  let add_str s =
+    Buffer.add_int32_be b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  Buffer.add_uint8 b 1;
+  Buffer.add_int32_be b 2l;
+  add_str "probe";
+  Buffer.add_int32_be b 4l;
+  add_str "";
+  Buffer.contents b
+
 let reject_tests =
   [
     Alcotest.test_case "reject reasons name the mismatched field" `Slow
       (fun () ->
         let bad_version = ref (Error "no reply") in
-        let bad_digest = ref (Error "no reply") in
-        let bad_join = ref (Error "no reply") in
+        let hello = ref (Error "no reply") in
+        let pinned = ref (Error "not run") in
         let pin = String.make 32 'f' in
         let clients addr =
           [
             handshake_probe
-              (Cluster.Protocol.Hello
-                 { version = 99; host = "probe"; pid = 1; config_digest = "" })
+              (Cluster.Protocol.encode_to_coordinator
+                 (Cluster.Protocol.Join
+                    { version = 99; host = "probe"; pid = 1 }))
               bad_version addr;
-            handshake_probe
-              (Cluster.Protocol.Hello
-                 {
-                   version = Cluster.Protocol.version;
-                   host = "probe";
-                   pid = 2;
-                   config_digest = pin;
-                 })
-              bad_digest addr;
-            handshake_probe
-              (Cluster.Protocol.Join
-                 { version = Cluster.Protocol.version; host = "probe"; pid = 3 })
-              bad_join addr;
+            handshake_probe v2_hello hello addr;
+            Domain.spawn (fun () ->
+                pinned :=
+                  Cluster.Worker.run ~config_digest:pin ~connect:addr
+                    ~make:(fun w -> make_executor w)
+                    ();
+                Ok 0);
           ]
         in
         ignore (cluster_run ~extra_clients:clients ());
-        let check name needle r =
-          match !r with
+        let check name needle = function
           | Ok reason ->
               if not (contains ~needle reason) then
-                Alcotest.failf "%s: reason %S does not name %S" name reason
-                  needle
+                Alcotest.failf "%s: %S does not name %S" name reason needle
           | Error e -> Alcotest.failf "%s: %s" name e
         in
         check "version skew"
-          (Printf.sprintf "protocol version: worker speaks 99, coordinator \
-                           speaks %d"
+          (Printf.sprintf "protocol version: worker speaks 99, server speaks %d"
              Cluster.Protocol.version)
-          bad_version;
+          !bad_version;
+        Alcotest.(check (result string string))
+          "a version-2 hello is disconnected unanswered"
+          (Error "connection closed without a reply") !hello;
+        (* A pin is checked by the worker, which leaves naming both
+           digests, so the operator can fix the pin without a second
+           round-trip. *)
+        let pin_error =
+          match !pinned with
+          | Ok n -> Error (Printf.sprintf "pinned worker served %d runs" n)
+          | Error e -> Ok e
+        in
         check "digest skew names the worker pin"
           (Printf.sprintf "config digest: worker pinned %s" pin)
-          bad_digest;
-        (* The reason also carries the coordinator's own digest, so the
-           operator can fix the pin without a second round-trip. *)
+          pin_error;
         check "digest skew names the coordinator digest"
           (Digest.to_hex (Digest.string ""))
-          bad_digest;
-        check "fleet join on a one-shot coordinator" "single campaign"
-          bad_join);
+          pin_error);
     Alcotest.test_case "a correctly pinned worker is accepted" `Slow
       (fun () ->
         (* The pin is the digest of the coordinator's recipe — "" here,

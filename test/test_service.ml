@@ -359,7 +359,7 @@ let parse_submission body =
             })
 
 (* The fleet worker's executor factory: rebuild from the wire recipe,
-   exactly like [propane worker --fleet] does from a real recipe. *)
+   exactly like [propane worker] does from a real recipe. *)
 let worker_make (w : Cluster.Protocol.welcome) =
   match parse_recipe w.Cluster.Protocol.config with
   | None -> Error "unknown recipe"
@@ -405,17 +405,25 @@ let fresh_state_dir () =
   Unix.mkdir dir 0o755;
   dir
 
+let fleet_address state_dir =
+  Cluster.Address.Unix_sock (Filename.concat state_dir "f.sock")
+
+let connect_ok addr =
+  match Cluster.Address.connect addr with
+  | Ok fd -> fd
+  | Error msg -> Alcotest.failf "connect: %s" msg
+
 (* Runs [f http] against a live in-process service with [workers] fleet
    workers in their own domains.  [f] returns the stop verdict the
    service should see next ([`Drain] for a graceful end, [`Abort] to
    simulate a crash); the service's own result is returned. *)
 let with_service ?(workers = 2) ?(queue_max = 16) ?(tenant_quota = 4)
-    ~state_dir f =
-  let listen = Cluster.Address.Unix_sock (Filename.concat state_dir "f.sock") in
+    ?(heartbeat_timeout_s = 30.) ~state_dir f =
+  let listen = fleet_address state_dir in
   let http = Cluster.Address.Unix_sock (Filename.concat state_dir "h.sock") in
   let verdict = Atomic.make `Continue in
   let cfg =
-    Service.config ~queue_max ~tenant_quota ~heartbeat_timeout_s:30.
+    Service.config ~queue_max ~tenant_quota ~heartbeat_timeout_s
       ~listen ~http ~state_dir ~parse:parse_submission ()
   in
   let daemon =
@@ -425,9 +433,7 @@ let with_service ?(workers = 2) ?(queue_max = 16) ?(tenant_quota = 4)
   let fleet =
     List.init workers (fun _ ->
         Domain.spawn (fun () ->
-            match
-              Cluster.Worker.join ~connect:listen ~make:worker_make ()
-            with
+            match Cluster.Worker.run ~connect:listen ~make:worker_make () with
             | r -> r
             | exception _ -> Error "worker died"))
   in
@@ -771,7 +777,7 @@ let service_tests =
               real :=
                 Some
                   (Domain.spawn (fun () ->
-                       Cluster.Worker.join ~connect:listen ~make:worker_make
+                       Cluster.Worker.run ~connect:listen ~make:worker_make
                          ()));
               wait_until ~what:"campaign done" (fun () ->
                   state_of ~addr id = "done");
@@ -782,6 +788,133 @@ let service_tests =
         in
         Option.iter (fun d -> ignore (Domain.join d)) !real;
         Alcotest.(check bool) "stray worker killed" true !hung_up;
+        Alcotest.(check bool) "clean shutdown" true (result = Ok ()));
+    Alcotest.test_case "version skew is rejected naming both versions" `Quick
+      (fun () ->
+        let state_dir = fresh_state_dir () in
+        let listen = fleet_address state_dir in
+        let reply = ref None in
+        let result =
+          with_service ~workers:0 ~state_dir (fun _ ->
+              let fd = connect_ok listen in
+              Cluster.Frame.write fd
+                (Cluster.Protocol.encode_to_coordinator
+                   (Cluster.Protocol.Join
+                      { version = 99; host = "probe"; pid = 1 }));
+              reply := Some (Cluster.Frame.read (Cluster.Frame.reader fd));
+              Unix.close fd;
+              `Drain)
+        in
+        Alcotest.(check bool) "clean shutdown" true (result = Ok ());
+        match !reply with
+        | Some (Ok (Some p)) -> (
+            match Cluster.Protocol.decode_to_worker p with
+            | Ok (Cluster.Protocol.Reject reason) ->
+                let needle =
+                  Printf.sprintf
+                    "protocol version: worker speaks 99, server speaks %d"
+                    Cluster.Protocol.version
+                in
+                if not (contains ~needle reason) then
+                  Alcotest.failf "%S does not name %S" reason needle
+            | _ -> Alcotest.fail "expected a reject")
+        | _ -> Alcotest.fail "no reply");
+    Alcotest.test_case
+      "a pinned worker serves its recipe and leaves at the next campaign"
+      `Slow (fun () ->
+        let solo_a = solo_journal "a" and solo_b = solo_journal "b" in
+        let digest kind = Digest.to_hex (Digest.string (recipe_of ~slow:false kind)) in
+        let state_dir = fresh_state_dir () in
+        let listen = fleet_address state_dir in
+        let pinned_runs = Atomic.make 0 in
+        let spawn ?config_digest ?on_result () =
+          Domain.spawn (fun () ->
+              Cluster.Worker.run ?config_digest ?on_result ~connect:listen
+                ~make:worker_make ())
+        in
+        let pinned = ref None and other = ref None in
+        let result =
+          with_service ~workers:0 ~state_dir (fun addr ->
+              (* Alone in the fleet, the worker pinned to a's recipe
+                 serves all of a. *)
+              pinned :=
+                Some
+                  (spawn ~config_digest:(digest "a")
+                     ~on_result:(fun ~completed ->
+                       Atomic.set pinned_runs completed)
+                     ());
+              let a = submit_ok ~addr (submission "a") in
+              wait_until ~what:"a done" (fun () -> state_of ~addr a = "done");
+              other := Some (spawn ());
+              wait_until ~what:"second worker joined" (fun () ->
+                  let _, json =
+                    http_json ~addr ~meth:"GET" ~path:"/fleet" ()
+                  in
+                  jint "count" json = 2);
+              (* Both workers are assigned b; the pinned one leaves and b
+                 completes on the other. *)
+              let b = submit_ok ~addr (submission "b") in
+              wait_until ~what:"b done" (fun () -> state_of ~addr b = "done");
+              Alcotest.(check string)
+                "a journal bytes" solo_a
+                (read_file (Filename.concat state_dir (a ^ ".journal")));
+              Alcotest.(check string)
+                "b journal bytes" solo_b
+                (read_file (Filename.concat state_dir (b ^ ".journal")));
+              `Drain)
+        in
+        let join d = Domain.join (Option.get d) in
+        Alcotest.(check bool) "clean shutdown" true (result = Ok ());
+        Alcotest.(check int)
+          "the pinned worker ran all of a"
+          (Propane.Campaign.size (campaign_of_kind "a"))
+          (Atomic.get pinned_runs);
+        (match join !pinned with
+        | Ok n -> Alcotest.failf "pinned worker was dismissed after %d runs" n
+        | Error msg ->
+            List.iter
+              (fun needle ->
+                if not (contains ~needle msg) then
+                  Alcotest.failf "%S does not name %S" msg needle)
+              [ "worker pinned " ^ digest "a"; digest "b" ]);
+        Alcotest.(check (result int string))
+          "the other worker ran all of b"
+          (Ok (Propane.Campaign.size (campaign_of_kind "b")))
+          (join !other));
+    Alcotest.test_case "silent connections are closed after the timeout"
+      `Slow (fun () ->
+        let solo_a = solo_journal "a" in
+        let state_dir = fresh_state_dir () in
+        let eof fd =
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          let t0 = Unix.gettimeofday () in
+          match Unix.read fd (Bytes.create 64) 0 64 with
+          | 0 -> Unix.gettimeofday () -. t0 < 3.0
+          | _ -> false
+          | exception Unix.Unix_error _ -> false
+        in
+        let result =
+          with_service ~workers:1 ~heartbeat_timeout_s:0.5 ~state_dir
+            (fun addr ->
+              (* One socket says nothing; the other sends half a
+                 request line. *)
+              let silent = connect_ok (fleet_address state_dir) in
+              let half = connect_ok addr in
+              ignore (Unix.write_substring half "GET /fle" 0 8);
+              Alcotest.(check bool) "fleet socket reads EOF" true (eof silent);
+              Alcotest.(check bool) "http socket reads EOF" true (eof half);
+              Unix.close silent;
+              Unix.close half;
+              (* A real worker, parked and pinged through the same
+                 budget, still serves a byte-identical campaign. *)
+              let id = submit_ok ~addr (submission "a") in
+              wait_until ~what:"campaign done" (fun () ->
+                  state_of ~addr id = "done");
+              Alcotest.(check string)
+                "journal bytes" solo_a
+                (read_file (Filename.concat state_dir (id ^ ".journal")));
+              `Drain)
+        in
         Alcotest.(check bool) "clean shutdown" true (result = Ok ()));
   ]
 

@@ -47,50 +47,6 @@ let sim_time_tests =
 
 (* ------------------------------------------------------------------ *)
 
-let register_tests =
-  [
-    Alcotest.test_case "defaults: 16 bits, init 0" `Quick (fun () ->
-        let r = Register.create "r" in
-        Alcotest.(check int) "width" 16 (Register.width r);
-        Alcotest.(check int) "max" 65535 (Register.max_value r);
-        Alcotest.(check int) "value" 0 (Register.read r));
-    Alcotest.test_case "write truncates to width" `Quick (fun () ->
-        let r = Register.create ~width:8 "r" in
-        Register.write r 0x1FF;
-        Alcotest.(check int) "value" 0xFF (Register.read r));
-    Alcotest.test_case "negative writes wrap like hardware" `Quick (fun () ->
-        let r = Register.create ~width:16 "r" in
-        Register.write r (-1);
-        Alcotest.(check int) "value" 0xFFFF (Register.read r));
-    Alcotest.test_case "increment wraps at width" `Quick (fun () ->
-        let r = Register.create ~width:4 ~init:15 "r" in
-        Register.increment r;
-        Alcotest.(check int) "value" 0 (Register.read r));
-    Alcotest.test_case "increment by custom step" `Quick (fun () ->
-        let r = Register.create "r" in
-        Register.increment ~by:1000 r;
-        Register.increment ~by:1000 r;
-        Alcotest.(check int) "value" 2000 (Register.read r));
-    Alcotest.test_case "flip_bit toggles and restores" `Quick (fun () ->
-        let r = Register.create ~init:0b1010 "r" in
-        Register.flip_bit r 0;
-        Alcotest.(check int) "set" 0b1011 (Register.read r);
-        Register.flip_bit r 0;
-        Alcotest.(check int) "cleared" 0b1010 (Register.read r));
-    check_raises_invalid "flip_bit out of range" (fun () ->
-        Register.flip_bit (Register.create ~width:8 "r") 8);
-    check_raises_invalid "width out of range" (fun () ->
-        Register.create ~width:31 "r");
-    check_raises_invalid "empty name" (fun () -> Register.create "");
-    Alcotest.test_case "reset restores initial value" `Quick (fun () ->
-        let r = Register.create ~init:42 "r" in
-        Register.write r 7;
-        Register.reset r;
-        Alcotest.(check int) "value" 42 (Register.read r));
-  ]
-
-(* ------------------------------------------------------------------ *)
-
 let rng_tests =
   [
     Alcotest.test_case "same seed, same stream" `Quick (fun () ->
@@ -221,7 +177,6 @@ let () =
   Alcotest.run "simkernel"
     [
       ("sim_time", sim_time_tests);
-      ("register", register_tests);
       ("rng", rng_tests);
       ("slot_scheduler", scheduler_tests);
     ]
