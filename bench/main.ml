@@ -1402,14 +1402,7 @@ let reuse_bench () =
 let plan_system =
   lazy
     (let s = Propagation.Signal.make in
-     let block ~name ~keep ~inputs ~output =
-       Dataflow.Builder.block ~name ~inputs ~outputs:[ output ]
-         (fun () ->
-           fun inputs ->
-            let acc = ref 0 in
-            Array.iter (fun v -> acc := !acc lxor v) inputs;
-            [| !acc land ((1 lsl keep) - 1) |])
-     in
+     let block = Xor_mask.block in
      Dataflow.Builder.create_exn ~name:"layered-plan" ~duration_ms:400
        ~blocks:
          [

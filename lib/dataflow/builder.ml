@@ -61,12 +61,13 @@ let plant ~name ~reads ~writes factory =
 
 type t = {
   name : string;
-  width : int;
   duration_ms : int;
   blocks : block list;
   stimuli : stimulus list;
   plants : plant list;
   model : Propagation.System_model.t;
+  layout : (string * int) list;  (* (signal, width), model order *)
+  modes : (string * Propane.Signal_store.mode) list;
 }
 
 let ( let* ) = Result.bind
@@ -170,7 +171,22 @@ let create ?(name = "dataflow") ?(width = 16) ?(duration_ms = 1_000)
     if duration_ms < 1 then Error "duration must be >= 1 ms" else Ok ()
   in
   let* model = derive_model blocks stimuli plants in
-  Ok { name; width; duration_ms; blocks; stimuli; plants; model }
+  let layout =
+    List.map
+      (fun s -> (Propagation.Signal.name s, width))
+      (Propagation.System_model.signals model)
+  in
+  (* Plant-written signals are hardware registers: injections corrupt
+     the cell immediately and the next refresh clobbers them. *)
+  let modes =
+    List.concat_map
+      (fun p ->
+        List.map
+          (fun s -> (Propagation.Signal.name s, Propane.Signal_store.Immediate))
+          p.writes)
+      plants
+  in
+  Ok { name; duration_ms; blocks; stimuli; plants; model; layout; modes }
 
 let create_exn ?name ?width ?duration_ms ?plants ~blocks ~stimuli () =
   match create ?name ?width ?duration_ms ?plants ~blocks ~stimuli () with
@@ -188,92 +204,67 @@ let injection_targets t =
            (Propagation.Sw_module.input_signals b.descriptor))
        t.blocks)
 
-let signal_layout t =
-  List.map
-    (fun s -> (Propagation.Signal.name s, t.width))
-    (Propagation.System_model.signals t.model)
+(* One transfer call: read [inputs] through the trap layer into [buf],
+   apply [f], store its results through [store_output].  [buf] is the
+   same array on every call, so [f] must not keep it. *)
+let transfer ~what ~name f ~inputs ~outputs store_output =
+  let buf = Array.make (Array.length inputs) 0 in
+  fun () ->
+    for i = 0 to Array.length inputs - 1 do
+      buf.(i) <- Propane.Signal_store.read_handle inputs.(i)
+    done;
+    let results = f buf in
+    if Array.length results <> Array.length outputs then
+      invalid_arg
+        (Printf.sprintf "Builder: %s %S produced %d outputs, expected %d" what
+           name (Array.length results) (Array.length outputs));
+    for k = 0 to Array.length outputs - 1 do
+      store_output outputs.(k) results.(k)
+    done
 
 let instantiate t _testcase =
-  let store =
-    (* Plant-written signals are hardware registers: injections corrupt
-       the cell immediately and the next refresh clobbers them. *)
-    Propane.Signal_store.create
-      ~modes:
-        (List.concat_map
-           (fun p ->
-             List.map
-               (fun s ->
-                 (Propagation.Signal.name s, Propane.Signal_store.Immediate))
-               p.writes)
-           t.plants)
-      ~signals:(signal_layout t) ()
-  in
+  let store = Propane.Signal_store.create ~modes:t.modes ~signals:t.layout () in
+  let handle s = Propane.Signal_store.handle store (Propagation.Signal.name s) in
+  let handles signals = Array.of_list (List.map handle signals) in
   let drives =
-    List.map
-      (fun s -> (Propagation.Signal.name s.signal, s.drive ()))
-      t.stimuli
+    Array.of_list
+      (List.map
+         (fun s ->
+           let h = handle s.signal and drive = s.drive () in
+           fun ms -> Propane.Signal_store.write_handle h (drive ms))
+         t.stimuli)
   in
-  let plant_steps =
-    List.map
-      (fun p ->
-        let f = p.plant_factory () in
-        let reads = Array.of_list (List.map Propagation.Signal.name p.reads) in
-        let writes =
-          Array.of_list (List.map Propagation.Signal.name p.writes)
-        in
-        fun () ->
-          let values =
-            Array.map (fun s -> Propane.Signal_store.read store s) reads
-          in
-          let results = f values in
-          if Array.length results <> Array.length writes then
-            invalid_arg
-              (Printf.sprintf
-                 "Builder: plant %S produced %d outputs, expected %d"
-                 p.plant_name (Array.length results) (Array.length writes));
-          Array.iteri
-            (fun k v -> Propane.Signal_store.poke store writes.(k) v)
-            results)
-      t.plants
+  let plants =
+    Array.of_list
+      (List.map
+         (fun p ->
+           transfer ~what:"plant" ~name:p.plant_name (p.plant_factory ())
+             ~inputs:(handles p.reads) ~outputs:(handles p.writes)
+             Propane.Signal_store.poke_handle)
+         t.plants)
   in
-  let steps =
-    List.map
-      (fun b ->
-        let f = b.factory () in
-        let inputs =
-          Array.of_list
-            (List.map Propagation.Signal.name
-               (Propagation.Sw_module.input_signals b.descriptor))
-        in
-        let outputs =
-          Array.of_list
-            (List.map Propagation.Signal.name
-               (Propagation.Sw_module.output_signals b.descriptor))
-        in
-        let name = Propagation.Sw_module.name b.descriptor in
-        fun ms ->
-          if ms >= b.offset_ms && (ms - b.offset_ms) mod b.period_ms = 0 then begin
-            let values =
-              Array.map (fun s -> Propane.Signal_store.read store s) inputs
-            in
-            let results = f values in
-            if Array.length results <> Array.length outputs then
-              invalid_arg
-                (Printf.sprintf
-                   "Builder: block %S produced %d outputs, expected %d" name
-                   (Array.length results) (Array.length outputs));
-            Array.iteri
-              (fun k v -> Propane.Signal_store.write store outputs.(k) v)
-              results
-          end)
-      t.blocks
+  let blocks =
+    Array.of_list
+      (List.map
+         (fun b ->
+           let fire =
+             transfer ~what:"block"
+               ~name:(Propagation.Sw_module.name b.descriptor)
+               (b.factory ())
+               ~inputs:
+                 (handles (Propagation.Sw_module.input_signals b.descriptor))
+               ~outputs:
+                 (handles (Propagation.Sw_module.output_signals b.descriptor))
+               Propane.Signal_store.write_handle
+           in
+           (b, fire))
+         t.blocks)
   in
   let ms = ref 0 in
   let peek_handles =
     Array.of_list
-      (List.map
-         (fun (name, _) -> Propane.Signal_store.handle store name)
-         (signal_layout t))
+      (List.map (fun (name, _) -> Propane.Signal_store.handle store name)
+         t.layout)
   in
   {
     Propane.Sut.read = Propane.Signal_store.peek store;
@@ -281,20 +272,22 @@ let instantiate t _testcase =
     inject = Propane.Signal_store.inject store;
     step =
       (fun () ->
-        List.iter (fun plant_step -> plant_step ()) plant_steps;
-        List.iter
-          (fun (signal, drive) ->
-            Propane.Signal_store.write store signal (drive !ms))
-          drives;
-        List.iter (fun step -> step !ms) steps;
-        incr ms);
+        let now = !ms in
+        for i = 0 to Array.length plants - 1 do plants.(i) () done;
+        for i = 0 to Array.length drives - 1 do drives.(i) now done;
+        for i = 0 to Array.length blocks - 1 do
+          let b, fire = blocks.(i) in
+          if now >= b.offset_ms && (now - b.offset_ms) mod b.period_ms = 0 then
+            fire ()
+        done;
+        ms := now + 1);
     finished = (fun () -> !ms >= t.duration_ms);
     snapshot =
       Some
         (fun buf ->
-          Array.iteri
-            (fun i h -> buf.(i) <- Propane.Signal_store.peek_handle h)
-            peek_handles);
+          for i = 0 to Array.length peek_handles - 1 do
+            buf.(i) <- Propane.Signal_store.peek_handle peek_handles.(i)
+          done);
     (* Block, plant and stimulus closures hold opaque state. *)
     state_hook = None;
   }
@@ -303,7 +296,7 @@ let sut ?fault t =
   let sut =
     {
       Propane.Sut.name = t.name;
-      signals = signal_layout t;
+      signals = t.layout;
       digests = List.map block_digest t.blocks;
       instantiate = instantiate t;
     }

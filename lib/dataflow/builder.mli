@@ -29,9 +29,11 @@ val block :
     [offset_ms] (default 0).  [factory] is invoked once per run and
     must return a transfer function mapping the current input values
     (in port order) to the output values (in port order) — keep any
-    block state inside the closure so runs stay independent.  A
-    transfer function returning the wrong number of outputs fails the
-    run with [Invalid_argument].
+    block state inside the closure so runs stay independent.  The input
+    array is valid only during the call: the builder refills the same
+    array before every call, so the function must not keep it (it may
+    return it, or copy what it needs).  A transfer function returning
+    the wrong number of outputs fails the run with [Invalid_argument].
 
     [tag] (default [""]) feeds the block's content digest
     ({!Propane.Sut.digests}) alongside the wiring and schedule: the
@@ -41,8 +43,9 @@ val block :
     behaviour changes, and cached cells that observed the block are
     invalidated exactly then.
 
-    @raise Invalid_argument on an empty name, no inputs/outputs, or a
-    non-positive period. *)
+    @raise Invalid_argument on an empty name, no inputs/outputs, a
+    duplicate input or output port, a non-positive period or a negative
+    offset. *)
 
 type stimulus = {
   signal : Propagation.Signal.t;
@@ -82,8 +85,9 @@ val plant :
   plant
 (** [plant ~name ~reads ~writes factory]: the per-run transfer function
     maps the read values to the written values, keeping physics state
-    in its closure.  @raise Invalid_argument on an empty name or no
-    writes. *)
+    in its closure.  As for {!block}, the array of read values is valid
+    only during the call and must not be kept.
+    @raise Invalid_argument on an empty name or no writes. *)
 
 type t
 

@@ -68,162 +68,3 @@ let pp_summary ppf t =
     t.backtrack_trees
     Fmt.(list ~sep:cut pp_tt)
     t.trace_trees Placement.pp t.placement
-
-module Engine = struct
-  module S = Set.Make (String)
-
-  type analysis = t
-
-  (* Every weight in a tree comes from a child arc's [pair]; the set of
-     module names over those pairs is exactly the set of matrices the
-     tree depends on (its shape depends only on the model).  A tree
-     whose support is untouched by an update is reused as-is, which is
-     what makes snapshots after a single-module update cheap — and,
-     because the reused artifacts are the very values a fresh batch run
-     would recompute from the same matrices, snapshots stay identical
-     to [run] on the current matrices. *)
-  let backtrack_support tree =
-    Backtrack_tree.fold
-      (fun acc (n : Backtrack_tree.node) ->
-        List.fold_left
-          (fun acc (c : Backtrack_tree.child) ->
-            S.add c.pair.Perm_graph.module_name acc)
-          acc n.children)
-      S.empty tree
-
-  let trace_support tree =
-    Trace_tree.fold
-      (fun acc (n : Trace_tree.node) ->
-        List.fold_left
-          (fun acc (c : Trace_tree.child) ->
-            S.add c.pair.Perm_graph.module_name acc)
-          acc n.children)
-      S.empty tree
-
-  type cached = {
-    snapshot : analysis;
-    backtrack_supports : (Signal.t * S.t) list;
-    trace_supports : (Signal.t * S.t) list;
-  }
-
-  type engine = {
-    model : System_model.t;
-    mutable matrices : Perm_matrix.t String_map.t;
-    mutable dirty : S.t;
-    mutable cache : cached option;
-  }
-
-  let create model =
-    { model; matrices = String_map.empty; dirty = S.empty; cache = None }
-
-  let matrices e = e.matrices
-  let dirty_count e = S.cardinal e.dirty
-
-  let update e name matrix =
-    match String_map.find_opt name e.matrices with
-    | Some old when Perm_matrix.equal_estimates ~eps:0.0 old matrix -> ()
-    | _ ->
-        e.matrices <- String_map.add name matrix e.matrices;
-        e.dirty <- S.add name e.dirty
-
-  let assoc_signal s l =
-    List.find_map (fun (s', v) -> if Signal.equal s s' then Some v else None) l
-
-  let rebuild e (graph : Perm_graph.t) =
-    (* [clean supports s] holds when the tree rooted at [s] only reads
-       matrices that did not change since the cached snapshot — its
-       tree and the path table derived from it can be reused. *)
-    let clean supports s =
-      match e.cache with
-      | None -> false
-      | Some c -> (
-          match assoc_signal s (supports c) with
-          | None -> false
-          | Some support -> S.is_empty (S.inter support e.dirty))
-    in
-    let cached find s =
-      match e.cache with
-      | None -> None
-      | Some c -> assoc_signal s (find c.snapshot)
-    in
-    let bt_clean = clean (fun c -> c.backtrack_supports) in
-    let tt_clean = clean (fun c -> c.trace_supports) in
-    let backtrack_trees =
-      List.map
-        (fun s ->
-          match
-            if bt_clean s then cached (fun snap -> snap.backtrack_trees) s
-            else None
-          with
-          | Some tree -> (s, tree)
-          | None -> (s, Backtrack_tree.build graph s))
-        (System_model.system_outputs e.model)
-    in
-    let trace_trees =
-      List.map
-        (fun s ->
-          match
-            if tt_clean s then cached (fun snap -> snap.trace_trees) s
-            else None
-          with
-          | Some tree -> (s, tree)
-          | None -> (s, Trace_tree.build graph s))
-        (System_model.system_inputs e.model)
-    in
-    let snapshot =
-      {
-        graph;
-        backtrack_trees;
-        trace_trees;
-        module_rows = Ranking.module_rows graph;
-        signal_rows = Ranking.signal_rows graph;
-        output_paths =
-          List.map
-            (fun (s, tree) ->
-              match
-                if bt_clean s then cached (fun snap -> snap.output_paths) s
-                else None
-              with
-              | Some rows -> (s, rows)
-              | None -> (s, Ranking.path_rows tree))
-            backtrack_trees;
-        input_paths =
-          List.map
-            (fun (s, tree) ->
-              match
-                if tt_clean s then cached (fun snap -> snap.input_paths) s
-                else None
-              with
-              | Some rows -> (s, rows)
-              | None -> (s, Ranking.trace_path_rows tree))
-            trace_trees;
-        placement = Placement.recommend graph;
-      }
-    in
-    e.cache <-
-      Some
-        {
-          snapshot;
-          backtrack_supports =
-            List.map
-              (fun (s, tree) -> (s, backtrack_support tree))
-              backtrack_trees;
-          trace_supports =
-            List.map (fun (s, tree) -> (s, trace_support tree)) trace_trees;
-        };
-    e.dirty <- S.empty;
-    snapshot
-
-  let snapshot e =
-    match e.cache with
-    | Some c when S.is_empty e.dirty -> Ok c.snapshot
-    | _ -> (
-        match Perm_graph.build e.model e.matrices with
-        | Error _ as err -> err
-        | Ok graph -> Ok (rebuild e graph))
-
-  let snapshot_exn e =
-    match snapshot e with
-    | Ok t -> t
-    | Error msg -> invalid_arg ("Analysis.Engine.snapshot_exn: " ^ msg)
-end

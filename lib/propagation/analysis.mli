@@ -6,7 +6,12 @@
     and signal measures, enumerate and rank propagation paths, and derive
     placement recommendations.  This is the function a user of the
     library calls after estimating (or postulating) the permeability
-    matrices. *)
+    matrices.
+
+    Live campaign analysis ([Propane.Live]) does not run this pipeline
+    per outcome: it re-ranks modules by relative permeability alone
+    ({!Ranking.rank_relative}, O(modules) per outcome) and calls {!run}
+    only when a full snapshot is asked for. *)
 
 type t = {
   graph : Perm_graph.t;
@@ -32,46 +37,3 @@ val run_exn : System_model.t -> Perm_matrix.t String_map.t -> t
 
 val pp_summary : Format.formatter -> t -> unit
 (** Compact human-readable overview of every computed artifact. *)
-
-(** Incremental analysis over streaming matrix updates.
-
-    An engine holds the current per-module matrices and a dirty set of
-    the modules whose matrix changed since the last snapshot.  Feeding
-    it one {!Engine.update} per estimator refresh and calling
-    {!Engine.snapshot} yields exactly what a batch {!run} over the
-    current matrices would return — the equivalence is property-tested
-    — but trees and path tables whose module support is untouched by
-    the dirty set are reused from the previous snapshot instead of
-    being rebuilt, so a snapshot after a single-module update costs a
-    fraction of a full run.  This is the sink behind live campaign
-    analysis ([Propane.Live]): estimator updates stream in run by run
-    and the current rankings are always one (cheap) snapshot away. *)
-module Engine : sig
-  type engine
-
-  val create : System_model.t -> engine
-  (** An engine with no matrices: {!snapshot} fails until every module
-      has received an {!update}. *)
-
-  val update : engine -> string -> Perm_matrix.t -> unit
-  (** [update e name matrix] replaces module [name]'s matrix.  The
-      module is marked dirty only when the matrix actually differs
-      (estimate-level comparison), so feeding identical matrices is
-      free. *)
-
-  val matrices : engine -> Perm_matrix.t String_map.t
-  (** The matrices fed so far. *)
-
-  val dirty_count : engine -> int
-  (** Modules changed since the last snapshot (0 right after one). *)
-
-  val snapshot : engine -> (t, string) result
-  (** The analysis of the current matrices; identical to
-      [run model matrices].  Recomputes only artifacts whose module
-      support intersects the dirty set; with an empty dirty set the
-      cached snapshot returns without any work.  Fails like {!run} when
-      a module still lacks a matrix or dimensions mismatch. *)
-
-  val snapshot_exn : engine -> t
-  (** @raise Invalid_argument on the errors {!snapshot} reports. *)
-end

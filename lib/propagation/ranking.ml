@@ -46,68 +46,83 @@ let key_estimate key row =
   | By_exposure -> row.exposure_est
   | By_non_weighted_exposure -> row.non_weighted_exposure_est
 
-(* A row is resolved when its confidence interval for the sort key does
-   not overlap the next row's: the rank order of the two rows cannot be
-   inverted by estimation noise at the interval's confidence level.  The
-   last row has nothing below it and is trivially resolved.  [rows] must
-   already be in descending key order. *)
-let resolve_sorted key rows =
-  let rec go : module_row list -> module_row list = function
+(* Pairs each row of a ranked list with its [resolved] flag: the row's
+   interval does not overlap the next row's, so estimation noise cannot
+   invert the two at the interval's confidence level.  The last row has
+   nothing below it and is trivially resolved. *)
+let resolve estimate rows =
+  let rec go = function
     | [] -> []
-    | [ last ] -> [ { last with resolved = true } ]
+    | [ last ] -> [ (last, true) ]
     | a :: (b :: _ as rest) ->
-        {
-          a with
-          resolved =
-            Estimate.separated (key_estimate key a) (key_estimate key b);
-        }
-        :: go rest
+        (a, Estimate.separated (estimate a) (estimate b)) :: go rest
   in
   go rows
 
-let sort_by_key key rows =
+(* Descending by [value], ties broken by [name]: a total order. *)
+let rank ~name ~value ~estimate rows =
   let cmp a b =
-    match Float.compare (key_value key b) (key_value key a) with
-    | 0 -> String.compare a.module_name b.module_name
+    match Float.compare (value b) (value a) with
+    | 0 -> String.compare (name a) (name b)
     | c -> c
   in
-  List.stable_sort cmp rows
+  resolve estimate (List.stable_sort cmp rows)
 
-let sort_module_rows key rows = resolve_sorted key (sort_by_key key rows)
+let sort_module_rows key rows =
+  List.map
+    (fun ((r : module_row), resolved) -> { r with resolved })
+    (rank
+       ~name:(fun (r : module_row) -> r.module_name)
+       ~value:(key_value key) ~estimate:(key_estimate key) rows)
+
+type relative = { name : string; value : float; estimate : Estimate.t }
+
+let relative name matrix =
+  {
+    name;
+    value = Perm_matrix.relative matrix;
+    estimate = Perm_matrix.relative_estimate matrix;
+  }
+
+let rank_relative rows =
+  List.map
+    (fun (r, resolved) -> (r.name, resolved))
+    (rank
+       ~name:(fun r -> r.name)
+       ~value:(fun r -> r.value)
+       ~estimate:(fun r -> r.estimate)
+       rows)
 
 let module_rows graph =
   let model = Perm_graph.model graph in
-  let rows =
+  let relatives =
     List.map
       (fun m ->
         let name = Sw_module.name m in
-        let matrix = Perm_graph.matrix graph name in
-        {
-          module_name = name;
-          relative_permeability = Perm_matrix.relative matrix;
-          non_weighted_permeability = Perm_matrix.non_weighted matrix;
-          exposure = Exposure.module_exposure graph name;
-          non_weighted_exposure = Exposure.module_exposure_nw graph name;
-          relative_permeability_est = Perm_matrix.relative_estimate matrix;
-          non_weighted_permeability_est = Perm_matrix.non_weighted_estimate matrix;
-          exposure_est = Exposure.module_exposure_estimate graph name;
-          non_weighted_exposure_est = Exposure.module_exposure_nw_estimate graph name;
-          resolved = true;
-        })
+        relative name (Perm_graph.matrix graph name))
       (System_model.modules model)
   in
   (* Rows are returned in declaration order (Table 2), so resolvedness
      is judged against the primary ranking of that table: relative
      permeability. *)
-  let resolved_by_name =
-    List.map
-      (fun r -> (r.module_name, r.resolved))
-      (sort_module_rows By_relative_permeability rows)
-  in
+  let resolved = rank_relative relatives in
   List.map
-    (fun (r : module_row) ->
-      { r with resolved = List.assoc r.module_name resolved_by_name })
-    rows
+    (fun rel ->
+      let matrix = Perm_graph.matrix graph rel.name in
+      {
+        module_name = rel.name;
+        relative_permeability = rel.value;
+        non_weighted_permeability = Perm_matrix.non_weighted matrix;
+        exposure = Exposure.module_exposure graph rel.name;
+        non_weighted_exposure = Exposure.module_exposure_nw graph rel.name;
+        relative_permeability_est = rel.estimate;
+        non_weighted_permeability_est = Perm_matrix.non_weighted_estimate matrix;
+        exposure_est = Exposure.module_exposure_estimate graph rel.name;
+        non_weighted_exposure_est =
+          Exposure.module_exposure_nw_estimate graph rel.name;
+        resolved = List.assoc rel.name resolved;
+      })
+    relatives
 
 let signal_rows graph =
   let model = Perm_graph.model graph in
@@ -127,15 +142,11 @@ let signal_rows graph =
     | 0 -> Signal.compare a.signal b.signal
     | c -> c
   in
-  let sorted = List.stable_sort cmp rows in
-  let rec resolve = function
-    | [] -> []
-    | [ last ] -> [ { last with resolved = true } ]
-    | a :: (b : signal_row) :: rest ->
-        { a with resolved = Estimate.separated a.exposure_est b.exposure_est }
-        :: resolve (b :: rest)
-  in
-  resolve sorted
+  List.map
+    (fun ((r : signal_row), resolved) -> { r with resolved })
+    (resolve
+       (fun (r : signal_row) -> r.exposure_est)
+       (List.stable_sort cmp rows))
 
 let rank_paths ?(include_zero = false) paths =
   let paths = if include_zero then paths else Path.non_zero paths in
@@ -151,20 +162,9 @@ let rank_paths ?(include_zero = false) paths =
         })
       (Path.sort_by_weight paths)
   in
-  let rec resolve = function
-    | [] -> []
-    | [ last ] -> [ { last with resolved = true } ]
-    | a :: (b : path_row) :: rest ->
-        {
-          a with
-          resolved =
-            Estimate.separated
-              (Path.weight_estimate a.path)
-              (Path.weight_estimate b.path);
-        }
-        :: resolve (b :: rest)
-  in
-  resolve ranked
+  List.map
+    (fun ((r : path_row), resolved) -> { r with resolved })
+    (resolve (fun (r : path_row) -> Path.weight_estimate r.path) ranked)
 
 let path_rows ?include_zero tree =
   rank_paths ?include_zero (Path.of_backtrack_tree tree)

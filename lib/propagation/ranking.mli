@@ -50,7 +50,23 @@ type module_key =
 val module_rows : Perm_graph.t -> module_row list
 (** One row per module, in system declaration order.  [resolved] is
     judged against the neighbours in the {!By_relative_permeability}
-    ranking (the primary ordering of Table 2). *)
+    ranking (the primary ordering of Table 2), as {!rank_relative}
+    computes it. *)
+
+type relative
+(** A module's relative permeability {m P^M} (Eq. 2) with its estimate:
+    the sort key of the primary ranking, which needs the module's own
+    matrix but no graph.  Live analysis ranks these after every
+    outcome. *)
+
+val relative : string -> Perm_matrix.t -> relative
+(** [relative name matrix] for the module called [name]. *)
+
+val rank_relative : relative list -> (string * bool) list
+(** Module names in descending relative permeability, ties broken by
+    name, each with its [resolved] flag.  The result does not depend
+    on the order of the argument.  {!module_rows} takes its [resolved]
+    flags from here. *)
 
 val sort_module_rows : module_key -> module_row list -> module_row list
 (** Descending by the chosen measure; ties broken by module name.

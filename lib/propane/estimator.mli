@@ -115,9 +115,8 @@ module Stream : sig
 
   val drain_dirty : t -> (string * Propagation.Perm_matrix.t) list
   (** Matrices of the modules touched since the previous drain, in
-      model declaration order, and reset the dirty set.  Feeding these
-      to {!Propagation.Analysis.Engine.update} keeps an engine in sync
-      at minimal cost. *)
+      model declaration order, and reset the dirty set.  [Live] re-ranks
+      only these modules after each outcome. *)
 
   val counts_row : t -> module_name:string -> target:string -> (int * int) array option
   (** Current [(n_err, n_inj)] counters of the (module, input) pair, in

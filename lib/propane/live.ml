@@ -43,76 +43,70 @@ type digest = {
 }
 
 type t = {
+  model : Propagation.System_model.t;
   stream : Estimator.Stream.t;
-  engine : Propagation.Analysis.Engine.engine;
   targets : string list;
-  module_count : int;
-  mutable last_order : string list option;
+  mutable relatives : Propagation.Ranking.relative Propagation.String_map.t;
+  mutable ranking : (string * bool) list;
   mutable stable_for : int;
 }
 
+let rank relatives =
+  Propagation.Ranking.rank_relative
+    (List.map snd (Propagation.String_map.bindings relatives))
+
 let create ?attribution ?on_failure ~model ~targets () =
   let stream = Estimator.Stream.create ?attribution ?on_failure ~model () in
-  let engine = Propagation.Analysis.Engine.create model in
-  (* Prime the engine with the zero-trial matrices so snapshots work
-     from the first run on; updates then only touch dirty modules. *)
-  Propagation.String_map.iter
-    (Propagation.Analysis.Engine.update engine)
-    (Estimator.Stream.matrices stream);
+  let relatives =
+    Propagation.String_map.mapi Propagation.Ranking.relative
+      (Estimator.Stream.matrices stream)
+  in
   {
+    model;
     stream;
-    engine;
     targets;
-    module_count = List.length (Propagation.System_model.modules model);
-    last_order = None;
+    relatives;
+    ranking = rank relatives;
     stable_for = 0;
   }
 
-let snapshot t = Propagation.Analysis.Engine.snapshot t.engine
+let snapshot t =
+  Propagation.Analysis.run t.model (Estimator.Stream.matrices t.stream)
 
-let order_of (analysis : Propagation.Analysis.t) =
-  List.map
-    (fun (r : Propagation.Ranking.module_row) -> r.module_name)
-    (Propagation.Ranking.sort_module_rows
-       Propagation.Ranking.By_relative_permeability analysis.module_rows)
-
-let resolved_of (analysis : Propagation.Analysis.t) =
-  List.length
-    (List.filter
-       (fun (r : Propagation.Ranking.module_row) -> r.resolved)
-       analysis.module_rows)
-
-let digest ?analysis t =
-  let analysis =
-    match analysis with
-    | Some a -> Some a
-    | None -> Result.to_option (snapshot t)
-  in
+let digest t =
   {
     runs_observed = Estimator.Stream.runs_observed t.stream;
     max_ci_width = Estimator.Stream.max_width ~targets:t.targets t.stream;
     stable_for = t.stable_for;
-    resolved_modules =
-      (match analysis with Some a -> resolved_of a | None -> 0);
-    module_count = t.module_count;
+    resolved_modules = List.length (List.filter snd t.ranking);
+    module_count = List.length t.ranking;
   }
+
+let same_order a b = List.equal (fun (x, _) (y, _) -> String.equal x y) a b
 
 let observe t outcome =
   Estimator.Stream.observe t.stream outcome;
-  List.iter
-    (fun (name, matrix) ->
-      Propagation.Analysis.Engine.update t.engine name matrix)
-    (Estimator.Stream.drain_dirty t.stream);
-  let analysis = Result.to_option (snapshot t) in
-  (match analysis with
-  | None -> ()
-  | Some a ->
-      let order = order_of a in
-      (match t.last_order with
-      | Some prev when prev = order -> t.stable_for <- t.stable_for + 1
-      | _ -> t.stable_for <- 0);
-      t.last_order <- Some order);
-  digest ?analysis t
+  let previous = t.ranking in
+  (match Estimator.Stream.drain_dirty t.stream with
+  | [] -> ()
+  | dirty ->
+      List.iter
+        (fun (name, matrix) ->
+          t.relatives <-
+            Propagation.String_map.add name
+              (Propagation.Ranking.relative name matrix)
+              t.relatives)
+        dirty;
+      t.ranking <- rank t.relatives);
+  (* The first outcome starts the count: the ranking before any
+     evidence is not an order the campaign has learned. *)
+  t.stable_for <-
+    (if
+       Estimator.Stream.runs_observed t.stream > 1
+       && same_order previous t.ranking
+     then t.stable_for + 1
+     else 0);
+  digest t
 
 let satisfied t rule =
   Estimator.Stream.runs_observed t.stream > 0
@@ -121,8 +115,3 @@ let satisfied t rule =
   | `Rankings_stable n -> t.stable_for >= n
   | `Ci_width w ->
       Estimator.Stream.max_width ~targets:t.targets t.stream <= w
-
-let digest t = digest ?analysis:None t
-let targets t = t.targets
-let target_width t ~target = Estimator.Stream.target_width t.stream ~target
-let runs_observed t = Estimator.Stream.runs_observed t.stream

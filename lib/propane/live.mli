@@ -1,17 +1,19 @@
 (** Live campaign analysis and adaptive stopping.
 
-    A [Live.t] couples a streaming estimator ({!Estimator.Stream}) to
-    an incremental analysis engine
-    ({!Propagation.Analysis.Engine}): every campaign outcome fed to
-    {!observe} updates the permeability counters of the modules the
-    injected signal feeds, pushes the changed matrices into the engine
-    and refreshes the module ranking.  Because the stream reproduces
-    batch estimation exactly and the engine reproduces batch analysis
-    exactly (both property-tested), the analysis visible through
-    {!snapshot} at any instant equals what [estimate_all] +
-    [Analysis.run] would compute over the outcomes seen so far.
+    A [Live.t] folds campaign outcomes into a streaming estimator
+    ({!Estimator.Stream}) one at a time.  {!observe} updates the
+    permeability counters of the modules the injected signal feeds,
+    recomputes the relative permeability ({!Propagation.Ranking.relative})
+    of those modules only, and re-ranks the modules
+    ({!Propagation.Ranking.rank_relative}): O(modules) per outcome, with
+    no graph, tree or path work.  The full analysis is computed on
+    demand by {!snapshot}.  Because the stream reproduces batch
+    estimation exactly (property-tested), that analysis equals what
+    [estimate_all] + [Analysis.run] would compute over the outcomes
+    seen so far, and the ranking {!observe} tracks is the one its
+    [module_rows] carry.
 
-    On top of the rolling analysis sit the adaptive stop {!rule}s of
+    On top of the rolling ranking sit the adaptive stop {!rule}s of
     [Runner.run ?stop_when]:
 
     - [`Rankings_stable n] — the relative-permeability module ranking
@@ -64,24 +66,18 @@ val create :
     otherwise live and post-hoc analyses disagree. *)
 
 val observe : t -> Results.outcome -> digest
-(** Fold one outcome in and return the refreshed digest.  Call in
-    campaign-index order for resumed runs ({!Runner.run} does). *)
+(** Fold one outcome in and return the refreshed digest.  Costs
+    O(modules) plus the width scan over the target pairs; it builds no
+    analysis.  Call in campaign-index order for resumed runs
+    ({!Runner.run} does). *)
 
 val snapshot : t -> (Propagation.Analysis.t, string) result
-(** The full analysis of everything observed so far.  Costs nothing
-    when no outcome arrived since the last call (engine cache). *)
+(** The full analysis of everything observed so far, computed on
+    demand: each call runs {!Propagation.Analysis.run} over the
+    current matrices. *)
 
 val satisfied : t -> rule -> bool
 (** Whether the rule allows stopping now.  Always [false] before the
     first observed run, so a campaign never stops without evidence. *)
 
 val digest : t -> digest
-
-val targets : t -> string list
-
-val target_width : t -> target:string -> float
-(** Widest 95% interval over the pairs one injection target feeds
-    ({!Estimator.Stream.target_width}); the planner's per-target
-    uncertainty score. *)
-
-val runs_observed : t -> int

@@ -138,7 +138,7 @@ type planned = {
   blocks : block array;
   weights : float array;  (* pilot weights, aligned with blocks *)
   consumers_of : string list array;  (* consuming modules, per block *)
-  live : Live.t;
+  stream : Estimator.Stream.t;  (* outcomes of the finished rounds *)
   mutable round_no : int;
   mutable current : int list;  (* indices of the open round, ascending *)
   mutable current_left : int;  (* open-round runs not yet completed *)
@@ -258,7 +258,7 @@ let create ?(mode = Adaptive) ?priors:prior_list ?(select = fun _ -> true)
       blocks;
       weights = Array.map (fun b -> weight_of b.target) blocks;
       consumers_of;
-      live = Live.create ?attribution ?on_failure ~model ~targets ();
+      stream = Estimator.Stream.create ?attribution ?on_failure ~model ();
       round_no = 0;
       current = [];
       current_left = 0;
@@ -337,19 +337,20 @@ let uniform_allocation p =
 
 (* None = every ranking resolved (or nothing left to learn): stop. *)
 let refine_allocation p =
-  let unresolved =
-    match Live.snapshot p.live with
-    | Error _ -> None  (* cannot happen: the live engine is pre-primed *)
-    | Ok analysis ->
-        Some
-          (List.filter_map
-             (fun (r : P.Ranking.module_row) ->
-               if r.resolved then None else Some r.module_name)
-             analysis.module_rows)
+  let ranking =
+    P.Ranking.rank_relative
+      (P.String_map.fold
+         (fun name matrix acc -> P.Ranking.relative name matrix :: acc)
+         (Estimator.Stream.matrices p.stream)
+         [])
   in
-  match unresolved with
-  | None | Some [] -> None
-  | Some unresolved ->
+  match
+    List.filter_map
+      (fun (name, resolved) -> if resolved then None else Some name)
+      ranking
+  with
+  | [] -> None
+  | unresolved ->
       let caps = caps_of p in
       let weights =
         Array.mapi
@@ -364,7 +365,9 @@ let refine_allocation p =
               in
               if impact = 0 then 0.0
               else
-                Float.max (Live.target_width p.live ~target:b.target) 1e-6
+                Float.max
+                  (Estimator.Stream.target_width p.stream ~target:b.target)
+                  1e-6
                 *. float_of_int impact)
           p.blocks
       in
@@ -440,7 +443,7 @@ and advance_barrier p t =
   List.iter
     (fun index ->
       match t.bank.(index) with
-      | Some outcome -> ignore (Live.observe p.live outcome)
+      | Some outcome -> Estimator.Stream.observe p.stream outcome
       | None -> assert false)
     p.current;
   p.current <- [];

@@ -23,9 +23,10 @@
 
     {b Rounds and determinism.}  Allocation is a barrier process:
     round [k+1] is computed only from the multiset of outcomes of
-    rounds [0..k], fed to an internal {!Live} analysis in experiment
-    index order.  Streamed counters are commutative
-    ({!Estimator.Stream}), so the allocation sequence is a pure
+    rounds [0..k], fed to an internal {!Estimator.Stream} in experiment
+    index order and ranked once per round
+    ({!Propagation.Ranking.rank_relative}).  Streamed counters are
+    commutative, so the allocation sequence is a pure
     function of the completed outcome set — independent of executor
     interleaving.  Serial, [--jobs] domains, the cluster coordinator
     and the campaign service therefore derive {e identical} rounds,
@@ -109,7 +110,7 @@ val create :
     indices (the cache-reuse filter of {!Reuse.select}: cells already
     measured get {e zero} fresh allocation).  [priors] defaults to
     {!priors} over the campaign's targets.  [attribution] /
-    [on_failure] configure the internal {!Live} analysis and must
+    [on_failure] configure the internal {!Estimator.Stream} and must
     match the campaign's estimation settings.  [round_budget] caps the
     runs granted per refinement round (default [max targets (budget /
     8)]); the pilot additionally guarantees one run per target.

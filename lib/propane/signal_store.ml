@@ -8,7 +8,6 @@ end)
 type mode = At_read | Immediate
 
 type cell = {
-  width : int;
   mask : int;
   mode : mode;
   mutable value : int;
@@ -16,7 +15,7 @@ type cell = {
   mutable guards : (int -> int) list;  (* in application order *)
 }
 
-type t = { order : string list; cells : cell String_tbl.t }
+type t = cell String_tbl.t
 
 let create ?(modes = []) ~signals () =
   List.iter
@@ -42,7 +41,6 @@ let create ?(modes = []) ~signals () =
       in
       String_tbl.add cells name
         {
-          width;
           mask = (1 lsl width) - 1;
           mode;
           value = 0;
@@ -50,16 +48,13 @@ let create ?(modes = []) ~signals () =
           guards = [];
         })
     signals;
-  { order = List.map fst signals; cells }
+  cells
 
 let cell t name =
-  match String_tbl.find_opt t.cells name with
+  match String_tbl.find_opt t name with
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Signal_store: unknown signal %S" name)
 
-let names t = t.order
-let width t name = (cell t name).width
-let mem t name = String_tbl.mem t.cells name
 let mode t name = (cell t name).mode
 
 let apply_guards c v = List.fold_left (fun v g -> g v) v c.guards
@@ -95,7 +90,7 @@ let inject t name corrupt =
 let pending_injection t name = (cell t name).pending <> None
 
 let clear_injections t =
-  String_tbl.iter (fun _ c -> c.pending <- None) t.cells
+  String_tbl.iter (fun _ c -> c.pending <- None) t
 
 let add_write_guard t name guard =
   let c = cell t name in

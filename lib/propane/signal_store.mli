@@ -39,9 +39,11 @@ val create : ?modes:(string * mode) list -> signals:(string * int) list -> unit 
     @raise Invalid_argument on duplicates, empty names, widths outside
     [1, 30], or a mode for an unknown signal. *)
 
-val names : t -> string list
-val width : t -> string -> int
-val mem : t -> string -> bool
+(** {1 Access by name}
+
+    Each call below looks the signal up by name.  That serves set-up,
+    injection and tests; code that runs every simulated millisecond
+    resolves a {!handle} once instead. *)
 
 val read : t -> string -> int
 (** Trap-aware read (applies and clears a pending injection first).
@@ -71,7 +73,7 @@ val clear_injections : t -> unit
 (** {1 Handles}
 
     Hot paths (module bodies executing every simulated millisecond)
-    can resolve a signal once and then access its cell directly. *)
+    resolve a signal once and then access its cell directly. *)
 
 type handle
 

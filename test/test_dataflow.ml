@@ -412,6 +412,269 @@ let random_system_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The bound step against a name-keyed reference.  The builder resolves
+   a store handle per port once per instance and hands each transfer one
+   reused input array.  The reference below steps the same system the
+   way the builder used to: every read, write and poke looks the signal
+   up by name, and every call gets a fresh input array.  Golden traces
+   and injection outcomes must not tell the two apart. *)
+
+type step_block = {
+  period : int;
+  offset : int;
+  fan_in : int;
+  outputs : int;
+  salt : int;
+  identity : bool;  (* returns its own input array *)
+}
+
+type step_spec = { step_blocks : step_block list; plant : bool; slope : int }
+
+let step_spec_gen =
+  QCheck2.Gen.(
+    let block =
+      map
+        (fun (period, offset, fan_in, outputs, salt, identity) ->
+          { period; offset; fan_in; outputs; salt; identity })
+        (tup6 (int_range 1 3) (int_range 0 3) (int_range 1 3) (int_range 1 2)
+           (int_bound 0xFFFF) bool)
+    in
+    map3
+      (fun step_blocks plant slope -> { step_blocks; plant; slope })
+      (list_size (int_range 1 5) block)
+      bool (int_range 1 9))
+
+(* Everything both implementations need: per block its schedule, port
+   names and transfer factory, in block order. *)
+type wired = {
+  name : string;
+  period_ms : int;
+  offset_ms : int;
+  ins : string list;
+  outs : string list;
+  factory : unit -> int array -> int array;
+}
+
+let wire spec =
+  let base =
+    [ "ext_0"; "ext_1" ] @ if spec.plant then [ "sensor" ] else []
+  in
+  let _, rev =
+    List.fold_left
+      (fun (pool, acc) (i, b) ->
+        let ins =
+          if i = 0 then base
+          else
+            (* [fan_in] distinct signals of the pool, rotated by salt *)
+            let n = List.length pool in
+            List.init (min b.fan_in n) (fun k ->
+                List.nth pool ((b.salt + k) mod n))
+        in
+        let n_out = if b.identity then List.length ins else b.outputs in
+        let outs = List.init n_out (Printf.sprintf "m%d_%d" i) in
+        let factory =
+          if b.identity then fun () inputs -> inputs
+          else fun () ->
+            let acc = ref b.salt in
+            fun inputs ->
+              acc :=
+                ((!acc * 31) + Array.fold_left ( lxor ) 0 inputs) land 0xFFFF;
+              Array.init n_out (fun k ->
+                  (inputs.(k mod Array.length inputs) lxor (!acc lsr k))
+                  land 0xFFFF)
+        in
+        ( pool @ outs,
+          {
+            name = Printf.sprintf "M%d" i;
+            period_ms = b.period;
+            offset_ms = b.offset;
+            ins;
+            outs;
+            factory;
+          }
+          :: acc ))
+      (base, [])
+      (List.mapi (fun i b -> (i, b)) spec.step_blocks)
+  in
+  List.rev rev
+
+(* The plant reads the last block's first output of the previous
+   millisecond and accumulates it into the sensor it writes. *)
+let plant_read blocks = List.hd (List.hd (List.rev blocks)).outs
+
+let plant_factory () =
+  let v = ref 0 in
+  fun reads ->
+    v := (!v + reads.(0) + 1) land 0xFFFF;
+    [| !v |]
+
+let build_stepped spec =
+  let blocks = wire spec in
+  let plants =
+    if spec.plant then
+      [
+        B.plant ~name:"PLANT" ~reads:[ s (plant_read blocks) ]
+          ~writes:[ s "sensor" ] plant_factory;
+      ]
+    else []
+  in
+  ( blocks,
+    B.create_exn ~name:"stepped" ~duration_ms:80 ~plants
+      ~blocks:
+        (List.map
+           (fun w ->
+             B.block ~name:w.name ~period_ms:w.period_ms ~offset_ms:w.offset_ms
+               ~inputs:(List.map s w.ins) ~outputs:(List.map s w.outs)
+               w.factory)
+           blocks)
+      ~stimuli:
+        [ B.ramp ~slope:spec.slope (s "ext_0"); B.constant 0x5A5A (s "ext_1") ]
+      () )
+
+let reference_sut spec blocks (built : Propane.Sut.t) =
+  let module St = Propane.Signal_store in
+  let instantiate _ =
+    let store =
+      St.create
+        ~modes:(if spec.plant then [ ("sensor", St.Immediate) ] else [])
+        ~signals:built.signals ()
+    in
+    let drives =
+      [ ("ext_0", fun ms -> spec.slope * ms); ("ext_1", fun _ -> 0x5A5A) ]
+    in
+    let plant =
+      if spec.plant then begin
+        let f = plant_factory () in
+        let read = plant_read blocks in
+        fun () ->
+          Array.iter (St.poke store "sensor") (f [| St.read store read |])
+      end
+      else fun () -> ()
+    in
+    let steps =
+      List.map
+        (fun w ->
+          let f = w.factory () in
+          fun ms ->
+            if ms >= w.offset_ms && (ms - w.offset_ms) mod w.period_ms = 0
+            then
+              List.iter2 (St.write store) w.outs
+                (Array.to_list
+                   (f (Array.of_list (List.map (St.read store) w.ins)))))
+        blocks
+    in
+    let ms = ref 0 in
+    {
+      Propane.Sut.read = St.peek store;
+      write = St.poke store;
+      inject = St.inject store;
+      step =
+        (fun () ->
+          plant ();
+          List.iter
+            (fun (name, drive) -> St.write store name (drive !ms))
+            drives;
+          List.iter (fun step -> step !ms) steps;
+          incr ms);
+      finished = (fun () -> !ms >= 80);
+      snapshot =
+        Some
+          (fun buf ->
+            List.iteri (fun i (name, _) -> buf.(i) <- St.peek store name)
+              built.signals);
+      state_hook = None;
+    }
+  in
+  { built with Propane.Sut.instantiate }
+
+let injections_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 6)
+      (triple (int_bound 1000) (int_range 0 79) (int_range 0 15)))
+
+let bound_step_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60
+         ~name:"the bound step matches a name-keyed reference"
+         (QCheck2.Gen.pair step_spec_gen injections_gen)
+         (fun (spec, injections) ->
+           let blocks, system = build_stepped spec in
+           let bound = B.sut system in
+           let reference = reference_sut spec blocks bound in
+           let tc = Propane.Testcase.make ~id:"t" ~params:[] in
+           let golden sut = Propane.Runner.golden_run sut tc in
+           let gb = golden bound and gr = golden reference in
+           let same_golden =
+             Propane.Trace_set.signals gb = Propane.Trace_set.signals gr
+             && List.for_all
+                  (fun name ->
+                    Propane.Trace.equal
+                      (Propane.Trace_set.trace gb name)
+                      (Propane.Trace_set.trace gr name))
+                  (Propane.Trace_set.signals gb)
+           in
+           let targets = Array.of_list (B.injection_targets system) in
+           let outcome sut golden (pick, at, bit) =
+             Propane.Runner.run_experiment ~truncate_after_ms:20 sut
+               ~golden:(Propane.Golden.freeze golden) tc
+               (Propane.Injection.make
+                  ~target:targets.(pick mod Array.length targets)
+                  ~at:(Simkernel.Sim_time.of_ms at)
+                  ~error:(Propane.Error_model.Bit_flip bit))
+           in
+           same_golden
+           && List.for_all
+                (fun i ->
+                  compare (outcome bound gb i) (outcome reference gr i) = 0)
+                injections));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Known answers: on an XOR-and-mask DAG, a uniform campaign flipping
+   each of the 16 bits at every instant measures every permeability
+   cell as exactly keep/16. *)
+
+let known_answer_tests =
+  [
+    Alcotest.test_case "XOR-and-mask cells equal keep/16 exactly" `Quick
+      (fun () ->
+        List.iter
+          (fun seed ->
+            let dag = Xor_mask.dag ~seed in
+            let model = B.model dag.system in
+            let campaign =
+              Propane.Campaign.make ~name:"xor-known"
+                ~targets:(B.injection_targets dag.system)
+                ~testcases:[ Propane.Testcase.make ~id:"t" ~params:[] ]
+                ~times:(List.map Simkernel.Sim_time.of_ms [ 7; 40; 121 ])
+                ~errors:(Propane.Error_model.bit_flips ~width:16)
+            in
+            let results =
+              Propane.Runner.run
+                ~config:
+                  (Propane.Runner.Config.make ~seed ~truncate_after_ms:16 ())
+                (B.sut dag.system) campaign
+            in
+            match Propane.Estimator.estimate_all ~model results with
+            | Error msg -> Alcotest.fail msg
+            | Ok matrices ->
+                Propagation.String_map.iter
+                  (fun name matrix ->
+                    let exact = float_of_int (dag.keep name) /. 16.0 in
+                    Propagation.Perm_matrix.fold
+                      (fun ~input ~output v () ->
+                        if not (Float.equal v exact) then
+                          Alcotest.failf
+                            "seed %Ld: %s input %d output %d measured %g, \
+                             exact %g"
+                            seed name input output v exact)
+                      matrix ())
+                  matrices)
+          [ 101L; 7L; 3L ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let cruise_tests =
   [
@@ -497,4 +760,6 @@ let () =
       ("fig2", fig2_tests);
       ("cruise", cruise_tests);
       ("random_systems", random_system_tests);
+      ("bound_step", bound_step_tests);
+      ("known_answers", known_answer_tests);
     ]

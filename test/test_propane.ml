@@ -2433,8 +2433,8 @@ let telemetry_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Live incremental analysis: Estimator.Stream + Analysis.Engine fed
-   one run at a time must agree with the batch pipeline, and the
+(* Live analysis: Estimator.Stream fed one run at a time and the
+   ranking Live tracks must agree with the batch pipeline, and the
    stop-when rules must leave a resumable journal behind. *)
 
 let live_tests =
@@ -2515,33 +2515,106 @@ let live_tests =
         Alcotest.(check int)
           "drained" 0
           (List.length (Propane.Estimator.Stream.drain_dirty stream)));
-    Alcotest.test_case "engine fed one run at a time equals batch analysis"
-      `Quick (fun () ->
-        let results =
-          runner ~seed:7L (scaler_sut ()) scaler_campaign
-        in
-        let stream = Propane.Estimator.Stream.create ~model:scale_model () in
-        let engine = Propagation.Analysis.Engine.create scale_model in
-        Propagation.String_map.iter
-          (fun name m -> Propagation.Analysis.Engine.update engine name m)
-          (Propane.Estimator.Stream.matrices stream);
-        List.iter
-          (fun outcome ->
-            Propane.Estimator.Stream.observe stream outcome;
-            List.iter
-              (fun (name, m) ->
-                Propagation.Analysis.Engine.update engine name m)
-              (Propane.Estimator.Stream.drain_dirty stream);
-            ignore (Propagation.Analysis.Engine.snapshot_exn engine))
-          (Propane.Results.outcomes results);
-        let incremental = Propagation.Analysis.Engine.snapshot_exn engine in
-        let batch =
-          Propagation.Analysis.run_exn scale_model (batch_matrices results)
-        in
-        Alcotest.(check string)
-          "summaries byte-identical"
-          (Fmt.str "%a" Propagation.Analysis.pp_summary batch)
-          (Fmt.str "%a" Propagation.Analysis.pp_summary incremental));
+    (* The reference is what live analysis used to do after every
+       outcome: a full Analysis.run over the stream's matrices, ranked
+       through its module rows. *)
+    (let fig2_model = Dataflow.Builder.model Dataflow.Fig2_system.system in
+     let fig2 =
+       Dataflow.Fig2_system.campaign
+         ~times:(List.map Simkernel.Sim_time.of_ms [ 100; 300 ])
+         ()
+     in
+     let outcomes =
+       lazy
+         (Array.of_list
+            (Propane.Results.outcomes
+               (runner ~seed:3L Dataflow.Fig2_system.sut fig2)))
+     in
+     let targets = fig2.Propane.Campaign.targets in
+     let reference outcomes =
+       let stream = Propane.Estimator.Stream.create ~model:fig2_model () in
+       let last = ref None and stable = ref 0 in
+       List.map
+         (fun outcome ->
+           Propane.Estimator.Stream.observe stream outcome;
+           let analysis =
+             Propagation.Analysis.run_exn fig2_model
+               (Propane.Estimator.Stream.matrices stream)
+           in
+           let rows = analysis.Propagation.Analysis.module_rows in
+           let order =
+             List.map
+               (fun (r : Propagation.Ranking.module_row) -> r.module_name)
+               (Propagation.Ranking.sort_module_rows
+                  Propagation.Ranking.By_relative_permeability rows)
+           in
+           (stable :=
+              match !last with
+              | Some prev when prev = order -> !stable + 1
+              | _ -> 0);
+           last := Some order;
+           {
+             Propane.Live.runs_observed =
+               Propane.Estimator.Stream.runs_observed stream;
+             max_ci_width = Propane.Estimator.Stream.max_width ~targets stream;
+             stable_for = !stable;
+             resolved_modules =
+               List.length
+                 (List.filter
+                    (fun (r : Propagation.Ranking.module_row) -> r.resolved)
+                    rows);
+             module_count = List.length rows;
+           })
+         outcomes
+     in
+     let first_stop n digests =
+       let rec go i = function
+         | [] -> None
+         | (d : Propane.Live.digest) :: rest ->
+             if d.stable_for >= n then Some i else go (i + 1) rest
+       in
+       go 0 digests
+     in
+     let gen =
+       QCheck2.Gen.(triple int (float_bound_inclusive 1.0) (int_range 1 40))
+     in
+     QCheck_alcotest.to_alcotest
+       (QCheck2.Test.make ~count:15
+          ~name:"live digests equal a full analysis after every outcome" gen
+          (fun (seed, share, n) ->
+            let all = Array.copy (Lazy.force outcomes) in
+            let rng = Random.State.make [| seed |] in
+            for i = Array.length all - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = all.(i) in
+              all.(i) <- all.(j);
+              all.(j) <- x
+            done;
+            let prefix =
+              Array.to_list
+                (Array.sub all 0
+                   (int_of_float (share *. float_of_int (Array.length all))))
+            in
+            let live = Propane.Live.create ~model:fig2_model ~targets () in
+            let stops = ref None in
+            let digests =
+              List.mapi
+                (fun i outcome ->
+                  let d = Propane.Live.observe live outcome in
+                  if
+                    !stops = None
+                    && Propane.Live.satisfied live (`Rankings_stable n)
+                  then stops := Some i;
+                  d)
+                prefix
+            in
+            let expected = reference prefix in
+            digests = expected
+            && !stops = first_stop n expected
+            &&
+            match List.rev expected with
+            | [] -> true
+            | last :: _ -> Propane.Live.digest live = last)));
     Alcotest.test_case "live analysis digest tracks the campaign" `Quick
       (fun () ->
         let live =
