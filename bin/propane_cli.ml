@@ -1422,7 +1422,7 @@ let replay_cmd =
     let results =
       Propane.Runner.run ~config
         ?on_run_traces:
-          (if keep_traces then Some (fun ~index:_ ts -> traces := Some ts)
+          (if keep_traces then Some (fun ~index:_ _ ts -> traces := Some ts)
            else None)
         ~select:(fun i -> i = index)
         sut campaign

@@ -10,16 +10,16 @@
 
     Both a pure incremental {!decoder} (the coordinator feeds it
     whatever [read] returned, frames pop out as they complete) and
-    blocking per-frame I/O for the worker side are provided. *)
+    blocking per-frame I/O for the worker side are provided.
 
-val max_payload : int
-(** 16 MiB.  A length prefix beyond this is a protocol violation — the
-    peer is talking something else, or garbage — and decoding fails
-    instead of allocating an absurd buffer. *)
+    Payloads are at most 16 MiB.  A length prefix beyond that is a
+    protocol violation — the peer is talking something else, or
+    garbage — and decoding fails instead of allocating an absurd
+    buffer. *)
 
 val encode : string -> string
 (** [encode payload] is the frame as raw bytes.
-    @raise Invalid_argument if the payload exceeds {!max_payload}. *)
+    @raise Invalid_argument if the payload exceeds 16 MiB. *)
 
 (** {1 Incremental decoding} *)
 
@@ -53,7 +53,7 @@ val write_many : Unix.file_descr -> string list -> unit
     change; this just amortises the per-message syscall when a worker
     flushes a whole batch of results.  No-op on [[]].
     @raise Unix.Unix_error as {!write};  @raise Invalid_argument if any
-    payload exceeds {!max_payload}. *)
+    payload exceeds 16 MiB. *)
 
 type reader
 

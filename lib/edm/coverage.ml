@@ -34,13 +34,13 @@ let usefulness r =
 
 let assess ?(max_ms = Propane.Runner.default_max_ms) ?(seed = 42L) ~outputs
     ~detectors (sut : Propane.Sut.t) campaign =
-  let master = Simkernel.Rng.create seed in
+  (* The golden verdicts read raw traces; [Runner.run] keeps only
+     frozen goldens. *)
   let goldens =
     List.map
       (fun tc -> (Propane.Testcase.id tc, Propane.Runner.golden_run ~max_ms sut tc))
       campaign.Propane.Campaign.testcases
   in
-  let golden_for tc = List.assoc (Propane.Testcase.id tc) goldens in
   let accs =
     List.map
       (fun det ->
@@ -67,66 +67,66 @@ let assess ?(max_ms = Propane.Runner.default_max_ms) ?(seed = 42L) ~outputs
       detectors
   in
   let runs = ref 0 and effective = ref 0 and output_failures = ref 0 in
-  List.iter
-    (fun (testcase, injection) ->
-      let rng = Simkernel.Rng.split master in
-      let golden = golden_for testcase in
-      let run =
-        Propane.Runner.injection_run ~rng sut
-          ~duration_ms:(Propane.Trace_set.duration_ms golden)
-          testcase injection
-      in
-      let divergences = Propane.Golden.compare_runs ~golden ~run () in
-      let run_effective = divergences <> [] in
-      let output_failure =
-        List.find_map
-          (fun (d : Propane.Golden.divergence) ->
-            if List.exists (String.equal d.signal) outputs then
-              Some d.first_ms
-            else None)
-          divergences
-      in
-      incr runs;
-      if run_effective then incr effective;
-      if output_failure <> None then incr output_failures;
-      (* Detection latency counts from the first actual corruption (a
-         delayed model arms at [at] but fires later). *)
-      let injected_at = Propane.Injection.first_fire_ms injection in
-      List.iter
-        (fun acc ->
-          let verdict =
-            Detector.evaluate acc.det
-              (Propane.Trace_set.trace run acc.det.Detector.signal)
-          in
-          (* A firing only signals an error when it deviates from the
-             detector's behaviour on this test case's golden run: a
-             mis-calibrated assertion that fires identically on the
-             reference carries no information. *)
-          let golden_verdict =
-            List.assoc (Propane.Testcase.id testcase) acc.golden_verdicts
-          in
-          let deviates =
-            verdict.Detector.fired
-            && verdict.Detector.first_ms <> golden_verdict.Detector.first_ms
-          in
-          if deviates then begin
-            acc.fired <- acc.fired + 1;
-            if run_effective then begin
-              acc.detections <- acc.detections + 1;
-              match verdict.Detector.first_ms with
-              | Some at when at >= injected_at ->
-                  acc.latency_total <- acc.latency_total + (at - injected_at);
-                  acc.latency_count <- acc.latency_count + 1
-              | Some _ | None -> ()
-            end
-            else acc.false_alarms <- acc.false_alarms + 1;
-            match (output_failure, verdict.Detector.first_ms) with
-            | Some failed_at, Some fired_at when fired_at <= failed_at ->
-                acc.timely <- acc.timely + 1
-            | (Some _ | None), (Some _ | None) -> ()
-          end)
-        accs)
-    (Propane.Campaign.experiments campaign);
+  let on_run_traces ~index:_ (outcome : Propane.Results.outcome) run =
+    (* A crashed run keeps its divergences (every signal diverges by
+       the crash instant) and its traces up to the crash. *)
+    let divergences = outcome.Propane.Results.divergences in
+    let run_effective = divergences <> [] in
+    let output_failure =
+      List.find_map
+        (fun (d : Propane.Golden.divergence) ->
+          if List.exists (String.equal d.signal) outputs then Some d.first_ms
+          else None)
+        divergences
+    in
+    incr runs;
+    if run_effective then incr effective;
+    if output_failure <> None then incr output_failures;
+    (* Detection latency counts from the first actual corruption (a
+       delayed model arms at [at] but fires later). *)
+    let injected_at =
+      Propane.Injection.first_fire_ms outcome.Propane.Results.injection
+    in
+    List.iter
+      (fun acc ->
+        let verdict =
+          Detector.evaluate acc.det
+            (Propane.Trace_set.trace run acc.det.Detector.signal)
+        in
+        (* A firing only signals an error when it deviates from the
+           detector's behaviour on this test case's golden run: a
+           mis-calibrated assertion that fires identically on the
+           reference carries no information. *)
+        let golden_verdict =
+          List.assoc outcome.Propane.Results.testcase acc.golden_verdicts
+        in
+        let deviates =
+          verdict.Detector.fired
+          && verdict.Detector.first_ms <> golden_verdict.Detector.first_ms
+        in
+        if deviates then begin
+          acc.fired <- acc.fired + 1;
+          if run_effective then begin
+            acc.detections <- acc.detections + 1;
+            match verdict.Detector.first_ms with
+            | Some at when at >= injected_at ->
+                acc.latency_total <- acc.latency_total + (at - injected_at);
+                acc.latency_count <- acc.latency_count + 1
+            | Some _ | None -> ()
+          end
+          else acc.false_alarms <- acc.false_alarms + 1;
+          match (output_failure, verdict.Detector.first_ms) with
+          | Some failed_at, Some fired_at when fired_at <= failed_at ->
+              acc.timely <- acc.timely + 1
+          | (Some _ | None), (Some _ | None) -> ()
+        end)
+      accs
+  in
+  let (_ : Propane.Results.t) =
+    Propane.Runner.run
+      ~config:(Propane.Runner.Config.make ~max_ms ~seed ())
+      ~on_run_traces sut campaign
+  in
   List.map
     (fun acc ->
       {

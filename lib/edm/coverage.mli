@@ -6,12 +6,16 @@
     signal — "not only are the detection capabilities of EDM's
     important, the locations are equally important."
 
-    [assess] re-runs a campaign with full-length injection runs,
-    evaluates each candidate detector offline on every run's trace of
-    its signal, and tabulates per detector how often it fired, how often
-    an error was actually present, and how often it caught an error that
-    went on to corrupt a system output (in time to act, i.e. no later
-    than the output's first divergence). *)
+    [assess] re-runs a campaign through {!Propane.Runner.run} with kept
+    (full-length) traces — exactly the runs a plain campaign at the
+    same [max_ms] and [seed] executes — evaluates each candidate
+    detector offline on every run's trace of its signal, and tabulates
+    per detector how often it fired, how often an error was actually
+    present, and how often it caught an error that went on to corrupt a
+    system output (in time to act, i.e. no later than the output's first
+    divergence).  A crashed run counts with the divergences of its
+    outcome (every signal diverges by the crash instant) and the traces
+    it recorded up to the crash. *)
 
 type report = {
   detector : Detector.t;

@@ -75,9 +75,3 @@ let equal ?(eps = 1e-12) a b =
   && Float.abs (a.value -. b.value) <= eps
   && Float.abs (a.lo -. b.lo) <= eps
   && Float.abs (a.hi -. b.hi) <= eps
-
-let pp ppf t =
-  if t.lo = t.hi then Fmt.pf ppf "%.3f" t.value
-  else if is_measured t then
-    Fmt.pf ppf "%.3f [%.3f, %.3f] (%d/%d)" t.value t.lo t.hi t.n_err t.n_inj
-  else Fmt.pf ppf "%.3f [%.3f, %.3f]" t.value t.lo t.hi

@@ -82,7 +82,3 @@ val separated : t -> t -> bool
 val equal : ?eps:float -> t -> t -> bool
 (** Value and bounds within [eps] (default [1e-12]) {e and} identical
     counts. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["0.500"] for exact values, ["0.500 [0.394, 0.606] (50/100)"] for
-    measured ones, ["0.500 [0.300, 0.700]"] for derived ones. *)

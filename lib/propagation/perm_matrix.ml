@@ -139,7 +139,3 @@ let pp ppf t =
       r
   in
   Fmt.pf ppf "@[<v>%a@]" Fmt.(array ~sep:cut pp_row) t.cells
-
-let pp_estimates ppf t =
-  let pp_row ppf r = Fmt.pf ppf "@[<h>%a@]" Fmt.(array ~sep:(any "  ") Estimate.pp) r in
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(array ~sep:cut pp_row) t.cells

@@ -87,6 +87,3 @@ val equal_estimates : ?eps:float -> t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Point values only (unchanged by the estimate rebase). *)
-
-val pp_estimates : Format.formatter -> t -> unit
-(** Cells with counts and intervals where present. *)

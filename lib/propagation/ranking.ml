@@ -179,6 +179,3 @@ let pp_module_row ppf r =
 
 let pp_signal_row ppf r =
   Fmt.pf ppf "@[<h>%-14s X=%.3f@]" (Signal.name r.signal) r.exposure
-
-let pp_path_row ppf r =
-  Fmt.pf ppf "@[<h>%2d. %a@]" r.rank Path.pp r.path

@@ -87,4 +87,3 @@ val trace_path_rows : ?include_zero:bool -> Trace_tree.t -> path_row list
 
 val pp_module_row : Format.formatter -> module_row -> unit
 val pp_signal_row : Format.formatter -> signal_row -> unit
-val pp_path_row : Format.formatter -> path_row -> unit

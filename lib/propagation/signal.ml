@@ -12,11 +12,6 @@ let equal a b = String.equal a.name b.name
 let compare a b = String.compare a.name b.name
 let hash t = Hashtbl.hash t.name
 
-let pp_kind ppf = function
-  | Data -> Fmt.string ppf "data"
-  | Hardware_register -> Fmt.string ppf "hw-register"
-  | Clock -> Fmt.string ppf "clock"
-
 let pp ppf t = Fmt.string ppf t.name
 
 module Ord = struct

@@ -35,8 +35,8 @@ let counts attribution (outcome : Results.outcome) output_name =
           && diverged_at
              <= Injection.last_fire_ms outcome.injection + window_ms)
 
-let estimate_pairs ?(attribution = default_attribution) ?(on_failure = `Count)
-    ~model ~results module_name =
+let estimate_pairs ?(attribution = default_attribution) ~model ~results
+    module_name =
   let m = Propagation.System_model.find_module_exn model module_name in
   let pair_estimate i k =
     let input_signal = Propagation.Sw_module.input_signal m i in
@@ -46,22 +46,15 @@ let estimate_pairs ?(attribution = default_attribution) ?(on_failure = `Count)
     let outcomes = Results.by_target results input_name in
     (* A crashed or hung run never produced the output at all — under
        the paper's failure-class reading that is an error on every
-       output of the module ([`Count]), not a divergence to be found
-       inside the attribution window.  [`Exclude] drops such runs from
-       numerator and denominator instead. *)
-    let failed, clean =
-      List.partition
-        (fun (o : Results.outcome) -> Results.is_failed o.status)
-        outcomes
-    in
-    let counted_failed =
-      match on_failure with `Count -> List.length failed | `Exclude -> 0
-    in
-    let injections = List.length clean + counted_failed in
+       output of the module, not a divergence to be found inside the
+       attribution window. *)
+    let injections = List.length outcomes in
     let errors =
-      counted_failed
-      + List.length
-          (List.filter (fun o -> counts attribution o output_name) clean)
+      List.length
+        (List.filter
+           (fun (o : Results.outcome) ->
+             Results.is_failed o.status || counts attribution o output_name)
+           outcomes)
     in
     {
       pair = { Propagation.Perm_graph.module_name; input = i; output = k };
@@ -79,11 +72,9 @@ let estimate_pairs ?(attribution = default_attribution) ?(on_failure = `Count)
           pair_estimate (i0 + 1) (k0 + 1)))
     (List.init (Propagation.Sw_module.input_count m) Fun.id)
 
-let estimate_matrix ?attribution ?on_failure ~model ~results module_name =
+let estimate_matrix ?attribution ~model ~results module_name =
   let m = Propagation.System_model.find_module_exn model module_name in
-  let estimates =
-    estimate_pairs ?attribution ?on_failure ~model ~results module_name
-  in
+  let estimates = estimate_pairs ?attribution ~model ~results module_name in
   List.fold_left
     (fun matrix e ->
       Propagation.Perm_matrix.set_estimate matrix
@@ -95,7 +86,7 @@ let estimate_matrix ?attribution ?on_failure ~model ~results module_name =
        ~outputs:(Propagation.Sw_module.output_count m))
     estimates
 
-let estimate_all ?attribution ?on_failure ~model results =
+let estimate_all ?attribution ~model results =
   let missing =
     List.concat_map
       (fun m ->
@@ -114,8 +105,7 @@ let estimate_all ?attribution ?on_failure ~model results =
            (fun acc m ->
              let module_name = Propagation.Sw_module.name m in
              Propagation.String_map.add module_name
-               (estimate_matrix ?attribution ?on_failure ~model ~results
-                  module_name)
+               (estimate_matrix ?attribution ~model ~results module_name)
                acc)
            Propagation.String_map.empty
            (Propagation.System_model.modules model))
@@ -123,11 +113,6 @@ let estimate_all ?attribution ?on_failure ~model results =
       Error
         (Printf.sprintf "campaign never injected into: %s"
            (String.concat ", " missing))
-
-let pp_estimate ppf e =
-  let lo, hi = e.interval in
-  Fmt.pf ppf "@[<h>%a = %.3f (%d/%d, 95%% CI [%.3f, %.3f])@]"
-    Propagation.Perm_graph.pp_pair e.pair e.value e.errors e.injections lo hi
 
 module Stream = struct
   module SS = Set.Make (String)
@@ -143,15 +128,13 @@ module Stream = struct
 
   type t = {
     attribution : attribution;
-    on_failure : [ `Count | `Exclude ];
     states : module_state list;  (* model declaration order *)
     by_target : (string, (module_state * int) list) Hashtbl.t;
     mutable dirty : SS.t;
     mutable runs : int;
   }
 
-  let create ?(attribution = default_attribution) ?(on_failure = `Count)
-      ~model () =
+  let create ?(attribution = default_attribution) ~model () =
     let states =
       List.map
         (fun m ->
@@ -181,7 +164,7 @@ module Stream = struct
           (Propagation.Sw_module.input_signals m))
       (Propagation.System_model.modules model)
       states;
-    { attribution; on_failure; states; by_target; dirty = SS.empty; runs = 0 }
+    { attribution; states; by_target; dirty = SS.empty; runs = 0 }
 
   let observe t (outcome : Results.outcome) =
     t.runs <- t.runs + 1;
@@ -190,21 +173,17 @@ module Stream = struct
     | None -> ()
     | Some consumers ->
         let failed = Results.is_failed outcome.Results.status in
-        if failed && t.on_failure = `Exclude then ()
-        else
-          List.iter
-            (fun (st, i) ->
-              st.cached <- None;
-              t.dirty <- SS.add st.name t.dirty;
-              Array.iteri
-                (fun k0 cell ->
-                  cell.n_inj <- cell.n_inj + 1;
-                  if
-                    failed
-                    || counts t.attribution outcome st.output_names.(k0)
-                  then cell.n_err <- cell.n_err + 1)
-                st.cells.(i - 1))
-            consumers
+        List.iter
+          (fun (st, i) ->
+            st.cached <- None;
+            t.dirty <- SS.add st.name t.dirty;
+            Array.iteri
+              (fun k0 cell ->
+                cell.n_inj <- cell.n_inj + 1;
+                if failed || counts t.attribution outcome st.output_names.(k0)
+                then cell.n_err <- cell.n_err + 1)
+              st.cells.(i - 1))
+          consumers
 
   let matrix_of st =
     match st.cached with

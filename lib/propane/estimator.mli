@@ -44,7 +44,6 @@ val wilson_interval : errors:int -> trials:int -> float * float
 
 val estimate_pairs :
   ?attribution:attribution ->
-  ?on_failure:[ `Count | `Exclude ] ->
   model:Propagation.System_model.t ->
   results:Results.t ->
   string ->
@@ -53,18 +52,14 @@ val estimate_pairs :
     Pairs whose input signal was never injected get [injections = 0]
     and [value = 0.].
 
-    [on_failure] decides how {!Results.Crashed} / {!Results.Hung} runs
-    enter the estimate.  [`Count] (default): a failed run never
-    produced the output at all, which under the paper's failure-class
-    reading is an error on {e every} output pair of its input — it
-    adds one to both [injections] and [errors] regardless of the
-    attribution window.  [`Exclude]: failed runs are dropped from
-    numerator and denominator, estimating permeability over clean runs
-    only.  @raise Invalid_argument for an unknown module. *)
+    A {!Results.Crashed} or {!Results.Hung} run never produced the
+    output at all, which under the paper's failure-class reading is an
+    error on {e every} output pair of its input: it adds one to both
+    [injections] and [errors] regardless of the attribution window.
+    @raise Invalid_argument for an unknown module. *)
 
 val estimate_matrix :
   ?attribution:attribution ->
-  ?on_failure:[ `Count | `Exclude ] ->
   model:Propagation.System_model.t ->
   results:Results.t ->
   string ->
@@ -73,15 +68,12 @@ val estimate_matrix :
 
 val estimate_all :
   ?attribution:attribution ->
-  ?on_failure:[ `Count | `Exclude ] ->
   model:Propagation.System_model.t ->
   Results.t ->
   (Propagation.Perm_matrix.t Propagation.String_map.t, string) result
 (** Matrices for every module of the model.  [Error] lists the module
     input signals the campaign never injected into (an incomplete
     campaign would silently bias every downstream measure to zero). *)
-
-val pp_estimate : Format.formatter -> estimate -> unit
 
 (** Streaming (one outcome at a time) permeability estimation.
 
@@ -98,7 +90,6 @@ module Stream : sig
 
   val create :
     ?attribution:attribution ->
-    ?on_failure:[ `Count | `Exclude ] ->
     model:Propagation.System_model.t ->
     unit ->
     t

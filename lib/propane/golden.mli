@@ -18,7 +18,9 @@ val compare_runs :
     Signals are compared in the golden run's order.  [until_ms] bounds
     the comparison window (used for deliberately truncated injection
     runs); differences at or beyond it — including the run simply being
-    shorter — are ignored.
+    shorter — are ignored.  Campaigns compare runs with the streaming
+    {!Observer.divergence} instead; this post-hoc form is the oracle
+    that observer is property-tested against.
     @raise Invalid_argument if the runs trace different signal sets. *)
 
 (** {1 Frozen goldens}

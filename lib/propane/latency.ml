@@ -11,29 +11,6 @@ let window_of = function
   | Estimator.Direct { window_ms } -> Some window_ms
   | Estimator.Any_divergence -> None
 
-(* Streaming latency observer: wraps the divergence observer and
-   captures the injection instant, so per-signal latencies fall out of
-   the run without any stored traces. *)
-let observer ?window_ms frozen =
-  let div, divergences = Observer.divergence frozen in
-  let injected = ref (-1) in
-  let obs = { div with Observer.on_injection = (fun ~ms -> injected := ms) } in
-  let latencies () =
-    match !injected with
-    | -1 -> []
-    | at ->
-        List.filter_map
-          (fun (d : Golden.divergence) ->
-            let latency = d.first_ms - at in
-            if latency < 0 then None
-            else
-              match window_ms with
-              | Some w when latency > w -> None
-              | _ -> Some (d.signal, latency))
-          (divergences ())
-  in
-  (obs, latencies)
-
 let pair_stats ?(attribution = Estimator.default_attribution) ~model ~results
     module_name =
   let m = Propagation.System_model.find_module_exn model module_name in

@@ -18,17 +18,6 @@ type stats = {
   median_ms : int;
 }
 
-val observer :
-  ?window_ms:int ->
-  Golden.frozen ->
-  Observer.t * (unit -> (string * int) list)
-(** Streaming per-run latency observer for {!Runner.observed_run}:
-    detects divergences against the frozen golden and, once the run
-    finished, reports [(signal, latency_ms)] for every signal whose
-    first divergence lies at or after the injection instant — and
-    within [window_ms] of it, when given (the {!Estimator.Direct}
-    attribution window).  Runs without an injection report nothing. *)
-
 val pair_stats :
   ?attribution:Estimator.attribution ->
   model:Propagation.System_model.t ->

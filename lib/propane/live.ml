@@ -55,8 +55,8 @@ let rank relatives =
   Propagation.Ranking.rank_relative
     (List.map snd (Propagation.String_map.bindings relatives))
 
-let create ?attribution ?on_failure ~model ~targets () =
-  let stream = Estimator.Stream.create ?attribution ?on_failure ~model () in
+let create ?attribution ~model ~targets () =
+  let stream = Estimator.Stream.create ?attribution ~model () in
   let relatives =
     Propagation.String_map.mapi Propagation.Ranking.relative
       (Estimator.Stream.matrices stream)

@@ -54,16 +54,15 @@ type t
 
 val create :
   ?attribution:Estimator.attribution ->
-  ?on_failure:[ `Count | `Exclude ] ->
   model:Propagation.System_model.t ->
   targets:string list ->
   unit ->
   t
 (** [targets] are the campaign's injection targets
     ({!Campaign.t.targets}); they scope the [`Ci_width] rule to the
-    pairs the campaign can actually narrow.  [attribution] /
-    [on_failure] must match what the final batch estimation uses,
-    otherwise live and post-hoc analyses disagree. *)
+    pairs the campaign can actually narrow.  [attribution] must match
+    what the final batch estimation uses, otherwise live and post-hoc
+    analyses disagree. *)
 
 val observe : t -> Results.outcome -> digest
 (** Fold one outcome in and return the refreshed digest.  Costs

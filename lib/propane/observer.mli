@@ -33,16 +33,6 @@ type t = {
           result; the runner may then early-exit the run. *)
 }
 
-val make :
-  ?on_injection:(ms:int -> unit) ->
-  ?on_sample:(ms:int -> int array -> unit) ->
-  ?finish:(run_ms:int -> unit) ->
-  ?saturated:(unit -> bool) ->
-  unit ->
-  t
-(** Observer from optional callbacks.  Defaults: do nothing, never
-    saturated. *)
-
 val combine : t list -> t
 (** Fans each callback out to every observer, in list order.  The
     combination is saturated only when {e all} observers are (an empty

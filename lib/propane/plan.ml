@@ -17,10 +17,6 @@ type prior = {
   weight : float;
 }
 
-let pp_prior ppf p =
-  Fmt.pf ppf "%s: cells=%d spread=%.3f reach=%.3f weight=%.3f" p.target
-    p.cells p.spread p.reach p.weight
-
 (* Corruption probability of every signal given an error on [target],
    by noisy-or relaxation over the graph's arcs: p(s) grows towards
    the fixpoint of p(s) = 1 - prod over arcs into s of
@@ -73,11 +69,8 @@ let flat_matrices model =
     P.String_map.empty
     (P.System_model.modules model)
 
-let priors ?matrices ~model ~targets () =
-  let matrices =
-    match matrices with Some m -> m | None -> flat_matrices model
-  in
-  let graph = P.Perm_graph.build_exn model matrices in
+let priors ~model ~targets () =
+  let graph = P.Perm_graph.build_exn model (flat_matrices model) in
   let outputs = P.System_model.system_outputs model in
   let signal_of name =
     List.find_opt
@@ -191,8 +184,8 @@ let static ?(select = fun _ -> true) ~done_ ~total () =
     allocated_runs = !n;
   }
 
-let create ?(mode = Adaptive) ?priors:prior_list ?(select = fun _ -> true)
-    ?attribution ?on_failure ?round_budget ~budget ~model ~campaign () =
+let create ?(mode = Adaptive) ?(select = fun _ -> true) ?attribution
+    ?round_budget ~budget ~model ~campaign () =
   if budget < 1 then invalid_arg "Plan.create: budget < 1";
   let targets = (campaign : Campaign.t).targets in
   let per_target = Campaign.runs_per_target campaign in
@@ -220,11 +213,7 @@ let create ?(mode = Adaptive) ?priors:prior_list ?(select = fun _ -> true)
       (Printf.sprintf
          "Plan.create: budget %d below the %d targets with selectable runs"
          budget selectable);
-  let prior_list =
-    match prior_list with
-    | Some ps -> ps
-    | None -> priors ~model ~targets ()
-  in
+  let prior_list = priors ~model ~targets () in
   let weight_of target =
     match List.find_opt (fun (p : prior) -> p.target = target) prior_list with
     | Some p -> p.weight
@@ -258,7 +247,7 @@ let create ?(mode = Adaptive) ?priors:prior_list ?(select = fun _ -> true)
       blocks;
       weights = Array.map (fun b -> weight_of b.target) blocks;
       consumers_of;
-      stream = Estimator.Stream.create ?attribution ?on_failure ~model ();
+      stream = Estimator.Stream.create ?attribution ~model ();
       round_no = 0;
       current = [];
       current_left = 0;

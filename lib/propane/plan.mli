@@ -13,13 +13,12 @@
     {b Priors.}  Before any run executes, the analytical side of the
     paper already knows something: the permeability graph
     ({!Propagation.Perm_graph}) fixes which modules a target feeds, and
-    a prior matrix (flat 0.5 in the absence of measurements) gives
-    each target an expected binomial variance mass and a downstream
-    reach — the noisy-or arrival bound of {!Propagation.Compose}, or
-    the {!Propagation.Monte_carlo} estimate when the target is a
-    system input.  The pilot round splits the budget proportionally to
-    these priors, so measurement starts where the analysis predicts
-    the most information.
+    a flat 0.5 prior matrix gives each target an expected binomial
+    variance mass and a downstream reach — the noisy-or arrival bound
+    of {!Propagation.Compose}, or the {!Propagation.Monte_carlo}
+    estimate when the target is a system input.  The pilot round
+    splits the budget proportionally to these priors, so measurement
+    starts where the analysis predicts the most information.
 
     {b Rounds and determinism.}  Allocation is a barrier process:
     round [k+1] is computed only from the multiset of outcomes of
@@ -72,22 +71,15 @@ type prior = {
 }
 
 val priors :
-  ?matrices:Propagation.Perm_matrix.t Propagation.String_map.t ->
-  model:Propagation.System_model.t ->
-  targets:string list ->
-  unit ->
-  prior list
-(** One prior per target, in the given order.  [matrices] default to
-    flat 0.5 permeabilities (maximum-entropy prior).  [reach] is
-    computed analytically: a noisy-or fixpoint over the permeability
-    graph's arcs for internal targets, the {!Propagation.Monte_carlo}
-    arrival estimate (deterministic seed) for system inputs.  Targets
-    no module consumes get [cells = 0] and a floor weight, so they
-    still receive pilot coverage (estimation needs every campaign
-    target injected at least once).
-    @raise Invalid_argument if the model and matrices disagree. *)
-
-val pp_prior : Format.formatter -> prior -> unit
+  model:Propagation.System_model.t -> targets:string list -> unit -> prior list
+(** One prior per target, in the given order, under flat 0.5
+    permeabilities (the maximum-entropy prior).  [reach] is computed
+    analytically: a noisy-or fixpoint over the permeability graph's
+    arcs for internal targets, the {!Propagation.Monte_carlo} arrival
+    estimate (deterministic seed) for system inputs.  Targets no
+    module consumes get [cells = 0] and a floor weight, so they still
+    receive pilot coverage (estimation needs every campaign target
+    injected at least once). *)
 
 (** {1 Construction} *)
 
@@ -95,10 +87,8 @@ type t
 
 val create :
   ?mode:mode ->
-  ?priors:prior list ->
   ?select:(int -> bool) ->
   ?attribution:Estimator.attribution ->
-  ?on_failure:[ `Count | `Exclude ] ->
   ?round_budget:int ->
   budget:int ->
   model:Propagation.System_model.t ->
@@ -108,9 +98,9 @@ val create :
 (** A budgeted plan over the campaign's experiment indices.  [mode]
     defaults to [Adaptive].  [select] restricts the schedulable
     indices (the cache-reuse filter of {!Reuse.select}: cells already
-    measured get {e zero} fresh allocation).  [priors] defaults to
-    {!priors} over the campaign's targets.  [attribution] /
-    [on_failure] configure the internal {!Estimator.Stream} and must
+    measured get {e zero} fresh allocation).  The pilot round
+    allocates by {!priors} over the campaign's targets.
+    [attribution] configures the internal {!Estimator.Stream} and must
     match the campaign's estimation settings.  [round_budget] caps the
     runs granted per refinement round (default [max targets (budget /
     8)]); the pilot additionally guarantees one run per target.

@@ -93,10 +93,8 @@ let journal_cells t =
         st.cells)
     t.states
 
-let compose ?attribution ?on_failure t results =
-  let stream =
-    Estimator.Stream.create ?attribution ?on_failure ~model:t.model ()
-  in
+let compose ?attribution t results =
+  let stream = Estimator.Stream.create ?attribution ~model:t.model () in
   List.iter
     (fun st ->
       List.iter

@@ -69,7 +69,6 @@ val journal_cells : t -> Journal.cell list
 
 val compose :
   ?attribution:Estimator.attribution ->
-  ?on_failure:[ `Count | `Exclude ] ->
   t ->
   Results.t ->
   Estimator.Stream.t
@@ -77,10 +76,10 @@ val compose :
     target's cells, then fold in the fresh outcomes.  The returned
     stream's matrices are the composed whole-campaign estimates;
     counting is commutative, so they equal a from-scratch campaign's
-    exactly when the cached rows are truthful.  [attribution] and
-    [on_failure] must match the values the cached rows were measured
-    under (both are normally part of [recipe], making a mismatch a
-    cache miss instead). *)
+    exactly when the cached rows are truthful.  [attribution] must
+    match the value the cached rows were measured under (it is
+    normally part of [recipe], making a mismatch a cache miss
+    instead). *)
 
 val persist : t -> Estimator.Stream.t -> Results.t -> (unit, string) result
 (** Store the freshly measured rows back: every cell of a dirty target

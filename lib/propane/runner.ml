@@ -88,8 +88,7 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
   let target = injection.Injection.target in
   if not (Sut.has_signal sut target) then
     invalid_arg
-      (Printf.sprintf "Runner.injection_run: %S has no signal %S" sut.Sut.name
-         target);
+      (Printf.sprintf "Runner: %S has no signal %S" sut.Sut.name target);
   let rng =
     match rng with Some r -> r | None -> Simkernel.Rng.create 0x5EEDL
   in
@@ -98,7 +97,7 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
     | None -> None
     | Some budget_ms ->
         if budget_ms < 1 then
-          invalid_arg "Runner.observed_run: run_timeout_ms must be >= 1";
+          invalid_arg "Runner: run_timeout_ms must be >= 1";
         Some
           (budget_ms, Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.))
   in
@@ -174,11 +173,6 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
   observer.Observer.finish ~run_ms:!run_ms;
   (!run_ms, !status)
 
-let observed_run ?rng ?run_timeout_ms (sut : Sut.t) ~duration_ms testcase
-    injection observer =
-  observed_run_in ~arena:(make_arena sut) ?rng ?run_timeout_ms sut
-    ~duration_ms testcase injection observer
-
 (* Truncation counts from the *last* firing of the error model, so a
    delayed or intermittent injection's whole lifetime survives the
    cut; for single-shot models this is the injection time, as before. *)
@@ -187,13 +181,6 @@ let truncated_duration ?truncate_after_ms injection duration_ms =
   | None -> duration_ms
   | Some extra ->
       min duration_ms (Injection.last_fire_ms injection + extra + 1)
-
-let injection_run ?rng ?truncate_after_ms (sut : Sut.t) ~duration_ms testcase
-    injection =
-  let duration_ms = truncated_duration ?truncate_after_ms injection duration_ms in
-  let recorder, traces = Observer.recorder ~signals:(Sut.signal_names sut) in
-  ignore (observed_run ?rng sut ~duration_ms testcase injection recorder);
-  traces ()
 
 let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms
     ?(observers = []) sut ~golden testcase injection =
@@ -1092,7 +1079,7 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
       in
       let deliver ~worker idx (outcome, traces, retried) =
         (match (on_run_traces, traces) with
-        | Some f, Some set -> f ~index:idx set
+        | Some f, Some set -> f ~index:idx outcome set
         | _ -> ());
         Session.record session ~index:idx ~worker ~retries:retried outcome
       in

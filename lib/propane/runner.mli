@@ -30,63 +30,6 @@ val frozen_golden :
     {!Golden.frozen}); the campaign engine saves at the first fires of
     the runs it will execute. *)
 
-val observed_run :
-  ?rng:Simkernel.Rng.t ->
-  ?run_timeout_ms:int ->
-  Sut.t ->
-  duration_ms:int ->
-  Testcase.t ->
-  Injection.t ->
-  Observer.t ->
-  int * Results.status
-(** One injection run driven through an observer: the injection is
-    registered as a one-shot trap corruption at the start of its
-    millisecond (announced via {!Observer.t.on_injection}), every
-    millisecond's signal values are pushed through
-    {!Observer.t.on_sample}, and the run stops early once the observer
-    reports saturation at or after the injection instant (a
-    deterministic SUT cannot diverge before it).  The run also stops
-    the millisecond the SUT first reports [finished] — an injected run
-    may reach its end state before (or after) the golden duration, and
-    the observer's length-mismatch rule needs the true length.
-
-    The run is fault-tolerant: an exception escaping the SUT
-    (instantiation, injection, stepping or sampling) becomes
-    [Crashed { at_ms; reason }] — [at_ms] the simulated millisecond it
-    escaped, [reason] the exception rendered with separators
-    sanitised — instead of propagating.  [run_timeout_ms] arms a
-    wall-clock watchdog, checked between simulated milliseconds; a run
-    over budget stops with [Hung { budget_ms }].  Without it (the
-    default) a run may take unbounded wall time.
-
-    Returns the number of simulated milliseconds actually run — which
-    is also passed to {!Observer.t.finish}, so on a crash every signal
-    yet to diverge is marked diverged at the crash instant — together
-    with the run's {!Results.status}.  [rng] feeds non-deterministic
-    error models and defaults to a fixed seed.  An injection time
-    beyond the duration leaves the run golden.
-    @raise Invalid_argument if the target signal is unknown to the SUT
-    or [run_timeout_ms < 1]. *)
-
-val injection_run :
-  ?rng:Simkernel.Rng.t ->
-  ?truncate_after_ms:int ->
-  Sut.t ->
-  duration_ms:int ->
-  Testcase.t ->
-  Injection.t ->
-  Trace_set.t
-(** {!observed_run} with a {!Observer.recorder}: runs for [duration_ms]
-    and returns the full traces (no early exit — a recorder never
-    saturates).
-
-    [truncate_after_ms] stops the run that many milliseconds after the
-    injection instant — a large speed-up for permeability estimation,
-    which only inspects a direct window after the injection (see
-    {!Estimator.attribution}); pick a truncation comfortably larger
-    than the attribution window.  @raise Invalid_argument if the target
-    signal is unknown to the SUT. *)
-
 val run_experiment :
   ?rng:Simkernel.Rng.t ->
   ?truncate_after_ms:int ->
@@ -102,11 +45,13 @@ val run_experiment :
     run early-exits once every signal has diverged.  The outcome is
     exactly what post-hoc {!Golden.compare_runs} over recorded traces
     would report (property-tested).  With [truncate_after_ms] the
-    comparison window is bounded by the truncated run's duration.
-    [observers] ride along on the same run (e.g. a latency observer or
-    an opt-in {!Observer.recorder}); early exit then additionally waits
-    for {e their} saturation, so adding a recorder restores the full
-    fixed-duration run.
+    comparison window is bounded by the truncated run's duration.  The
+    run also stops the millisecond the SUT first reports [finished]:
+    an injected run may end before the golden one, and the
+    length-mismatch rule needs its true length.  [observers] ride
+    along on the same run (e.g. an opt-in {!Observer.recorder}); early
+    exit then additionally waits for {e their} saturation, so adding a
+    recorder restores the full fixed-duration run.
 
     {b Start.}  Without [observers], when the instance carries a
     {!Sut.state_hook} and [golden] saved a state at or before the
@@ -118,12 +63,25 @@ val run_experiment :
     at 0, since they may need every sample.  [golden] must then come
     from the same SUT.
 
-    The outcome carries the run's {!Results.status} (see
-    {!observed_run} for crash and [run_timeout_ms] watchdog
-    semantics).  A [Crashed] outcome keeps its divergences — every
-    signal diverges by the crash instant at the latest; a [Hung]
-    outcome's divergences are discarded (how far the run got is
-    wall-clock dependent, and outcomes must stay deterministic). *)
+    {b Failures.}  The run is fault-tolerant: an exception escaping
+    the SUT (instantiation, injection, stepping or sampling) becomes
+    [Crashed { at_ms; reason }] — [at_ms] the simulated millisecond it
+    escaped, [reason] the exception rendered with separators
+    sanitised — instead of propagating.  The observers are finished
+    with the shortened length, so every signal yet to diverge
+    diverges at the crash instant and a [Crashed] outcome keeps its
+    divergences.  [run_timeout_ms] arms a wall-clock watchdog, checked
+    between simulated milliseconds; a run over budget stops with
+    [Hung { budget_ms }] and its divergences are discarded (how far
+    the run got is wall-clock dependent, and outcomes must stay
+    deterministic).  Without it (the default) a run may take unbounded
+    wall time.
+
+    [rng] feeds non-deterministic error models and defaults to a fixed
+    seed.  An injection time beyond the run's duration leaves the run
+    golden.
+    @raise Invalid_argument if the target signal is unknown to the SUT
+    or [run_timeout_ms < 1]. *)
 
 (** {1 Campaign configuration}
 
@@ -437,7 +395,7 @@ end
 val run :
   ?config:Config.t ->
   ?on_event:(event -> unit) ->
-  ?on_run_traces:(index:int -> Trace_set.t -> unit) ->
+  ?on_run_traces:(index:int -> Results.outcome -> Trace_set.t -> unit) ->
   ?live:Live.t ->
   ?select:(int -> bool) ->
   ?cells:Journal.cell list ->
@@ -477,8 +435,10 @@ val run :
     a {!Observer.recorder} to every injection run, restoring the
     record-everything data path (runs from millisecond 0, full-length,
     per-run trace allocation) — outcomes are identical either way,
-    only the cost changes.  [on_run_traces] receives each run's recorded traces
-    (implies [keep_traces]).  It and [on_event] are only ever called
+    only the cost changes.  [on_run_traces] receives each run's
+    outcome and recorded traces (implies [keep_traces]); a crashed or
+    hung run's traces stop where the run did.  It and [on_event] are
+    only ever called
     from the calling domain, in completion order, so they need no
     synchronisation; feed the events to {!Telemetry.observe} for
     throughput and ETA.
@@ -486,7 +446,7 @@ val run :
     {b Failure handling.}  A run whose SUT raises or (with
     [run_timeout_ms]) exceeds its wall-clock budget does {e not} abort
     the campaign: it yields a {!Results.Crashed} / {!Results.Hung}
-    outcome (see {!observed_run}), journalled and counted like any
+    outcome (see {!run_experiment}), journalled and counted like any
     other.  [retries] re-executes such a run up to that many times —
     each attempt on a fresh RNG stream derived from the seed, index
     and attempt number — and keeps the last attempt's outcome.  Under

@@ -2,12 +2,6 @@ type verdict = No_effect | Internal_only | Output_deviation | Mission_failure
 
 let verdicts = [ No_effect; Internal_only; Output_deviation; Mission_failure ]
 
-let verdict_name = function
-  | No_effect -> "no effect"
-  | Internal_only -> "internal only"
-  | Output_deviation -> "output deviation"
-  | Mission_failure -> "mission failure"
-
 type report = {
   target : string;
   runs : int;
@@ -36,88 +30,51 @@ let classify ~outputs ~mission_failed ~golden ~run divergences =
     else if mission_failed ~golden ~run then Mission_failure
     else Output_deviation
 
-(* Streaming severity observer: divergences are detected on the fly
-   against the frozen golden while a recorder keeps the raw traces the
-   mission judge needs.  The recorder never saturates, so severity runs
-   stay full-length — classification inspects final state. *)
-let observer ~outputs ~mission_failed ~golden ~frozen =
-  let div, divergences = Observer.divergence frozen in
-  let recorder, traces = Observer.recorder ~signals:(Golden.frozen_signals frozen) in
-  let verdict () =
-    classify ~outputs ~mission_failed ~golden ~run:(traces ())
-      (divergences ())
-  in
-  (Observer.combine [ div; recorder ], verdict)
-
 let assess ?(max_ms = Runner.default_max_ms) ?(seed = 42L) ?run_timeout_ms
-    ?(on_failure = `Mission_failure) ~outputs ~mission_failed (sut : Sut.t)
-    campaign =
-  let master = Simkernel.Rng.create seed in
+    ~outputs ~mission_failed (sut : Sut.t) campaign =
+  (* The mission judge reads raw traces; [Runner.run] keeps only frozen
+     goldens. *)
   let goldens =
     List.map
-      (fun tc ->
-        let golden = Runner.golden_run ~max_ms sut tc in
-        (Testcase.id tc, (golden, Golden.freeze golden)))
+      (fun tc -> (Testcase.id tc, Runner.golden_run ~max_ms sut tc))
       campaign.Campaign.testcases
   in
-  let table : (string, report ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (testcase, injection) ->
-      let rng = Simkernel.Rng.split master in
-      let golden, frozen = List.assoc (Testcase.id testcase) goldens in
-      let obs, verdict = observer ~outputs ~mission_failed ~golden ~frozen in
-      let _run_ms, status =
-        Runner.observed_run ~rng ?run_timeout_ms sut
-          ~duration_ms:(Trace_set.duration_ms golden)
-          testcase injection obs
-      in
+  let tallies = Hashtbl.create 16 in
+  let tally target verdict =
+    Option.value ~default:0 (Hashtbl.find_opt tallies (target, verdict))
+  in
+  let on_run_traces ~index:_ (outcome : Results.outcome) run =
+    let verdict =
+      match outcome.Results.status with
+      | Results.Completed ->
+          classify ~outputs ~mission_failed
+            ~golden:(List.assoc outcome.Results.testcase goldens)
+            ~run outcome.Results.divergences
       (* A crashed or hung target never delivered its mission: that is
          the paper's worst failure class, not a judgement call for the
          mission predicate (whose traces are partial anyway). *)
-      match (status, on_failure) with
-      | (Results.Crashed _ | Results.Hung _), `Exclude -> ()
-      | _ ->
-      let verdict =
-        match status with
-        | Results.Completed -> verdict ()
-        | Results.Crashed _ | Results.Hung _ -> Mission_failure
-      in
-      let target = injection.Injection.target in
-      let cell =
-        match Hashtbl.find_opt table target with
-        | Some cell -> cell
-        | None ->
-            let cell =
-              ref
-                {
-                  target;
-                  runs = 0;
-                  no_effect = 0;
-                  internal_only = 0;
-                  output_deviation = 0;
-                  mission_failure = 0;
-                }
-            in
-            Hashtbl.add table target cell;
-            order := target :: !order;
-            cell
-      in
-      let r = !cell in
-      cell :=
-        {
-          r with
-          runs = r.runs + 1;
-          no_effect = (r.no_effect + if verdict = No_effect then 1 else 0);
-          internal_only =
-            (r.internal_only + if verdict = Internal_only then 1 else 0);
-          output_deviation =
-            (r.output_deviation + if verdict = Output_deviation then 1 else 0);
-          mission_failure =
-            (r.mission_failure + if verdict = Mission_failure then 1 else 0);
-        })
-    (Campaign.experiments campaign);
-  List.rev_map (fun target -> !(Hashtbl.find table target)) !order
+      | Results.Crashed _ | Results.Hung _ -> Mission_failure
+    in
+    let target = outcome.Results.injection.Injection.target in
+    Hashtbl.replace tallies (target, verdict) (tally target verdict + 1)
+  in
+  let (_ : Results.t) =
+    Runner.run
+      ~config:(Runner.Config.make ~max_ms ~seed ?run_timeout_ms ())
+      ~on_run_traces sut campaign
+  in
+  List.map
+    (fun target ->
+      let n = tally target in
+      {
+        target;
+        runs = List.fold_left (fun acc v -> acc + n v) 0 verdicts;
+        no_effect = n No_effect;
+        internal_only = n Internal_only;
+        output_deviation = n Output_deviation;
+        mission_failure = n Mission_failure;
+      })
+    campaign.Campaign.targets
 
 let pp_report ppf r =
   Fmt.pf ppf

@@ -17,7 +17,7 @@
     - the mission judge rejects it: {!Mission_failure}.
 
     A run whose target {e crashed} or {e hung} (see {!Results.status})
-    never delivered its service at all; by default it is classed
+    never delivered its service at all; it is classed
     {!Mission_failure} without consulting the mission judge, whose
     traces would be partial. *)
 
@@ -25,8 +25,6 @@ type verdict = No_effect | Internal_only | Output_deviation | Mission_failure
 
 val verdicts : verdict list
 (** In severity order, least severe first. *)
-
-val verdict_name : verdict -> string
 
 type report = {
   target : string;  (** injected signal *)
@@ -39,38 +37,25 @@ type report = {
 
 val count : report -> verdict -> int
 
-val observer :
-  outputs:string list ->
-  mission_failed:(golden:Trace_set.t -> run:Trace_set.t -> bool) ->
-  golden:Trace_set.t ->
-  frozen:Golden.frozen ->
-  Observer.t * (unit -> verdict)
-(** Streaming severity observer for one injection run: detects
-    divergences on the fly against [frozen] while recording the raw
-    traces the mission judge needs, and returns a thunk producing the
-    verdict once the run finished.  Pass the same golden both raw and
-    frozen so per-run refreezing is avoided.  The embedded recorder
-    never saturates, so driving this observer keeps the run full-length
-    — severity classification must see the run's end. *)
-
 val assess :
   ?max_ms:int ->
   ?seed:int64 ->
   ?run_timeout_ms:int ->
-  ?on_failure:[ `Mission_failure | `Exclude ] ->
   outputs:string list ->
   mission_failed:(golden:Trace_set.t -> run:Trace_set.t -> bool) ->
   Sut.t ->
   Campaign.t ->
   report list
-(** Runs the campaign with full-length injection runs and classifies
-    every run; one report per target signal, in campaign order.
+(** Runs the campaign through {!Runner.run} with kept traces (so every
+    run is full-length) and classifies every run from its outcome and
+    traces; one report per target signal, in campaign order.  The
+    runs are exactly those a {!Runner.run} campaign executes under the
+    same [max_ms], [seed] and [run_timeout_ms] (no truncation, no
+    retries).
     [mission_failed] judges the end-to-end service from the traces
     (e.g. "the aircraft was not arrested within the runway").
 
     Crashing SUTs do not abort the assessment: a crashed — or, with
-    [run_timeout_ms], hung — run is classed per [on_failure]:
-    [`Mission_failure] (default) bins it as {!Mission_failure};
-    [`Exclude] drops it from the report entirely. *)
+    [run_timeout_ms], hung — run is binned as {!Mission_failure}. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -51,7 +51,6 @@ let run t ~ms =
   done
 
 let ticks t = t.ticks
-let slot_count t = t.slots
 let last_slot t = t.last_slot
 
 type state = { s_ticks : int; s_last_slot : int option }

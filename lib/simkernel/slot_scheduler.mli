@@ -42,7 +42,6 @@ val run : t -> ms:int -> unit
 val ticks : t -> int
 (** Number of ticks performed so far. *)
 
-val slot_count : t -> int
 val last_slot : t -> int option
 (** Slot selected by the most recent tick. *)
 

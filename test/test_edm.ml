@@ -236,6 +236,106 @@ let coverage_tests =
             | Some l -> Alcotest.(check bool) "small" true (l >= 0.0 && l < 5.0)
             | None -> Alcotest.fail "expected a latency")
         | _ -> Alcotest.fail "expected 1 report");
+    Alcotest.test_case "crashed runs count with their divergences" `Quick
+      (fun () ->
+        (* Every run crashes 3 ms after its flip at ms 10: each signal
+           not yet diverged diverges at the crash (ms 13), and the
+           detectors judge the 13 ms recorded before it.  y-rate fires
+           on the 12 flips of bits 4..15, x-rate on all 16; two
+           down-flips each fire a millisecond after y diverged. *)
+        let detectors =
+          [
+            Edm.Detector.make ~name:"y-rate" ~signal:"y"
+              [ Edm.Assertion.Max_rate { per_sample = 1 } ];
+            Edm.Detector.make ~name:"x-rate" ~signal:"x"
+              [ Edm.Assertion.Max_rate { per_sample = 16 } ];
+          ]
+        in
+        let sut = Propane.Fault.wrap ~crash_after_ms:3 (scaler_sut ()) in
+        let check (r : Edm.Coverage.report) ~fired ~timely =
+          let name = r.Edm.Coverage.detector.Edm.Detector.name in
+          let check_int what = Alcotest.(check int) (name ^ " " ^ what) in
+          check_int "runs" 16 r.Edm.Coverage.runs;
+          check_int "effective" 16 r.Edm.Coverage.effective;
+          check_int "output failures" 16 r.Edm.Coverage.output_failures;
+          check_int "fired" fired r.Edm.Coverage.fired;
+          check_int "detections" fired r.Edm.Coverage.detections;
+          check_int "false alarms" 0 r.Edm.Coverage.false_alarms;
+          check_int "timely" timely r.Edm.Coverage.timely_output_detections;
+          Alcotest.(check (option (float 1e-9)))
+            (name ^ " latency")
+            (Some (2.0 /. float_of_int fired))
+            r.Edm.Coverage.mean_latency_ms
+        in
+        match
+          Edm.Coverage.assess ~outputs:[ "y" ] ~detectors sut scaler_campaign
+        with
+        | [ y_rate; x_rate ] ->
+            check y_rate ~fired:12 ~timely:10;
+            check x_rate ~fired:16 ~timely:14
+        | other -> Alcotest.failf "expected 2 reports, got %d" (List.length other));
+    Alcotest.test_case "severity and coverage classify Runner.run's outcomes"
+      `Quick (fun () ->
+        (* Noise draws from each run's RNG stream, so both assessments
+           match a plain campaign at the same seed only if they run
+           exactly its experiments. *)
+        let campaign =
+          Propane.Campaign.make ~name:"noise" ~targets:[ "x" ]
+            ~testcases:[ Propane.Testcase.make ~id:"ramp" ~params:[] ]
+            ~times:(List.init 20 (fun i -> Simkernel.Sim_time.of_ms (i + 1)))
+            ~errors:[ Propane.Error_model.Noise 8 ]
+        in
+        let outcomes =
+          Propane.Results.outcomes
+            (Propane.Runner.run
+               ~config:(Propane.Runner.Config.make ~seed:7L ())
+               (scaler_sut ()) campaign)
+        in
+        let count p = List.length (List.filter p outcomes) in
+        let effective (o : Propane.Results.outcome) = o.divergences <> [] in
+        let at_output o = Propane.Results.divergence_of o "y" <> None in
+        let deviations = count at_output in
+        Alcotest.(check bool)
+          "noise both reaches and misses y" true
+          (0 < deviations && deviations < 20);
+        (match
+           Propane.Severity.assess ~seed:7L ~outputs:[ "y" ]
+             ~mission_failed:(fun ~golden:_ ~run:_ -> false)
+             (scaler_sut ()) campaign
+         with
+        | [ r ] ->
+            Alcotest.(check int)
+              "no effect"
+              (count (fun o -> not (effective o)))
+              r.Propane.Severity.no_effect;
+            Alcotest.(check int)
+              "internal only"
+              (count (fun o -> effective o && not (at_output o)))
+              r.Propane.Severity.internal_only;
+            Alcotest.(check int)
+              "output deviation" deviations r.Propane.Severity.output_deviation;
+            Alcotest.(check int)
+              "mission failure" 0 r.Propane.Severity.mission_failure
+        | other ->
+            Alcotest.failf "expected 1 severity report, got %d"
+              (List.length other));
+        let detector =
+          Edm.Detector.make ~name:"y-rate" ~signal:"y"
+            [ Edm.Assertion.Max_rate { per_sample = 1 } ]
+        in
+        match
+          Edm.Coverage.assess ~seed:7L ~outputs:[ "y" ] ~detectors:[ detector ]
+            (scaler_sut ()) campaign
+        with
+        | [ r ] ->
+            Alcotest.(check int) "runs" 20 r.Edm.Coverage.runs;
+            Alcotest.(check int)
+              "effective" (count effective) r.Edm.Coverage.effective;
+            Alcotest.(check int)
+              "output failures" deviations r.Edm.Coverage.output_failures
+        | other ->
+            Alcotest.failf "expected 1 coverage report, got %d"
+              (List.length other));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1039,7 +1039,7 @@ let runner_tests =
         let captured = ref None in
         let (_ : Propane.Results.t) =
           runner ~keep_traces:true
-            ~on_run_traces:(fun ~index:_ ts -> captured := Some ts)
+            ~on_run_traces:(fun ~index:_ _ ts -> captured := Some ts)
             (scaler_sut ()) campaign
         in
         match !captured with
@@ -1071,8 +1071,11 @@ let runner_tests =
                  delay_ms = 1;
                }));
     check_raises_invalid "unknown target rejected" (fun () ->
-        Propane.Runner.injection_run (scaler_sut ()) ~duration_ms:10
-          (Propane.Testcase.make ~id:"t" ~params:[])
+        let sut = scaler_sut () in
+        let tc = Propane.Testcase.make ~id:"t" ~params:[] in
+        Propane.Runner.run_experiment sut
+          ~golden:(Propane.Runner.frozen_golden sut tc)
+          tc
           (Propane.Injection.make ~target:"zz" ~at:Sim.Sim_time.zero
              ~error:(Propane.Error_model.Bit_flip 0)));
     Alcotest.test_case "campaigns are deterministic for a seed" `Quick
@@ -1168,15 +1171,17 @@ let runner_tests =
           Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 10)
             ~error:(Propane.Error_model.Bit_flip 15)
         in
-        let obs, divergences = Propane.Observer.divergence golden in
-        let run_ms, status =
-          Propane.Runner.observed_run sut ~duration_ms:100 tc injection obs
+        let counted, steps = counting sut in
+        let outcome =
+          Propane.Runner.run_experiment counted ~golden tc injection
         in
-        Alcotest.(check int) "stopped early" 11 run_ms;
+        Alcotest.(check (list int)) "stopped early" [ 11 ] (steps ());
         Alcotest.(check bool)
           "completed" true
-          (status = Propane.Results.Completed);
-        Alcotest.(check int) "both diverged" 2 (List.length (divergences ())));
+          (outcome.Propane.Results.status = Propane.Results.Completed);
+        Alcotest.(check int)
+          "both diverged" 2
+          (List.length outcome.Propane.Results.divergences));
     Alcotest.test_case "a rider recorder keeps the run full-length" `Quick
       (fun () ->
         let sut = scaler_sut () in
@@ -1240,7 +1245,7 @@ let runner_tests =
         let seen = ref 0 in
         let _ =
           runner ~seed:7L
-            ~on_run_traces:(fun ~index:_ set ->
+            ~on_run_traces:(fun ~index:_ _ set ->
               incr seen;
               Alcotest.(check int)
                 "full duration" 100
@@ -1307,32 +1312,32 @@ let runner_tests =
         Alcotest.(check int)
           "golden length" 60
           (Propane.Trace_set.duration_ms golden);
-        let obs, divergences =
-          Propane.Observer.divergence (Propane.Golden.freeze golden)
-        in
         let injection =
           Propane.Injection.make ~target:"s" ~at:(Sim.Sim_time.of_ms 10)
             ~error:(Propane.Error_model.Bit_flip 6)
         in
-        let run_ms, status =
-          Propane.Runner.observed_run halting ~duration_ms:60 tc injection obs
+        let counted, steps = counting halting in
+        let outcome =
+          Propane.Runner.run_experiment counted
+            ~golden:(Propane.Golden.freeze golden) tc injection
         in
+        let divergences = outcome.Propane.Results.divergences in
         Alcotest.(check bool)
           "completed" true
-          (status = Propane.Results.Completed);
-        Alcotest.(check int) "true length" 11 run_ms;
+          (outcome.Propane.Results.status = Propane.Results.Completed);
+        Alcotest.(check (list int)) "true length" [ 11 ] (steps ());
         Alcotest.(check bool)
           "s diverged at the injection" true
           (List.exists
              (fun (d : Propane.Golden.divergence) ->
                String.equal d.signal "s" && d.first_ms = 10)
-             (divergences ()));
+             divergences);
         Alcotest.(check bool)
           "k diverged at the early end" true
           (List.exists
              (fun (d : Propane.Golden.divergence) ->
                String.equal d.signal "k" && d.first_ms = 11)
-             (divergences ())));
+             divergences));
     check_raises_invalid "watchdog budget must be positive" (fun () ->
         runner ~run_timeout_ms:0 (scaler_sut ()) scaler_campaign);
     check_raises_invalid "negative retries rejected" (fun () ->
@@ -1426,7 +1431,7 @@ let estimator_tests =
            && lo <= value +. 1e-9
            && value <= hi +. 1e-9
            && hi <= 1.0));
-    Alcotest.test_case "failed runs count as errors unless excluded" `Quick
+    Alcotest.test_case "failed runs count as errors unconditionally" `Quick
       (fun () ->
         let results = Propane.Results.create ~sut:"scaler" ~campaign:"c" in
         let add status divergences =
@@ -1444,20 +1449,15 @@ let estimator_tests =
           [ { Propane.Golden.signal = "y"; first_ms = 10 } ];
         add (Propane.Results.Crashed { at_ms = 12; reason = "boom" }) [];
         add (Propane.Results.Hung { budget_ms = 50 }) [];
-        let estimate ?on_failure () =
-          match
-            Propane.Estimator.estimate_pairs ?on_failure ~model:scale_model
-              ~results "SCALE"
-          with
-          | [ e ] ->
+        match
+          Propane.Estimator.estimate_pairs ~model:scale_model ~results "SCALE"
+        with
+        | [ e ] ->
+            Alcotest.(check (pair int int))
+              "counted as errors" (3, 3)
               (e.Propane.Estimator.injections, e.Propane.Estimator.errors)
-          | other ->
-              Alcotest.failf "expected 1 estimate, got %d" (List.length other)
-        in
-        Alcotest.(check (pair int int)) "counted as errors" (3, 3) (estimate ());
-        Alcotest.(check (pair int int))
-          "excluded entirely" (1, 1)
-          (estimate ~on_failure:`Exclude ()));
+        | other ->
+            Alcotest.failf "expected 1 estimate, got %d" (List.length other));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1581,40 +1581,6 @@ let latency_tests =
         Alcotest.(check int)
           "one" 1
           (List.length (Propane.Latency.all_stats ~model:scale_model results)));
-    Alcotest.test_case "streaming observer measures per-signal latency" `Quick
-      (fun () ->
-        let sut = scaler_sut () in
-        let tc = Propane.Testcase.make ~id:"t" ~params:[] in
-        let frozen =
-          Propane.Golden.freeze (Propane.Runner.golden_run sut tc)
-        in
-        let obs, latencies = Propane.Latency.observer frozen in
-        let _ =
-          Propane.Runner.observed_run sut ~duration_ms:100 tc
-            (Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 10)
-               ~error:(Propane.Error_model.Bit_flip 2))
-            obs
-        in
-        (* Bit 2 never reaches y, so only x contributes — at zero
-           latency, the injection instant itself. *)
-        Alcotest.(check (list (pair string int)))
-          "x only" [ ("x", 0) ]
-          (latencies ()));
-    Alcotest.test_case "streaming observer without an injection is empty"
-      `Quick (fun () ->
-        let sut = scaler_sut () in
-        let tc = Propane.Testcase.make ~id:"t" ~params:[] in
-        let frozen =
-          Propane.Golden.freeze (Propane.Runner.golden_run sut tc)
-        in
-        let obs, latencies = Propane.Latency.observer frozen in
-        let _ =
-          Propane.Runner.observed_run sut ~duration_ms:100 tc
-            (Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 5_000)
-               ~error:(Propane.Error_model.Bit_flip 15))
-            obs
-        in
-        Alcotest.(check (list (pair string int))) "none" [] (latencies ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2921,14 +2887,6 @@ let severity_tests =
             Alcotest.(check int)
               "all mission failures" 80 r.Propane.Severity.mission_failure
         | _ -> Alcotest.fail "expected one report");
-    Alcotest.test_case "excluded failures drop out of the report" `Quick
-      (fun () ->
-        let sut = Propane.Fault.wrap ~crash_after_ms:0 (scaler_sut ()) in
-        let reports =
-          Propane.Severity.assess ~on_failure:`Exclude ~outputs:[ "y" ]
-            ~mission_failed sut scaler_campaign
-        in
-        Alcotest.(check int) "no rows" 0 (List.length reports));
   ]
 
 (* ------------------------------------------------------------------ *)
