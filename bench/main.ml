@@ -1,41 +1,22 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 8) and runs a bechamel performance suite.
+   evaluation (Section 8), plus the gates and rows the repository
+   benchmark (perfbench/, one domain per process) cannot produce: the
+   serial / domains-2 / workers-2 scaling matrix, the campaign service,
+   and adaptive-vs-uniform plan run counts.
 
      dune exec bench/main.exe              -- everything
-     dune exec bench/main.exe -- table1 fig10 perf   -- selected targets
+     dune exec bench/main.exe -- table1 fig10 plan   -- selected targets
 
    The fault-injection campaign behind Tables 1-4 defaults to a reduced
    but representative grid (3x3 test cases, 5 instants); set
    PROPANE_SCALE=full in the environment for the paper-scale campaign
-   (25 test cases, 10 instants, 52,000 runs, several minutes). *)
+   (25 test cases, 10 instants, 52,000 runs, a few seconds). *)
+
+module Json = Propane_service.Json
 
 let full_scale =
   match Sys.getenv_opt "PROPANE_SCALE" with
   | Some "full" -> true
-  | Some _ | None -> false
-
-(* PROPANE_JOBS=n runs the measured campaign on n worker domains;
-   results are identical either way (see Propane.Runner.run). *)
-let jobs =
-  match Option.map int_of_string_opt (Sys.getenv_opt "PROPANE_JOBS") with
-  | Some (Some n) when n >= 1 -> n
-  | Some _ | None -> 1
-
-(* PROPANE_PERF_SMOKE=1 shrinks the perf target (short bechamel quota,
-   small throughput campaign) so CI can smoke-test it in seconds. *)
-let perf_smoke =
-  match Sys.getenv_opt "PROPANE_PERF_SMOKE" with
-  | Some ("1" | "true") -> true
-  | Some _ | None -> false
-
-(* PROPANE_SCALING_CHECK=1 turns the scaling target into a regression
-   gate: domains-2 and workers-2 must not fall below serial throughput
-   on the same machine, over campaigns long enough to measure it (see
-   [layered_campaign]).  Skipped (with a message) when the host has a
-   single core, where parallel modes lose by construction. *)
-let scaling_check =
-  match Sys.getenv_opt "PROPANE_SCALING_CHECK" with
-  | Some ("1" | "true") -> true
   | Some _ | None -> false
 
 let nproc = Domain.recommended_domain_count ()
@@ -53,150 +34,64 @@ let section title =
   Printf.printf "\n================ %s ================\n\n" title
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable campaign throughput.  Targets that time whole
-   campaigns record a row per (SUT, execution mode); the accumulated
-   rows are written to BENCH_campaign.json when the bench exits, so CI
-   can track runs/sec across serial, domain and worker-process
-   execution at every core count. *)
+(* Machine-readable rows.  Each target that measures something appends
+   one JSON object per row to its section; BENCH_campaign.json is
+   written when the bench exits (or before a gate fails it). *)
 
-type bench_row = {
-  row_sut : string;
-  row_mode : string;
-  row_cores : int;
-      (** effective cores: what the mode can actually use on this
-          host, [min jobs nproc] — never more than the top-level
-          [nproc], so a 1-core host reports 1 here even for 2-job
-          rows (the request lives in [row_jobs]) *)
-  row_jobs : int;  (** domains or worker processes requested *)
-  row_oversubscribed : bool;
-      (** more jobs than cores: the row measures scheduling overhead,
-          not parallel speedup, and must not feed a scaling claim *)
-  row_runs : int;
-  row_seconds : float;
-}
+let scaling_rows : Json.t list ref = ref []
+let model_rows : Json.t list ref = ref []
+let service_rows : Json.t list ref = ref []
+let plan_rows : Json.t list ref = ref []
 
-let bench_rows : bench_row list ref = ref []
-
-let record_mode ~sut ~mode ~jobs ~runs ~seconds =
-  bench_rows :=
-    !bench_rows
-    @ [
-        {
-          row_sut = sut;
-          row_mode = mode;
-          row_cores = min jobs nproc;
-          row_jobs = jobs;
-          row_oversubscribed = jobs > nproc;
-          row_runs = runs;
-          row_seconds = seconds;
-        };
-      ]
-
-let runs_per_sec r =
-  if r.row_seconds > 0.0 then float_of_int r.row_runs /. r.row_seconds else 0.0
-
-(* Error-model ablation rows (the [models] target): ranking shift per
-   roster, with the full per-module interval data behind it. *)
-type model_row = {
-  m_spec : string;
-  m_runs : int;
-  m_tau : float;
-  m_estimates : (string * Propagation.Estimate.t * bool) list;
-}
-
-let model_rows : model_row list ref = ref []
-
-(* Campaign-service rows (the [service] target): concurrent campaigns
-   multiplexed over one fleet, with the submit-to-first-result latency
-   the control surface adds on top of raw throughput. *)
-type service_row = {
-  s_campaigns : int;
-  s_workers : int;
-  s_modules : int;  (** synthetic workload size *)
-  s_runs : int;  (** aggregate over all campaigns *)
-  s_seconds : float;  (** first submit to last campaign done *)
-  s_first_result_s : float;
-      (** worst submit-to-first-result latency across campaigns *)
-}
-
-let service_rows : service_row list ref = ref []
-
-(* Plan rows (the [plan] target): runs-to-resolved-rankings for the
-   adaptive budget scheduler vs the paper's uniform allocation, on the
-   layered SUT. *)
-type plan_row = {
-  p_mode : string;
-  p_budget : int;  (** budget offered to the scheduler *)
-  p_runs : int;  (** injections actually executed *)
-  p_rounds : int;
-  p_resolved : bool;  (** every module ranking resolved at 95% *)
-  p_ratio : float;  (** runs / uniform's runs-to-resolved *)
-}
-
-let plan_rows : plan_row list ref = ref []
+let record rows row = rows := !rows @ [ row ]
 
 let write_bench_json () =
-  if
-    !bench_rows <> [] || !model_rows <> [] || !service_rows <> []
-    || !plan_rows <> []
-  then begin
-    let row r =
-      Printf.sprintf
-        {|    {"sut":"%s","mode":"%s","cores_requested":%d,"cores_effective":%d,"jobs":%d,"oversubscribed":%b,"runs":%d,"seconds":%.3f,"runs_per_sec":%.1f}|}
-        r.row_sut r.row_mode r.row_jobs r.row_cores r.row_jobs
-        r.row_oversubscribed r.row_runs r.row_seconds (runs_per_sec r)
-    in
-    let model_json m =
-      let est (name, (e : Propagation.Estimate.t), resolved) =
-        Printf.sprintf
-          {|{"module":"%s","p_rel":%.4f,"lo":%.4f,"hi":%.4f,"resolved":%b}|}
-          name e.Propagation.Estimate.value e.lo e.hi resolved
-      in
-      Printf.sprintf
-        {|    {"model":"%s","runs":%d,"tau_vs_single_bit":%.3f,"ranking":[%s]}|}
-        m.m_spec m.m_runs m.m_tau
-        (String.concat "," (List.map est m.m_estimates))
-    in
-    let service_json s =
-      Printf.sprintf
-        {|    {"campaigns":%d,"workers":%d,"modules":%d,"runs":%d,"seconds":%.3f,"runs_per_sec":%.1f,"submit_to_first_result_s":%.4f}|}
-        s.s_campaigns s.s_workers s.s_modules s.s_runs s.s_seconds
-        (if s.s_seconds > 0.0 then float_of_int s.s_runs /. s.s_seconds
-         else 0.0)
-        s.s_first_result_s
-    in
-    let plan_json p =
-      Printf.sprintf
-        {|    {"sut":"layered","mode":"%s","budget":%d,"runs":%d,"rounds":%d,"resolved":%b,"ratio_vs_uniform":%.3f}|}
-        p.p_mode p.p_budget p.p_runs p.p_rounds p.p_resolved p.p_ratio
+  let sections =
+    [
+      ("scaling", scaling_rows);
+      ("models", model_rows);
+      ("service", service_rows);
+      ("plan", plan_rows);
+    ]
+  in
+  if List.exists (fun (_, rows) -> !rows <> []) sections then begin
+    let render (name, rows) =
+      let rows = List.map (fun r -> "\n    " ^ Json.to_string r) !rows in
+      Printf.sprintf "  %s: [%s%s]"
+        (Json.to_string (Json.Str name))
+        (String.concat "," rows)
+        (if rows = [] then "" else "\n  ")
     in
     let oc = open_out "BENCH_campaign.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"campaign\": \"scaling-matrix\",\n\
-      \  \"nproc\": %d,\n\
-      \  \"git_rev\": \"%s\",\n\
-      \  \"modes\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"service\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"plan\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      nproc (Lazy.force git_rev)
-      (String.concat ",\n" (List.map row !bench_rows))
-      (String.concat ",\n" (List.map model_json !model_rows))
-      (String.concat ",\n" (List.map service_json !service_rows))
-      (String.concat ",\n" (List.map plan_json !plan_rows));
+    Printf.fprintf oc "{\n  \"nproc\": %d,\n%s\n}\n" nproc
+      (String.concat ",\n" (List.map render sections));
     close_out oc;
     print_endline "wrote BENCH_campaign.json"
   end
+
+(* Rounded so the committed file stays readable; NaN prints as null. *)
+let num ~digits x =
+  let scale = 10.0 ** float_of_int digits in
+  Json.Num (Float.round (x *. scale) /. scale)
+
+let rev () = ("rev", Json.Str (Lazy.force git_rev))
+
+(* Timing rows repeat each measurement and report its spread. *)
+let repeats = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let spread ~digits xs =
+  Json.Obj
+    [
+      ("min", num ~digits (List.fold_left Float.min infinity xs));
+      ("median", num ~digits (median xs));
+      ("max", num ~digits (List.fold_left Float.max neg_infinity xs));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The measured campaign behind Tables 1-4 (run once, memoised).       *)
@@ -217,24 +112,6 @@ let campaign () =
       ~times:(List.map Simkernel.Sim_time.of_ms [ 500; 1500; 2500; 3500; 4500 ])
       ~errors:(Propane.Error_model.bit_flips ~width:Arrestment.Signals.width)
 
-(* The small campaign used for whole-campaign throughput timing, shared
-   by the perf and cluster targets — and rebuilt identically inside
-   bench worker children, which is why it must be a deterministic
-   function of the environment only. *)
-let throughput_tc =
-  lazy (Arrestment.System.testcase ~mass_kg:14_000.0 ~velocity_mps:60.0)
-
-let throughput_campaign () =
-  let targets = Arrestment.Model.injection_targets in
-  let targets =
-    if perf_smoke then List.filteri (fun i _ -> i < 4) targets else targets
-  in
-  let times = if perf_smoke then [ 500 ] else [ 500; 1500; 2500 ] in
-  Propane.Campaign.make ~name:"throughput" ~targets
-    ~testcases:[ Lazy.force throughput_tc ]
-    ~times:(List.map Simkernel.Sim_time.of_ms times)
-    ~errors:(Propane.Error_model.bit_flips ~width:Arrestment.Signals.width)
-
 let measured_results : Propane.Results.t option ref = ref None
 
 let results () =
@@ -246,9 +123,7 @@ let results () =
       let t0 = Sys.time () in
       let r =
         Propane.Runner.run
-          ~config:
-            (Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ~jobs
-               ())
+          ~config:(Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ())
           (Arrestment.System.sut ())
           c
       in
@@ -569,16 +444,27 @@ let models () =
           Printf.printf "%-18s %5d runs  tau %+.2f  %s\n" r.spec r.runs
             r.tau_vs_baseline
             (String.concat " > " r.order);
-          model_rows :=
-            !model_rows
-            @ [
-                {
-                  m_spec = r.spec;
-                  m_runs = r.runs;
-                  m_tau = r.tau_vs_baseline;
-                  m_estimates = r.estimates;
-                };
-              ])
+          record model_rows
+            (Json.Obj
+               [
+                 ("model", Json.Str r.spec);
+                 rev ();
+                 ("runs", Json.Num (float_of_int r.runs));
+                 ("tau_vs_single_bit", num ~digits:3 r.tau_vs_baseline);
+                 ( "ranking",
+                   Json.List
+                     (List.map
+                        (fun (name, (e : Propagation.Estimate.t), resolved) ->
+                          Json.Obj
+                            [
+                              ("module", Json.Str name);
+                              ("p_rel", num ~digits:4 e.value);
+                              ("lo", num ~digits:4 e.lo);
+                              ("hi", num ~digits:4 e.hi);
+                              ("resolved", Json.Bool resolved);
+                            ])
+                        r.estimates) );
+               ]))
         rows
 
 (* ------------------------------------------------------------------ *)
@@ -789,173 +675,7 @@ let prob () =
     (Propagation.System_model.system_inputs model)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel performance suite                                          *)
-
-let perf () =
-  section "Performance micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let paper = Lazy.force paper_analysis in
-  let graph = paper.Propagation.Analysis.graph in
-  let matrices = Arrestment.Model.paper_matrices () in
-  (* Force the campaign now so the first timed iteration does not pay
-     for running it. *)
-  let (_ : Propane.Results.t) = results () in
-  let sut = Arrestment.System.sut () in
-  let tc = Arrestment.System.testcase ~mass_kg:14_000.0 ~velocity_mps:60.0 in
-  let golden = Propane.Runner.golden_run ~max_ms:2_000 sut tc in
-  let frozen = Propane.Golden.freeze golden in
-  let injection =
-    Propane.Injection.make ~target:"pulscnt"
-      ~at:(Simkernel.Sim_time.of_ms 500)
-      ~error:(Propane.Error_model.Bit_flip 9)
-  in
-  (* A wide synthetic layered system stressing tree construction. *)
-  let synth_graph =
-    let layers = 6 and width = 4 in
-    let signal l j = Propagation.Signal.make (Printf.sprintf "s%d_%d" l j) in
-    let modules =
-      List.concat_map
-        (fun l ->
-          List.init width (fun j ->
-              Propagation.Sw_module.make
-                ~name:(Printf.sprintf "M%d_%d" l j)
-                ~inputs:(List.init width (signal l))
-                ~outputs:[ signal (l + 1) j ]))
-        (List.init layers Fun.id)
-    in
-    let collector =
-      Propagation.Sw_module.make ~name:"SINK"
-        ~inputs:(List.init width (signal layers))
-        ~outputs:[ Propagation.Signal.make "sink_out" ]
-    in
-    let matrices =
-      Propagation.String_map.of_list
-        (List.map
-           (fun m ->
-             ( Propagation.Sw_module.name m,
-               Propagation.Perm_matrix.of_rows
-                 (Array.init
-                    (Propagation.Sw_module.input_count m)
-                    (fun i ->
-                      Array.init
-                        (Propagation.Sw_module.output_count m)
-                        (fun k -> Float.of_int ((i + k) mod 3) /. 4.0))) ))
-           (collector :: modules))
-    in
-    let model =
-      Propagation.System_model.make_exn
-        ~modules:(modules @ [ collector ])
-        ~system_inputs:(List.init width (signal 0))
-        ~system_outputs:[ Propagation.Signal.make "sink_out" ]
-    in
-    Propagation.Perm_graph.build_exn model matrices
-  in
-  let sink_out = Propagation.Signal.make "sink_out" in
-  let tests =
-    [
-      Test.make ~name:"table1:estimate_all(measured)"
-        (Staged.stage (fun () ->
-             Propane.Estimator.estimate_all ~model:Arrestment.Model.system
-               (results ())));
-      Test.make ~name:"table2:analysis+module-rows"
-        (Staged.stage (fun () ->
-             (Propagation.Analysis.run_exn Arrestment.Model.system matrices)
-               .Propagation.Analysis.module_rows));
-      Test.make ~name:"table3:signal-exposures"
-        (Staged.stage (fun () -> Propagation.Ranking.signal_rows graph));
-      Test.make ~name:"table4:paths(TOC2)"
-        (Staged.stage (fun () ->
-             Propagation.Ranking.path_rows
-               (Propagation.Backtrack_tree.build graph Arrestment.Signals.toc2)));
-      Test.make ~name:"fig10:backtrack-tree(TOC2)"
-        (Staged.stage (fun () ->
-             Propagation.Backtrack_tree.build graph Arrestment.Signals.toc2));
-      Test.make ~name:"fig12:trace-tree(PACNT)"
-        (Staged.stage (fun () ->
-             Propagation.Trace_tree.build graph Arrestment.Signals.pacnt));
-      Test.make ~name:"synthetic:backtrack-tree(6x4)"
-        (Staged.stage (fun () ->
-             Propagation.Backtrack_tree.build synth_graph sink_out));
-      Test.make ~name:"campaign:golden-run(2s)"
-        (Staged.stage (fun () ->
-             Propane.Runner.golden_run ~max_ms:2_000 sut tc));
-      Test.make ~name:"campaign:injection-run(truncated)"
-        (Staged.stage (fun () ->
-             Propane.Runner.run_experiment ~truncate_after_ms:128 sut
-               ~golden:frozen tc injection));
-      Test.make ~name:"campaign:run-experiment(streaming)"
-        (Staged.stage (fun () ->
-             Propane.Runner.run_experiment sut ~golden:frozen tc injection));
-      Test.make ~name:"campaign:run-experiment(keep-traces)"
-        (Staged.stage (fun () ->
-             let recorder, _traces =
-               Propane.Observer.recorder
-                 ~signals:(Propane.Sut.signal_names sut)
-             in
-             Propane.Runner.run_experiment ~observers:[ recorder ] sut
-               ~golden:frozen tc injection));
-      Test.make ~name:"grc:compare-2s-run"
-        (Staged.stage (fun () -> Propane.Golden.compare_runs ~golden ~run:golden ()));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:2_000
-        ~quota:(Time.second (if perf_smoke then 0.05 else 0.5))
-        ~kde:(Some 1_000) ()
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    let raw = Benchmark.all cfg [ instance ] test in
-    Analyze.all ols instance raw
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-36s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-36s (no estimate)\n" name)
-        results)
-    tests;
-  (* Whole-campaign throughput: the streaming observer pipeline versus
-     the legacy record-everything data path (--keep-traces).  Outcomes
-     are identical either way — only the cost differs. *)
-  let throughput_campaign = throughput_campaign () in
-  let time_campaign ~keep_traces =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Propane.Runner.run
-        ~config:
-          (Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ~jobs
-             ~keep_traces ())
-        sut throughput_campaign
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let streaming, t_stream = time_campaign ~keep_traces:false in
-  let kept, t_keep = time_campaign ~keep_traces:true in
-  if Propane.Results.outcomes streaming <> Propane.Results.outcomes kept then
-    failwith "perf: streaming and keep-traces outcomes differ";
-  let runs = List.length (Propane.Campaign.experiments throughput_campaign) in
-  record_mode ~sut:"arrestment" ~mode:"streaming" ~jobs ~runs
-    ~seconds:t_stream;
-  record_mode ~sut:"arrestment" ~mode:"keep-traces" ~jobs ~runs
-    ~seconds:t_keep;
-  Printf.printf "campaign-throughput (%d runs, jobs=%d):\n" runs jobs;
-  Printf.printf "  streaming      %10.1f runs/s  (%.2f s)\n"
-    (float_of_int runs /. t_stream)
-    t_stream;
-  Printf.printf "  --keep-traces  %10.1f runs/s  (%.2f s, %.2fx slower)\n"
-    (float_of_int runs /. t_keep)
-    t_keep (t_keep /. t_stream)
-
-(* ------------------------------------------------------------------ *)
-(* Scaling matrix: serial / domains-k / workers-k over two SUTs        *)
+(* Scaling matrix: serial / domains-2 / workers-2 over two SUTs        *)
 
 (* The second SUT of the matrix: a wide layered dataflow network built
    with {!Dataflow.Builder}.  Unlike the arrestment system it has no
@@ -966,75 +686,57 @@ let perf () =
 let layered_width = 4
 let layered_layers = 6
 
-(* [edit_l3_1] builds the system "after the developer edited module
-   L3_1": a different transfer function and a bumped content tag, so
-   its digest — and only its digest — moves.  The reuse bench injects
-   into layers 0-3, whose cells observe layer-0..3 block outputs; the
-   edit sits strictly downstream of every clean cell's observation
-   point, which is the feed-forward case where cell reuse is exact. *)
-let make_layered ~edit_l3_1 =
-  let mask = 0xFFFF in
-  let signal l j = Propagation.Signal.make (Printf.sprintf "l%d_%d" l j) in
-  let layer_inputs l = List.init layered_width (signal l) in
-  let blocks =
-    List.concat_map
-      (fun l ->
-        List.init layered_width (fun j ->
-            let edited = edit_l3_1 && l = 3 && j = 1 in
-            Dataflow.Builder.block
-              ~name:(Printf.sprintf "L%d_%d" l j)
-              ~tag:(if edited then "v2" else "")
-              ~inputs:(layer_inputs l)
-              ~outputs:[ signal (l + 1) j ]
-              (fun () ->
-                fun inputs ->
-                 (* Rotate, mix and mask so every input reaches the
-                    output with a different (partial) permeability. *)
-                 let acc = ref 0 in
-                 Array.iteri
-                   (fun i v ->
-                     acc := !acc lxor (v lsr ((i + j) mod 4)) lxor (v lsl j))
-                   inputs;
-                 [| (!acc + if edited then 17 else 0) land mask |])))
-      (List.init layered_layers Fun.id)
-  in
-  let sink =
-    Dataflow.Builder.block ~name:"SINK"
-      ~inputs:(layer_inputs layered_layers)
-      ~outputs:[ Propagation.Signal.make "sink_out" ]
-      (fun () ->
-        fun inputs ->
-         [| Array.fold_left (fun a v -> (a + v) land mask) 0 inputs |])
-  in
-  Dataflow.Builder.create_exn ~name:"layered" ~duration_ms:400
-    ~blocks:(blocks @ [ sink ])
-    ~stimuli:
-      (List.init layered_width (fun j ->
-           Dataflow.Builder.ramp ~slope:((2 * j) + 3) (signal 0 j)))
-    ()
+let layered_system =
+  lazy
+    (let mask = 0xFFFF in
+     let signal l j = Propagation.Signal.make (Printf.sprintf "l%d_%d" l j) in
+     let layer_inputs l = List.init layered_width (signal l) in
+     let blocks =
+       List.concat_map
+         (fun l ->
+           List.init layered_width (fun j ->
+               Dataflow.Builder.block
+                 ~name:(Printf.sprintf "L%d_%d" l j)
+                 ~inputs:(layer_inputs l)
+                 ~outputs:[ signal (l + 1) j ]
+                 (fun () ->
+                   fun inputs ->
+                    (* Rotate, mix and mask so every input reaches the
+                       output with a different (partial) permeability. *)
+                    let acc = ref 0 in
+                    Array.iteri
+                      (fun i v ->
+                        acc := !acc lxor (v lsr ((i + j) mod 4)) lxor (v lsl j))
+                      inputs;
+                    [| !acc land mask |])))
+         (List.init layered_layers Fun.id)
+     in
+     let sink =
+       Dataflow.Builder.block ~name:"SINK"
+         ~inputs:(layer_inputs layered_layers)
+         ~outputs:[ Propagation.Signal.make "sink_out" ]
+         (fun () ->
+           fun inputs ->
+            [| Array.fold_left (fun a v -> (a + v) land mask) 0 inputs |])
+     in
+     Dataflow.Builder.create_exn ~name:"layered" ~duration_ms:400
+       ~blocks:(blocks @ [ sink ])
+       ~stimuli:
+         (List.init layered_width (fun j ->
+              Dataflow.Builder.ramp ~slope:((2 * j) + 3) (signal 0 j)))
+       ())
 
-let layered_system = lazy (make_layered ~edit_l3_1:false)
-let edited_layered_system = lazy (make_layered ~edit_l3_1:true)
-
-(* Under PROPANE_SCALING_CHECK the gate compares parallel against serial
-   throughput, which only measures parallelism when a campaign outlasts
-   process start-up and goldens: every SUT then runs a campaign whose
-   serial row takes at least a second on a 2-vCPU host, smoke or not.
-   The layered one injects every target; the arrestment one is the
-   paper-scale grid. *)
+(* The gate compares parallel against serial throughput, which only
+   measures parallelism when a campaign outlasts process start-up and
+   goldens: every SUT runs a campaign whose serial run takes at least a
+   second on a 2-vCPU host.  The layered one injects every target at
+   every instant below; the arrestment one is the paper-scale grid. *)
 let layered_campaign () =
   let system = Lazy.force layered_system in
-  let targets = Dataflow.Builder.injection_targets system in
-  let keep =
-    if scaling_check then List.length targets else if perf_smoke then 4 else 8
-  in
-  let targets = List.filteri (fun i _ -> i < keep) targets in
-  let times =
-    if perf_smoke && not scaling_check then [ 100 ] else [ 100; 200; 300 ]
-  in
-  Propane.Campaign.make ~name:"layered" ~targets
+  Propane.Campaign.make ~name:"layered"
+    ~targets:(Dataflow.Builder.injection_targets system)
     ~testcases:[ Propane.Testcase.make ~id:"ramp" ~params:[] ]
-    ~times:(List.map Simkernel.Sim_time.of_ms times)
+    ~times:(List.map Simkernel.Sim_time.of_ms [ 50; 100; 150; 200; 250; 300 ])
     ~errors:(Propane.Error_model.bit_flips ~width:16)
 
 (* One config for every mode of the matrix — only [jobs] (and the
@@ -1053,8 +755,7 @@ let suts_under_test () =
   [
     ( "arrestment",
       (fun () -> Arrestment.System.sut ()),
-      if scaling_check then fun () -> Arrestment.System.paper_campaign ()
-      else throughput_campaign );
+      fun () -> Arrestment.System.paper_campaign () );
     ( "layered",
       (fun () -> Dataflow.Builder.sut (Lazy.force layered_system)),
       layered_campaign );
@@ -1066,317 +767,136 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let tmp_journal tag =
+let tmp_path name =
   Filename.concat
     (Filename.get_temp_dir_name ())
-    (Printf.sprintf "propane-bench-%s-%d.journal" tag (Unix.getpid ()))
+    (Printf.sprintf "propane-bench-%s-%d" name (Unix.getpid ()))
 
-(* Parallel core counts to sweep: always 2 (the regression gate's
-   column, oversubscribed on a 1-core host but still a correctness
-   exercise), then 4 and the full machine when available. *)
-let parallel_core_counts =
-  List.sort_uniq compare
-    (List.filter (fun k -> k >= 2) [ 2; min 4 nproc; nproc ])
+(* [workers-2] serves the campaign to two spawned copies of this
+   binary over a Unix socket. *)
+let run_workers ~sut_name ~config ~jobs c =
+  let addr =
+    Cluster.Address.Unix_sock (tmp_path (sut_name ^ "-workers.sock"))
+  in
+  let listen = Cluster.Address.listen addr in
+  let pool =
+    Cluster.Local.spawn
+      ~command:
+        [| Sys.executable_name; worker_child_flag; Cluster.Address.to_string addr |]
+      ~n:jobs ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster.Local.shutdown pool;
+      (try Unix.close listen with Unix.Unix_error _ -> ());
+      Cluster.Address.unlink addr)
+    (fun () ->
+      Cluster.Coordinator.serve
+        ~on_tick:(fun () -> Cluster.Local.tend pool)
+        ~config ~listen ~sut:sut_name ~campaign:c.Propane.Campaign.name
+        ~total:(Propane.Campaign.size c) ())
+
+let scaling_modes = [ ("serial", 1); ("domains-2", 2); ("workers-2", 2) ]
 
 let scaling () =
-  section "Scaling matrix: serial / domains-k / workers-k per SUT";
-  Printf.printf "host: %d core(s), rev %s\n" nproc (Lazy.force git_rev);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let report ~mode ~jobs ~runs seconds =
-    Printf.printf "  %-12s %10.1f runs/s  (%.2f s)%s\n" mode
-      (float_of_int runs /. seconds)
-      seconds
-      (if jobs > nproc then
-         Printf.sprintf "  [oversubscribed: %d jobs on %d core(s)]" jobs nproc
-       else "")
-  in
+  section "Scaling matrix: serial / domains-2 / workers-2 per SUT";
+  Printf.printf "host: %d core(s), rev %s, %d repeats per mode\n" nproc
+    (Lazy.force git_rev) repeats;
+  let failures = ref [] in
   List.iter
     (fun (sut_name, make_sut, make_campaign) ->
       let c = make_campaign () in
       let runs = Propane.Campaign.size c in
-      Printf.printf "\n-- %s (%d runs) --\n" sut_name runs;
-      let serial_journal = tmp_journal (sut_name ^ "-serial") in
-      let serial, t_serial =
-        time (fun () ->
-            Propane.Runner.run
-              ~config:(scaling_config ~journal:serial_journal ~jobs:1 ())
-              (make_sut ()) c)
-      in
-      record_mode ~sut:sut_name ~mode:"serial" ~jobs:1 ~runs
-        ~seconds:t_serial;
-      report ~mode:"serial" ~jobs:1 ~runs t_serial;
-      let serial_bytes = read_file serial_journal in
-      let check_identical ~mode results journal =
-        if Propane.Results.outcomes serial <> Propane.Results.outcomes results
-        then failwith (Printf.sprintf "%s: %s outcomes differ from serial"
-                         sut_name mode);
-        let bytes = read_file journal in
-        if not (String.equal serial_bytes bytes) then
-          failwith
-            (Printf.sprintf "%s: %s journal is not byte-identical to serial"
-               sut_name mode);
-        Sys.remove journal
-      in
-      List.iter
-        (fun k ->
-          let mode = Printf.sprintf "domains-%d" k in
-          let journal = tmp_journal (sut_name ^ "-" ^ mode) in
-          let results, seconds =
-            time (fun () ->
-                Propane.Runner.run
-                  ~config:(scaling_config ~journal ~jobs:k ())
-                  (make_sut ()) c)
-          in
-          record_mode ~sut:sut_name ~mode ~jobs:k ~runs ~seconds;
-          report ~mode ~jobs:k ~runs seconds;
-          check_identical ~mode results journal)
-        parallel_core_counts;
-      List.iter
-        (fun k ->
-          let mode = Printf.sprintf "workers-%d" k in
-          let journal = tmp_journal (sut_name ^ "-" ^ mode) in
-          let addr =
-            Cluster.Address.Unix_sock
-              (Filename.concat
-                 (Filename.get_temp_dir_name ())
-                 (Printf.sprintf "propane-bench-%s-%d.sock" mode
-                    (Unix.getpid ())))
-          in
-          let listen = Cluster.Address.listen addr in
-          let pool =
-            Cluster.Local.spawn
-              ~command:
-                [| Sys.executable_name; worker_child_flag;
-                   Cluster.Address.to_string addr |]
-              ~n:k ()
-          in
-          let results, seconds =
-            Fun.protect
-              ~finally:(fun () ->
-                Cluster.Local.shutdown pool;
-                (try Unix.close listen with Unix.Unix_error _ -> ());
-                Cluster.Address.unlink addr)
-              (fun () ->
-                time (fun () ->
-                    Cluster.Coordinator.serve
-                      ~on_tick:(fun () -> Cluster.Local.tend pool)
-                      ~config:(scaling_config ~journal ~jobs:k ())
-                      ~listen ~sut:sut_name ~campaign:c.Propane.Campaign.name
-                      ~total:runs ()))
-          in
-          record_mode ~sut:sut_name ~mode ~jobs:k ~runs ~seconds;
-          report ~mode ~jobs:k ~runs seconds;
-          check_identical ~mode results journal)
-        parallel_core_counts;
-      Sys.remove serial_journal)
-    (suts_under_test ());
-  if scaling_check then
-    if nproc < 2 then
-      print_endline
-        "\nscaling check: skipped (single-core host, parallel modes lose by \
-         construction)"
-    else begin
-      let failures = ref [] in
-      List.iter
-        (fun (sut_name, _, _) ->
-          let find mode =
-            List.find_opt
-              (fun r ->
-                String.equal r.row_sut sut_name
-                && String.equal r.row_mode mode)
-              !bench_rows
-          in
-          match find "serial" with
-          | None -> ()
-          | Some serial_row ->
-              let serial_rate = runs_per_sec serial_row in
-              List.iter
-                (fun mode ->
-                  match find mode with
-                  | Some r when r.row_oversubscribed ->
-                      (* Same reasoning as the whole-gate skip above:
-                         an oversubscribed row measures scheduling
-                         overhead, not scaling, so it cannot fail the
-                         gate either. *)
-                      Printf.printf
-                        "scaling check: %s %s skipped (oversubscribed: %d \
-                         jobs on %d core(s))\n"
-                        sut_name mode r.row_jobs nproc
-                  | Some r when runs_per_sec r < serial_rate ->
-                      failures :=
-                        Printf.sprintf
-                          "%s: %s (%.1f runs/s) below serial (%.1f runs/s)"
-                          sut_name mode (runs_per_sec r) serial_rate
-                        :: !failures
-                  | Some _ | None -> ())
-                [ "domains-2"; "workers-2" ])
-        (suts_under_test ());
-      match !failures with
-      | [] -> print_endline "\nscaling check: ok (parallel >= serial at 2 cores)"
-      | fs ->
-          List.iter (fun f -> prerr_endline ("scaling check FAILED: " ^ f)) fs;
-          write_bench_json ();
-          exit 1
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Cell reuse: cold campaign, one-module edit, warm campaign.  The
-   warm run must re-inject only the edited module's cells (the four
-   layer-3 targets feeding L3_1), run >= 3x faster than cold, and
-   compose estimates byte-identical to a from-scratch campaign on the
-   edited system.                                                      *)
-
-let reuse_campaign () =
-  let system = Lazy.force layered_system in
-  let targets = Dataflow.Builder.injection_targets system in
-  (* Layers 0-3: every target strictly upstream of the edit's output. *)
-  let targets = List.filteri (fun i _ -> i < 4 * layered_width) targets in
-  let times = if perf_smoke then [ 100 ] else [ 100; 200; 300 ] in
-  Propane.Campaign.make ~name:"layered-reuse" ~targets
-    ~testcases:[ Propane.Testcase.make ~id:"ramp" ~params:[] ]
-    ~times:(List.map Simkernel.Sim_time.of_ms times)
-    ~errors:(Propane.Error_model.bit_flips ~width:16)
-
-let same_matrices m1 m2 =
-  Propagation.String_map.equal
-    (fun a b ->
-      let open Propagation.Perm_matrix in
-      input_count a = input_count b
-      && output_count a = output_count b
-      && List.for_all
-           (fun input ->
-             List.for_all
-               (fun output ->
-                 estimate a ~input ~output = estimate b ~input ~output)
-               (List.init (output_count a) (fun k -> k + 1)))
-           (List.init (input_count a) (fun i -> i + 1)))
-    m1 m2
-
-let reuse_bench () =
-  section "Cell reuse: cold vs warm after editing one module";
-  let campaign = reuse_campaign () in
-  let runs = Propane.Campaign.size campaign in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "propane-bench-reuse-%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-  let recipe = "bench-reuse scaling-config-v1" in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () ->
-      let base = Lazy.force layered_system in
-      let edited = Lazy.force edited_layered_system in
-      let campaign_on sys plan =
-        Propane.Runner.run
-          ~config:(scaling_config ~jobs:1 ())
-          ~select:(Propane.Reuse.select plan)
-          (Dataflow.Builder.sut sys) campaign
-      in
-      (* Cold: everything dirty; measure, compose, fill the cache. *)
-      let (), cold_s =
-        time (fun () ->
-            let cold =
-              Propane.Reuse.plan ~recipe ~sut:(Dataflow.Builder.sut base)
-                ~model:(Dataflow.Builder.model base) ~dir campaign
+      Printf.printf "\n-- %s (%d runs) --\n%!" sut_name runs;
+      (* Round-robin over the modes, so a slow spell on the host hits
+         every mode alike.  Every journal, serial repeats included, must
+         be byte-identical to the first serial one. *)
+      let reference = ref None in
+      let timings = ref [] in
+      for _ = 1 to repeats do
+        List.iter
+          (fun (mode, jobs) ->
+            let journal = tmp_path (sut_name ^ "-" ^ mode ^ ".journal") in
+            let config = scaling_config ~journal ~jobs () in
+            let t0 = Unix.gettimeofday () in
+            let results =
+              if String.equal mode "workers-2" then
+                run_workers ~sut_name ~config ~jobs c
+              else Propane.Runner.run ~config (make_sut ()) c
             in
-            let results = campaign_on base cold in
-            let stream = Propane.Reuse.compose cold results in
-            match Propane.Reuse.persist cold stream results with
-            | Ok () -> ()
-            | Error msg -> failwith ("reuse bench: persist failed: " ^ msg))
+            timings := (mode, Unix.gettimeofday () -. t0) :: !timings;
+            let outcomes = Propane.Results.outcomes results in
+            let bytes = read_file journal in
+            Sys.remove journal;
+            match !reference with
+            | None -> reference := Some (outcomes, bytes)
+            | Some (serial_outcomes, serial_bytes) ->
+                if serial_outcomes <> outcomes then
+                  failwith
+                    (Printf.sprintf "%s: %s outcomes differ from serial"
+                       sut_name mode);
+                if not (String.equal serial_bytes bytes) then
+                  failwith
+                    (Printf.sprintf
+                       "%s: %s journal is not byte-identical to serial"
+                       sut_name mode))
+          scaling_modes
+      done;
+      let seconds_of mode =
+        List.filter_map
+          (fun (m, s) -> if String.equal m mode then Some s else None)
+          !timings
       in
-      record_mode ~sut:"layered" ~mode:"reuse-cold" ~jobs:1 ~runs
-        ~seconds:cold_s;
-      Printf.printf "  %-12s %10.1f runs/s  (%.2f s, %d runs)\n" "cold"
-        (float_of_int runs /. cold_s)
-        cold_s runs;
-      (* Warm: the developer edited L3_1; only its four input targets
-         may re-run. *)
-      let warm_matrices, warm_fresh, warm_s =
-        let (matrices, fresh), seconds =
-          time (fun () ->
-              let warm =
-                Propane.Reuse.plan ~recipe
-                  ~sut:(Dataflow.Builder.sut edited)
-                  ~model:(Dataflow.Builder.model edited) ~dir campaign
-              in
-              let expected_dirty =
-                List.init layered_width (fun j -> Printf.sprintf "l3_%d" j)
-              in
-              if Propane.Reuse.dirty_targets warm <> expected_dirty then
-                failwith
-                  (Printf.sprintf
-                     "reuse bench: dirty targets %s, expected only L3_1's \
-                      inputs %s"
-                     (String.concat ","
-                        (Propane.Reuse.dirty_targets warm))
-                     (String.concat "," expected_dirty));
-              Printf.printf "  reused %d of %d cells\n"
-                (Propane.Reuse.reused_cells warm)
-                (Propane.Reuse.total_cells warm);
-              let results = campaign_on edited warm in
-              let stream = Propane.Reuse.compose warm results in
-              ( Propane.Estimator.Stream.matrices stream,
-                Propane.Reuse.selected_runs warm ))
-        in
-        (matrices, fresh, seconds)
+      let rates_of mode =
+        List.map (fun s -> float_of_int runs /. s) (seconds_of mode)
       in
-      record_mode ~sut:"layered" ~mode:"reuse-warm" ~jobs:1 ~runs:warm_fresh
-        ~seconds:warm_s;
-      Printf.printf "  %-12s %10.1f runs/s  (%.2f s, %d fresh runs)\n" "warm"
-        (float_of_int warm_fresh /. warm_s)
-        warm_s warm_fresh;
-      (* Ground truth: the edited system from scratch. *)
-      let scratch =
-        Propane.Runner.run
-          ~config:(scaling_config ~jobs:1 ())
-          (Dataflow.Builder.sut edited) campaign
-      in
-      let scratch_stream =
-        Propane.Estimator.Stream.create
-          ~model:(Dataflow.Builder.model edited) ()
-      in
+      let serial = median (rates_of "serial") in
       List.iter
-        (Propane.Estimator.Stream.observe scratch_stream)
-        (Propane.Results.outcomes scratch);
-      if
-        not
-          (same_matrices warm_matrices
-             (Propane.Estimator.Stream.matrices scratch_stream))
-      then
-        failwith
-          "reuse bench: composed estimates differ from a from-scratch \
-           campaign on the edited system";
-      print_endline
-        "  composed estimates identical to from-scratch (counts, values, \
-         intervals)";
-      let speedup = cold_s /. warm_s in
-      Printf.printf "  warm speedup over cold: %.1fx\n" speedup;
-      if (not perf_smoke) && speedup < 3.0 then begin
-        Printf.eprintf "reuse bench FAILED: speedup %.1fx below 3x\n" speedup;
+        (fun (mode, jobs) ->
+          let seconds = seconds_of mode and rates = rates_of mode in
+          Printf.printf "  %-10s %10.1f runs/s median (%.1f-%.1f; %.2f s)%s\n"
+            mode (median rates)
+            (List.fold_left Float.min infinity rates)
+            (List.fold_left Float.max neg_infinity rates)
+            (median seconds)
+            (if jobs > nproc then
+               Printf.sprintf "  [oversubscribed: %d jobs on %d core(s)]" jobs
+                 nproc
+             else "");
+          record scaling_rows
+            (Json.Obj
+               [
+                 ("sut", Json.Str sut_name);
+                 ("mode", Json.Str mode);
+                 rev ();
+                 ("jobs", Json.Num (float_of_int jobs));
+                 ("oversubscribed", Json.Bool (jobs > nproc));
+                 ("runs", Json.Num (float_of_int runs));
+                 ("repeats", Json.Num (float_of_int repeats));
+                 ("seconds", spread ~digits:3 seconds);
+                 ("runs_per_s", spread ~digits:1 rates);
+               ]);
+          if median rates < serial then
+            failures :=
+              Printf.sprintf "%s: %s (%.1f runs/s) below serial (%.1f runs/s)"
+                sut_name mode (median rates) serial
+              :: !failures)
+        scaling_modes)
+    (suts_under_test ());
+  (* Parallel modes lose by construction on a single core. *)
+  if nproc < 2 then
+    print_endline
+      "\nscaling check: skipped (single-core host, parallel modes lose by \
+       construction)"
+  else
+    match List.rev !failures with
+    | [] ->
+        print_endline
+          "\nscaling check: ok (parallel median >= serial median at 2 cores)"
+    | fs ->
+        List.iter (fun f -> prerr_endline ("scaling check FAILED: " ^ f)) fs;
         write_bench_json ();
         exit 1
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* Plan: runs-to-resolved-rankings, adaptive vs uniform.  The paper
@@ -1386,7 +906,8 @@ let reuse_bench () =
    targets whose cells are still wide and whose modules' rankings are
    still unresolved, so — offered the whole campaign as its budget —
    it must reach fully resolved rankings in well under the runs the
-   smallest sufficient uniform allocation needs.                       *)
+   smallest sufficient uniform allocation needs.  The rows are run
+   counts at a fixed seed, not times.                                  *)
 
 (* A layered system tuned so full resolution is reachable and its cost
    is measurably asymmetric: each module xors its two inputs and keeps
@@ -1431,16 +952,28 @@ let plan_system =
 
 let plan_campaign () =
   let system = Lazy.force plan_system in
-  let targets = Dataflow.Builder.injection_targets system in
   (* 64 injection instants x 16 bit positions = 1024 runs per target,
-     enough headroom for the tight pair; smoke keeps the shape with a
-     quarter of the depth. *)
-  let steps = if perf_smoke then 16 else 64 in
-  let times = List.init steps (fun k -> 6 * (k + 1)) in
-  Propane.Campaign.make ~name:"layered-plan" ~targets
+     enough headroom for the tight pair. *)
+  Propane.Campaign.make ~name:"layered-plan"
+    ~targets:(Dataflow.Builder.injection_targets system)
     ~testcases:[ Propane.Testcase.make ~id:"ramp" ~params:[] ]
-    ~times:(List.map Simkernel.Sim_time.of_ms times)
+    ~times:(List.init 64 (fun k -> Simkernel.Sim_time.of_ms (6 * (k + 1))))
     ~errors:(Propane.Error_model.bit_flips ~width:16)
+
+let same_matrices m1 m2 =
+  Propagation.String_map.equal
+    (fun a b ->
+      let open Propagation.Perm_matrix in
+      input_count a = input_count b
+      && output_count a = output_count b
+      && List.for_all
+           (fun input ->
+             List.for_all
+               (fun output ->
+                 estimate a ~input ~output = estimate b ~input ~output)
+               (List.init (output_count a) (fun k -> k + 1)))
+           (List.init (input_count a) (fun i -> i + 1)))
+    m1 m2
 
 let plan_bench () =
   section "Plan: adaptive vs uniform runs-to-resolved (layered SUT)";
@@ -1463,20 +996,6 @@ let plan_bench () =
         (Propane.Live.digest live)
         (Propane.Results.outcomes results)
     in
-    (if Sys.getenv_opt "PROPANE_PLAN_DEBUG" <> None then
-       match Propane.Live.snapshot live with
-       | Error msg -> Printf.printf "  [debug] snapshot: %s\n" msg
-       | Ok analysis ->
-           List.iter
-             (fun (r : Propagation.Ranking.module_row) ->
-               Printf.printf "  [debug] %-8s p_rel %.4f [%.4f, %.4f] %s\n"
-                 r.module_name r.relative_permeability
-                 r.relative_permeability_est.Propagation.Estimate.lo
-                 r.relative_permeability_est.Propagation.Estimate.hi
-                 (if r.resolved then "resolved" else "UNRESOLVED"))
-             (Propagation.Ranking.sort_module_rows
-                Propagation.Ranking.By_relative_permeability
-                analysis.Propagation.Analysis.module_rows));
     digest.Propane.Live.resolved_modules = digest.Propane.Live.module_count
   in
   let budgeted ~mode ~budget =
@@ -1563,45 +1082,40 @@ let plan_bench () =
                      runs (%d vs %d)\n"
         (100.0 *. ratio) adaptive_runs n
   | None -> ());
-  plan_rows :=
-    !plan_rows
-    @ [
-        {
-          p_mode = "adaptive";
-          p_budget = total;
-          p_runs = adaptive_runs;
-          p_rounds = adaptive_rounds;
-          p_resolved = adaptive_resolved;
-          p_ratio = ratio;
-        };
-        {
-          p_mode = "uniform";
-          p_budget = Option.value uniform_runs ~default:total;
-          p_runs = Option.value uniform_runs ~default:total;
-          p_rounds = 1;
-          p_resolved = uniform_runs <> None;
-          p_ratio = 1.0;
-        };
-      ];
+  let row ~mode ~budget ~runs ~rounds ~resolved ~ratio =
+    Json.Obj
+      [
+        ("sut", Json.Str "layered");
+        ("mode", Json.Str mode);
+        rev ();
+        ("budget", Json.Num (float_of_int budget));
+        ("runs", Json.Num (float_of_int runs));
+        ("rounds", Json.Num (float_of_int rounds));
+        ("resolved", Json.Bool resolved);
+        ("ratio_vs_uniform", num ~digits:3 ratio);
+      ]
+  in
+  let uniform_total = Option.value uniform_runs ~default:total in
+  record plan_rows
+    (row ~mode:"adaptive" ~budget:total ~runs:adaptive_runs
+       ~rounds:adaptive_rounds ~resolved:adaptive_resolved ~ratio);
+  record plan_rows
+    (row ~mode:"uniform" ~budget:uniform_total ~runs:uniform_total ~rounds:1
+       ~resolved:(uniform_runs <> None) ~ratio:1.0);
   let failed msg =
     Printf.eprintf "plan bench FAILED: %s\n" msg;
     write_bench_json ();
     exit 1
   in
-  (* Smoke depth cannot resolve the tight pair by construction; the
-     gate only means something at full depth. *)
-  if not perf_smoke then begin
-    if not adaptive_resolved then
-      failed "adaptive stopped with unresolved rankings";
-    match uniform_runs with
-    | None -> failed "uniform never resolves on this campaign"
-    | Some n ->
-        if float_of_int adaptive_runs > 0.6 *. float_of_int n then
-          failed
-            (Printf.sprintf
-               "adaptive took %d runs, above 60%% of uniform's %d"
-               adaptive_runs n)
-  end
+  if not adaptive_resolved then
+    failed "adaptive stopped with unresolved rankings";
+  match uniform_runs with
+  | None -> failed "uniform never resolves on this campaign"
+  | Some n ->
+      if float_of_int adaptive_runs > 0.6 *. float_of_int n then
+        failed
+          (Printf.sprintf "adaptive took %d runs, above 60%% of uniform's %d"
+             adaptive_runs n)
 
 let worker_child addr_string =
   let fail msg =
@@ -1613,8 +1127,7 @@ let worker_child addr_string =
   | Ok connect -> (
       let make (w : Cluster.Protocol.welcome) =
         (* The assignment names which cell of the matrix this child
-           serves; both sides rebuild the campaign deterministically
-           from the environment alone. *)
+           serves; both sides rebuild the campaign deterministically. *)
         match
           List.find_map
             (fun (_, make_sut, make_campaign) ->
@@ -1645,7 +1158,7 @@ let worker_child addr_string =
    workload is a [Dataflow.Builder.synthetic] system so SUT cost is a
    knob, not the arrestment physics. *)
 
-let service_modules = if perf_smoke then 8 else 24
+let service_modules = 24
 
 let service_system =
   lazy
@@ -1654,13 +1167,11 @@ let service_system =
 
 let service_campaign () =
   let system = Lazy.force service_system in
-  let keep = if perf_smoke then 4 else 12 in
   let targets = Dataflow.Builder.injection_targets system in
-  let targets = List.filteri (fun i _ -> i < keep) targets in
-  let times = if perf_smoke then [ 50 ] else [ 50; 110; 170 ] in
-  Propane.Campaign.make ~name:"service-synthetic" ~targets
+  Propane.Campaign.make ~name:"service-synthetic"
+    ~targets:(List.filteri (fun i _ -> i < 12) targets)
     ~testcases:[ Propane.Testcase.make ~id:"t0" ~params:[] ]
-    ~times:(List.map Simkernel.Sim_time.of_ms times)
+    ~times:(List.map Simkernel.Sim_time.of_ms [ 50; 110; 170 ])
     ~errors:(Propane.Error_model.bit_flips ~width:16)
 
 (* Submission body and wire recipe are the same tiny string; tenant
@@ -1710,8 +1221,12 @@ let service_worker_make (w : Cluster.Protocol.welcome) =
              (Dataflow.Builder.sut (Lazy.force service_system))
              campaign)
 
-let service_bench () =
-  section "service";
+let service_workers = 2
+
+(* One daemon lifetime in a fresh state directory: submit both
+   campaigns, poll until both are done.  Returns (aggregate runs/s,
+   worst submit-to-first-result seconds). *)
+let service_once ~runs =
   let state_dir = Filename.temp_file "propane-bench" ".service" in
   Unix.unlink state_dir;
   Unix.mkdir state_dir 0o755;
@@ -1721,7 +1236,6 @@ let service_bench () =
   let http =
     Cluster.Address.Unix_sock (Filename.concat state_dir "http.sock")
   in
-  let workers = 2 in
   let verdict = Atomic.make `Continue in
   let cfg =
     Propane_service.Service.config ~listen ~http ~state_dir
@@ -1734,7 +1248,7 @@ let service_bench () =
           cfg)
   in
   let fleet =
-    List.init workers (fun _ ->
+    List.init service_workers (fun _ ->
         Domain.spawn (fun () ->
             Cluster.Worker.run ~connect:listen ~make:service_worker_make ()))
   in
@@ -1743,17 +1257,20 @@ let service_bench () =
     (match Domain.join daemon with
     | Ok () -> ()
     | Error msg -> Printf.eprintf "service bench: daemon: %s\n" msg);
-    List.iter (fun d -> ignore (Domain.join d)) fleet
+    List.iter (fun d -> ignore (Domain.join d)) fleet;
+    Array.iter
+      (fun f -> Sys.remove (Filename.concat state_dir f))
+      (Sys.readdir state_dir);
+    Unix.rmdir state_dir
   in
   Fun.protect ~finally:finish (fun () ->
-      let module J = Propane_service.Json in
       let get path =
         match
           Propane_service.Http.request ~addr:http ~meth:"GET" ~path ()
         with
         | Error msg -> failwith ("service bench: GET " ^ path ^ ": " ^ msg)
         | Ok (_, body) -> (
-            match J.parse body with
+            match Json.parse body with
             | Ok json -> json
             | Error msg -> failwith ("service bench: " ^ msg))
       in
@@ -1766,8 +1283,8 @@ let service_bench () =
         | Error msg -> failwith ("service bench: submit: " ^ msg)
         | Ok (201, resp) -> (
             match
-              Result.to_option (J.parse resp) |> fun j ->
-              Option.bind j (J.member "id") |> fun j -> Option.bind j J.str
+              Result.to_option (Json.parse resp) |> fun j ->
+              Option.bind j (Json.member "id") |> fun j -> Option.bind j Json.str
             with
             | Some id -> id
             | None -> failwith "service bench: submit response carries no id")
@@ -1776,16 +1293,15 @@ let service_bench () =
               (Printf.sprintf "service bench: submit rejected (%d): %s" status
                  resp)
       in
-      let total = Propane.Campaign.size (service_campaign ()) in
       let t0 = Unix.gettimeofday () in
       let ids = [ submit ~tenant:"alice" ~seed:101L;
                   submit ~tenant:"bob" ~seed:202L ] in
       let first_result = Hashtbl.create 4 in
       let jint name json =
-        Option.value ~default:0 (Option.bind (J.member name json) J.int)
+        Option.value ~default:0 (Option.bind (Json.member name json) Json.int)
       in
       let jstr name json =
-        Option.value ~default:"" (Option.bind (J.member name json) J.str)
+        Option.value ~default:"" (Option.bind (Json.member name json) Json.str)
       in
       let rec poll () =
         let states =
@@ -1808,30 +1324,35 @@ let service_bench () =
       in
       poll ();
       let seconds = Unix.gettimeofday () -. t0 in
-      let first =
-        Hashtbl.fold (fun _ t acc -> Float.max t acc) first_result 0.0
-      in
-      let runs = 2 * total in
-      service_rows :=
-        !service_rows
-        @ [
-            {
-              s_campaigns = 2;
-              s_workers = workers;
-              s_modules = service_modules;
-              s_runs = runs;
-              s_seconds = seconds;
-              s_first_result_s = first;
-            };
-          ];
-      Printf.printf
-        "2 campaigns x %d runs over %d fleet workers (synthetic, %d \
-         modules)\n\
-         submit-to-first-result (worst tenant): %.1f ms\n\
-         aggregate: %.0f runs/sec (%.2f s wall)\n"
-        total workers service_modules (first *. 1000.)
-        (float_of_int runs /. seconds)
-        seconds)
+      ( float_of_int runs /. seconds,
+        Hashtbl.fold (fun _ t acc -> Float.max t acc) first_result 0.0 ))
+
+let service_bench () =
+  section "service";
+  let total = Propane.Campaign.size (service_campaign ()) in
+  let runs = 2 * total in
+  let samples = List.init repeats (fun _ -> service_once ~runs) in
+  let rates = List.map fst samples and firsts = List.map snd samples in
+  record service_rows
+    (Json.Obj
+       [
+         rev ();
+         ("campaigns", Json.Num 2.0);
+         ("workers", Json.Num (float_of_int service_workers));
+         ("modules", Json.Num (float_of_int service_modules));
+         ("runs", Json.Num (float_of_int runs));
+         ("repeats", Json.Num (float_of_int repeats));
+         ("runs_per_s", spread ~digits:1 rates);
+         ("submit_to_first_result_s", spread ~digits:4 firsts);
+       ]);
+  Printf.printf
+    "2 campaigns x %d runs over %d fleet workers (synthetic, %d modules), \
+     %d repeats\n\
+     submit-to-first-result (worst tenant): median %.1f ms\n\
+     aggregate: median %.0f runs/sec\n"
+    total service_workers service_modules repeats
+    (median firsts *. 1000.)
+    (median rates)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1856,13 +1377,9 @@ let targets =
     ("sensitivity", sensitivity);
     ("workload", workload);
     ("prob", prob);
-    ("perf", perf);
     ("scaling", scaling);
-    ("reuse", reuse_bench);
     ("plan", plan_bench);
     ("service", service_bench);
-    (* Backwards-compatible alias for the pre-matrix target name. *)
-    ("cluster", scaling);
   ]
 
 let () =

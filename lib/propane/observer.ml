@@ -1,21 +1,18 @@
 type t = {
-  on_injection : ms:int -> unit;
   on_sample : ms:int -> int array -> unit;
   finish : run_ms:int -> unit;
   saturated : unit -> bool;
 }
 
-let make ?(on_injection = fun ~ms:_ -> ()) ?(on_sample = fun ~ms:_ _ -> ())
-    ?(finish = fun ~run_ms:_ -> ()) ?(saturated = fun () -> false) () =
-  { on_injection; on_sample; finish; saturated }
+let make ?(on_sample = fun ~ms:_ _ -> ()) ?(finish = fun ~run_ms:_ -> ())
+    ?(saturated = fun () -> false) () =
+  { on_sample; finish; saturated }
 
 let combine = function
   | [] -> make ()
   | [ o ] -> o
   | observers ->
       {
-        on_injection =
-          (fun ~ms -> List.iter (fun o -> o.on_injection ~ms) observers);
         on_sample =
           (fun ~ms values ->
             List.iter (fun o -> o.on_sample ~ms values) observers);

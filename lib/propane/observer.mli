@@ -4,21 +4,17 @@
     instead of materializing a full {!Trace_set} per run and comparing
     it post-hoc (Section 6's Golden Run Comparison).  Each millisecond
     the runner fills one [int array] with the current value of every
-    traced signal (trace-set order) and calls {!t.on_sample}; the
-    injection instant is announced via {!t.on_injection}; {!t.finish}
-    closes the run.  An observer that has learned everything it can
-    reports [saturated () = true], and the runner may then stop the run
-    early — for the {!divergence} observer that happens once every
-    monitored signal has diverged, at which point no later sample can
-    change a first-divergence timestamp.
+    traced signal (trace-set order) and calls {!t.on_sample};
+    {!t.finish} closes the run.  An observer that has learned
+    everything it can reports [saturated () = true], and the runner may
+    then stop the run early — for the {!divergence} observer that
+    happens once every monitored signal has diverged, at which point no
+    later sample can change a first-divergence timestamp.
 
     The sample array passed to [on_sample] is reused by the runner
     between milliseconds: observers must copy values they keep. *)
 
 type t = {
-  on_injection : ms:int -> unit;
-      (** Called at the fault-injection instant, before the SUT steps
-          through that millisecond. *)
   on_sample : ms:int -> int array -> unit;
       (** Called once per simulated millisecond with the value of every
           traced signal, after the SUT stepped through [ms].  A run

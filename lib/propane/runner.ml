@@ -141,11 +141,9 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
               match
                 if instance.Sut.finished () then `Finished
                 else begin
-                  if Error_model.fires error ~inject_ms:inject_at ~ms then begin
+                  if Error_model.fires error ~inject_ms:inject_at ~ms then
                     instance.Sut.inject target (fun v ->
                         Error_model.apply error ~width ~rng v);
-                    observer.Observer.on_injection ~ms
-                  end;
                   instance.Sut.step ();
                   sampler buf;
                   `Stepped

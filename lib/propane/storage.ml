@@ -1,5 +1,4 @@
 let results_magic = "propane-results 1"
-let matrices_magic = "propane-matrices 1"
 
 (* Temporal wrappers encode their payload as the rest-of-string tail
    (the payload encoding may itself contain ':'); [Error_model.validate]
@@ -270,80 +269,3 @@ let load_results path =
             loop (lineno + 1)
       in
       loop 2)
-
-let save_matrices path matrices =
-  let ( let* ) = Result.bind in
-  let* () =
-    Propagation.String_map.fold
-      (fun name _ acc -> Result.bind acc (fun () -> check_field "module" name))
-      matrices (Ok ())
-  in
-  with_out path (fun oc ->
-      let line fmt = Printf.fprintf oc (fmt ^^ "\n") in
-      line "%s" matrices_magic;
-      Propagation.String_map.iter
-        (fun name matrix ->
-          line "module\t%s\t%d\t%d" name
-            (Propagation.Perm_matrix.input_count matrix)
-            (Propagation.Perm_matrix.output_count matrix);
-          for i = 1 to Propagation.Perm_matrix.input_count matrix do
-            let row = Propagation.Perm_matrix.row matrix ~input:i in
-            line "row\t%s"
-              (String.concat "\t"
-                 (Array.to_list (Array.map (Printf.sprintf "%.17g") row)))
-          done)
-        matrices;
-      Ok ())
-
-let load_matrices path =
-  let ( let* ) = Result.bind in
-  let fail lineno msg = Error (Printf.sprintf "%s:%d: %s" path lineno msg) in
-  with_in path (fun ic ->
-      let* () =
-        match In_channel.input_line ic with
-        | Some magic when String.equal magic matrices_magic -> Ok ()
-        | Some magic -> fail 1 (Printf.sprintf "bad magic %S" magic)
-        | None -> fail 1 "empty file"
-      in
-      (* [pending]: module currently being read, with rows still
-         expected. *)
-      let rec loop lineno acc pending =
-        match In_channel.input_line ic with
-        | None -> (
-            match pending with
-            | None -> Ok acc
-            | Some (name, _, _, _) ->
-                fail lineno (Printf.sprintf "missing rows for module %S" name))
-        | Some line -> (
-            match (String.split_on_char '\t' line, pending) with
-            | "module" :: name :: m :: n :: [], None -> (
-                match (int_of_string_opt m, int_of_string_opt n) with
-                | Some m, Some n when m > 0 && n > 0 ->
-                    loop (lineno + 1) acc (Some (name, m, n, []))
-                | _ -> fail lineno "bad module dimensions")
-            | "row" :: cells, Some (name, m, n, rows) -> (
-                let values =
-                  List.filter_map float_of_string_opt cells
-                in
-                if List.length values <> n || List.length cells <> n then
-                  fail lineno
-                    (Printf.sprintf "expected %d values for module %S" n name)
-                else
-                  let rows = Array.of_list values :: rows in
-                  if List.length rows = m then
-                    match
-                      Propagation.Perm_matrix.of_rows
-                        (Array.of_list (List.rev rows))
-                    with
-                    | matrix ->
-                        loop (lineno + 1)
-                          (Propagation.String_map.add name matrix acc)
-                          None
-                    | exception Invalid_argument msg -> fail lineno msg
-                  else loop (lineno + 1) acc (Some (name, m, n, rows)))
-            | [ "" ], _ -> loop (lineno + 1) acc pending
-            | "module" :: _, Some (name, _, _, _) ->
-                fail lineno (Printf.sprintf "missing rows for module %S" name)
-            | _ -> fail lineno (Printf.sprintf "unrecognised line %S" line))
-      in
-      loop 2 Propagation.String_map.empty None)

@@ -1,4 +1,4 @@
-(** Persistent storage for campaign results and permeability matrices.
+(** Persistent storage for campaign results.
 
     Campaigns are expensive (the paper's full plan is 52,000 runs), so
     the tool separates running them from analysing them.  The format is
@@ -21,13 +21,6 @@
     the original format and v1 files load with every status defaulting
     to {!Results.Completed}.
 
-    Matrices file:
-    {v
-    propane-matrices 1
-    module <tab> NAME <tab> INPUTS <tab> OUTPUTS
-    row <tab> V1 <tab> ... <tab> Vn        (INPUTS rows per module)
-    v}
-
     The append-only campaign journal ({!Journal}) follows the same
     versioned-magic convention. *)
 
@@ -49,11 +42,3 @@ val save_results : string -> Results.t -> (unit, string) result
 
 val load_results : string -> (Results.t, string) result
 (** Fails with a line-numbered message on malformed input. *)
-
-val save_matrices :
-  string ->
-  Propagation.Perm_matrix.t Propagation.String_map.t ->
-  (unit, string) result
-
-val load_matrices :
-  string -> (Propagation.Perm_matrix.t Propagation.String_map.t, string) result

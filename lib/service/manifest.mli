@@ -13,8 +13,10 @@
     so tabs and newlines round-trip) and re-parsed on restart: the
     manifest records {e what was asked}, the per-campaign journal
     records {e what already ran} — together they resume byte-identically.
-    Every append is flushed; a torn trailing line from a crash is
-    ignored on load, exactly like the journal's torn-fragment rule. *)
+    Every append is flushed.  Only newline-terminated lines count: a
+    torn trailing fragment from a crash is ignored on load and cut off
+    by the next {!append}, exactly like the journal's torn-fragment
+    rule. *)
 
 type state = Queued | Running | Done | Cancelled | Failed
 
@@ -35,7 +37,9 @@ type t
 (** An open, append-mode ledger. *)
 
 val append : string -> (t, string) result
-(** Opens for appending, writing the header if the file is new. *)
+(** Opens for appending after the last complete line, writing the
+    header if the file has none yet (new, or torn inside the
+    header). *)
 
 val submit : t -> id:string -> body:string -> unit
 (** Records a new campaign (implicitly [Queued]); flushed. *)

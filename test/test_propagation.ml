@@ -115,6 +115,54 @@ let estimate_tests =
         let lo, hi = Estimate.wilson_interval ~errors:50 ~trials:100 in
         Alcotest.(check (float 1e-3)) "lo" 0.404 lo;
         Alcotest.(check (float 1e-3)) "hi" 0.596 hi);
+    Alcotest.test_case "95% intervals cover k/16 at the nominal rate" `Quick
+      (fun () ->
+        (* Exact coverage of p at n trials: the binomial probability of
+           every count whose interval contains p.  p = k/16 are the
+           XOR-and-mask permeabilities; the Wilson interval is known to
+           undercover a little in places, hence the 0.92 floor per cell
+           and the tighter bracket on the mean. *)
+        let coverage ~p ~n =
+          let log_p = log p and log_q = log (1.0 -. p) in
+          let rec go errors log_choose acc =
+            if errors > n then acc
+            else
+              let lo, hi = Estimate.wilson_interval ~errors ~trials:n in
+              let acc =
+                if lo <= p && p <= hi then
+                  acc
+                  +. exp
+                       (log_choose
+                       +. (float_of_int errors *. log_p)
+                       +. (float_of_int (n - errors) *. log_q))
+                else acc
+              in
+              go (errors + 1)
+                (log_choose
+                +. log (float_of_int (n - errors))
+                -. log (float_of_int (errors + 1)))
+                acc
+          in
+          go 0 0.0 0.0
+        in
+        let cells =
+          List.concat_map
+            (fun k ->
+              let p = float_of_int k /. 16.0 in
+              List.map (fun n -> (p, n, coverage ~p ~n)) [ 16; 32; 64; 128; 256 ])
+            (List.init 15 succ)
+        in
+        List.iter
+          (fun (p, n, c) ->
+            if c < 0.92 then
+              Alcotest.failf "p = %g, n = %d: coverage %.4f below 0.92" p n c)
+          cells;
+        let mean =
+          List.fold_left (fun acc (_, _, c) -> acc +. c) 0.0 cells
+          /. float_of_int (List.length cells)
+        in
+        if mean < 0.94 || mean > 0.96 then
+          Alcotest.failf "mean coverage %.4f outside [0.94, 0.96]" mean);
     check_raises_invalid "errors > trials rejected" (fun () ->
         Estimate.wilson_interval ~errors:3 ~trials:2);
     check_raises_invalid "negative errors rejected" (fun () ->

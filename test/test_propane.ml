@@ -1724,23 +1724,6 @@ let storage_tests =
                       (a.divergences = b.divergences))
                   (Propane.Results.outcomes original)
                   (Propane.Results.outcomes loaded)));
-    Alcotest.test_case "matrices round-trip through a file" `Quick (fun () ->
-        let path = temp ".matrices" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let original = Arrestment.Model.paper_matrices () in
-            save_ok (Propane.Storage.save_matrices path original);
-            match Propane.Storage.load_matrices path with
-            | Error msg -> Alcotest.fail msg
-            | Ok loaded ->
-                Propagation.String_map.iter
-                  (fun name m ->
-                    Alcotest.(check bool)
-                      name true
-                      (Propagation.Perm_matrix.equal m
-                         (Propagation.String_map.find name loaded)))
-                  original));
     Alcotest.test_case "loading garbage fails with a located message" `Quick
       (fun () ->
         let path = temp ".bad" in
@@ -1750,13 +1733,10 @@ let storage_tests =
             let oc = open_out path in
             output_string oc "not a propane file\n";
             close_out oc;
-            (match Propane.Storage.load_results path with
+            match Propane.Storage.load_results path with
             | Error msg ->
                 Alcotest.(check bool) "mentions line" true
                   (contains_substring msg ":1:")
-            | Ok _ -> Alcotest.fail "accepted garbage");
-            match Propane.Storage.load_matrices path with
-            | Error _ -> ()
             | Ok _ -> Alcotest.fail "accepted garbage"));
     Alcotest.test_case "campaign results survive storage end to end" `Quick
       (fun () ->
