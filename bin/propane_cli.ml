@@ -526,12 +526,8 @@ let run_measured_campaign ~recipe ~progress ~telemetry ~workers ~listen
         (Option.value ~default:0 budget))
     prepared.plan;
   match Recipe.analyse ?reuse ~window:recipe.window results with
-  | Ok analysis -> (results, analysis)
+  | Ok analysis -> analysis
   | Error msg -> refuse msg
-
-let save_arg =
-  let doc = "Save the raw campaign results to $(docv) (see Propane.Storage)." in
-  Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
 
 let reuse_arg =
   let doc =
@@ -651,8 +647,8 @@ let analyze_cmd =
 let campaign_cmd =
   let run () cases times full model seed window progress jobs journal resume
       journal_batch telemetry keep_traces run_timeout_ms retries fail_fast
-      chaos_crash chaos_hang workers listen chaos_kill stop_when ci save reuse
-      budget plan =
+      chaos_crash chaos_hang workers listen chaos_kill stop_when ci reuse budget
+      plan =
     let cluster = workers > 0 || listen <> None in
     if resume && journal = None then refuse "--resume requires --journal";
     if cluster && keep_traces then
@@ -676,18 +672,10 @@ let campaign_cmd =
         ?journal ~resume ~journal_batch ~keep_traces ?stop_when ?budget ~plan
         ?chaos_crash ?chaos_hang ()
     in
-    let results, analysis =
+    let analysis =
       run_measured_campaign ~recipe ~progress ~telemetry ~workers ~listen
         ~chaos_kill ~reuse
     in
-    Option.iter
-      (fun path ->
-        match Propane.Storage.save_results path results with
-        | Ok () -> Printf.printf "results saved to %s\n" path
-        | Error msg ->
-            prerr_endline msg;
-            exit 1)
-      save;
     print_analysis_tables ~reference:(Arrestment.Model.paper_matrices ()) ~ci
       analysis
   in
@@ -719,7 +707,7 @@ let campaign_cmd =
       $ journal_batch_arg $ telemetry_arg $ keep_traces_arg $ run_timeout_arg
       $ retries_arg $ fail_fast_arg $ chaos_crash_arg $ chaos_hang_arg
       $ workers_arg $ listen_arg $ chaos_kill_arg $ stop_when_arg $ ci_arg
-      $ save_arg $ reuse_arg $ budget_arg $ plan_arg)
+      $ reuse_arg $ budget_arg $ plan_arg)
 
 
 (* ------------------------------------------------------------------ *)
@@ -1479,18 +1467,18 @@ let replay_cmd =
 (* ------------------------------------------------------------------ *)
 
 let load_arg =
-  let doc = "Results file produced by campaign --save." in
+  let doc = "Journal written by campaign --journal." in
   Arg.(
     required
     & opt (some non_dir_file) None
     & info [ "load" ] ~docv:"FILE" ~doc)
 
 let with_loaded_results load f =
-  match Propane.Storage.load_results load with
+  match Propane.Journal.load load with
   | Error msg ->
       prerr_endline msg;
       exit 1
-  | Ok results -> f results
+  | Ok journal -> f (Propane.Journal.results journal)
 
 let estimate_cmd =
   let run () load window ci =
@@ -1506,7 +1494,7 @@ let estimate_cmd =
   in
   Cmd.v
     (Cmd.info "estimate"
-       ~doc:"Re-analyse previously saved campaign results (Tables 1-4).")
+       ~doc:"Re-analyse the outcomes of a campaign journal (Tables 1-4).")
     Term.(const run $ log_term $ load_arg $ window_arg $ ci_arg)
 
 let latency_cmd =
@@ -1520,7 +1508,7 @@ let latency_cmd =
   in
   Cmd.v
     (Cmd.info "latency"
-       ~doc:"Propagation-latency statistics from saved campaign results.")
+       ~doc:"Propagation-latency statistics from a campaign journal.")
     Term.(const run $ log_term $ load_arg $ window_arg)
 
 let uniformity_cmd =
@@ -1532,8 +1520,8 @@ let uniformity_cmd =
   Cmd.v
     (Cmd.info "uniformity"
        ~doc:
-         "Uniform-propagation analysis (paper Section 2 vs. [12]) from saved \
-          campaign results.")
+         "Uniform-propagation analysis (paper Section 2 vs. [12]) from a \
+          campaign journal.")
     Term.(const run $ log_term $ load_arg)
 
 (* ------------------------------------------------------------------ *)

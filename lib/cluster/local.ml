@@ -56,8 +56,6 @@ let tend t =
       t.pids <- spawn_one t.command :: t.pids
     done
 
-let alive t = List.length t.pids
-
 let shutdown t =
   if not t.stopped then begin
     t.stopped <- true;

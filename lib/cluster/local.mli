@@ -30,9 +30,6 @@ val tend : t -> unit
     each, while the budget lasts.  Call it from the coordinator's
     [on_tick]; it is a no-op after {!shutdown}. *)
 
-val alive : t -> int
-(** Children currently believed to be running. *)
-
 val shutdown : t -> unit
 (** Stops tending, sends SIGTERM to surviving children, and waits for
     them (escalating to SIGKILL after a short grace period).  Workers

@@ -36,8 +36,7 @@ let add_outcome b (o : Propane.Results.outcome) =
   add_str b o.testcase;
   add_str b o.injection.Propane.Injection.target;
   add_int b (Simkernel.Sim_time.to_ms o.injection.Propane.Injection.at);
-  add_str b
-    (Propane.Storage.error_to_string o.injection.Propane.Injection.error);
+  add_str b (Propane.Error_model.encode o.injection.Propane.Injection.error);
   (match o.status with
   | Propane.Results.Completed -> Buffer.add_uint8 b 0
   | Propane.Results.Crashed { at_ms; reason } ->
@@ -142,7 +141,7 @@ let get_outcome c =
   let target = get_str c "target" in
   let at_ms = get_int c "at_ms" in
   let error =
-    match Propane.Storage.error_of_string (get_str c "error") with
+    match Propane.Error_model.decode (get_str c "error") with
     | Ok e -> e
     | Error msg -> raise (Bad msg)
   in

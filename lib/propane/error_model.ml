@@ -207,6 +207,78 @@ let rec describe = function
 
 let pp ppf t = Fmt.string ppf (describe t)
 
+(* Temporal wrappers encode their payload as the rest-of-string tail
+   (the payload encoding may itself contain ':'); [validate] forbids
+   nesting, so one tail is always the whole payload. *)
+let rec encode = function
+  | Bit_flip b -> Printf.sprintf "bitflip:%d" b
+  | Multi_bit bs ->
+      Printf.sprintf "multibit:%s"
+        (String.concat "." (List.map string_of_int bs))
+  | Burst { first; len } -> Printf.sprintf "burst:%d:%d" first len
+  | Stuck_at v -> Printf.sprintf "stuck:%d" v
+  | Offset d -> Printf.sprintf "offset:%d" d
+  | Noise amp -> Printf.sprintf "noise:%d" amp
+  | Replace_uniform -> "uniform"
+  | Intermittent { model; period_ms; window_ms } ->
+      Printf.sprintf "intermittent:%d:%d:%s" period_ms window_ms
+        (encode model)
+  | Delayed { model; delay_ms } ->
+      Printf.sprintf "delayed:%d:%s" delay_ms (encode model)
+
+let rec decode_fields fields =
+  let ( let* ) = Result.bind in
+  let int_field name s =
+    match int_of_string_opt s with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "bad %s %S" name s)
+  in
+  match fields with
+  | [ "uniform" ] -> Ok Replace_uniform
+  | [ "bitflip"; b ] ->
+      let* b = int_field "bit position" b in
+      Ok (Bit_flip b)
+  | [ "multibit"; bs ] ->
+      let* bs =
+        List.fold_left
+          (fun acc b ->
+            let* acc = acc in
+            let* b = int_field "multi-bit position" b in
+            Ok (b :: acc))
+          (Ok [])
+          (String.split_on_char '.' bs)
+      in
+      Ok (Multi_bit (List.rev bs))
+  | [ "burst"; first; len ] ->
+      let* first = int_field "burst start" first in
+      let* len = int_field "burst length" len in
+      Ok (Burst { first; len })
+  | [ "stuck"; v ] ->
+      let* v = int_field "stuck-at value" v in
+      Ok (Stuck_at v)
+  | [ "offset"; d ] ->
+      let* d = int_field "offset" d in
+      Ok (Offset d)
+  | [ "noise"; amp ] ->
+      let* amp = int_field "noise amplitude" amp in
+      Ok (Noise amp)
+  | "intermittent" :: period_ms :: window_ms :: (_ :: _ as rest) ->
+      let* period_ms = int_field "intermittent period" period_ms in
+      let* window_ms = int_field "intermittent window" window_ms in
+      let* model = decode_fields rest in
+      if is_temporal model then Error "nested temporal error model"
+      else Ok (Intermittent { model; period_ms; window_ms })
+  | "delayed" :: delay_ms :: (_ :: _ as rest) ->
+      let* delay_ms = int_field "delay" delay_ms in
+      let* model = decode_fields rest in
+      if is_temporal model then Error "nested temporal error model"
+      else Ok (Delayed { model; delay_ms })
+  | _ ->
+      Error
+        (Printf.sprintf "unknown error model %S" (String.concat ":" fields))
+
+let decode s = decode_fields (String.split_on_char ':' s)
+
 (* Roster grammar for the CLI's [--model] flag and the ablation bench:
    a spec names a family of models spanning the signal width, so every
    roster exercises the whole value like the paper's per-bit flips. *)

@@ -90,3 +90,12 @@ val roster_of_string : width:int -> string -> (t list, string) result
 val equal : t -> t -> bool
 val describe : t -> string
 val pp : Format.formatter -> t -> unit
+
+val encode : t -> string
+(** The separator-free text form that journals and the wire protocol
+    carry, e.g. ["bitflip:3"], ["stuck:17"], ["offset:-2"],
+    ["uniform"], ["delayed:40:bitflip:3"]. *)
+
+val decode : string -> (t, string) result
+(** Inverse of {!encode}; rejects malformed fields and nested temporal
+    wrappers. *)

@@ -13,6 +13,29 @@ let check_field name value =
          value)
   else Ok ()
 
+(* The crash reason is free text (sanitised of separators by the
+   runner); it may contain ':', so it is always the final,
+   rest-of-string field. *)
+let status_to_string = function
+  | Results.Completed -> "completed"
+  | Results.Crashed { at_ms; reason } ->
+      Printf.sprintf "crashed:%d:%s" at_ms reason
+  | Results.Hung { budget_ms } -> Printf.sprintf "hung:%d" budget_ms
+
+let status_of_string s =
+  match String.split_on_char ':' s with
+  | [ "completed" ] -> Ok Results.Completed
+  | "crashed" :: at_ms :: rest -> (
+      match int_of_string_opt at_ms with
+      | Some at_ms when at_ms >= 0 ->
+          Ok (Results.Crashed { at_ms; reason = String.concat ":" rest })
+      | _ -> Error (Printf.sprintf "bad crash time %S" at_ms))
+  | [ "hung"; budget_ms ] -> (
+      match int_of_string_opt budget_ms with
+      | Some budget_ms when budget_ms >= 0 -> Ok (Results.Hung { budget_ms })
+      | _ -> Error (Printf.sprintf "bad hang budget %S" budget_ms))
+  | _ -> Error (Printf.sprintf "unknown run status %S" s)
+
 (* ------------------------------------------------------------------ *)
 
 type writer = {
@@ -90,7 +113,7 @@ let record_string ~index (o : Results.outcome) =
   else
     let* () = check_field "testcase" o.testcase in
     let* () = check_field "target" o.injection.Injection.target in
-    let* () = check_field "status" (Storage.status_to_string o.status) in
+    let* () = check_field "status" (status_to_string o.status) in
     let* () =
       List.fold_left
         (fun acc (d : Golden.divergence) ->
@@ -106,14 +129,14 @@ let record_string ~index (o : Results.outcome) =
         Printf.bprintf buf "run\t%d\t%s\t%s\t%d\t%s\t%d" index o.testcase
           o.injection.Injection.target
           (Simkernel.Sim_time.to_ms o.injection.Injection.at)
-          (Storage.error_to_string o.injection.Injection.error)
+          (Error_model.encode o.injection.Injection.error)
           (List.length o.divergences)
     | status ->
         Printf.bprintf buf "run2\t%d\t%s\t%s\t%d\t%s\t%s\t%d" index o.testcase
           o.injection.Injection.target
           (Simkernel.Sim_time.to_ms o.injection.Injection.at)
-          (Storage.error_to_string o.injection.Injection.error)
-          (Storage.status_to_string status)
+          (Error_model.encode o.injection.Injection.error)
+          (status_to_string status)
           (List.length o.divergences));
     List.iter
       (fun (d : Golden.divergence) ->
@@ -237,7 +260,7 @@ let parse_run ?(versioned = false) lineno fields =
     else
       match fields with
       | index :: testcase :: target :: at_ms :: error :: status :: rest -> (
-          match Storage.status_of_string status with
+          match status_of_string status with
           | Ok status ->
               Ok (status, index :: testcase :: target :: at_ms :: error :: rest)
           | Error msg -> fail msg)
@@ -248,7 +271,7 @@ let parse_run ?(versioned = false) lineno fields =
       match
         ( int_of_string_opt index,
           int_of_string_opt at_ms,
-          Storage.error_of_string error,
+          Error_model.decode error,
           int_of_string_opt ndiv )
       with
       | _ when String.equal target "" -> fail "empty target"
@@ -399,3 +422,10 @@ let completed t =
     (fun (index, outcome) -> Hashtbl.replace table index outcome)
     t.entries;
   table
+
+let results t =
+  let table = completed t in
+  let results = Results.create ~sut:t.sut ~campaign:t.campaign in
+  Hashtbl.to_seq_keys table |> List.of_seq |> List.sort Int.compare
+  |> List.iter (fun index -> Results.add results (Hashtbl.find table index));
+  results

@@ -4,10 +4,12 @@
     crash at run 51,999 must not lose the 51,998 before it.  A journal
     streams every outcome to disk the moment it completes, one record
     per line, so an interrupted campaign can be resumed from exactly
-    where it stopped (see {!Runner.run}).
+    where it stopped (see {!Runner.run}).  It is also the only on-disk
+    record of a campaign's outcomes: [propane estimate --load] and the
+    service's results endpoint read it back through {!results}.
 
-    The format follows the {!Storage} convention — versioned magic,
-    line-based, tab-separated:
+    The format is versioned, line-based and tab-separated — diff-able,
+    greppable, stable across platforms:
     {v
     propane-journal 1
     sut <tab> NAME
@@ -40,8 +42,10 @@
     A run that completed normally is written as a v1 [run] record, so
     journals of failure-free campaigns are byte-identical to the
     original format; a {!Results.Crashed} or {!Results.Hung} run is
-    written as [run2] with its status (serialised as in {!Storage})
-    between ERROR and NDIV.  v1 journals load with every status
+    written as [run2] with its STATUS between ERROR and NDIV:
+    [crashed:AT_MS:REASON] (the reason is the rest of the field and may
+    itself contain [':']) or [hung:BUDGET_MS].  ERROR is
+    {!Error_model.encode}'s form.  v1 journals load with every status
     defaulting to {!Results.Completed}.
 
     A record is committed by its trailing newline: {!load} silently
@@ -171,3 +175,8 @@ val validate :
 val completed : t -> (int, Results.outcome) Hashtbl.t
 (** The entries as an index-keyed table, last occurrence winning — a
     re-executed run's record supersedes the failed attempt it retried. *)
+
+val results : t -> Results.t
+(** The committed outcomes in index order, last occurrence winning as
+    in {!completed}, under the journal's SUT and campaign names — the
+    outcomes {!Runner.run} returned for the campaign that wrote it. *)

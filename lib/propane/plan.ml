@@ -270,7 +270,6 @@ let create ?(mode = Adaptive) ?(select = fun _ -> true) ?attribution
 
 let is_planned t = t.kind <> Static
 let budget t = match t.kind with Static -> None | Planned p -> Some p.budget_total
-let plan_mode t = match t.kind with Static -> None | Planned p -> Some p.mode
 
 (* Proportional allocation with caps: repeatedly grant one run to the
    block maximising weight / (2 * granted + 1) (Sainte-Lague divisors,

@@ -124,8 +124,6 @@ val is_planned : t -> bool
 val budget : t -> int option
 (** The total budget; [None] for static sources. *)
 
-val plan_mode : t -> mode option
-
 (** {1 The work-source protocol} *)
 
 val prime : t -> index:int -> Results.outcome -> unit

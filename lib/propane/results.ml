@@ -73,20 +73,3 @@ let divergence_of outcome signal =
     (fun (d : Golden.divergence) ->
       if String.equal d.signal signal then Some d.first_ms else None)
     outcome.divergences
-
-let merge a b =
-  if not (String.equal a.sut b.sut && String.equal a.campaign b.campaign) then
-    invalid_arg "Results.merge: different SUT or campaign";
-  let merged = create ~sut:a.sut ~campaign:a.campaign in
-  List.iter (add merged) (outcomes a);
-  List.iter (add merged) (outcomes b);
-  merged
-
-let pp_summary ppf t =
-  let with_div =
-    List.length (List.filter (fun o -> o.divergences <> []) (outcomes t))
-  in
-  Fmt.pf ppf "%s/%s: %d runs, %d with divergences" t.sut t.campaign t.count
-    with_div;
-  if t.crashed + t.hung > 0 then
-    Fmt.pf ppf " (%d crashed, %d hung)" t.crashed t.hung

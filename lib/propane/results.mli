@@ -66,9 +66,3 @@ val injections_into : t -> string -> int
 
 val divergence_of : outcome -> string -> int option
 (** First divergence of a signal within one outcome. *)
-
-val merge : t -> t -> t
-(** Concatenates two result sets from the same SUT and campaign (for
-    sharded runs).  @raise Invalid_argument on mismatched names. *)
-
-val pp_summary : Format.formatter -> t -> unit

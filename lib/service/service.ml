@@ -82,7 +82,6 @@ type t = {
 }
 
 let journal_path t cid = Filename.concat t.cfg.state_dir (cid ^ ".journal")
-let results_path t cid = Filename.concat t.cfg.state_dir (cid ^ ".results")
 let manifest_path state_dir = Filename.concat state_dir "manifest"
 
 let campaigns_in_order t =
@@ -127,17 +126,7 @@ let finalize t c state reason =
 (* Runs [Session.finish]: the one place Failed_run surfaces. *)
 let finish_session t c =
   match Session.finish c.session with
-  | results ->
-      (* The campaign's deliverable outlives its session: save the
-         results next to the journal so GET /campaigns/:id/results can
-         stream them after the daemon restarts.  A failed write is
-         logged, not fatal — the journal still holds every outcome. *)
-      (match Propane.Storage.save_results (results_path t c.cid) results with
-      | Ok () -> ()
-      | Error msg | (exception Sys_error msg) ->
-          Log.warn (fun m ->
-              m "campaign %s: results not saved: %s" c.cid msg));
-      finalize t c Manifest.Done ""
+  | (_ : Propane.Results.t) -> finalize t c Manifest.Done ""
   | exception Propane.Runner.Failed_run { index; outcome } ->
       finalize t c Manifest.Failed
         (Fmt.str "run %d failed (%a)" index Propane.Results.pp_status
@@ -548,30 +537,27 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Streams the saved results file ({!Propane.Storage}) of a finished
-   campaign.  The file outlives the session — and the daemon — so this
-   also serves campaigns that finished before a restart and are no
-   longer in the live table. *)
+(* Streams the journal of a campaign that no longer holds a queue
+   slot.  Its session has been finished or aborted by then, which
+   closed the journal, so the file is complete; and it outlives the
+   session — and the daemon — so this also serves campaigns that ended
+   before a restart and are no longer in the live table. *)
 let serve_results t cid =
-  let path = results_path t cid in
-  if Sys.file_exists path then
-    match read_file path with
-    | body -> (200, Some "text/plain", body)
-    | exception Sys_error msg -> (500, None, error_json msg)
-  else
-    match Hashtbl.find_opt t.campaigns cid with
-    | Some c when occupied c ->
-        ( 409,
-          None,
-          error_json
-            (Printf.sprintf "campaign %s has no results yet (%s)" cid
-               (Manifest.state_to_string (phase_state c))) )
-    | Some _ ->
-        ( 404,
-          None,
-          error_json
-            (Printf.sprintf "campaign %s finished without results" cid) )
-    | None -> (404, None, error_json (Printf.sprintf "no campaign %s" cid))
+  match Hashtbl.find_opt t.campaigns cid with
+  | Some c when occupied c ->
+      ( 409,
+        None,
+        error_json
+          (Printf.sprintf "campaign %s has no results yet (%s)" cid
+             (Manifest.state_to_string (phase_state c))) )
+  | _ -> (
+      let path = journal_path t cid in
+      if String.contains cid '/' || not (Sys.file_exists path) then
+        (404, None, error_json (Printf.sprintf "no journal for campaign %s" cid))
+      else
+        match read_file path with
+        | body -> (200, Some "text/plain", body)
+        | exception Sys_error msg -> (500, None, error_json msg))
 
 let route t (req : Http.request) =
   let campaign_id path =

@@ -33,10 +33,14 @@
          the current module rankings with Wilson 95% CIs.}
       {- [DELETE /campaigns/:id] — cancel: stop handing out batches,
          drain in-flight runs into the journal, mark [cancelled].}
-      {- [GET /campaigns/:id/results] — the finished campaign's saved
-         {!Propane.Storage} results file, streamed as [text/plain];
-         [409] while it is still queued or running, and still served
-         after a restart (the file outlives the daemon).}
+      {- [GET /campaigns/:id/results] — the campaign's journal
+         ([<id>.journal] under [state_dir], see {!Propane.Journal}),
+         streamed as [text/plain]; [409] while the campaign holds a
+         queue slot (queued, running or draining), [404] when there is
+         no journal.  A cancelled or failed campaign returns the
+         journal of the runs that finished.  The journal is closed
+         once the campaign is terminal and outlives the daemon, so it
+         is still served after a restart.}
       {- [GET /fleet] — the worker roster, plus a bottleneck diagnosis:
          [queue_depth] (runs queued across runnable campaigns), [idle]
          (parked workers) and a sizing [hint] — when runs are queued

@@ -23,7 +23,7 @@ let gen_nasty_string =
 let gen_small_nat = QCheck2.Gen.int_range 0 100_000
 
 (* Every model class crosses the wire inside a Result message, temporal
-   wrappers included — the protocol delegates to Storage's codec, so
+   wrappers included — the protocol delegates to Error_model's codec, so
    this doubles as the cluster-transport round-trip for new models. *)
 let gen_error =
   QCheck2.Gen.(
@@ -877,33 +877,27 @@ let contains ~needle hay =
   nl = 0 || go 0
 
 (* A hand-rolled client that sends [payload] as its first frame and
-   captures the coordinator's first reply. *)
-let handshake_probe payload out addr =
-  Domain.spawn (fun () ->
-      match Cluster.Address.connect addr with
-      | Error e ->
-          out := Error e;
-          Error e
-      | Ok fd ->
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              let reader = Cluster.Frame.reader fd in
-              Cluster.Frame.write fd payload;
-              (match Cluster.Frame.read reader with
-              | Ok (Some p) -> (
-                  match Cluster.Protocol.decode_to_worker p with
-                  | Ok (Cluster.Protocol.Reject r) -> out := Ok r
-                  | Ok m ->
-                      out :=
-                        Error
-                          (Fmt.str "expected a reject, got %a"
-                             Cluster.Protocol.pp_to_worker m)
-                  | Error e -> out := Error e)
-              | Ok None -> out := Error "connection closed without a reply"
-              | Error e -> out := Error e);
-              Ok 0))
+   returns the reason of the coordinator's [Reject] reply. *)
+let handshake_probe payload addr =
+  match Cluster.Address.connect addr with
+  | Error e -> Error e
+  | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let reader = Cluster.Frame.reader fd in
+          Cluster.Frame.write fd payload;
+          match Cluster.Frame.read reader with
+          | Ok (Some p) -> (
+              match Cluster.Protocol.decode_to_worker p with
+              | Ok (Cluster.Protocol.Reject r) -> Ok r
+              | Ok m ->
+                  Error
+                    (Fmt.str "expected a reject, got %a"
+                       Cluster.Protocol.pp_to_worker m)
+              | Error e -> Error e)
+          | Ok None -> Error "connection closed without a reply"
+          | Error e -> Error e)
 
 (* Version 2's opening message: tag 1, version, host, pid, digest. *)
 let v2_hello =
@@ -927,23 +921,34 @@ let reject_tests =
         let hello = ref (Error "no reply") in
         let pinned = ref (Error "not run") in
         let pin = String.make 32 'f' in
+        (* The campaign has no worker until the probes and the pinned
+           worker have their replies, so it cannot finish (and unlink
+           its socket) before they connect; only then does one worker
+           drain it.  [attempt] keeps a raising probe from leaving the
+           campaign without that worker. *)
+        let attempt f = try f () with e -> Error (Printexc.to_string e) in
         let clients addr =
           [
-            handshake_probe
-              (Cluster.Protocol.encode_to_coordinator
-                 (Cluster.Protocol.Join
-                    { version = 99; host = "probe"; pid = 1 }))
-              bad_version addr;
-            handshake_probe v2_hello hello addr;
             Domain.spawn (fun () ->
+                bad_version :=
+                  attempt (fun () ->
+                      handshake_probe
+                        (Cluster.Protocol.encode_to_coordinator
+                           (Cluster.Protocol.Join
+                              { version = 99; host = "probe"; pid = 1 }))
+                        addr);
+                hello := attempt (fun () -> handshake_probe v2_hello addr);
                 pinned :=
-                  Cluster.Worker.run ~config_digest:pin ~connect:addr
-                    ~make:(fun w -> make_executor w)
-                    ();
-                Ok 0);
+                  attempt (fun () ->
+                      Cluster.Worker.run ~config_digest:pin ~connect:addr
+                        ~make:(fun w -> make_executor w)
+                        ());
+                Cluster.Worker.run ~connect:addr
+                  ~make:(fun w -> make_executor w)
+                  ());
           ]
         in
-        ignore (cluster_run ~extra_clients:clients ());
+        ignore (cluster_run ~worker_hooks:[] ~extra_clients:clients ());
         let check name needle = function
           | Ok reason ->
               if not (contains ~needle reason) then

@@ -1485,28 +1485,6 @@ let results_tests =
           "y" 1
           (List.length (Propane.Results.by_target r "y"));
         Alcotest.(check int) "z" 0 (Propane.Results.injections_into r "z"));
-    Alcotest.test_case "merge concatenates" `Quick (fun () ->
-        let mk () = Propane.Results.create ~sut:"s" ~campaign:"c" in
-        let a = mk () and b = mk () in
-        let outcome =
-          {
-            Propane.Results.testcase = "t";
-            injection =
-              Propane.Injection.make ~target:"x" ~at:Sim.Sim_time.zero
-                ~error:(Propane.Error_model.Bit_flip 0);
-            divergences = [];
-            status = Propane.Results.Completed;
-          }
-        in
-        Propane.Results.add a outcome;
-        Propane.Results.add b outcome;
-        Alcotest.(check int)
-          "merged" 2
-          (Propane.Results.count (Propane.Results.merge a b)));
-    check_raises_invalid "merge rejects different campaigns" (fun () ->
-        Propane.Results.merge
-          (Propane.Results.create ~sut:"s" ~campaign:"c1")
-          (Propane.Results.create ~sut:"s" ~campaign:"c2"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1649,14 +1627,16 @@ let uniformity_tests =
 (* ------------------------------------------------------------------ *)
 
 let storage_tests =
-  let temp suffix = Filename.temp_file "propane_test" suffix in
-  let save_ok = function Ok () -> () | Error msg -> Alcotest.fail msg in
+  let with_journal f =
+    let path = Filename.temp_file "propane_test" ".journal" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
   [
     Alcotest.test_case "error model round-trips" `Quick (fun () ->
         List.iter
           (fun e ->
             match
-              Propane.Storage.error_of_string (Propane.Storage.error_to_string e)
+              Propane.Error_model.decode (Propane.Error_model.encode e)
             with
             | Ok e' ->
                 Alcotest.(check bool) "equal" true (Propane.Error_model.equal e e')
@@ -1670,7 +1650,7 @@ let storage_tests =
     Alcotest.test_case "error parser rejects junk" `Quick (fun () ->
         List.iter
           (fun junk ->
-            match Propane.Storage.error_of_string junk with
+            match Propane.Error_model.decode junk with
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "accepted %S" junk)
           [
@@ -1685,144 +1665,44 @@ let storage_tests =
       (QCheck2.Test.make ~count:500
          ~name:"error codec round-trips the full taxonomy" gen_error_model
          (fun e ->
-           match
-             Propane.Storage.error_of_string (Propane.Storage.error_to_string e)
-           with
+           match Propane.Error_model.decode (Propane.Error_model.encode e) with
            | Ok e' -> Propane.Error_model.equal e e'
            | Error _ -> false));
-    Alcotest.test_case "results round-trip through a file" `Quick (fun () ->
-        let original =
-          synthetic_results
-            [
-              ("x", "m=8000/v=40", 500, [ ("y", 501); ("z", 600) ]);
-              ("w", "m=8000/v=40", 1_000, []);
-            ]
-        in
-        let path = temp ".results" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            save_ok (Propane.Storage.save_results path original);
-            match Propane.Storage.load_results path with
-            | Error msg -> Alcotest.fail msg
-            | Ok loaded ->
-                Alcotest.(check string)
-                  "sut" (Propane.Results.sut original)
-                  (Propane.Results.sut loaded);
-                Alcotest.(check int)
-                  "count" (Propane.Results.count original)
-                  (Propane.Results.count loaded);
-                List.iter2
-                  (fun (a : Propane.Results.outcome)
-                       (b : Propane.Results.outcome) ->
-                    Alcotest.(check string) "testcase" a.testcase b.testcase;
-                    Alcotest.(check string)
-                      "target" a.injection.Propane.Injection.target
-                      b.injection.Propane.Injection.target;
-                    Alcotest.(check bool)
-                      "divergences" true
-                      (a.divergences = b.divergences))
-                  (Propane.Results.outcomes original)
-                  (Propane.Results.outcomes loaded)));
-    Alcotest.test_case "loading garbage fails with a located message" `Quick
-      (fun () ->
-        let path = temp ".bad" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let oc = open_out path in
-            output_string oc "not a propane file\n";
-            close_out oc;
-            match Propane.Storage.load_results path with
-            | Error msg ->
-                Alcotest.(check bool) "mentions line" true
-                  (contains_substring msg ":1:")
-            | Ok _ -> Alcotest.fail "accepted garbage"));
     Alcotest.test_case "campaign results survive storage end to end" `Quick
       (fun () ->
-        let results =
-          runner ~seed:7L (scaler_sut ()) scaler_campaign
-        in
-        let path = temp ".results" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            save_ok (Propane.Storage.save_results path results);
-            match Propane.Storage.load_results path with
+        with_journal (fun path ->
+            ignore
+              (runner ~seed:7L ~journal:path (scaler_sut ()) scaler_campaign);
+            match Propane.Journal.load path with
             | Error msg -> Alcotest.fail msg
-            | Ok loaded ->
+            | Ok journal ->
                 let matrix =
                   Propane.Estimator.estimate_matrix ~model:scale_model
-                    ~results:loaded "SCALE"
+                    ~results:(Propane.Journal.results journal) "SCALE"
                 in
                 Alcotest.(check (float 1e-9))
                   "estimate preserved" 0.75
                   (Propagation.Perm_matrix.get matrix ~input:1 ~output:1)));
-    Alcotest.test_case "save refuses separator characters, gracefully" `Quick
-      (fun () ->
-        let results = Propane.Results.create ~sut:"tab\there" ~campaign:"c" in
-        let path = temp ".results" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            match Propane.Storage.save_results path results with
-            | Error msg ->
-                Alcotest.(check bool)
-                  "mentions separator" true
-                  (contains_substring msg "separator")
-            | Ok () -> Alcotest.fail "accepted a tab in the SUT name"));
-    Alcotest.test_case "failed statuses round-trip through a results file"
-      `Quick (fun () ->
-        let results = Propane.Results.create ~sut:"s" ~campaign:"c" in
-        let add status divs =
-          Propane.Results.add results
-            {
-              Propane.Results.testcase = "t";
-              injection =
-                Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 5)
-                  ~error:(Propane.Error_model.Bit_flip 1);
-              divergences =
-                List.map
-                  (fun (signal, first_ms) ->
-                    { Propane.Golden.signal; first_ms })
-                  divs;
-              status;
-            }
-        in
-        add Propane.Results.Completed [ ("y", 6) ];
-        add
-          (Propane.Results.Crashed
-             { at_ms = 7; reason = "Failure(\"boom: nested\")" })
-          [ ("y", 7) ];
-        add (Propane.Results.Hung { budget_ms = 100 }) [];
-        let path = temp ".results" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            save_ok (Propane.Storage.save_results path results);
-            match Propane.Storage.load_results path with
-            | Error msg -> Alcotest.fail msg
-            | Ok loaded ->
-                Alcotest.(check int)
-                  "crashed" 1
-                  (Propane.Results.crashed_count loaded);
-                Alcotest.(check int)
-                  "hung" 1 (Propane.Results.hung_count loaded);
-                List.iter2
-                  (fun (a : Propane.Results.outcome)
-                       (b : Propane.Results.outcome) ->
-                    Alcotest.(check bool) "status" true (a.status = b.status);
-                    Alcotest.(check bool)
-                      "divergences" true
-                      (a.divergences = b.divergences))
-                  (Propane.Results.outcomes results)
-                  (Propane.Results.outcomes loaded)));
     Alcotest.test_case "status parser rejects junk" `Quick (fun () ->
         List.iter
           (fun junk ->
-            match Propane.Storage.status_of_string junk with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.failf "accepted %S" junk)
+            with_journal (fun path ->
+                (match
+                   Propane.Journal.create ~path ~sut:"s" ~campaign:"c"
+                     ~seed:1L ~total:1 ()
+                 with
+                | Ok w -> Propane.Journal.close w
+                | Error msg -> Alcotest.fail msg);
+                let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+                Printf.fprintf oc "run2\t0\tt\tx\t10\tbitflip:3\t%s\t0\n" junk;
+                close_out oc;
+                match Propane.Journal.load path with
+                | Error msg ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%S is line-numbered" junk)
+                      true
+                      (contains_substring msg ":6:")
+                | Ok _ -> Alcotest.failf "accepted %S" junk))
           [
             "";
             "done";
@@ -1834,18 +1714,6 @@ let storage_tests =
             "hung:-1";
             "completed:extra";
           ]);
-    Alcotest.test_case "a carriage return is a separator too" `Quick (fun () ->
-        let results = Propane.Results.create ~sut:"cr\rname" ~campaign:"c" in
-        let path = temp ".results" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            match Propane.Storage.save_results path results with
-            | Error msg ->
-                Alcotest.(check bool)
-                  "mentions separator" true
-                  (contains_substring msg "separator")
-            | Ok () -> Alcotest.fail "accepted a CR in the SUT name"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1908,7 +1776,7 @@ let journal_tests =
             Alcotest.(check string) "campaign" "c" j.Propane.Journal.campaign;
             Alcotest.(check int64) "seed" 5L j.Propane.Journal.seed;
             Alcotest.(check int) "total" 3 j.Propane.Journal.total;
-            match j.Propane.Journal.entries with
+            (match j.Propane.Journal.entries with
             | [ (0, o0); (2, o2) ] ->
                 Alcotest.(check bool)
                   "first" true
@@ -1917,7 +1785,21 @@ let journal_tests =
                 Alcotest.(check bool) "second" true (compare o2 (outcome "t2" "x" 20) = 0)
             | entries ->
                 Alcotest.failf "expected entries 0 and 2, got %d"
-                  (List.length entries)));
+                  (List.length entries));
+            let results = Propane.Journal.results j in
+            Alcotest.(check string) "results sut" "s" (Propane.Results.sut results);
+            Alcotest.(check string)
+              "results campaign" "c"
+              (Propane.Results.campaign results);
+            Alcotest.(check bool)
+              "results outcomes" true
+              (compare
+                 (Propane.Results.outcomes results)
+                 [
+                   outcome ~divs:[ ("y", 12); ("z", 40) ] "t1" "x" 10;
+                   outcome "t2" "x" 20;
+                 ]
+              = 0)));
     Alcotest.test_case "an uncommitted trailing record is dropped" `Quick
       (fun () ->
         with_temp (fun path ->
@@ -1958,7 +1840,10 @@ let journal_tests =
             | Error msg ->
                 Alcotest.(check bool)
                   "mentions magic" true
-                  (contains_substring msg "bad magic")
+                  (contains_substring msg "bad magic");
+                Alcotest.(check bool)
+                  "mentions line" true
+                  (contains_substring msg ":1:")
             | Ok _ -> Alcotest.fail "accepted garbage"));
     Alcotest.test_case "separator characters are refused" `Quick (fun () ->
         with_temp (fun path ->
@@ -1966,7 +1851,13 @@ let journal_tests =
                Propane.Journal.create ~path ~sut:"tab\there" ~campaign:"c"
                  ~seed:1L ~total:1 ()
              with
-            | Error _ -> ()
+            | Error msg ->
+                Alcotest.(check bool)
+                  "mentions separator" true
+                  (contains_substring msg "separator");
+                Alcotest.(check int)
+                  "nothing written" 0
+                  (Unix.stat path).Unix.st_size
             | Ok _ -> Alcotest.fail "accepted a tab in the SUT name");
             let w =
               ok
@@ -2089,14 +1980,19 @@ let journal_tests =
             ok (Propane.Journal.append w ~index:1 hung);
             Propane.Journal.close w;
             let j = ok (Propane.Journal.load path) in
-            match j.Propane.Journal.entries with
+            (match j.Propane.Journal.entries with
             | [ (0, o0); (1, o1) ] ->
                 Alcotest.(check bool)
                   "crash intact" true
                   (compare o0 crashed = 0);
                 Alcotest.(check bool) "hang intact" true (compare o1 hung = 0)
             | e ->
-                Alcotest.failf "expected 2 entries, got %d" (List.length e)));
+                Alcotest.failf "expected 2 entries, got %d" (List.length e));
+            let results = Propane.Journal.results j in
+            Alcotest.(check int)
+              "crashed" 1
+              (Propane.Results.crashed_count results);
+            Alcotest.(check int) "hung" 1 (Propane.Results.hung_count results)));
     Alcotest.test_case "v1 run records load with status Completed" `Quick
       (fun () ->
         with_temp (fun path ->
@@ -2123,25 +2019,26 @@ let journal_tests =
             let w =
               ok
                 (Propane.Journal.create ~path ~sut:"s" ~campaign:"c" ~seed:1L
-                   ~total:1 ())
+                   ~total:2 ())
             in
+            (* Index 1 lands first, as out-of-order parallel runs do. *)
+            ok (Propane.Journal.append w ~index:1 (outcome "t1" "x" 20));
             ok
               (Propane.Journal.append w ~index:0
                  (outcome
                     ~status:
                       (Propane.Results.Crashed { at_ms = 12; reason = "boom" })
                     "t" "x" 10));
-            ok
-              (Propane.Journal.append w ~index:0
-                 (outcome ~divs:[ ("y", 11) ] "t" "x" 10));
+            let retry = outcome ~divs:[ ("y", 11) ] "t" "x" 10 in
+            ok (Propane.Journal.append w ~index:0 retry);
             Propane.Journal.close w;
             let j = ok (Propane.Journal.load path) in
             Alcotest.(check int)
-              "both records kept" 2
+              "every record kept" 3
               (List.length j.Propane.Journal.entries);
             let table = Propane.Journal.completed j in
-            Alcotest.(check int) "one completed index" 1 (Hashtbl.length table);
-            match Hashtbl.find_opt table 0 with
+            Alcotest.(check int) "two completed indices" 2 (Hashtbl.length table);
+            (match Hashtbl.find_opt table 0 with
             | Some o ->
                 Alcotest.(check bool)
                   "the retry wins" true
@@ -2149,7 +2046,13 @@ let journal_tests =
                 Alcotest.(check (option int))
                   "retry divergences win" (Some 11)
                   (Propane.Results.divergence_of o "y")
-            | None -> Alcotest.fail "index 0 missing"));
+            | None -> Alcotest.fail "index 0 missing");
+            Alcotest.(check bool)
+              "results in index order, the retry winning" true
+              (compare
+                 (Propane.Results.outcomes (Propane.Journal.results j))
+                 [ retry; outcome "t1" "x" 20 ]
+              = 0)));
     Alcotest.test_case "a carriage return is refused" `Quick (fun () ->
         with_temp (fun path ->
             (match

@@ -499,15 +499,18 @@ let with_service ?(workers = 2) ?(queue_max = 16) ?(tenant_quota = 4)
   List.iter (fun d -> ignore (Domain.join d)) fleet;
   match outcome with Ok r -> r | Error e -> raise e
 
-let http_json ~addr ~meth ~path ?body () =
+(* The status and raw body, for endpoints that stream a file. *)
+let http_body ~addr ~meth ~path ?body () =
   match Http.request ?body ~addr ~meth ~path () with
   | Error msg -> Alcotest.failf "%s %s: %s" meth path msg
-  | Ok (status, body) -> (
-      match Json.parse body with
-      | Ok json -> (status, json)
-      | Error msg ->
-          Alcotest.failf "%s %s: unparseable response %S: %s" meth path body
-            msg)
+  | Ok response -> response
+
+let http_json ~addr ~meth ~path ?body () =
+  let status, body = http_body ~addr ~meth ~path ?body () in
+  match Json.parse body with
+  | Ok json -> (status, json)
+  | Error msg ->
+      Alcotest.failf "%s %s: unparseable response %S: %s" meth path body msg
 
 let jstr name json =
   Option.value ~default:"" (Option.bind (Json.member name json) Json.str)
@@ -610,6 +613,11 @@ let service_tests =
                     http_json ~addr ~meth:"GET" ~path:("/campaigns/" ^ id) ()
                   in
                   jint "completed" json > 0);
+              Alcotest.(check int)
+                "no results while running" 409
+                (fst
+                   (http_body ~addr ~meth:"GET"
+                      ~path:"/campaigns/c0001/results" ()));
               `Abort)
         in
         Alcotest.(check bool) "service aborted" true (Result.is_error crashed);
@@ -634,9 +642,41 @@ let service_tests =
               (* Resume replayed the journalled prefix instead of
                  re-running it. *)
               Alcotest.(check bool) "skipped > 0" true (jint "completed" json > 0);
+              Alcotest.(check (pair int string))
+                "results stream the journal" (200, solo_a)
+                (http_body ~addr ~meth:"GET" ~path:"/campaigns/c0001/results"
+                   ());
               `Drain)
         in
         Alcotest.(check bool) "clean second run" true (resumed = Ok ());
+        (* Phase 3: a service that never ran the campaign — it is done,
+           so recovery leaves it out of the live table — still serves
+           its journal, and nothing else records its outcomes. *)
+        let served =
+          with_service ~workers:0 ~state_dir (fun addr ->
+              Alcotest.(check (pair int string))
+                "results outlive the daemon" (200, solo_a)
+                (http_body ~addr ~meth:"GET" ~path:"/campaigns/c0001/results"
+                   ());
+              Alcotest.(check int)
+                "unknown campaign" 404
+                (fst
+                   (http_body ~addr ~meth:"GET"
+                      ~path:"/campaigns/c9999/results" ()));
+              Alcotest.(check int)
+                "an id is not a path" 404
+                (fst
+                   (http_body ~addr ~meth:"GET"
+                      ~path:
+                        (Printf.sprintf "/campaigns/../%s/c0001/results"
+                           (Filename.basename state_dir))
+                      ()));
+              `Drain)
+        in
+        Alcotest.(check bool) "clean third run" true (served = Ok ());
+        Alcotest.(check bool)
+          "no results file" false
+          (Sys.file_exists (Filename.concat state_dir "c0001.results"));
         (* Solo reference ran the fast SUT (same recipe string pinned);
            the service ran the slow one.  Identical journals prove
            timing never leaks into records. *)
