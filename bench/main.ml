@@ -127,7 +127,7 @@ let results () =
           (Arrestment.System.sut ())
           c
       in
-      Format.printf "campaign finished in %.1f s (cpu)@." (Sys.time () -. t0);
+      Format.eprintf "campaign finished in %.1f s (cpu)@." (Sys.time () -. t0);
       measured_results := Some r;
       r
 
