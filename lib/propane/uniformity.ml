@@ -88,7 +88,7 @@ let uniform_fraction r =
 let pp_report ppf r =
   Fmt.pf ppf
     "@[<v>%d locations: %d all-propagate, %d none-propagate, %d mixed \
-     (uniform fraction %.2f)@,ratio histogram: %a@]"
+     (uniform fraction %.2f)@,ratio histogram: @[<h>%a@]@]"
     r.locations r.uniform_all r.uniform_none r.mixed (uniform_fraction r)
     Fmt.(array ~sep:sp int)
     r.histogram
