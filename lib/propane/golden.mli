@@ -33,7 +33,10 @@ val compare_runs :
 
 type frozen = private {
   frozen_signals : string array;  (** signal names in trace-set order *)
-  frozen_duration : int;  (** recorded duration in ms *)
+  frozen_duration : int;
+      (** recorded duration in ms.  A campaign's goldens stop at its
+          read horizon ({!Runner.run}), so this may be shorter than the
+          SUT's natural run. *)
   samples : int array;
       (** signal-major samples: value of signal [s] at millisecond [ms]
           is [samples.(s * frozen_duration + ms)].  Read-only. *)

@@ -501,6 +501,28 @@ let first_fires experiments (indices : int Seq.t) =
     Option.value ~default:[||]
       (String_map.find_opt (Testcase.id tc) (Lazy.force by_testcase))
 
+(* How far any run of [campaign] reads its test case's golden run.  A
+   truncated run lasts [min golden (last fire + extra + 1)] and compares
+   only the samples before that, so a golden stopped at the largest such
+   bound over the campaign's instants and error models (targets and test
+   cases do not move it) gives every run the duration, comparisons and
+   length-mismatch verdict of a full-length one.  Untruncated runs read
+   the whole golden.  Campaign-wide, so every process serving the
+   campaign freezes the same goldens. *)
+let golden_horizon { Config.max_ms; truncate_after_ms; _ } campaign =
+  match truncate_after_ms with
+  | None -> max_ms
+  | Some extra ->
+      List.fold_left
+        (fun acc at ->
+          let inject_ms = Simkernel.Sim_time.to_ms at in
+          List.fold_left
+            (fun acc error ->
+              max acc (Error_model.last_fire_ms error ~inject_ms + extra + 1))
+            acc campaign.Campaign.errors)
+        0 campaign.Campaign.times
+      |> min max_ms
+
 (* Frozen golden runs for exactly the test cases the remaining
    experiments need — a resumed campaign does not re-execute goldens
    whose injection runs are all journalled — each saving the SUT's state
@@ -575,18 +597,11 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Runner.executor: %s" msg));
-  let {
-    Config.max_ms;
-    truncate_after_ms;
-    run_timeout_ms;
-    retries;
-    _;
-  } =
-    config
-  in
+  let { Config.truncate_after_ms; run_timeout_ms; retries; _ } = config in
   let experiments = Array.of_list (Campaign.experiments campaign) in
   let total = Array.length experiments in
   let arena = make_arena sut in
+  let horizon = golden_horizon config campaign in
   (* A worker may be handed any index, so each golden saves the state
      at every first fire of its test case. *)
   let instants = first_fires experiments (Seq.init total Fun.id) in
@@ -597,7 +612,9 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
     | Some frozen -> frozen
     | None ->
         Log.debug (fun m -> m "golden run for %s" id);
-        let frozen = frozen_of ~max_ms ~instants:(instants tc) sut tc in
+        let frozen =
+          frozen_of ~max_ms:horizon ~instants:(instants tc) sut tc
+        in
         Hashtbl.add goldens id frozen;
         frozen
   in
@@ -1052,8 +1069,7 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
     ~finally:(fun () -> Session.abort session)
     (fun () ->
       let {
-        Config.max_ms;
-        seed;
+        Config.seed;
         truncate_after_ms;
         run_timeout_ms;
         retries;
@@ -1064,7 +1080,10 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
         config
       in
       let goldens =
-        goldens_for ~max_ms sut experiments (Session.candidates session)
+        goldens_for
+          ~max_ms:(golden_horizon config campaign)
+          sut experiments
+          (Session.candidates session)
       in
       Option.iter
         (fun f -> f (Goldens_done { testcases = String_map.cardinal goldens }))

@@ -5,12 +5,13 @@
     after each step, reads every observable signal once into a flat
     sample that it hands to a streaming {!Observer}.  A golden run
     executes until the SUT reports completion (or [max_ms] as a safety
-    net) and is then {e frozen} ({!Golden.freeze}) into a compact
+    net; a campaign's goldens stop earlier, at its read horizon — see
+    {!run}) and is then {e frozen} ({!Golden.freeze}) into a compact
     immutable form; each injection run executes for {e exactly} the
-    duration of its test case's golden run — or less, when every
-    monitored signal has already diverged and the divergence observer
-    saturates — so divergence timestamps compare sample by sample
-    without any per-run trace materialization.  For SUTs with a
+    duration of its test case's golden run, cut at its truncation —
+    or less, when every monitored signal has already diverged and the
+    divergence observer saturates — so divergence timestamps compare
+    sample by sample without any per-run trace materialization.  For SUTs with a
     {!Sut.state_hook} the golden run also saves its state at the runs'
     first fires, and each injection run starts there instead of at
     millisecond 0 (see {!run_experiment}). *)
@@ -415,7 +416,16 @@ val run :
     Golden runs execute up front in the calling domain, only for the
     test cases the session's {!Session.candidates} still need, and are
     frozen ({!Golden.freeze}) before being shared read-only; then
-    [Goldens_done] is emitted.  With [jobs = 1] every run executes in
+    [Goldens_done] is emitted.  Each golden stops at the campaign's
+    {e read horizon}, or at the SUT's natural end if that comes first.
+    With [truncate_after_ms = Some extra] the horizon is the largest
+    [last fire + extra + 1] over the campaign's instants and error
+    models ({!Error_model.last_fire_ms}), capped at [max_ms]; without
+    truncation it is [max_ms].  No run reads past it: a run still
+    lasts [min (golden, last fire + extra + 1)] and compares only the
+    samples before that, so outcomes equal those against full-length
+    goldens (property-tested).  {!golden_run} and {!frozen_golden}
+    keep running to the end.  With [jobs = 1] every run executes in
     the calling domain and a stop or failure starts no further run —
     the stop point is deterministic for a fixed seed.  Otherwise
     [jobs] worker domains each receive one index at a time from the
@@ -478,7 +488,9 @@ val executor :
     application matters: golden runs execute lazily the first time an
     index needs their test case and stay memoised across calls.  Each
     saves the SUT's state at the first fire of every experiment of its
-    test case, so every run starts there as in {!run}.
+    test case, so every run starts there as in {!run}, and stops at the
+    same campaign-wide read horizon as {!run}'s goldens: every process
+    serving a campaign freezes the same goldens.
 
     Of [config] only [max_ms], [truncate_after_ms], [run_timeout_ms]
     and [retries] apply — scheduling and journalling fields belong to

@@ -112,40 +112,50 @@ module EM = Propane.Error_model
 let em_width = 16
 let em_mask = (1 lsl em_width) - 1
 
+(* The spatial models that draw no randomness. *)
+let gen_deterministic_spatial =
+  QCheck2.Gen.
+    [
+      map (fun b -> EM.Bit_flip b) (int_range 0 (em_width - 1));
+      map
+        (fun bits -> EM.Multi_bit (List.sort_uniq Int.compare bits))
+        (list_size (int_range 1 6) (int_range 0 (em_width - 1)));
+      map2
+        (fun first len ->
+          EM.Burst { first; len = min len (em_width - first) })
+        (int_range 0 (em_width - 1))
+        (int_range 1 em_width);
+      map (fun c -> EM.Stuck_at c) (int_range (-200_000) 200_000);
+      map (fun d -> EM.Offset d) (int_range (-200_000) 200_000);
+    ]
+
 let gen_spatial_model =
   QCheck2.Gen.(
     oneof
-      [
-        map (fun b -> EM.Bit_flip b) (int_range 0 (em_width - 1));
-        map
-          (fun bits -> EM.Multi_bit (List.sort_uniq Int.compare bits))
-          (list_size (int_range 1 6) (int_range 0 (em_width - 1)));
-        map2
-          (fun first len ->
-            EM.Burst { first; len = min len (em_width - first) })
-          (int_range 0 (em_width - 1))
-          (int_range 1 em_width);
-        map (fun c -> EM.Stuck_at c) (int_range (-200_000) 200_000);
-        map (fun d -> EM.Offset d) (int_range (-200_000) 200_000);
-        map (fun a -> EM.Noise a) (int_range 1 em_mask);
-        pure EM.Replace_uniform;
-      ])
+      (gen_deterministic_spatial
+      @ [
+          map (fun a -> EM.Noise a) (int_range 1 em_mask);
+          pure EM.Replace_uniform;
+        ]))
 
-let gen_error_model =
+(* A spatial model from [spatial], bare or wrapped in a temporal one. *)
+let gen_error_model_over spatial =
   QCheck2.Gen.(
     frequency
       [
-        (3, gen_spatial_model);
+        (3, spatial);
         ( 1,
           map2
             (fun model delay_ms -> EM.Delayed { model; delay_ms })
-            gen_spatial_model (int_range 0 100) );
+            spatial (int_range 0 100) );
         ( 1,
           map3
             (fun model period_ms window_ms ->
               EM.Intermittent { model; period_ms; window_ms })
-            gen_spatial_model (int_range 1 20) (int_range 1 100) );
+            spatial (int_range 1 20) (int_range 1 100) );
       ])
+
+let gen_error_model = gen_error_model_over gen_spatial_model
 
 let error_model_property_tests =
   let apply_seeded e seed v =
@@ -851,20 +861,23 @@ let runner_tests =
     Alcotest.test_case "runs start at their first fire only with a state hook"
       `Quick (fun () ->
         (* The scaler campaign fires at 10..50 ms; a 5 ms truncation
-           leaves at most 6 ms per run once the prefix is skipped. *)
-        let steps hook =
+           leaves at most 6 ms per run once the prefix is skipped, and
+           no run reads its golden past 50 + 5 + 1 ms. *)
+        let steps ?truncate_after_ms hook =
           let sut, counts = counting (scaler_sut ~hook ()) in
           let results =
-            runner ~seed:3L ~truncate_after_ms:5 sut scaler_campaign
+            runner ~seed:3L ?truncate_after_ms sut scaler_campaign
           in
           match counts () with
-          | golden :: runs ->
-              Alcotest.(check int) "golden" 100 golden;
-              (Propane.Results.outcomes results, runs)
+          | golden :: runs -> (golden, Propane.Results.outcomes results, runs)
           | [] -> Alcotest.fail "no instance"
         in
-        let plain, from_zero = steps false in
-        let hooked, from_fire = steps true in
+        let golden, plain, from_zero = steps ~truncate_after_ms:5 false in
+        let _, hooked, from_fire = steps ~truncate_after_ms:5 true in
+        let untruncated, _, _ = steps true in
+        Alcotest.(check int) "golden stops at the horizon" 56 golden;
+        Alcotest.(check int)
+          "an untruncated golden runs to the end" 100 untruncated;
         Alcotest.(check int) "one instance per run" 80 (List.length from_zero);
         Alcotest.(check bool)
           "without the hook every run steps through its prefix" true
@@ -1342,6 +1355,130 @@ let runner_tests =
         runner ~run_timeout_ms:0 (scaler_sut ()) scaler_campaign);
     check_raises_invalid "negative retries rejected" (fun () ->
         runner ~retries:(-1) (scaler_sut ()) scaler_campaign);
+  ]
+
+(* Campaign goldens stop at the campaign's read horizon (the latest
+   last fire + truncation + 1), or at the SUT's end if that comes first.
+   The oracle freezes every golden at full length and runs each
+   experiment through [run_experiment].  Only spatial models that
+   draw no randomness are generated: the oracle cannot reproduce the
+   campaign's per-index RNG streams. *)
+let horizon_tests =
+  let model =
+    gen_error_model_over (QCheck2.Gen.oneof gen_deterministic_spatial)
+  in
+  (* The scaler finishes at 100 ms and the Builder system at 90 ms;
+     instants reach past both. *)
+  let instant =
+    QCheck2.Gen.(oneof [ int_range 0 130; oneofl [ 89; 90; 99; 100 ] ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      tup4
+        (tup3 (int_range 0 2) (opt (int_range 0 8)) (int_range 1 2))
+        (opt (oneof [ pure 0; int_range 0 40 ]))
+        (oneof [ pure Propane.Runner.default_max_ms; int_range 20 150 ])
+        (tup2
+           (list_size (int_range 1 3) instant)
+           (list_size (int_range 1 3) model)))
+  in
+  let print ((kind, crash, cases), truncate, max_ms, (times, errors)) =
+    let opt = Option.fold ~none:"none" ~some:string_of_int in
+    Printf.sprintf
+      "sut %d, crash %s, %d cases, truncate %s, max_ms %d, times [%s], \
+       errors [%s]"
+      kind (opt crash) cases (opt truncate) max_ms
+      (String.concat "; " (List.map string_of_int times))
+      (String.concat "; " (List.map EM.describe errors))
+  in
+  let builder =
+    Dataflow.Builder.synthetic ~duration_ms:90 ~modules:4 ~fan_in:2
+      ~fan_out:1 ~feedback:1 ~seed:5L ()
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:150 ~print
+         ~name:"horizon goldens give the outcomes of full-length goldens" gen
+         (fun ((kind, crash, cases), truncate_after_ms, max_ms, (times, errors))
+         ->
+           let base, targets =
+             match kind with
+             | 0 -> (scaler_sut (), [ "x"; "y" ])
+             | 1 -> (scaler_sut ~hook:true (), [ "x"; "y" ])
+             | _ ->
+                 ( Dataflow.Builder.sut builder,
+                   List.filteri
+                     (fun i _ -> i < 2)
+                     (Dataflow.Builder.injection_targets builder) )
+           in
+           let sut =
+             match crash with
+             | None -> base
+             | Some after -> Propane.Fault.wrap ~crash_after_ms:after base
+           in
+           let campaign =
+             Propane.Campaign.make ~name:"horizon" ~targets
+               ~testcases:
+                 (List.init cases (fun i ->
+                      Propane.Testcase.make ~id:(Printf.sprintf "t%d" i)
+                        ~params:[]))
+               ~times:
+                 (List.map Sim.Sim_time.of_ms
+                    (List.sort_uniq Int.compare times))
+               ~errors
+           in
+           let experiments = Propane.Campaign.experiments campaign in
+           let save_at =
+             List.map (fun (_, i) -> Propane.Injection.first_fire_ms i)
+               experiments
+           in
+           (* A recorder rides along under [keep_traces] and keeps a run
+              going after every signal has diverged, so traced runs get
+              their own oracle. *)
+           let oracle ~keep =
+             let observers () =
+               if keep then
+                 [
+                   fst
+                     (Propane.Observer.recorder
+                        ~signals:(Propane.Sut.signal_names sut));
+                 ]
+               else []
+             in
+             List.map
+               (fun (tc, injection) ->
+                 Propane.Runner.run_experiment ?truncate_after_ms
+                   ~observers:(observers ()) sut
+                   ~golden:(Propane.Runner.frozen_golden ~max_ms ~save_at sut tc)
+                   tc injection)
+               experiments
+           in
+           let streamed = oracle ~keep:false and traced = oracle ~keep:true in
+           let config ?(jobs = 1) ?(keep_traces = false) () =
+             Propane.Runner.Config.make ~max_ms ~seed:11L ?truncate_after_ms
+               ~jobs ~keep_traces ()
+           in
+           let by_run ?jobs ?keep_traces () =
+             Propane.Results.outcomes
+               (Propane.Runner.run ~config:(config ?jobs ?keep_traces ()) sut
+                  campaign)
+           in
+           let by_executor =
+             let exec =
+               Propane.Runner.executor ~config:(config ()) ~seed:11L sut
+                 campaign
+             in
+             List.mapi (fun i _ -> fst (exec i)) experiments
+           in
+           List.for_all
+             (fun (oracle, outcomes) -> compare outcomes oracle = 0)
+             [
+               (streamed, by_run ());
+               (traced, by_run ~keep_traces:true ());
+               (streamed, by_run ~jobs:2 ());
+               (traced, by_run ~jobs:2 ~keep_traces:true ());
+               (streamed, by_executor);
+             ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -3442,6 +3579,7 @@ let () =
       ("campaign", campaign_tests);
       ("signal_store", signal_store_tests);
       ("runner", runner_tests);
+      ("horizon", horizon_tests);
       ("estimator", estimator_tests);
       ("results", results_tests);
       ("latency", latency_tests);
