@@ -501,14 +501,12 @@ let first_fires experiments (indices : int Seq.t) =
     Option.value ~default:[||]
       (String_map.find_opt (Testcase.id tc) (Lazy.force by_testcase))
 
-(* How far any run of [campaign] reads its test case's golden run.  A
-   truncated run lasts [min golden (last fire + extra + 1)] and compares
-   only the samples before that, so a golden stopped at the largest such
-   bound over the campaign's instants and error models (targets and test
-   cases do not move it) gives every run the duration, comparisons and
-   length-mismatch verdict of a full-length one.  Untruncated runs read
-   the whole golden.  Campaign-wide, so every process serving the
-   campaign freezes the same goldens. *)
+(* How far any run of [campaign] reads a golden.  A truncated run lasts
+   [min golden (last fire + extra + 1)] and compares only the samples
+   before that, so goldens stopped at the largest such bound over the
+   campaign's instants and error models leave every outcome unchanged.
+   Campaign-wide, so every process serving the campaign freezes the
+   same goldens. *)
 let golden_horizon { Config.max_ms; truncate_after_ms; _ } campaign =
   match truncate_after_ms with
   | None -> max_ms
