@@ -11,10 +11,10 @@
     duration of its test case's golden run, cut at its truncation —
     or less, when every monitored signal has already diverged and the
     divergence observer saturates — so divergence timestamps compare
-    sample by sample without any per-run trace materialization.  For SUTs with a
-    {!Sut.state_hook} the golden run also saves its state at the runs'
-    first fires, and each injection run starts there instead of at
-    millisecond 0 (see {!run_experiment}). *)
+    sample by sample without any per-run trace materialization.  For
+    SUTs with a {!Sut.state_hook} the golden run also saves its state
+    at the runs' first fires, and each injection run starts there
+    instead of at millisecond 0 (see {!run_experiment}). *)
 
 val default_max_ms : int
 (** 20,000 simulated ms. *)
