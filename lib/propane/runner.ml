@@ -501,25 +501,16 @@ let first_fires experiments (indices : int Seq.t) =
     Option.value ~default:[||]
       (String_map.find_opt (Testcase.id tc) (Lazy.force by_testcase))
 
-(* How far any run of [campaign] reads a golden.  A truncated run lasts
-   [min golden (last fire + extra + 1)] and compares only the samples
-   before that, so goldens stopped at the largest such bound over the
-   campaign's instants and error models leave every outcome unchanged.
-   Campaign-wide, so every process serving the campaign freezes the
-   same goldens. *)
-let golden_horizon { Config.max_ms; truncate_after_ms; _ } campaign =
-  match truncate_after_ms with
-  | None -> max_ms
-  | Some extra ->
-      List.fold_left
-        (fun acc at ->
-          let inject_ms = Simkernel.Sim_time.to_ms at in
-          List.fold_left
-            (fun acc error ->
-              max acc (Error_model.last_fire_ms error ~inject_ms + extra + 1))
-            acc campaign.Campaign.errors)
-        0 campaign.Campaign.times
-      |> min max_ms
+(* How far any run of the campaign reads a golden: the longest
+   [truncated_duration] of its experiments against a [max_ms] golden.
+   Goldens stopped there leave every outcome unchanged, since a run
+   lasts and compares only up to its own bound.  Campaign-wide, so
+   every process serving the campaign freezes the same goldens. *)
+let golden_horizon ?truncate_after_ms ~max_ms experiments =
+  Array.fold_left
+    (fun acc (_, injection) ->
+      max acc (truncated_duration ?truncate_after_ms injection max_ms))
+    0 experiments
 
 (* Frozen golden runs for exactly the test cases the remaining
    experiments need — a resumed campaign does not re-execute goldens
@@ -595,11 +586,13 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Runner.executor: %s" msg));
-  let { Config.truncate_after_ms; run_timeout_ms; retries; _ } = config in
+  let { Config.max_ms; truncate_after_ms; run_timeout_ms; retries; _ } =
+    config
+  in
   let experiments = Array.of_list (Campaign.experiments campaign) in
   let total = Array.length experiments in
   let arena = make_arena sut in
-  let horizon = golden_horizon config campaign in
+  let horizon = golden_horizon ?truncate_after_ms ~max_ms experiments in
   (* A worker may be handed any index, so each golden saves the state
      at every first fire of its test case. *)
   let instants = first_fires experiments (Seq.init total Fun.id) in
@@ -1067,7 +1060,8 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
     ~finally:(fun () -> Session.abort session)
     (fun () ->
       let {
-        Config.seed;
+        Config.max_ms;
+        seed;
         truncate_after_ms;
         run_timeout_ms;
         retries;
@@ -1079,7 +1073,7 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
       in
       let goldens =
         goldens_for
-          ~max_ms:(golden_horizon config campaign)
+          ~max_ms:(golden_horizon ?truncate_after_ms ~max_ms experiments)
           sut experiments
           (Session.candidates session)
       in
