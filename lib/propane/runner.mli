@@ -419,8 +419,8 @@ val run :
     [Goldens_done] is emitted.  Each golden stops at the campaign's
     {e read horizon}, or at the SUT's natural end if that comes first.
     With [truncate_after_ms = Some extra] the horizon is the largest
-    [last fire + extra + 1] over the campaign's instants and error
-    models ({!Error_model.last_fire_ms}), capped at [max_ms]; without
+    [last fire + extra + 1] over the campaign's experiments
+    ({!Injection.last_fire_ms}), capped at [max_ms]; without
     truncation it is [max_ms].  No run reads past it: a run still
     lasts [min (golden, last fire + extra + 1)] and compares only the
     samples before that, so outcomes equal those against full-length
@@ -445,7 +445,10 @@ val run :
     a {!Observer.recorder} to every injection run, restoring the
     record-everything data path (runs from millisecond 0, full-length,
     per-run trace allocation) — outcomes are identical either way,
-    only the cost changes.  [on_run_traces] receives each run's
+    only the cost changes, with one known exception: a traced run never
+    stops early, so a SUT that crashes or hangs after every signal has
+    diverged ends [Completed] streamed but [Crashed] or [Hung] traced.
+    [on_run_traces] receives each run's
     outcome and recorded traces (implies [keep_traces]); a crashed or
     hung run's traces stop where the run did.  It and [on_event] are
     only ever called
