@@ -445,12 +445,12 @@ val run :
     a {!Observer.recorder} to every injection run, restoring the
     record-everything data path (runs from millisecond 0, full-length,
     per-run trace allocation) — outcomes are identical either way,
-    only the cost changes, with one known exception: a traced run never
-    stops early, so a SUT that crashes or hangs after every signal has
-    diverged ends [Completed] streamed but [Crashed] or [Hung] traced.
-    [on_run_traces] receives each run's
-    outcome and recorded traces (implies [keep_traces]); a crashed or
-    hung run's traces stop where the run did.  It and [on_event] are
+    only the cost changes, with one known exception: a traced run
+    never stops early, so a SUT that crashes or hangs after every
+    signal has diverged ends [Completed] streamed but [Crashed] or
+    [Hung] traced.  [on_run_traces] receives each run's outcome and
+    recorded traces (implies [keep_traces]); a crashed or hung run's
+    traces stop where the run did.  It and [on_event] are
     only ever called
     from the calling domain, in completion order, so they need no
     synchronisation; feed the events to {!Telemetry.observe} for
