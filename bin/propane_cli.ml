@@ -208,16 +208,6 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-let keep_traces_arg =
-  let doc =
-    "Record full per-run traces instead of streaming each run through the \
-     observer pipeline (see Propane.Observer).  Results are identical; \
-     streaming is faster and uses constant per-run memory, this flag \
-     restores the legacy record-everything data path for debugging or \
-     cost comparison."
-  in
-  Arg.(value & flag & info [ "keep-traces" ] ~doc)
-
 let run_timeout_arg =
   let doc =
     "Wall-clock watchdog per injection run, in milliseconds: a run over \
@@ -646,15 +636,10 @@ let analyze_cmd =
 
 let campaign_cmd =
   let run () cases times full model seed window progress jobs journal resume
-      journal_batch telemetry keep_traces run_timeout_ms retries fail_fast
-      chaos_crash chaos_hang workers listen chaos_kill stop_when ci reuse budget
-      plan =
+      journal_batch telemetry run_timeout_ms retries fail_fast chaos_crash
+      chaos_hang workers listen chaos_kill stop_when ci reuse budget plan =
     let cluster = workers > 0 || listen <> None in
     if resume && journal = None then refuse "--resume requires --journal";
-    if cluster && keep_traces then
-      refuse
-        "--keep-traces is unavailable with --workers/--listen (traces stay \
-         inside the worker processes)";
     if cluster && jobs <> 1 then
       refuse
         "--jobs parallelises in-process domains; it cannot combine with \
@@ -669,7 +654,7 @@ let campaign_cmd =
       Recipe.make ~cases ~times ~full ~model ~window ~seed ~run_timeout_ms
         ~retries ~fail_fast
         ~jobs:(if cluster then max workers 1 else jobs)
-        ?journal ~resume ~journal_batch ~keep_traces ?stop_when ?budget ~plan
+        ?journal ~resume ~journal_batch ?stop_when ?budget ~plan
         ?chaos_crash ?chaos_hang ()
     in
     let analysis =
@@ -704,7 +689,7 @@ let campaign_cmd =
       const run $ log_term $ cases_arg $ times_arg $ full_arg $ model_arg
       $ seed_arg $ window_arg $ progress_arg $ jobs_arg $ journal_arg
       $ resume_arg
-      $ journal_batch_arg $ telemetry_arg $ keep_traces_arg $ run_timeout_arg
+      $ journal_batch_arg $ telemetry_arg $ run_timeout_arg
       $ retries_arg $ fail_fast_arg $ chaos_crash_arg $ chaos_hang_arg
       $ workers_arg $ listen_arg $ chaos_kill_arg $ stop_when_arg $ ci_arg
       $ reuse_arg $ budget_arg $ plan_arg)
@@ -1356,9 +1341,11 @@ let replay_cmd =
   in
   let keep_arg =
     let doc =
-      "Record the replayed run's full signal traces and, once the outcome \
-       is verified against the journal, write them as CSV next to the \
-       journal ($(i,FILE).run$(i,I).csv)."
+      "Record the replayed run's signal traces and, once the outcome is \
+       verified against the journal, write them as CSV next to the journal \
+       ($(i,FILE).run$(i,I).csv): every millisecond from 0, the golden run's \
+       prefix included, up to the run's duration or the crash, hang or \
+       finish that ends it first.  Recording never changes the outcome."
     in
     Arg.(value & flag & info [ "keep-traces" ] ~doc)
   in
@@ -1400,11 +1387,7 @@ let replay_cmd =
        one executes) go, so the replay is a plain serial execution that
        cannot touch the journal it is checking. *)
     let config =
-      {
-        (Propane.Runner.Config.restrict (fun role -> role = `Outcome) config)
-        with
-        keep_traces;
-      }
+      Propane.Runner.Config.restrict (fun role -> role = `Outcome) config
     in
     let traces = ref None in
     let results =

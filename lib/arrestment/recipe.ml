@@ -15,13 +15,13 @@ let default_model = "single-bit"
 
 let make ?(cases = 3) ?(times = 4) ?(full = false) ?(model = default_model)
     ?(window = 64) ?seed ?(run_timeout_ms = 0) ?retries ?fail_fast ?jobs
-    ?journal ?resume ?journal_batch ?keep_traces ?stop_when ?budget ?plan
-    ?chaos_crash ?chaos_hang () =
+    ?journal ?resume ?journal_batch ?stop_when ?budget ?plan ?chaos_crash
+    ?chaos_hang () =
   let config =
     Runner.Config.make ?seed ~truncate_after_ms:(2 * window)
       ?run_timeout_ms:(if run_timeout_ms <= 0 then None else Some run_timeout_ms)
-      ?retries ?fail_fast ?jobs ?journal ?resume ?journal_batch ?keep_traces
-      ?stop_when ?budget ?plan ()
+      ?retries ?fail_fast ?jobs ?journal ?resume ?journal_batch ?stop_when
+      ?budget ?plan ()
   in
   { cases; times; full; model; window; config; chaos_crash; chaos_hang }
 

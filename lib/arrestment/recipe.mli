@@ -27,8 +27,8 @@ val make :
   ?cases:int -> ?times:int -> ?full:bool -> ?model:string -> ?window:int ->
   ?seed:int64 -> ?run_timeout_ms:int -> ?retries:int -> ?fail_fast:bool ->
   ?jobs:int -> ?journal:string -> ?resume:bool -> ?journal_batch:int ->
-  ?keep_traces:bool -> ?stop_when:Propane.Live.rule -> ?budget:int ->
-  ?plan:Propane.Plan.mode -> ?chaos_crash:int -> ?chaos_hang:int -> unit -> t
+  ?stop_when:Propane.Live.rule -> ?budget:int -> ?plan:Propane.Plan.mode ->
+  ?chaos_crash:int -> ?chaos_hang:int -> unit -> t
 (** The one mapping from campaign flags to a recipe, with the CLI's
     defaults (3 cases, 4 times, {!default_model}, a 64 ms window, the
     config's other defaults).  [truncate_after_ms] is twice the window;

@@ -6,16 +6,20 @@
     signal — "not only are the detection capabilities of EDM's
     important, the locations are equally important."
 
-    [assess] re-runs a campaign through {!Propane.Runner.run} with kept
-    (full-length) traces — exactly the runs a plain campaign at the
-    same [max_ms] and [seed] executes — evaluates each candidate
-    detector offline on every run's trace of its signal, and tabulates
+    [assess] re-runs a campaign through {!Propane.Runner.run} with
+    [on_run_traces] (traces from millisecond 0 to each run's full
+    duration) — exactly the runs a plain campaign at the same [max_ms]
+    and [seed] executes — evaluates each candidate detector offline on
+    every run's trace of its signal, and tabulates
     per detector how often it fired, how often an error was actually
     present, and how often it caught an error that went on to corrupt a
     system output (in time to act, i.e. no later than the output's first
     divergence).  A crashed run counts with the divergences of its
     outcome (every signal diverges by the crash instant) and the traces
-    it recorded up to the crash. *)
+    it recorded up to the crash.  A run that crashes or hangs only after
+    every signal has diverged is [Completed], since its outcome was
+    fixed then ({!Propane.Runner.run_experiment}); it counts the same
+    way, with traces that stop at the crash. *)
 
 type report = {
   detector : Detector.t;

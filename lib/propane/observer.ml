@@ -8,19 +8,6 @@ let make ?(on_sample = fun ~ms:_ _ -> ()) ?(finish = fun ~run_ms:_ -> ())
     ?(saturated = fun () -> false) () =
   { on_sample; finish; saturated }
 
-let combine = function
-  | [] -> make ()
-  | [ o ] -> o
-  | observers ->
-      {
-        on_sample =
-          (fun ~ms values ->
-            List.iter (fun o -> o.on_sample ~ms values) observers);
-        finish = (fun ~run_ms -> List.iter (fun o -> o.finish ~run_ms) observers);
-        saturated =
-          (fun () -> List.for_all (fun o -> o.saturated ()) observers);
-      }
-
 (* Streaming equivalent of [Trace.first_difference] per signal: [first.(s)]
    is the divergence millisecond of signal [s], or -1 while it agrees with
    the frozen golden.  The observer saturates once every signal has
@@ -87,6 +74,4 @@ let divergence ?(until_ms = max_int) ?scratch (golden : Golden.frozen) =
 let recorder ~signals =
   let set = Trace_set.create ~signals () in
   let on_sample ~ms:_ values = Trace_set.sample_array set values in
-  (* A recorder is never saturated: combining it with a divergence
-     observer disables early exit, so the traces stay complete. *)
   (make ~on_sample (), fun () -> set)

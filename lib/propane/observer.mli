@@ -6,10 +6,12 @@
     the runner fills one [int array] with the current value of every
     traced signal (trace-set order) and calls {!t.on_sample};
     {!t.finish} closes the run.  An observer that has learned
-    everything it can reports [saturated () = true], and the runner may
-    then stop the run early — for the {!divergence} observer that
-    happens once every monitored signal has diverged, at which point no
-    later sample can change a first-divergence timestamp.
+    everything it can reports [saturated () = true].  The runner asks
+    only the {!divergence} observer, which saturates once every
+    monitored signal has diverged: no later sample can change a
+    first-divergence timestamp, so the run's outcome is fixed there.  A
+    run with riders (e.g. a {!recorder}) steps on for them to its
+    duration (see {!Runner.run_experiment}).
 
     The sample array passed to [on_sample] is reused by the runner
     between milliseconds: observers must copy values they keep. *)
@@ -19,21 +21,17 @@ type t = {
       (** Called once per simulated millisecond with the value of every
           traced signal, after the SUT stepped through [ms].  A run
           started from a saved golden state ({!Runner.run_experiment})
-          is sampled from that millisecond on: the ones before it are
-          the golden run's. *)
+          simulates from that millisecond on: its divergence observer
+          is sampled from there, and riders get the milliseconds before
+          it from the frozen golden run. *)
   finish : run_ms:int -> unit;
       (** Called once when the run ends (normally, early-exited, or
           SUT-finished) with the number of sampled milliseconds. *)
   saturated : unit -> bool;
       (** [true] once no future sample can change this observer's
-          result; the runner may then early-exit the run. *)
+          result.  The runner consults it only for the divergence
+          observer. *)
 }
-
-val combine : t list -> t
-(** Fans each callback out to every observer, in list order.  The
-    combination is saturated only when {e all} observers are (an empty
-    list is never saturated), so adding a {!recorder} — which never
-    saturates — disables early exit. *)
 
 val divergence :
   ?until_ms:int ->
@@ -58,5 +56,6 @@ val divergence :
 
 val recorder : signals:string list -> t * (unit -> Trace_set.t)
 (** Records every sample into a {!Trace_set} (for consumers that still
-    need raw traces).  Never saturates, so combining it with a
-    divergence observer keeps the run complete. *)
+    need raw traces).  As a rider it receives every millisecond of the
+    run, golden prefix included, up to the run's duration or the crash,
+    hang or finish that ends it first. *)

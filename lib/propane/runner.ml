@@ -77,14 +77,39 @@ let frozen_golden ?(max_ms = default_max_ms) ?(save_at = []) sut testcase =
   in
   frozen_of ~max_ms ~instants sut testcase
 
-(* Crash reasons travel through tab-separated journals and result
-   files; separators inside an exception message must not break a
-   record in two. *)
-let sanitize_reason s =
-  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
+(* Crash reasons travel through tab-separated journal records;
+   separators inside an exception message must not break a record in
+   two. *)
+let crashed ~ms exn =
+  let reason =
+    String.map
+      (function '\t' | '\n' | '\r' -> ' ' | c -> c)
+      (Printexc.to_string exn)
+  in
+  Results.Crashed { at_ms = ms; reason }
 
-let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
-    ~duration_ms testcase injection (observer : Observer.t) =
+(* One sample to every rider.  A named function, not a closure over
+   [ms], so the millisecond loop allocates nothing. *)
+let rec feed riders ~ms buf =
+  match riders with
+  | [] -> ()
+  | (r : Observer.t) :: rest ->
+      r.on_sample ~ms buf;
+      feed rest ~ms buf
+
+(* A restored run skips the milliseconds before [upto]; they are the
+   golden run's, so riders get them from the frozen samples. *)
+let feed_golden riders (golden : Golden.frozen) ~upto buf =
+  let d = golden.frozen_duration in
+  for ms = 0 to upto - 1 do
+    for s = 0 to Array.length golden.frozen_signals - 1 do
+      buf.(s) <- golden.samples.((s * d) + ms)
+    done;
+    feed riders ~ms buf
+  done
+
+let observed_run_in ~arena ?rng ?run_timeout_ms ~riders (sut : Sut.t) ~golden
+    ~duration_ms testcase injection (div : Observer.t) =
   let target = injection.Injection.target in
   if not (Sut.has_signal sut target) then
     invalid_arg
@@ -105,70 +130,95 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ?from (sut : Sut.t)
   let inject_at = Simkernel.Sim_time.to_ms injection.Injection.at in
   let error = injection.Injection.error in
   let first_fire = Injection.first_fire_ms injection in
-  let run_ms = ref duration_ms in
-  let status = ref Results.Completed in
-  let crash ~ms exn =
-    run_ms := ms;
-    status :=
-      Results.Crashed
-        { at_ms = ms; reason = sanitize_reason (Printexc.to_string exn) }
+  let riding = match riders with [] -> false | _ :: _ -> true in
+  (* The outcome is settled once: when the divergence observer
+     saturates, or when the run crashes, hangs, finishes or reaches its
+     duration.  Riders step on after a saturation; what ends them later
+     ends only their samples. *)
+  let settled = ref false in
+  let run_ms = ref duration_ms and status = ref Results.Completed in
+  let settle ~ms st =
+    if not !settled then begin
+      settled := true;
+      run_ms := ms;
+      status := st
+    end
   in
-  (match
-     let instance = sut.Sut.instantiate testcase in
-     (* [from] is a golden state saved no later than the first fire:
-        everything before it would re-simulate the golden run. *)
-     match (from, instance.Sut.state_hook) with
-     | Some (ms, state), Some hook ->
-         hook.Sut.restore state;
-         (instance, ms)
-     | _ -> (instance, 0)
-   with
-  | exception e -> crash ~ms:0 e
-  | instance, start ->
-      let sampler = sampler_of ~arena instance in
-      let buf = arena.a_buf in
-      (* Each millisecond: watchdog, finish check, injection, step,
-         sample.  Any exception out of the SUT is this run's crash, not
-         the campaign's. *)
-      let rec go ms =
-        if ms >= duration_ms then ()
-        else
-          match deadline with
-          | Some (budget_ms, d) when Unix.gettimeofday () > d ->
-              run_ms := ms;
-              status := Results.Hung { budget_ms }
-          | _ -> (
-              match
-                if instance.Sut.finished () then `Finished
-                else begin
-                  if Error_model.fires error ~inject_ms:inject_at ~ms then
-                    instance.Sut.inject target (fun v ->
-                        Error_model.apply error ~width ~rng v);
-                  instance.Sut.step ();
-                  sampler buf;
-                  `Stepped
-                end
-              with
-              | exception e -> crash ~ms e
-              | `Finished ->
-                  (* The SUT reached its end state before the golden
-                     duration (an injected run may finish early); the
-                     observer's length-mismatch rule sees the true
-                     length. *)
-                  run_ms := ms
-              | `Stepped ->
-                  observer.Observer.on_sample ~ms buf;
-                  (* Saturation is only consulted once the first
-                     corruption happened: a deterministic SUT cannot
-                     diverge before it, and stopping earlier would skip
-                     the injection itself (a [Delayed] model arms at
-                     [inject_at] but fires later). *)
-                  if ms >= first_fire && observer.Observer.saturated () then
-                    run_ms := ms + 1
-                  else go (ms + 1))
-      in
-      go start);
-  observer.Observer.finish ~run_ms:!run_ms;
+  let sampled =
+    match
+      let instance = sut.Sut.instantiate testcase in
+      (* A golden state saved no later than the first fire: everything
+         before it would re-simulate the golden run. *)
+      match
+        (Golden.latest_saved golden ~upto:first_fire, instance.Sut.state_hook)
+      with
+      | Some (ms, state), Some hook ->
+          hook.Sut.restore state;
+          (instance, ms)
+      | _ -> (instance, 0)
+    with
+    | exception e ->
+        settle ~ms:0 (crashed ~ms:0 e);
+        0
+    | instance, start ->
+        let sampler = sampler_of ~arena instance in
+        let buf = arena.a_buf in
+        if riding then feed_golden riders golden ~upto:start buf;
+        (* Each millisecond: watchdog, finish check, injection, step,
+           sample.  Any exception out of the SUT is this run's crash,
+           not the campaign's.  Returns the milliseconds sampled. *)
+        let rec go ms =
+          if ms >= duration_ms then ms
+          else
+            match deadline with
+            | Some (budget_ms, d) when Unix.gettimeofday () > d ->
+                settle ~ms (Results.Hung { budget_ms });
+                ms
+            | _ -> (
+                match
+                  if instance.Sut.finished () then `Finished
+                  else begin
+                    if Error_model.fires error ~inject_ms:inject_at ~ms then
+                      instance.Sut.inject target (fun v ->
+                          Error_model.apply error ~width ~rng v);
+                    instance.Sut.step ();
+                    sampler buf;
+                    `Stepped
+                  end
+                with
+                | exception e ->
+                    settle ~ms (crashed ~ms e);
+                    ms
+                | `Finished ->
+                    (* The SUT reached its end state before the golden
+                       duration (an injected run may finish early); the
+                       observer's length-mismatch rule sees the true
+                       length. *)
+                    settle ~ms Results.Completed;
+                    ms
+                | `Stepped when !settled ->
+                    (* Past saturation only riders are left. *)
+                    feed riders ~ms buf;
+                    go (ms + 1)
+                | `Stepped ->
+                    div.on_sample ~ms buf;
+                    if riding then feed riders ~ms buf;
+                    (* Saturation is only consulted once the first
+                       corruption happened: a deterministic SUT cannot
+                       diverge before it, and stopping earlier would
+                       skip the injection itself (a [Delayed] model
+                       arms at [inject_at] but fires later). *)
+                    if ms >= first_fire && div.saturated () then begin
+                      settle ~ms:(ms + 1) Results.Completed;
+                      if riding then go (ms + 1) else ms + 1
+                    end
+                    else go (ms + 1))
+        in
+        go start
+  in
+  div.finish ~run_ms:!run_ms;
+  if riding then
+    List.iter (fun (r : Observer.t) -> r.finish ~run_ms:sampled) riders;
   (!run_ms, !status)
 
 (* Truncation counts from the *last* firing of the error model, so a
@@ -193,18 +243,9 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms
   let div, divergences =
     Observer.divergence ?until_ms ~scratch:arena.a_first golden
   in
-  (* Riders such as a recorder must see every sample, so only a bare
-     divergence run skips the golden prefix. *)
-  let from =
-    match observers with
-    | [] ->
-        Golden.latest_saved golden ~upto:(Injection.first_fire_ms injection)
-    | _ :: _ -> None
-  in
   let _run_ms, status =
-    observed_run_in ~arena ?rng ?run_timeout_ms ?from sut ~duration_ms
-      testcase injection
-      (Observer.combine (div :: observers))
+    observed_run_in ~arena ?rng ?run_timeout_ms ~riders:observers sut ~golden
+      ~duration_ms testcase injection div
   in
   let divergences =
     (* How far a hung run got before the watchdog fired is wall-clock
@@ -234,7 +275,6 @@ module Config = struct
     journal : string option;
     resume : bool;
     journal_batch : int;
-    keep_traces : bool;
     stop_when : Live.rule option;
     budget : int option;
     plan : Plan.mode;
@@ -246,8 +286,7 @@ module Config = struct
      keyed by their [encode] names.  A field listed nowhere counts as
      [`Outcome]: over-keying a cached estimate costs only a miss. *)
   let role = function
-    | "jobs" | "journal_batch" | "fail_fast" | "stop_when" | "keep_traces" ->
-        `Resumable
+    | "jobs" | "journal_batch" | "fail_fast" | "stop_when" -> `Resumable
     | "budget" | "plan" -> `Plan
     | _ -> `Outcome
 
@@ -263,7 +302,6 @@ module Config = struct
       journal = None;
       resume = false;
       journal_batch = 32;
-      keep_traces = false;
       stop_when = None;
       budget = None;
       plan = Plan.Adaptive;
@@ -273,8 +311,7 @@ module Config = struct
       ?truncate_after_ms ?run_timeout_ms ?(retries = default.retries)
       ?(fail_fast = default.fail_fast) ?(jobs = default.jobs) ?journal
       ?(resume = default.resume) ?(journal_batch = default.journal_batch)
-      ?(keep_traces = default.keep_traces) ?stop_when ?budget
-      ?(plan = default.plan) () =
+      ?stop_when ?budget ?(plan = default.plan) () =
     {
       max_ms;
       seed;
@@ -286,7 +323,6 @@ module Config = struct
       journal;
       resume;
       journal_batch;
-      keep_traces;
       stop_when;
       budget;
       plan;
@@ -307,7 +343,6 @@ module Config = struct
       journal = t.journal;
       resume = t.resume;
       journal_batch = field "journal_batch" t.journal_batch default.journal_batch;
-      keep_traces = field "keep_traces" t.keep_traces default.keep_traces;
       stop_when = field "stop_when" t.stop_when default.stop_when;
       budget = field "budget" t.budget default.budget;
       plan = field "plan" t.plan default.plan;
@@ -354,7 +389,6 @@ module Config = struct
     add "fail_fast" (string_of_bool t.fail_fast);
     add "jobs" (string_of_int t.jobs);
     add "journal_batch" (string_of_int t.journal_batch);
-    add "keep_traces" (string_of_bool t.keep_traces);
     Option.iter (fun r -> add "stop_when" (Live.rule_to_string r)) t.stop_when;
     (* Unplanned campaigns encode no plan fields, keeping their recipes
        (and everything content-addressed on them) byte-stable. *)
@@ -417,8 +451,10 @@ module Config = struct
                   let* n = int_field k v in
                   Ok { t with journal_batch = n }
               | "keep_traces" ->
-                  let* b = bool_field k v in
-                  Ok { t with keep_traces = b }
+                  (* Written by older journals' recipe lines: still
+                     checked, then ignored, so they replay and resume. *)
+                  let* _ = bool_field k v in
+                  Ok t
               | "stop_when" ->
                   let* rule =
                     Result.map_error
@@ -536,12 +572,11 @@ let goldens_for ~max_ms sut experiments remaining =
 
 let or_invalid = function Ok v -> v | Error msg -> invalid_arg msg
 
-(* One injection run of the campaign: streaming by default; with
-   [keep] an opt-in recorder rides along, which also disables early
-   exit (a recorder never saturates), reproducing the legacy
-   record-everything data path.  A crashed or hung attempt is re-run up
-   to [retries] times on a fresh RNG stream before its failure stands;
-   the returned int is the number of re-executions actually taken. *)
+(* One injection run of the campaign; with [keep] a recorder rides
+   along and its traces come back with the outcome.  A crashed or hung
+   attempt is re-run up to [retries] times on a fresh RNG stream before
+   its failure stands; the returned int is the number of re-executions
+   actually taken. *)
 let run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ?(retries = 0)
     ~keep ~golden_for (sut : Sut.t) experiments idx =
   let testcase, injection = experiments.(idx) in
@@ -1066,7 +1101,6 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
         run_timeout_ms;
         retries;
         jobs;
-        keep_traces;
         _;
       } =
         config
@@ -1081,7 +1115,7 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
         (fun f -> f (Goldens_done { testcases = String_map.cardinal goldens }))
         on_event;
       let golden_for tc = String_map.find (Testcase.id tc) goldens in
-      let keep = keep_traces || on_run_traces <> None in
+      let keep = on_run_traces <> None in
       let run_one ~arena idx =
         run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ~retries
           ~keep ~golden_for sut experiments idx

@@ -13,8 +13,8 @@
     divergence observer saturates — so divergence timestamps compare
     sample by sample without any per-run trace materialization.  For
     SUTs with a {!Sut.state_hook} the golden run also saves its state
-    at the runs' first fires, and each injection run starts there
-    instead of at millisecond 0 (see {!run_experiment}). *)
+    at the runs' first fires, and every injection run, riders included,
+    starts there instead of at millisecond 0 (see {!run_experiment}). *)
 
 val default_max_ms : int
 (** 20,000 simulated ms. *)
@@ -49,27 +49,32 @@ val run_experiment :
     comparison window is bounded by the truncated run's duration.  The
     run also stops the millisecond the SUT first reports [finished]:
     an injected run may end before the golden one, and the
-    length-mismatch rule needs its true length.  [observers] ride
-    along on the same run (e.g. an opt-in {!Observer.recorder}); early
-    exit then additionally waits for {e their} saturation, so adding a
-    recorder restores the full fixed-duration run.
+    length-mismatch rule needs its true length.
 
-    {b Start.}  Without [observers], when the instance carries a
-    {!Sut.state_hook} and [golden] saved a state at or before the
-    injection's first fire ({!Golden.latest_saved}), the fresh instance
-    is restored to the latest such state and the run starts at that
-    millisecond instead of 0: under single-error semantics everything
-    before the first fire is the golden run, so the outcome is
-    unchanged (property-tested against the ms-0 path).  Riders start
-    at 0, since they may need every sample.  [golden] must then come
-    from the same SUT.
+    {b Riders.}  [observers] ride along on the same run (e.g. a
+    {!Observer.recorder}) and never change its outcome: only the
+    divergence observer decides it.  Once that observer saturates the
+    outcome is fixed; a run without riders stops there, and a run with
+    riders steps on for them up to its duration.  A later crash, hang
+    or finish ends the riders' samples, not the outcome.
+
+    {b Start.}  When the instance carries a {!Sut.state_hook} and
+    [golden] saved a state at or before the injection's first fire
+    ({!Golden.latest_saved}), the fresh instance is restored to the
+    latest such state and the run starts at that millisecond instead
+    of 0: under single-error semantics everything before the first
+    fire is the golden run, so the outcome is unchanged
+    (property-tested against the ms-0 path).  Riders receive the
+    milliseconds before it from [golden]'s samples, so they see what a
+    run from millisecond 0 samples.  [golden] must then come from the
+    same SUT.
 
     {b Failures.}  The run is fault-tolerant: an exception escaping
     the SUT (instantiation, injection, stepping or sampling) becomes
     [Crashed { at_ms; reason }] — [at_ms] the simulated millisecond it
     escaped, [reason] the exception rendered with separators
-    sanitised — instead of propagating.  The observers are finished
-    with the shortened length, so every signal yet to diverge
+    sanitised — instead of propagating.  The divergence observer is
+    finished with the shortened length, so every signal yet to diverge
     diverges at the crash instant and a [Crashed] outcome keeps its
     divergences.  [run_timeout_ms] arms a wall-clock watchdog, checked
     between simulated milliseconds; a run over budget stops with
@@ -108,7 +113,6 @@ module Config : sig
             (see {!Journal.create}); contents are unaffected, only the
             crash-loss window — at most [journal_batch - 1] records,
             re-run on resume *)
-    keep_traces : bool;  (** record full per-run traces *)
     stop_when : Live.rule option;
         (** adaptive stop rule; needs [?live] at {!run} *)
     budget : int option;
@@ -130,14 +134,14 @@ module Config : sig
 
   val role : string -> role
   (** The role of a field by its {!encode} name — the one place a
-      field is classified: [jobs], [journal_batch], [fail_fast],
-      [stop_when] and [keep_traces] are [`Resumable], [budget] and
-      [plan] are [`Plan], and every other name counts as [`Outcome]. *)
+      field is classified: [jobs], [journal_batch], [fail_fast] and
+      [stop_when] are [`Resumable], [budget] and [plan] are [`Plan],
+      and every other name counts as [`Outcome]. *)
 
   val default : t
   (** [max_ms = default_max_ms], [seed = 42], no truncation, no
       watchdog, no retries, no fail-fast, [jobs = 1], no journal,
-      [journal_batch = 32], streaming (no kept traces), no stop rule. *)
+      [journal_batch = 32], no stop rule. *)
 
   val make :
     ?max_ms:int ->
@@ -150,7 +154,6 @@ module Config : sig
     ?journal:string ->
     ?resume:bool ->
     ?journal_batch:int ->
-    ?keep_traces:bool ->
     ?stop_when:Live.rule ->
     ?budget:int ->
     ?plan:Plan.mode ->
@@ -181,7 +184,9 @@ module Config : sig
   val decode : string -> (t, string) result
   (** Inverse of {!encode} over the encoded fields; [journal]/[resume]
       come back as {!default}'s.  Unknown fields are errors, so recipe
-      typos fail loudly.  The decoded config is {!validate}d. *)
+      typos fail loudly.  A [keep_traces=<bool>] field, which older
+      journals' recipe lines carry, is checked and ignored.  The
+      decoded config is {!validate}d. *)
 end
 
 (** {1 Campaign engine}
@@ -436,25 +441,19 @@ val run :
     injection run gets a fresh SUT instance, so [instantiate] must not
     rely on global mutable state.
 
-    By default runs are streamed: no per-run trace is materialized, a
-    run starts at its injection's first fire from the state its golden
-    run saved there (for SUTs with a {!Sut.state_hook}; see
-    {!run_experiment}), and it stops as soon as every signal has
-    diverged.  Each golden saves the state at the distinct first fires
-    of its test case's {!Session.candidates}.  [keep_traces] attaches
-    a {!Observer.recorder} to every injection run, restoring the
-    record-everything data path (runs from millisecond 0, full-length,
-    per-run trace allocation) — outcomes are identical either way,
-    only the cost changes, with one known exception: a traced run
-    never stops early, so a SUT that crashes or hangs after every
-    signal has diverged ends [Completed] streamed but [Crashed] or
-    [Hung] traced.  [on_run_traces] receives each run's outcome and
-    recorded traces (implies [keep_traces]); a crashed or hung run's
-    traces stop where the run did.  It and [on_event] are
-    only ever called
-    from the calling domain, in completion order, so they need no
-    synchronisation; feed the events to {!Telemetry.observe} for
-    throughput and ETA.
+    Runs are streamed: no per-run trace is materialized, a run starts
+    at its injection's first fire from the state its golden run saved
+    there (for SUTs with a {!Sut.state_hook}; see {!run_experiment}),
+    and it stops as soon as every signal has diverged.  Each golden
+    saves the state at the distinct first fires of its test case's
+    {!Session.candidates}.  [on_run_traces] rides a {!Observer.recorder}
+    along every injection run and receives each run's outcome and
+    traces: the golden prefix, then the run's own samples up to its
+    duration, or up to the crash, hang or finish that ends it first.
+    Outcomes and journals are the same with or without it.  It and
+    [on_event] are only ever called from the calling domain, in
+    completion order, so they need no synchronisation; feed the events
+    to {!Telemetry.observe} for throughput and ETA.
 
     {b Failure handling.}  A run whose SUT raises or (with
     [run_timeout_ms]) exceeds its wall-clock budget does {e not} abort

@@ -19,7 +19,11 @@
     A run whose target {e crashed} or {e hung} (see {!Results.status})
     never delivered its service at all; it is classed
     {!Mission_failure} without consulting the mission judge, whose
-    traces would be partial. *)
+    traces would be partial.  A run's status is fixed once every signal
+    has diverged ({!Runner.run_experiment}), so a run that crashes or
+    hangs only after that is [Completed], as in every journal: the
+    rules above judge it, the mission judge on traces that stop at the
+    crash. *)
 
 type verdict = No_effect | Internal_only | Output_deviation | Mission_failure
 
@@ -46,12 +50,13 @@ val assess :
   Sut.t ->
   Campaign.t ->
   report list
-(** Runs the campaign through {!Runner.run} with kept traces (so every
-    run is full-length) and classifies every run from its outcome and
-    traces; one report per target signal, in campaign order.  The
-    runs are exactly those a {!Runner.run} campaign executes under the
-    same [max_ms], [seed] and [run_timeout_ms] (no truncation, no
-    retries).
+(** Runs the campaign through {!Runner.run} with [on_run_traces] (each
+    run's traces run from millisecond 0 to its full duration, or to the
+    crash or hang that ends it) and classifies every run from its
+    outcome and traces; one report per target signal, in campaign
+    order.  The runs are exactly those a {!Runner.run} campaign
+    executes under the same [max_ms], [seed] and [run_timeout_ms] (no
+    truncation, no retries).
     [mission_failed] judges the end-to-end service from the traces
     (e.g. "the aircraft was not arrested within the runway").
 

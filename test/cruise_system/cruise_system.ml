@@ -1,3 +1,4 @@
+module Builder = Dataflow.Builder
 module Sig = Propagation.Signal
 
 let speed_adc = Sig.make "speed_adc"

@@ -6,7 +6,7 @@
     systems" as future work (Section 9).  This target exercises exactly
     that: a three-module speed controller (sensor conditioning, setpoint
     shaping, PI regulation) closed over a vehicle plant, built entirely
-    with {!Builder} — including the hardware-register clobbering
+    with {!Dataflow.Builder} — including the hardware-register clobbering
     semantics for the plant-refreshed speed sensor.
 
     Signals (all 16 bit, speeds in cm/s, throttle 0-4095):
@@ -17,7 +17,7 @@
     - [setpoint] (SETPOINT -> REG): rate-limited demand;
     - [throttle] (REG -> plant): actuator command. *)
 
-val system : Builder.t
+val system : Dataflow.Builder.t
 val sut : Propane.Sut.t
 
 val campaign : ?times:Simkernel.Sim_time.t list -> unit -> Propane.Campaign.t

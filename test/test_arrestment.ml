@@ -732,9 +732,16 @@ let restore_tests =
         | () -> Alcotest.fail "restored a foreign state");
   ]
 
-(* Streaming campaigns start each run at its first fire; [keep_traces]
-   rides a recorder along, which keeps every run at millisecond 0.  The
-   ms-0 path is the oracle. *)
+(* Campaigns start each run at its first fire from the golden's saved
+   state.  The same SUT without its state hook runs every run from
+   millisecond 0; that path is the oracle. *)
+let from_zero (sut : Propane.Sut.t) =
+  {
+    sut with
+    instantiate =
+      (fun tc -> { (sut.instantiate tc) with Propane.Sut.state_hook = None });
+  }
+
 type restore_case = {
   mass_kg : float;
   velocity_mps : float;
@@ -836,16 +843,50 @@ let restore_property =
              ~times:(List.map Simkernel.Sim_time.of_ms c.times)
              ~errors:c.errors
          in
-         let outcomes keep_traces =
+         let outcomes sut =
            Propane.Results.outcomes
              (Propane.Runner.run
                 ~config:
                   (Propane.Runner.Config.make ~seed:9L
                      ?truncate_after_ms:(Option.map (fun w -> 2 * w) c.window)
-                     ~jobs:c.jobs ~keep_traces ())
+                     ~jobs:c.jobs ())
                 sut campaign)
          in
-         outcomes false = outcomes true))
+         outcomes sut = outcomes (from_zero sut)))
+
+(* Whole CLI campaigns, journalled as [propane campaign] journals them:
+   a delayed model under two domains, crashing runs with a retry, and
+   fires at 9,500 ms, after the 2x2 grid's fast cases end (6,875 and
+   7,624 ms) and before the slow ones do (10,844 and 15,553 ms), so
+   goldens stop both at the arrestment's end and at the read horizon. *)
+let restored_journals =
+  Alcotest.test_case "restored journals match ms-0 journals" `Slow (fun () ->
+      let journal recipe sut =
+        let path = Filename.temp_file "restore" ".journal" in
+        let config = { recipe.Recipe.config with journal = Some path } in
+        let prepared = Recipe.prepare recipe in
+        let (_ : Propane.Results.t) =
+          Propane.Runner.run ~config ?live:prepared.live
+            ?select:prepared.select ?cells:prepared.cells ?plan:prepared.plan
+            ~recipe:(Recipe.encode recipe) (sut prepared) prepared.campaign
+        in
+        let bytes = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        bytes
+      in
+      List.iter
+        (fun (row, recipe) ->
+          let restored = journal recipe (fun p -> p.Recipe.sut) in
+          let zero = journal recipe (fun p -> from_zero p.Recipe.sut) in
+          Alcotest.(check bool) row true (String.equal restored zero))
+        [
+          ( "--cases 2 --times 2 --model delayed:40 --jobs 2",
+            Recipe.make ~cases:2 ~times:2 ~model:"delayed:40" ~jobs:2 () );
+          ( "--cases 2 --times 2 --chaos-crash-after 30 --retries 1",
+            Recipe.make ~cases:2 ~times:2 ~chaos_crash:30 ~retries:1 () );
+          ( "--cases 2 --times 1 --model delayed:9000",
+            Recipe.make ~cases:2 ~times:1 ~model:"delayed:9000" () );
+        ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -986,16 +1027,11 @@ let reschedule_gen =
   let* jobs = int_range 1 8 in
   let* journal_batch = int_range 1 64 in
   let* fail_fast = bool in
-  let* stop_when =
+  let+ stop_when =
     opt (oneofl [ `Rankings_stable 3; `Ci_width 0.4; `Ci_width 0.125 ])
   in
-  let+ keep_traces = bool in
   fun (r : Recipe.t) ->
-    {
-      r with
-      config =
-        { r.config with jobs; journal_batch; fail_fast; stop_when; keep_traces };
-    }
+    { r with config = { r.config with jobs; journal_batch; fail_fast; stop_when } }
 
 (* A different value: [None] becomes [Some lo]. *)
 let bump ?(lo = 0) = function None -> Some lo | Some n -> Some (n + 1)
@@ -1134,7 +1170,7 @@ let () =
       ("modules", module_tests);
       ("model", model_tests);
       ("golden_runs", golden_run_tests);
-      ("restore", restore_tests @ [ restore_property ]);
+      ("restore", restore_tests @ [ restore_property; restored_journals ]);
       ("campaign", campaign_tests);
       ("envelope", envelope_tests);
       ("recipe", recipe_tests);

@@ -679,7 +679,7 @@ let known_answer_tests =
 let cruise_tests =
   [
     Alcotest.test_case "derived model closes the loop" `Quick (fun () ->
-        let model = B.model Dataflow.Cruise_system.system in
+        let model = B.model Cruise_system.system in
         Alcotest.(check (list string))
           "system inputs" [ "target_knob"; "speed_adc" ]
           (List.map Propagation.Signal.name
@@ -691,7 +691,7 @@ let cruise_tests =
     Alcotest.test_case "the vehicle tracks the demand profile" `Slow
       (fun () ->
         let traces =
-          Propane.Runner.golden_run Dataflow.Cruise_system.sut
+          Propane.Runner.golden_run Cruise_system.sut
             (Propane.Testcase.make ~id:"t" ~params:[])
         in
         let v ms =
@@ -702,7 +702,7 @@ let cruise_tests =
         Alcotest.(check bool) "near final" true (v 2_999 > 2_500));
     Alcotest.test_case "plant refresh clobbers sensor injections (OB3 again)"
       `Slow (fun () ->
-        let matrices = Dataflow.Cruise_system.measure () in
+        let matrices = Cruise_system.measure () in
         let speed_s = Propagation.String_map.find "SPEED_S" matrices in
         close "P(speed_adc -> speed_flt)" 0.0
           (Propagation.Perm_matrix.get speed_s ~input:1 ~output:1);
@@ -715,7 +715,7 @@ let cruise_tests =
       (fun () ->
         (* Injecting the actuator command must disturb the plant: the
            speed trace (a plant output) diverges. *)
-        let sut = Dataflow.Cruise_system.sut in
+        let sut = Cruise_system.sut in
         let tc = Propane.Testcase.make ~id:"t" ~params:[] in
         let golden = Propane.Runner.golden_run sut tc in
         let outcome =
@@ -732,15 +732,15 @@ let cruise_tests =
       `Slow (fun () ->
         let campaign =
           Propane.Campaign.make ~name:"cruise-sev"
-            ~targets:(B.injection_targets Dataflow.Cruise_system.system)
+            ~targets:(B.injection_targets Cruise_system.system)
             ~testcases:[ Propane.Testcase.make ~id:"step" ~params:[] ]
             ~times:[ Simkernel.Sim_time.of_ms 1_500 ]
             ~errors:(Propane.Error_model.bit_flips ~width:16)
         in
         let reports =
           Propane.Severity.assess ~outputs:[ "throttle" ]
-            ~mission_failed:Dataflow.Cruise_system.mission_failed
-            Dataflow.Cruise_system.sut campaign
+            ~mission_failed:Cruise_system.mission_failed
+            Cruise_system.sut campaign
         in
         Alcotest.(check int) "targets" 4 (List.length reports);
         List.iter

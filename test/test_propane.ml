@@ -29,12 +29,12 @@ let contains_substring haystack needle =
    API; this shim keeps the flat labels the test bodies were written
    with while exercising exactly the packaged-config entry point. *)
 let runner ?max_ms ?seed ?truncate_after_ms ?run_timeout_ms ?retries
-    ?fail_fast ?jobs ?journal ?resume ?journal_batch ?keep_traces ?stop_when
-    ?on_event ?on_run_traces ?live sut campaign =
+    ?fail_fast ?jobs ?journal ?resume ?journal_batch ?stop_when ?on_event
+    ?on_run_traces ?live sut campaign =
   let config =
     Propane.Runner.Config.make ?max_ms ?seed ?truncate_after_ms
       ?run_timeout_ms ?retries ?fail_fast ?jobs ?journal ?resume
-      ?journal_batch ?keep_traces ?stop_when ()
+      ?journal_batch ?stop_when ()
   in
   Propane.Runner.run ~config ?on_event ?on_run_traces ?live sut campaign
 
@@ -570,24 +570,6 @@ let observer_tests =
         Alcotest.(check (list int))
           "a" [ 1; 2 ]
           (Propane.Trace.to_list (Propane.Trace_set.trace set "a")));
-    Alcotest.test_case "a combined recorder disables saturation" `Quick
-      (fun () ->
-        let golden = Propane.Golden.freeze (set_of [ 1 ] [ 2 ]) in
-        let div, _ = Propane.Observer.divergence golden in
-        let recorder, _ = Propane.Observer.recorder ~signals:[ "a"; "b" ] in
-        let both = Propane.Observer.combine [ div; recorder ] in
-        both.Propane.Observer.on_sample ~ms:0 [| 9; 9 |];
-        Alcotest.(check bool)
-          "alone" true
-          (div.Propane.Observer.saturated ());
-        Alcotest.(check bool)
-          "combined" false
-          (both.Propane.Observer.saturated ()));
-    Alcotest.test_case "an empty combination never saturates" `Quick (fun () ->
-        let obs = Propane.Observer.combine [] in
-        Alcotest.(check bool)
-          "never" false
-          (obs.Propane.Observer.saturated ()));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1049,29 +1031,37 @@ let runner_tests =
                   };
               ]
         in
-        let captured = ref None in
-        let (_ : Propane.Results.t) =
-          runner ~keep_traces:true
-            ~on_run_traces:(fun ~index:_ _ ts -> captured := Some ts)
-            (scaler_sut ()) campaign
-        in
-        match !captured with
-        | None -> Alcotest.fail "no traces captured"
-        | Some ts ->
-            let x = Propane.Trace_set.trace ts "x" in
-            for ms = 0 to Propane.Trace_set.duration_ms ts - 1 do
-              (* golden x is (ms+1)*16; the flip lands at 10, 20, 30
-                 and 40 (the last period start inside the 31 ms
-                 window) and nowhere else. *)
-              let golden_v = (ms + 1) * 16 in
-              let expect =
-                if List.mem ms [ 10; 20; 30; 40 ] then golden_v lxor 32768
-                else golden_v
-              in
-              Alcotest.(check int)
-                (Printf.sprintf "x@%d" ms)
-                expect (Propane.Trace.get x ms)
-            done);
+        (* With the hook the run restores at 10 ms, and the recorder
+           gets ms 0-9 from the golden run. *)
+        List.iter
+          (fun hook ->
+            let captured = ref None in
+            let (_ : Propane.Results.t) =
+              runner
+                ~on_run_traces:(fun ~index:_ _ ts -> captured := Some ts)
+                (scaler_sut ~hook ()) campaign
+            in
+            match !captured with
+            | None -> Alcotest.fail "no traces captured"
+            | Some ts ->
+                let x = Propane.Trace_set.trace ts "x" in
+                Alcotest.(check int)
+                  "full duration" 100
+                  (Propane.Trace_set.duration_ms ts);
+                for ms = 0 to Propane.Trace_set.duration_ms ts - 1 do
+                  (* golden x is (ms+1)*16; the flip lands at 10, 20,
+                     30 and 40 (the last period start inside the 31 ms
+                     window) and nowhere else. *)
+                  let golden_v = (ms + 1) * 16 in
+                  let expect =
+                    if List.mem ms [ 10; 20; 30; 40 ] then golden_v lxor 32768
+                    else golden_v
+                  in
+                  Alcotest.(check int)
+                    (Printf.sprintf "hook %b x@%d" hook ms)
+                    expect (Propane.Trace.get x ms)
+                done)
+          [ false; true ]);
     check_raises_invalid "temporal models cannot nest in an injection"
       (fun () ->
         Propane.Injection.make ~target:"x" ~at:Sim.Sim_time.zero
@@ -1217,6 +1207,67 @@ let runner_tests =
         Alcotest.(check (option int))
           "outcome unchanged" (Some 10)
           (Propane.Results.divergence_of outcome "y"));
+    Alcotest.test_case "a rider never changes an outcome" `Quick (fun () ->
+        (* The stuck-at's first fire makes x and y diverge at 6 ms, and
+           the fault crashes the SUT one step later.  The outcome is
+           fixed when every signal has diverged; the crash only ends the
+           rider's traces. *)
+        let error =
+          Propane.Error_model.Intermittent
+            {
+              model = Propane.Error_model.Stuck_at 36315;
+              period_ms = 20;
+              window_ms = 19;
+            }
+        in
+        let tc = Propane.Testcase.make ~id:"ramp" ~params:[] in
+        let injection =
+          Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 6) ~error
+        in
+        let campaign =
+          Propane.Campaign.make ~name:"rider" ~targets:[ "x" ]
+            ~testcases:[ tc ] ~times:[ Sim.Sim_time.of_ms 6 ] ~errors:[ error ]
+        in
+        let describe (o : Propane.Results.outcome) =
+          Fmt.str "%a [%a]" Propane.Results.pp_status o.status
+            Fmt.(list ~sep:(any "; ") Propane.Golden.pp_divergence)
+            o.divergences
+        in
+        let check what o =
+          Alcotest.(check string) what "completed [x@6ms; y@6ms]" (describe o)
+        in
+        List.iter
+          (fun hook ->
+            let sut =
+              Propane.Fault.wrap ~crash_after_ms:1 (scaler_sut ~hook ())
+            in
+            let golden = Propane.Runner.frozen_golden ~save_at:[ 6 ] sut tc in
+            check "bare"
+              (Propane.Runner.run_experiment sut ~golden tc injection);
+            let recorder, traces =
+              Propane.Observer.recorder ~signals:(Propane.Sut.signal_names sut)
+            in
+            check "recorder"
+              (Propane.Runner.run_experiment ~observers:[ recorder ] sut
+                 ~golden tc injection);
+            Alcotest.(check int)
+              "recorder stops at the crash" 7
+              (Propane.Trace_set.duration_ms (traces ()));
+            List.iter
+              (fun jobs ->
+                let lengths = ref [] in
+                let results =
+                  runner ~jobs
+                    ~on_run_traces:(fun ~index:_ _ set ->
+                      lengths := Propane.Trace_set.duration_ms set :: !lengths)
+                    sut campaign
+                in
+                List.iter (check "on_run_traces")
+                  (Propane.Results.outcomes results);
+                Alcotest.(check (list int))
+                  "traces stop at the crash" [ 7 ] !lengths)
+              [ 1; 2 ])
+          [ false; true ]);
     Alcotest.test_case "streaming, keep-traces and jobs:4 agree exactly" `Quick
       (fun () ->
         let outcomes r = Propane.Results.outcomes r in
@@ -1224,24 +1275,27 @@ let runner_tests =
           runner ~seed:5L (scaler_sut ()) scaler_campaign
         in
         let kept =
-          runner ~seed:5L ~keep_traces:true (scaler_sut ())
-            scaler_campaign
+          runner ~seed:5L
+            ~on_run_traces:(fun ~index:_ _ _ -> ())
+            (scaler_sut ()) scaler_campaign
         in
         let par =
           runner ~seed:5L ~jobs:4 (scaler_sut ()) scaler_campaign
         in
         Alcotest.(check bool)
-          "keep-traces identical" true
+          "on_run_traces identical" true
           (outcomes streaming = outcomes kept);
         Alcotest.(check bool)
           "jobs:4 identical" true
           (outcomes streaming = outcomes par));
     Alcotest.test_case "streaming and keep-traces journals are byte-identical"
       `Quick (fun () ->
-        let journal_of ~keep_traces =
+        let journal_of ~traced =
           let path = Filename.temp_file "propane_stream" ".journal" in
           let _ =
-            runner ~seed:11L ~journal:path ~keep_traces
+            runner ~seed:11L ~journal:path
+              ?on_run_traces:
+                (if traced then Some (fun ~index:_ _ _ -> ()) else None)
               (scaler_sut ()) scaler_campaign
           in
           let contents =
@@ -1252,22 +1306,39 @@ let runner_tests =
         in
         Alcotest.(check bool)
           "same bytes" true
-          (String.equal (journal_of ~keep_traces:false)
-             (journal_of ~keep_traces:true)));
+          (String.equal (journal_of ~traced:false) (journal_of ~traced:true)));
     Alcotest.test_case "on_run_traces sees every run in full" `Quick (fun () ->
-        let seen = ref 0 in
-        let _ =
-          runner ~seed:7L
-            ~on_run_traces:(fun ~index:_ _ set ->
-              incr seen;
-              Alcotest.(check int)
-                "full duration" 100
-                (Propane.Trace_set.duration_ms set))
-            (scaler_sut ()) scaler_campaign
+        (* The hooked scaler restores each run at its first fire and
+           hands the recorder the golden prefix; the hookless one steps
+           from ms 0.  Their traces agree sample by sample. *)
+        let traces hook =
+          let seen = Hashtbl.create 80 in
+          let _ =
+            runner ~seed:7L
+              ~on_run_traces:(fun ~index _ set ->
+                Alcotest.(check int)
+                  "full duration" 100
+                  (Propane.Trace_set.duration_ms set);
+                Hashtbl.replace seen index
+                  (List.map
+                     (fun s ->
+                       Propane.Trace.to_list (Propane.Trace_set.trace set s))
+                     (Propane.Trace_set.signals set)))
+              (scaler_sut ~hook ()) scaler_campaign
+          in
+          Alcotest.(check int)
+            "all runs" (Propane.Campaign.size scaler_campaign)
+            (Hashtbl.length seen);
+          seen
         in
-        Alcotest.(check int)
-          "all runs" (Propane.Campaign.size scaler_campaign)
-          !seen);
+        let from_zero = traces false and restored = traces true in
+        Hashtbl.iter
+          (fun index samples ->
+            Alcotest.(check (list (list int)))
+              (Printf.sprintf "run %d" index)
+              samples
+              (Hashtbl.find restored index))
+          from_zero);
     Alcotest.test_case "parallel runs emit events from the coordinator" `Quick
       (fun () ->
         let size = Propane.Campaign.size scaler_campaign in
@@ -1432,37 +1503,24 @@ let horizon_tests =
              List.map (fun (_, i) -> Propane.Injection.first_fire_ms i)
                experiments
            in
-           (* A recorder rides along under [keep_traces] and keeps a run
-              going after every signal has diverged, so traced runs get
-              their own oracle. *)
-           let oracle ~keep =
-             let observers () =
-               if keep then
-                 [
-                   fst
-                     (Propane.Observer.recorder
-                        ~signals:(Propane.Sut.signal_names sut));
-                 ]
-               else []
-             in
+           let oracle =
              List.map
                (fun (tc, injection) ->
-                 Propane.Runner.run_experiment ?truncate_after_ms
-                   ~observers:(observers ()) sut
+                 Propane.Runner.run_experiment ?truncate_after_ms sut
                    ~golden:(Propane.Runner.frozen_golden ~max_ms ~save_at sut tc)
                    tc injection)
                experiments
            in
-           let streamed = oracle ~keep:false and traced = oracle ~keep:true in
-           let config ?(jobs = 1) ?(keep_traces = false) () =
+           let config ?(jobs = 1) () =
              Propane.Runner.Config.make ~max_ms ~seed:11L ?truncate_after_ms
-               ~jobs ~keep_traces ()
+               ~jobs ()
            in
-           let by_run ?jobs ?keep_traces () =
+           let by_run ?jobs ?on_run_traces () =
              Propane.Results.outcomes
-               (Propane.Runner.run ~config:(config ?jobs ?keep_traces ()) sut
-                  campaign)
+               (Propane.Runner.run ~config:(config ?jobs ()) ?on_run_traces
+                  sut campaign)
            in
+           let traced ~index:_ _ _ = () in
            let by_executor =
              let exec =
                Propane.Runner.executor ~config:(config ()) ~seed:11L sut
@@ -1471,13 +1529,13 @@ let horizon_tests =
              List.mapi (fun i _ -> fst (exec i)) experiments
            in
            List.for_all
-             (fun (oracle, outcomes) -> compare outcomes oracle = 0)
+             (fun outcomes -> compare outcomes oracle = 0)
              [
-               (streamed, by_run ());
-               (traced, by_run ~keep_traces:true ());
-               (streamed, by_run ~jobs:2 ());
-               (traced, by_run ~jobs:2 ~keep_traces:true ());
-               (streamed, by_executor);
+               by_run ();
+               by_run ~on_run_traces:traced ();
+               by_run ~jobs:2 ();
+               by_run ~jobs:2 ~on_run_traces:traced ();
+               by_executor;
              ]));
   ]
 
@@ -3300,7 +3358,7 @@ let config_tests =
     roundtrip "encode/decode round-trips a fully customised config"
       (C.make ~max_ms:123 ~seed:99L ~truncate_after_ms:7 ~run_timeout_ms:44
          ~retries:3 ~fail_fast:true ~jobs:5 ~journal_batch:17
-         ~keep_traces:true ~stop_when:(`Rankings_stable 9) ());
+         ~stop_when:(`Rankings_stable 9) ());
     roundtrip "ci-width stop rules survive the codec bit-exactly"
       (C.make ~stop_when:(`Ci_width 0.12345678901234567) ());
     Alcotest.test_case "journal and resume stay host-local" `Quick (fun () ->
@@ -3321,7 +3379,7 @@ let config_tests =
         let c =
           C.make ~max_ms:123 ~seed:99L ~truncate_after_ms:7 ~run_timeout_ms:44
             ~retries:3 ~fail_fast:true ~jobs:5 ~journal_batch:17
-            ~keep_traces:true ~stop_when:(`Rankings_stable 9) ~budget:40
+            ~stop_when:(`Rankings_stable 9) ~budget:40
             ~plan:Propane.Plan.Uniform ()
         in
         let fields c =
@@ -3351,6 +3409,15 @@ let config_tests =
         match C.decode "jobs=banana" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted a malformed value");
+    Alcotest.test_case "decode checks and ignores a legacy keep_traces" `Quick
+      (fun () ->
+        (* Older journals' recipe lines carry the field. *)
+        (match C.decode "max_ms=5,keep_traces=true" with
+        | Ok c -> Alcotest.(check bool) "ignored" true (c = C.make ~max_ms:5 ())
+        | Error msg -> Alcotest.failf "decode failed: %s" msg);
+        match C.decode "keep_traces=banana" with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "accepted a malformed keep_traces");
     Alcotest.test_case "validate rejects bad combinations" `Quick (fun () ->
         let bad c =
           match C.validate c with
