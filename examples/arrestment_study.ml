@@ -3,7 +3,8 @@
    1. build the static model of the six-module arrestment controller;
    2. run a SWIFI campaign (bit-flips on all 13 module-input signals
       under a mass x velocity workload grid);
-   3. estimate the 25 error-permeability values (Table 1);
+   3. estimate the 25 error-permeability values, with their n_err /
+      n_inj counts and 95% intervals (Table 1);
    4. derive the module and signal measures (Tables 2-3) and the ranked
       propagation paths of TOC2 (Table 4);
    5. print the paper's values side by side.
@@ -58,7 +59,7 @@ let () =
       Report.Table.print
         (Report.Experiments.table1
            ~reference:(Arrestment.Model.paper_matrices ())
-           analysis);
+           ~ci:true analysis);
       print_newline ();
       Report.Table.print (Report.Experiments.table2 analysis);
       print_newline ();
@@ -66,12 +67,6 @@ let () =
       print_newline ();
       Report.Table.print
         (Report.Experiments.table4 analysis Arrestment.Signals.toc2);
-      print_newline ();
-      (* Estimation detail with confidence intervals for one module. *)
-      Report.Table.print
-        (Report.Experiments.estimates_table
-           (Propane.Estimator.estimate_pairs ~model:Arrestment.Model.system
-              ~results "CALC"));
       print_newline ();
       Format.printf "%a@." Edm.Selector.pp
         (Edm.Selector.propose analysis.Propagation.Analysis.placement)

@@ -41,9 +41,6 @@ let total_pulses t = int_of_float (Float.floor (t.x_m *. Params.pulses_per_metre
 let at_rest t = t.v_mps <= 0.0
 let overrun t = t.x_m > Params.runway_length_m
 
-let pp ppf t =
-  Fmt.pf ppf "x=%.1fm v=%.1fm/s p=%.0f" t.x_m t.v_mps t.pressure
-
 type state = { s_x_m : float; s_v_mps : float; s_pressure : float }
 
 let save t = { s_x_m = t.x_m; s_v_mps = t.v_mps; s_pressure = t.pressure }

@@ -39,5 +39,3 @@ val at_rest : t -> bool
 
 val overrun : t -> bool
 (** The aircraft ran past the available cable. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,5 +20,3 @@ let describe = function
   | Clamp { lo; hi } -> Printf.sprintf "clamp to [%d, %d]" lo hi
   | Hold_last_if a -> "hold-last unless " ^ Assertion.describe a
   | Forward -> "forward (no recovery)"
-
-let pp ppf t = Fmt.string ppf (describe t)

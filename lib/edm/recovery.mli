@@ -19,4 +19,3 @@ val make_guard : t -> unit -> int -> int
     is confined to the closure. *)
 
 val describe : t -> string
-val pp : Format.formatter -> t -> unit

@@ -131,11 +131,3 @@ let equal_estimates ?eps a b =
        (fun ~input ~output e ok ->
          ok && Estimate.equal ?eps e (estimate b ~input ~output))
        a true
-
-let pp ppf t =
-  let pp_row ppf r =
-    Fmt.pf ppf "@[<h>%a@]"
-      Fmt.(array ~sep:sp (using Estimate.value (fmt "%.3f")))
-      r
-  in
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(array ~sep:cut pp_row) t.cells

@@ -84,6 +84,3 @@ val equal : ?eps:float -> t -> t -> bool
 
 val equal_estimates : ?eps:float -> t -> t -> bool
 (** Entry-wise comparison including counts and interval bounds. *)
-
-val pp : Format.formatter -> t -> unit
-(** Point values only (unchanged by the estimate rebase). *)

@@ -205,8 +205,6 @@ let rec describe = function
   | Delayed { model; delay_ms } ->
       Printf.sprintf "%s after %dms" (describe model) delay_ms
 
-let pp ppf t = Fmt.string ppf (describe t)
-
 (* Temporal wrappers encode their payload as the rest-of-string tail
    (the payload encoding may itself contain ':'); [validate] forbids
    nesting, so one tail is always the whole payload. *)

@@ -89,7 +89,6 @@ val roster_of_string : width:int -> string -> (t list, string) result
 
 val equal : t -> t -> bool
 val describe : t -> string
-val pp : Format.formatter -> t -> unit
 
 val encode : t -> string
 (** The separator-free text form that journals and the wire protocol

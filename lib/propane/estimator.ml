@@ -4,21 +4,7 @@ type attribution =
 
 let default_attribution = Direct { window_ms = 64 }
 
-type estimate = {
-  pair : Propagation.Perm_graph.pair;
-  injections : int;
-  errors : int;
-  value : float;
-  interval : float * float;
-}
-
-let wilson_interval ~errors ~trials =
-  (* The closed form lives with the estimate type since the analysis
-     layer carries intervals itself now; re-exported here because the
-     counts enter through this module. *)
-  Propagation.Estimate.wilson_interval ~errors ~trials
-
-let counts attribution (outcome : Results.outcome) output_name =
+let attributed attribution (outcome : Results.outcome) output_name =
   match Results.divergence_of outcome output_name with
   | None -> false
   | Some diverged_at -> (
@@ -34,85 +20,6 @@ let counts attribution (outcome : Results.outcome) output_name =
           diverged_at >= first_fire
           && diverged_at
              <= Injection.last_fire_ms outcome.injection + window_ms)
-
-let estimate_pairs ?(attribution = default_attribution) ~model ~results
-    module_name =
-  let m = Propagation.System_model.find_module_exn model module_name in
-  let pair_estimate i k =
-    let input_signal = Propagation.Sw_module.input_signal m i in
-    let output_signal = Propagation.Sw_module.output_signal m k in
-    let input_name = Propagation.Signal.name input_signal in
-    let output_name = Propagation.Signal.name output_signal in
-    let outcomes = Results.by_target results input_name in
-    (* A crashed or hung run never produced the output at all — under
-       the paper's failure-class reading that is an error on every
-       output of the module, not a divergence to be found inside the
-       attribution window. *)
-    let injections = List.length outcomes in
-    let errors =
-      List.length
-        (List.filter
-           (fun (o : Results.outcome) ->
-             Results.is_failed o.status || counts attribution o output_name)
-           outcomes)
-    in
-    {
-      pair = { Propagation.Perm_graph.module_name; input = i; output = k };
-      injections;
-      errors;
-      value =
-        (if injections = 0 then 0.0
-         else float_of_int errors /. float_of_int injections);
-      interval = wilson_interval ~errors ~trials:injections;
-    }
-  in
-  List.concat_map
-    (fun i0 ->
-      List.init (Propagation.Sw_module.output_count m) (fun k0 ->
-          pair_estimate (i0 + 1) (k0 + 1)))
-    (List.init (Propagation.Sw_module.input_count m) Fun.id)
-
-let estimate_matrix ?attribution ~model ~results module_name =
-  let m = Propagation.System_model.find_module_exn model module_name in
-  let estimates = estimate_pairs ?attribution ~model ~results module_name in
-  List.fold_left
-    (fun matrix e ->
-      Propagation.Perm_matrix.set_estimate matrix
-        ~input:e.pair.Propagation.Perm_graph.input
-        ~output:e.pair.Propagation.Perm_graph.output
-        (Propagation.Estimate.of_counts ~errors:e.errors ~trials:e.injections))
-    (Propagation.Perm_matrix.create
-       ~inputs:(Propagation.Sw_module.input_count m)
-       ~outputs:(Propagation.Sw_module.output_count m))
-    estimates
-
-let estimate_all ?attribution ~model results =
-  let missing =
-    List.concat_map
-      (fun m ->
-        List.filter_map
-          (fun s ->
-            let name = Propagation.Signal.name s in
-            if Results.injections_into results name = 0 then Some name
-            else None)
-          (Propagation.Sw_module.input_signals m))
-      (Propagation.System_model.modules model)
-  in
-  match List.sort_uniq String.compare missing with
-  | [] ->
-      Ok
-        (List.fold_left
-           (fun acc m ->
-             let module_name = Propagation.Sw_module.name m in
-             Propagation.String_map.add module_name
-               (estimate_matrix ?attribution ~model ~results module_name)
-               acc)
-           Propagation.String_map.empty
-           (Propagation.System_model.modules model))
-  | missing ->
-      Error
-        (Printf.sprintf "campaign never injected into: %s"
-           (String.concat ", " missing))
 
 module Stream = struct
   module SS = Set.Make (String)
@@ -172,6 +79,10 @@ module Stream = struct
     match Hashtbl.find_opt t.by_target target with
     | None -> ()
     | Some consumers ->
+        (* A crashed or hung run never produced the output at all: under
+           the paper's failure-class reading that is an error on every
+           output of the module, not a divergence to be found inside the
+           attribution window. *)
         let failed = Results.is_failed outcome.Results.status in
         List.iter
           (fun (st, i) ->
@@ -180,7 +91,7 @@ module Stream = struct
             Array.iteri
               (fun k0 cell ->
                 cell.n_inj <- cell.n_inj + 1;
-                if failed || counts t.attribution outcome st.output_names.(k0)
+                if failed || attributed t.attribution outcome st.output_names.(k0)
                 then cell.n_err <- cell.n_err + 1)
               st.cells.(i - 1))
           consumers
@@ -303,3 +214,25 @@ module Stream = struct
               st.cells.(i - 1))
           0.0 consumers
 end
+
+let estimate_all ?attribution ~model results =
+  let missing =
+    List.concat_map
+      (fun m ->
+        List.filter_map
+          (fun s ->
+            let name = Propagation.Signal.name s in
+            if Results.injections_into results name = 0 then Some name
+            else None)
+          (Propagation.Sw_module.input_signals m))
+      (Propagation.System_model.modules model)
+  in
+  match List.sort_uniq String.compare missing with
+  | [] ->
+      let stream = Stream.create ?attribution ~model () in
+      List.iter (Stream.observe stream) (Results.outcomes results);
+      Ok (Stream.matrices stream)
+  | missing ->
+      Error
+        (Printf.sprintf "campaign never injected into: %s"
+           (String.concat ", " missing))

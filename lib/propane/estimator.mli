@@ -13,12 +13,16 @@
     arrestment and thereby re-diverges every signal — without the rule,
     all permeabilities saturate towards 1.  We implement it as a direct
     window: a divergence of output [k] counts only when it appears
-    within [window_ms] of the injection instant.  Direct data flow
-    through a module takes at most one activation period plus its
+    between the error model's first fire and [window_ms] past its last
+    ({!attributed}; one instant for single-shot models).  Direct data
+    flow through a module takes at most one activation period plus its
     filter horizons (here < 40 ms), while the loop back through valve,
     airframe and sensors takes hundreds; the default 64 ms window
     separates the two regimes cleanly.  {!Any_divergence} counts
-    everything (used by the ablation bench). *)
+    everything (used by the ablation bench).
+
+    The counts themselves are kept in one place, {!Stream}; a finished
+    campaign goes through it too ({!estimate_all}). *)
 
 type attribution =
   | Direct of { window_ms : int }
@@ -27,64 +31,38 @@ type attribution =
 val default_attribution : attribution
 (** [Direct {window_ms = 64}]. *)
 
-type estimate = {
-  pair : Propagation.Perm_graph.pair;
-  injections : int;  (** [n_inj] *)
-  errors : int;  (** [n_err] after attribution *)
-  value : float;  (** [n_err / n_inj] *)
-  interval : float * float;
-      (** 95% Wilson score interval (extension beyond the paper) *)
-}
-
-val wilson_interval : errors:int -> trials:int -> float * float
-(** 95% Wilson score interval for a binomial proportion, clamped to
-    [[0, 1]] (the closed form can drift a few ulps outside at the
-    boundaries); [(0., 1.)] when [trials = 0].
-    @raise Invalid_argument if [errors] is outside [0, trials]. *)
-
-val estimate_pairs :
-  ?attribution:attribution ->
-  model:Propagation.System_model.t ->
-  results:Results.t ->
-  string ->
-  estimate list
-(** All [m * n] estimates of one module, in row-major pair order.
-    Pairs whose input signal was never injected get [injections = 0]
-    and [value = 0.].
-
-    A {!Results.Crashed} or {!Results.Hung} run never produced the
-    output at all, which under the paper's failure-class reading is an
-    error on {e every} output pair of its input: it adds one to both
-    [injections] and [errors] regardless of the attribution window.
-    @raise Invalid_argument for an unknown module. *)
-
-val estimate_matrix :
-  ?attribution:attribution ->
-  model:Propagation.System_model.t ->
-  results:Results.t ->
-  string ->
-  Propagation.Perm_matrix.t
-(** The estimates packed as a permeability matrix. *)
+val attributed : attribution -> Results.outcome -> string -> bool
+(** [attributed a outcome output]: the outcome's divergence of [output]
+    counts as a direct error.  Under {!Direct} the divergence must fall
+    between the injection's first fire and [window_ms] past its last
+    fire; under {!Any_divergence} anywhere from the first fire on.
+    Failed runs are not judged here: the estimator counts them as errors
+    on every output, and [Latency] skips them. *)
 
 val estimate_all :
   ?attribution:attribution ->
   model:Propagation.System_model.t ->
   Results.t ->
   (Propagation.Perm_matrix.t Propagation.String_map.t, string) result
-(** Matrices for every module of the model.  [Error] lists the module
-    input signals the campaign never injected into (an incomplete
-    campaign would silently bias every downstream measure to zero). *)
+(** Matrices for every module of the model: the outcomes folded into one
+    {!Stream}, so each cell is [n_err / n_inj] with its counts and 95%
+    Wilson interval.  [Error] lists the module input signals the
+    campaign never injected into (an incomplete campaign would silently
+    bias every downstream measure to zero). *)
 
-(** Streaming (one outcome at a time) permeability estimation.
+(** Streaming (one outcome at a time) permeability estimation: the one
+    place Eq. 1 is counted.
 
-    A [Stream.t] accumulates the same [n_err]/[n_inj] counters that
-    {!estimate_pairs} derives from a finished campaign, but updates
-    them run by run as outcomes arrive.  Counting is commutative, so a
-    stream fed the outcomes of a campaign in {e any} order holds
-    matrices identical (counts included) to {!estimate_all} over the
-    same results — the equivalence is property-tested.  This is what
-    lets live analysis ([Live]) and adaptive stopping reuse the exact
-    batch semantics without re-scanning all results after every run. *)
+    A [Stream.t] keeps an [n_err]/[n_inj] counter per input/output pair
+    and updates it run by run as outcomes arrive.  For each outcome,
+    every pair whose input is the injected signal gains an injection,
+    and an error when the run failed ({!Results.Crashed} or
+    {!Results.Hung}: the output was never produced) or the output's
+    divergence is {!attributed}.  Counting is commutative, so the
+    matrices do not depend on arrival order, and rows exported by
+    {!counts_row} can be seeded back in at any time ({!seed_row}).
+    Campaign endings, live analysis ([Live]), the budget plan ([Plan]),
+    cell reuse ([Reuse]) and {!estimate_all} all count through it. *)
 module Stream : sig
   type t
 

@@ -20,5 +20,3 @@ let describe t =
     (Error_model.describe t.error)
     t.target
     (Simkernel.Sim_time.to_ms t.at)
-
-let pp ppf t = Fmt.string ppf (describe t)

@@ -33,4 +33,3 @@ val last_fire_ms : t -> int
     end; runs must stay alive through it to realise the full model. *)
 
 val describe : t -> string
-val pp : Format.formatter -> t -> unit

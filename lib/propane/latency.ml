@@ -7,14 +7,9 @@ type stats = {
   median_ms : int;
 }
 
-let window_of = function
-  | Estimator.Direct { window_ms } -> Some window_ms
-  | Estimator.Any_divergence -> None
-
 let pair_stats ?(attribution = Estimator.default_attribution) ~model ~results
     module_name =
   let m = Propagation.System_model.find_module_exn model module_name in
-  let window = window_of attribution in
   let stats_for i k =
     let input_name =
       Propagation.Signal.name (Propagation.Sw_module.input_signal m i)
@@ -27,23 +22,15 @@ let pair_stats ?(attribution = Estimator.default_attribution) ~model ~results
         (fun (o : Results.outcome) ->
           (* A crashed run's tail-rule divergences mark the crash, not
              a propagation; failed runs carry no latency signal. *)
-          if Results.is_failed o.status then None
+          if Results.is_failed o.status
+             || not (Estimator.attributed attribution o output_name)
+          then None
           else
-          match Results.divergence_of o output_name with
-          | None -> None
-          | Some at ->
-              (* Latency counts from the first actual corruption, not
-                 the arming time of a delayed model. *)
-              let injected = Injection.first_fire_ms o.injection in
-              let latency = at - injected in
-              if latency < 0 then None
-              else
-                let inside =
-                  match window with
-                  | None -> true
-                  | Some w -> latency <= w
-                in
-                if inside then Some latency else None)
+            (* Latency counts from the first actual corruption, not
+               the arming time of a delayed model. *)
+            Option.map
+              (fun at -> at - Injection.first_fire_ms o.injection)
+              (Results.divergence_of o output_name))
         (Results.by_target results input_name)
     in
     match List.sort Int.compare latencies with

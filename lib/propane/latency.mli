@@ -5,9 +5,11 @@
     {e latency} with which errors cross each input/output pair — the
     quantity that, together with coverage, drives mechanism selection
     in the hardware-EDM study the paper cites as [18].  Latency here is
-    the millisecond distance between the injection instant and the
-    output's first divergence, over the runs the estimator counts as
-    direct errors. *)
+    the millisecond distance between the error model's first fire and
+    the output's first divergence, over the completed runs whose
+    divergence the estimator attributes to the injection
+    ({!Estimator.attributed}: for an intermittent model, up to the
+    window past its last fire). *)
 
 type stats = {
   pair : Propagation.Perm_graph.pair;
@@ -18,21 +20,13 @@ type stats = {
   median_ms : int;
 }
 
-val pair_stats :
-  ?attribution:Estimator.attribution ->
-  model:Propagation.System_model.t ->
-  results:Results.t ->
-  string ->
-  stats option list
-(** One entry per pair of the module (row-major order); [None] when no
-    counted error exists for that pair.
-    @raise Invalid_argument for an unknown module. *)
-
 val all_stats :
   ?attribution:Estimator.attribution ->
   model:Propagation.System_model.t ->
   Results.t ->
   stats list
-(** The defined statistics of every module, flattened. *)
+(** The statistics of every input/output pair with at least one
+    attributed error, module by module in model order, each module's
+    pairs in row-major order. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -53,7 +53,3 @@ let uniform_axis name ~lo ~hi ~steps =
   (name, List.init steps (fun j -> lo +. (float_of_int j *. width)))
 
 let equal a b = String.equal a.id b.id
-
-let pp ppf t =
-  let pp_param ppf (n, v) = Fmt.pf ppf "%s=%g" n v in
-  Fmt.pf ppf "@[<h>%s {%a}@]" t.id Fmt.(list ~sep:comma pp_param) t.params

@@ -31,4 +31,3 @@ val uniform_axis : string -> lo:float -> hi:float -> steps:int -> string * float
     @raise Invalid_argument unless [steps >= 2] and [lo < hi]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

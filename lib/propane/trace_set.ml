@@ -43,8 +43,3 @@ let sample_array t values =
 let duration_ms t = t.duration
 let trace t s = String_map.find s t.traces
 let find_trace t s = String_map.find_opt s t.traces
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(list ~sep:cut Trace.pp)
-    (List.map (trace t) t.order)

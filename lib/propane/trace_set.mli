@@ -26,4 +26,3 @@ val trace : t -> string -> Trace.t
 (** @raise Not_found for an unknown signal. *)
 
 val find_trace : t -> string -> Trace.t option
-val pp : Format.formatter -> t -> unit

@@ -179,25 +179,3 @@ let input_paths_table ?(ci = false) (analysis : Propagation.Analysis.t) input =
          Propagation.Signal.pp input)
     ~columns:(path_columns ci)
     (List.map (path_cells ~ci) rows)
-
-let estimates_table estimates =
-  Table.make ~title:"Permeability estimates with campaign detail"
-    ~columns:
-      [
-        ("Pair", Table.Left);
-        ("n_err", Table.Right);
-        ("n_inj", Table.Right);
-        ("P", Table.Right);
-        ("95% CI", Table.Left);
-      ]
-    (List.map
-       (fun (e : Propane.Estimator.estimate) ->
-         let lo, hi = e.interval in
-         [
-           Fmt.str "%a" Propagation.Perm_graph.pp_pair e.pair;
-           string_of_int e.errors;
-           string_of_int e.injections;
-           f3 e.value;
-           Printf.sprintf "[%.3f, %.3f]" lo hi;
-         ])
-       estimates)

@@ -39,7 +39,3 @@ val input_paths_table :
   ?ci:bool -> Propagation.Analysis.t -> Propagation.Signal.t -> Table.t
 (** Companion to Table 4 for a trace tree: the non-zero propagation
     paths from a system input (used for OB4's [pulscnt] argument). *)
-
-val estimates_table : Propane.Estimator.estimate list -> Table.t
-(** Raw estimation detail: n_err / n_inj and the 95% confidence
-    interval of every pair (an extension beyond the paper). *)

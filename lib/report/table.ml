@@ -57,4 +57,3 @@ let print t = print_endline (render t)
 let row_count t = List.length t.rows
 let column_names t = List.map fst t.columns
 let fold_rows f acc t = List.fold_left f acc t.rows
-let pp ppf t = Fmt.string ppf (render t)

@@ -25,5 +25,3 @@ val column_names : t -> string list
 
 val fold_rows : ('a -> string list -> 'a) -> 'a -> t -> 'a
 (** Folds over the data rows in order (header excluded). *)
-
-val pp : Format.formatter -> t -> unit

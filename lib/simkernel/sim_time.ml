@@ -1,24 +1,6 @@
 type t = int
 
-let zero = 0
-
 let of_ms ms =
   if ms < 0 then invalid_arg "Sim_time.of_ms: negative time" else ms
 
 let to_ms t = t
-let add_ms t ms = of_ms (t + ms)
-let diff_ms later earlier = later - earlier
-
-let of_seconds s =
-  if Float.is_nan s || s < 0.0 then
-    invalid_arg "Sim_time.of_seconds: negative time"
-  else int_of_float (Float.round (s *. 1000.0))
-
-let to_seconds t = float_of_int t /. 1000.0
-let succ t = t + 1
-let equal = Int.equal
-let compare = Int.compare
-let ( <= ) a b = a <= b
-let ( < ) a b = a < b
-let ( >= ) a b = a >= b
-let pp ppf t = Fmt.pf ppf "%d ms" t

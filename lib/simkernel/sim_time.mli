@@ -9,24 +9,7 @@
 type t
 (** A millisecond timestamp, >= 0. *)
 
-val zero : t
 val of_ms : int -> t
 (** @raise Invalid_argument on a negative value. *)
 
 val to_ms : t -> int
-val add_ms : t -> int -> t
-val diff_ms : t -> t -> int
-(** [diff_ms later earlier] in milliseconds (may be negative). *)
-
-val of_seconds : float -> t
-(** Rounded to the nearest millisecond.
-    @raise Invalid_argument on a negative value. *)
-
-val to_seconds : t -> float
-val succ : t -> t
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val ( <= ) : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-val pp : Format.formatter -> t -> unit

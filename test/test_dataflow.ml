@@ -350,17 +350,17 @@ let random_system_tests =
              sut (mini_campaign system) in
            match Propane.Estimator.estimate_all ~model results with
            | Error _ ->
-               (* Only the first target was injected; estimate per
-                  module instead and check bounds. *)
-               List.for_all
-                 (fun m ->
-                   let name = Propagation.Sw_module.name m in
-                   let matrix =
-                     Propane.Estimator.estimate_matrix ~model ~results name
-                   in
+               (* Some target was never injected; estimate the partial
+                  campaign through a stream instead and check bounds. *)
+               let stream = Propane.Estimator.Stream.create ~model () in
+               List.iter
+                 (Propane.Estimator.Stream.observe stream)
+                 (Propane.Results.outcomes results);
+               Propagation.String_map.for_all
+                 (fun _ matrix ->
                    Propagation.Perm_matrix.relative matrix >= 0.0
                    && Propagation.Perm_matrix.relative matrix <= 1.0)
-                 (Propagation.System_model.modules model)
+                 (Propane.Estimator.Stream.matrices stream)
            | Ok matrices -> (
                match Propagation.Analysis.run model matrices with
                | Error _ -> false

@@ -114,7 +114,11 @@ let estimate_tests =
         (* Wilson score interval for p=0.5, n=100, z=1.96. *)
         let lo, hi = Estimate.wilson_interval ~errors:50 ~trials:100 in
         Alcotest.(check (float 1e-3)) "lo" 0.404 lo;
-        Alcotest.(check (float 1e-3)) "hi" 0.596 hi);
+        Alcotest.(check (float 1e-3)) "hi" 0.596 hi;
+        (* Every trial an error: the upper bound is clamped to exactly 1. *)
+        let lo, hi = Estimate.wilson_interval ~errors:10 ~trials:10 in
+        Alcotest.(check (float 1e-3)) "lo at 10/10" 0.722 lo;
+        Alcotest.(check (float 1e-9)) "hi at 10/10" 1.0 hi);
     Alcotest.test_case "95% intervals cover k/16 at the nominal rate" `Quick
       (fun () ->
         (* Exact coverage of p at n trials: the binomial probability of

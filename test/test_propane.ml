@@ -1064,7 +1064,7 @@ let runner_tests =
           [ false; true ]);
     check_raises_invalid "temporal models cannot nest in an injection"
       (fun () ->
-        Propane.Injection.make ~target:"x" ~at:Sim.Sim_time.zero
+        Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 0)
           ~error:
             (Propane.Error_model.Delayed
                {
@@ -1079,7 +1079,7 @@ let runner_tests =
         Propane.Runner.run_experiment sut
           ~golden:(Propane.Runner.frozen_golden sut tc)
           tc
-          (Propane.Injection.make ~target:"zz" ~at:Sim.Sim_time.zero
+          (Propane.Injection.make ~target:"zz" ~at:(Sim.Sim_time.of_ms 0)
              ~error:(Propane.Error_model.Bit_flip 0)));
     Alcotest.test_case "campaigns are deterministic for a seed" `Quick
       (fun () ->
@@ -1541,44 +1541,31 @@ let horizon_tests =
 
 (* ------------------------------------------------------------------ *)
 
+(* The SCALE cell (x -> y) that [estimate_all] measures from [results]. *)
+let scale_cell ?attribution results =
+  match
+    Propane.Estimator.estimate_all ?attribution ~model:scale_model results
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok matrices ->
+      Propagation.Perm_matrix.estimate
+        (Propagation.String_map.find "SCALE" matrices)
+        ~input:1 ~output:1
+
 let estimator_tests =
   [
-    Alcotest.test_case "wilson interval brackets the proportion" `Quick
-      (fun () ->
-        let lo, hi = Propane.Estimator.wilson_interval ~errors:50 ~trials:100 in
-        Alcotest.(check bool) "lo" true (lo < 0.5 && 0.4 < lo);
-        Alcotest.(check bool) "hi" true (0.5 < hi && hi < 0.6));
-    Alcotest.test_case "wilson with no trials is vacuous" `Quick (fun () ->
-        Alcotest.(check (pair (float 0.0) (float 0.0)))
-          "interval" (0.0, 1.0)
-          (Propane.Estimator.wilson_interval ~errors:0 ~trials:0));
-    Alcotest.test_case "wilson stays in [0,1] at the extremes" `Quick
-      (fun () ->
-        let lo, hi = Propane.Estimator.wilson_interval ~errors:10 ~trials:10 in
-        Alcotest.(check bool) "bounds" true (0.0 <= lo && hi <= 1.0);
-        Alcotest.(check (float 1e-9)) "hi is 1" 1.0 hi);
-    check_raises_invalid "wilson rejects errors > trials" (fun () ->
-        Propane.Estimator.wilson_interval ~errors:2 ~trials:1);
     Alcotest.test_case "scaler permeability is exactly 12/16" `Quick (fun () ->
         let results =
           runner ~seed:7L (scaler_sut ()) scaler_campaign
         in
-        let matrix =
-          Propane.Estimator.estimate_matrix ~model:scale_model ~results "SCALE"
-        in
-        close "P" 0.75 (Propagation.Perm_matrix.get matrix ~input:1 ~output:1));
+        close "P" 0.75 (scale_cell results).Propagation.Estimate.value);
     Alcotest.test_case "estimates carry campaign detail" `Quick (fun () ->
         let results =
           runner ~seed:7L (scaler_sut ()) scaler_campaign
         in
-        match
-          Propane.Estimator.estimate_pairs ~model:scale_model ~results "SCALE"
-        with
-        | [ e ] ->
-            Alcotest.(check int) "n_inj" 80 e.Propane.Estimator.injections;
-            Alcotest.(check int) "n_err" 60 e.Propane.Estimator.errors
-        | other ->
-            Alcotest.failf "expected 1 estimate, got %d" (List.length other));
+        let e = scale_cell results in
+        Alcotest.(check int) "n_inj" 80 e.Propagation.Estimate.n_inj;
+        Alcotest.(check int) "n_err" 60 e.Propagation.Estimate.n_err);
     Alcotest.test_case "estimate_all flags missing targets" `Quick (fun () ->
         let empty = Propane.Results.create ~sut:"scaler" ~campaign:"none" in
         match Propane.Estimator.estimate_all ~model:scale_model empty with
@@ -1601,31 +1588,15 @@ let estimator_tests =
             status = Propane.Results.Completed;
           };
         let direct =
-          Propane.Estimator.estimate_matrix
+          scale_cell
             ~attribution:(Propane.Estimator.Direct { window_ms = 64 })
-            ~model:scale_model ~results "SCALE"
+            results
         in
         let any =
-          Propane.Estimator.estimate_matrix
-            ~attribution:Propane.Estimator.Any_divergence ~model:scale_model
-            ~results "SCALE"
+          scale_cell ~attribution:Propane.Estimator.Any_divergence results
         in
-        close "direct discounts" 0.0
-          (Propagation.Perm_matrix.get direct ~input:1 ~output:1);
-        close "any counts" 1.0
-          (Propagation.Perm_matrix.get any ~input:1 ~output:1));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"wilson interval is a probability bracket"
-         ~count:500
-         QCheck2.Gen.(pair (int_range 1 2000) (int_range 0 2000))
-         (fun (trials, errors) ->
-           let errors = min errors trials in
-           let lo, hi = Propane.Estimator.wilson_interval ~errors ~trials in
-           let value = float_of_int errors /. float_of_int trials in
-           0.0 <= lo
-           && lo <= value +. 1e-9
-           && value <= hi +. 1e-9
-           && hi <= 1.0));
+        close "direct discounts" 0.0 direct.Propagation.Estimate.value;
+        close "any counts" 1.0 any.Propagation.Estimate.value);
     Alcotest.test_case "failed runs count as errors unconditionally" `Quick
       (fun () ->
         let results = Propane.Results.create ~sut:"scaler" ~campaign:"c" in
@@ -1644,15 +1615,10 @@ let estimator_tests =
           [ { Propane.Golden.signal = "y"; first_ms = 10 } ];
         add (Propane.Results.Crashed { at_ms = 12; reason = "boom" }) [];
         add (Propane.Results.Hung { budget_ms = 50 }) [];
-        match
-          Propane.Estimator.estimate_pairs ~model:scale_model ~results "SCALE"
-        with
-        | [ e ] ->
-            Alcotest.(check (pair int int))
-              "counted as errors" (3, 3)
-              (e.Propane.Estimator.injections, e.Propane.Estimator.errors)
-        | other ->
-            Alcotest.failf "expected 1 estimate, got %d" (List.length other));
+        let e = scale_cell results in
+        Alcotest.(check (pair int int))
+          "counted as errors" (3, 3)
+          (e.Propagation.Estimate.n_inj, e.Propagation.Estimate.n_err));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1665,7 +1631,7 @@ let results_tests =
           {
             Propane.Results.testcase = "t";
             injection =
-              Propane.Injection.make ~target ~at:Sim.Sim_time.zero
+              Propane.Injection.make ~target ~at:(Sim.Sim_time.of_ms 0)
                 ~error:(Propane.Error_model.Bit_flip 0);
             divergences = [];
             status = Propane.Results.Completed;
@@ -1716,10 +1682,8 @@ let latency_tests =
               ("x", "t", 100, []);
             ]
         in
-        match
-          Propane.Latency.pair_stats ~model:scale_model ~results "SCALE"
-        with
-        | [ Some s ] ->
+        match Propane.Latency.all_stats ~model:scale_model results with
+        | [ s ] ->
             Alcotest.(check int) "samples" 3 s.Propane.Latency.samples;
             Alcotest.(check int) "min" 2 s.Propane.Latency.min_ms;
             Alcotest.(check int) "max" 10 s.Propane.Latency.max_ms;
@@ -1732,23 +1696,51 @@ let latency_tests =
           synthetic_results [ ("x", "t", 100, [ ("y", 400) ]) ]
         in
         match
-          Propane.Latency.pair_stats
+          Propane.Latency.all_stats
             ~attribution:(Propane.Estimator.Direct { window_ms = 64 })
-            ~model:scale_model ~results "SCALE"
+            ~model:scale_model results
         with
-        | [ None ] -> ()
+        | [] -> ()
         | _ -> Alcotest.fail "expected no stats");
     Alcotest.test_case "any-divergence keeps late ones" `Quick (fun () ->
         let results =
           synthetic_results [ ("x", "t", 100, [ ("y", 400) ]) ]
         in
         match
-          Propane.Latency.pair_stats
+          Propane.Latency.all_stats
             ~attribution:Propane.Estimator.Any_divergence ~model:scale_model
-            ~results "SCALE"
+            results
         with
-        | [ Some s ] -> Alcotest.(check int) "latency" 300 s.Propane.Latency.max_ms
+        | [ s ] -> Alcotest.(check int) "latency" 300 s.Propane.Latency.max_ms
         | _ -> Alcotest.fail "expected stats");
+    Alcotest.test_case "intermittent errors keep the estimator's window"
+      `Quick (fun () ->
+        (* Fires at 100, 120, ..., 180 ms; y diverges 20 ms after the
+           last fire, 100 ms after the first. *)
+        let results = Propane.Results.create ~sut:"scaler" ~campaign:"c" in
+        Propane.Results.add results
+          {
+            Propane.Results.testcase = "t";
+            injection =
+              Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 100)
+                ~error:
+                  (Propane.Error_model.Intermittent
+                     {
+                       model = Propane.Error_model.Bit_flip 0;
+                       period_ms = 20;
+                       window_ms = 100;
+                     });
+            divergences = [ { Propane.Golden.signal = "y"; first_ms = 200 } ];
+            status = Propane.Results.Completed;
+          };
+        Alcotest.(check int)
+          "estimator counts it" 1
+          (scale_cell results).Propagation.Estimate.n_err;
+        match Propane.Latency.all_stats ~model:scale_model results with
+        | [ s ] ->
+            Alcotest.(check int) "samples" 1 s.Propane.Latency.samples;
+            Alcotest.(check int) "latency" 100 s.Propane.Latency.max_ms
+        | other -> Alcotest.failf "expected one stat, got %d" (List.length other));
     Alcotest.test_case "all_stats flattens defined pairs" `Quick (fun () ->
         let results = synthetic_results [ ("x", "t", 1, [ ("y", 2) ]) ] in
         Alcotest.(check int)
@@ -1871,13 +1863,10 @@ let storage_tests =
             match Propane.Journal.load path with
             | Error msg -> Alcotest.fail msg
             | Ok journal ->
-                let matrix =
-                  Propane.Estimator.estimate_matrix ~model:scale_model
-                    ~results:(Propane.Journal.results journal) "SCALE"
-                in
                 Alcotest.(check (float 1e-9))
                   "estimate preserved" 0.75
-                  (Propagation.Perm_matrix.get matrix ~input:1 ~output:1)));
+                  (scale_cell (Propane.Journal.results journal))
+                    .Propagation.Estimate.value));
     Alcotest.test_case "status parser rejects junk" `Quick (fun () ->
         List.iter
           (fun junk ->
@@ -2495,10 +2484,40 @@ let live_tests =
       (Propane.Results.outcomes a)
       (Propane.Results.outcomes b)
   in
-  let batch_matrices results =
+  let estimated results =
     match Propane.Estimator.estimate_all ~model:scale_model results with
     | Ok matrices -> matrices
-    | Error msg -> Alcotest.failf "batch estimation failed: %s" msg
+    | Error msg -> Alcotest.failf "estimation failed: %s" msg
+  in
+  (* Eq. 1 counted directly, the oracle for the stream: of the runs
+     injected into x, the errors are those that failed or whose y
+     diverged between the first fire and 64 ms past the last (the
+     default direct window). *)
+  let eq1_matrices outcomes =
+    let injected =
+      List.filter
+        (fun (o : Propane.Results.outcome) ->
+          String.equal o.injection.Propane.Injection.target "x")
+        outcomes
+    in
+    let error (o : Propane.Results.outcome) =
+      Propane.Results.is_failed o.status
+      ||
+      match Propane.Results.divergence_of o "y" with
+      | None -> false
+      | Some at ->
+          at >= Propane.Injection.first_fire_ms o.injection
+          && at <= Propane.Injection.last_fire_ms o.injection + 64
+    in
+    Propagation.String_map.singleton "SCALE"
+      (Propagation.Perm_matrix.of_estimates
+         [|
+           [|
+             Propagation.Estimate.of_counts
+               ~errors:(List.length (List.filter error injected))
+               ~trials:(List.length injected);
+           |];
+         |])
   in
   let check_same_matrices msg a b =
     Propagation.String_map.iter
@@ -2533,20 +2552,22 @@ let live_tests =
           "runs observed"
           (Propane.Results.count results)
           (Propane.Estimator.Stream.runs_observed stream);
-        check_same_matrices "stream vs batch"
-          (batch_matrices results)
+        check_same_matrices "stream vs Eq. 1"
+          (eq1_matrices (Propane.Results.outcomes results))
           (Propane.Estimator.Stream.matrices stream));
     Alcotest.test_case "stream is order-independent" `Quick (fun () ->
         let results =
           runner ~seed:7L (scaler_sut ()) scaler_campaign
         in
-        let stream = Propane.Estimator.Stream.create ~model:scale_model () in
+        let reversed =
+          Propane.Estimator.Stream.create ~model:scale_model ()
+        in
         List.iter
-          (Propane.Estimator.Stream.observe stream)
+          (Propane.Estimator.Stream.observe reversed)
           (List.rev (Propane.Results.outcomes results));
-        check_same_matrices "reversed vs batch"
-          (batch_matrices results)
-          (Propane.Estimator.Stream.matrices stream));
+        check_same_matrices "reversed vs forward"
+          (Propane.Estimator.Stream.matrices (stream_of results))
+          (Propane.Estimator.Stream.matrices reversed));
     Alcotest.test_case "drain_dirty reports a changed module exactly once"
       `Quick (fun () ->
         let results =
@@ -2680,7 +2701,7 @@ let live_tests =
         match Propane.Live.snapshot live with
         | Ok analysis ->
             let batch =
-              Propagation.Analysis.run_exn scale_model (batch_matrices results)
+              Propagation.Analysis.run_exn scale_model (estimated results)
             in
             Alcotest.(check string)
               "live snapshot equals batch"
@@ -2868,30 +2889,19 @@ let live_tests =
            let results =
              runner ~seed:7L (scaler_sut ()) scaler_campaign
            in
-           let outcomes = Propane.Results.outcomes results in
-           let prefix = min prefix (List.length outcomes) in
            let partial =
-             Propane.Results.create ~sut:"scaler" ~campaign:"scaler"
+             List.filteri
+               (fun i _ -> i < prefix)
+               (Propane.Results.outcomes results)
            in
            let stream =
              Propane.Estimator.Stream.create ~model:scale_model ()
            in
-           List.iteri
-             (fun i o ->
-               if i < prefix then begin
-                 Propane.Results.add partial o;
-                 Propane.Estimator.Stream.observe stream o
-               end)
-             outcomes;
-           let batch =
-             Propane.Estimator.estimate_matrix ~model:scale_model
-               ~results:partial "SCALE"
-           in
-           let streamed =
-             Propagation.String_map.find "SCALE"
-               (Propane.Estimator.Stream.matrices stream)
-           in
-           Propagation.Perm_matrix.equal_estimates ~eps:0.0 batch streamed));
+           List.iter (Propane.Estimator.Stream.observe stream) partial;
+           Propagation.String_map.equal
+             (Propagation.Perm_matrix.equal_estimates ~eps:0.0)
+             (eq1_matrices partial)
+             (Propane.Estimator.Stream.matrices stream)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -175,24 +175,6 @@ let experiments_tests =
             Arrestment.Signals.pacnt
         in
         Alcotest.(check bool) "rows" true (Report.Table.row_count t > 0));
-    Alcotest.test_case "estimates table renders intervals" `Quick (fun () ->
-        let estimates =
-          [
-            {
-              Propane.Estimator.pair =
-                { Propagation.Perm_graph.module_name = "M"; input = 1; output = 1 };
-              injections = 100;
-              errors = 50;
-              value = 0.5;
-              interval = (0.4, 0.6);
-            };
-          ]
-        in
-        let rendered =
-          Report.Table.render (Report.Experiments.estimates_table estimates)
-        in
-        Alcotest.(check bool) "pair" true (contains rendered "P^M_{1,1}");
-        Alcotest.(check bool) "interval" true (contains rendered "[0.400, 0.600]"));
   ]
 
 (* ------------------------------------------------------------------ *)

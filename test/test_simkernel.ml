@@ -12,37 +12,10 @@ let check_raises_invalid name f =
 
 let sim_time_tests =
   [
-    Alcotest.test_case "zero is 0 ms" `Quick (fun () ->
-        Alcotest.(check int) "ms" 0 (Sim_time.to_ms Sim_time.zero));
     Alcotest.test_case "of_ms/to_ms roundtrip" `Quick (fun () ->
         Alcotest.(check int) "ms" 1234 (Sim_time.to_ms (Sim_time.of_ms 1234)));
     check_raises_invalid "of_ms rejects negatives" (fun () ->
         Sim_time.of_ms (-1));
-    Alcotest.test_case "add_ms accumulates" `Quick (fun () ->
-        Alcotest.(check int) "ms" 700
-          (Sim_time.to_ms (Sim_time.add_ms (Sim_time.of_ms 500) 200)));
-    Alcotest.test_case "diff_ms is signed" `Quick (fun () ->
-        Alcotest.(check int) "diff" (-300)
-          (Sim_time.diff_ms (Sim_time.of_ms 200) (Sim_time.of_ms 500)));
-    Alcotest.test_case "of_seconds rounds to nearest ms" `Quick (fun () ->
-        Alcotest.(check int) "ms" 1500
-          (Sim_time.to_ms (Sim_time.of_seconds 1.4999)));
-    check_raises_invalid "of_seconds rejects negatives" (fun () ->
-        Sim_time.of_seconds (-0.1));
-    Alcotest.test_case "to_seconds inverse" `Quick (fun () ->
-        Alcotest.(check (float 1e-9))
-          "s" 2.5
-          (Sim_time.to_seconds (Sim_time.of_ms 2500)));
-    Alcotest.test_case "succ advances one ms" `Quick (fun () ->
-        Alcotest.(check int) "ms" 1
-          (Sim_time.to_ms (Sim_time.succ Sim_time.zero)));
-    Alcotest.test_case "ordering operators" `Quick (fun () ->
-        let a = Sim_time.of_ms 5 and b = Sim_time.of_ms 6 in
-        Alcotest.(check bool) "lt" true Sim_time.(a < b);
-        Alcotest.(check bool) "le" true Sim_time.(a <= a);
-        Alcotest.(check bool) "ge" true Sim_time.(b >= a);
-        Alcotest.(check bool) "equal" true (Sim_time.equal a a);
-        Alcotest.(check int) "compare" (-1) (Sim_time.compare a b));
   ]
 
 (* ------------------------------------------------------------------ *)
