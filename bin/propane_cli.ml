@@ -1553,9 +1553,8 @@ let golden_cmd =
         dur;
       List.iter
         (fun s ->
-          let trace = Propane.Trace_set.trace traces s in
           Printf.printf "  %-12s final=%d\n" s
-            (Propane.Trace.get trace (dur - 1)))
+            (Propane.Trace_set.get traces s (dur - 1)))
         (Propane.Trace_set.signals traces)
     end
   in

@@ -141,8 +141,7 @@ let sut ?(guards = []) ?fault () =
 
 let mission_failed ~golden ~run =
   let final traces signal =
-    Propane.Trace.get
-      (Propane.Trace_set.trace traces signal)
+    Propane.Trace_set.get traces signal
       (Propane.Trace_set.duration_ms traces - 1)
   in
   let run_pulscnt = final run "pulscnt" in

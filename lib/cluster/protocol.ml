@@ -234,11 +234,3 @@ let pp_to_coordinator ppf = function
       Fmt.pf ppf "result #%d (%a, %d retries)" index Propane.Results.pp_status
         outcome.Propane.Results.status retries
   | Heartbeat -> Fmt.string ppf "heartbeat"
-
-let pp_to_worker ppf = function
-  | Assign { sut; campaign; total; _ } ->
-      Fmt.pf ppf "assign %s/%s (%d runs)" sut campaign total
-  | Batch indices -> Fmt.pf ppf "batch of %d" (List.length indices)
-  | Ping -> Fmt.string ppf "ping"
-  | Done -> Fmt.string ppf "done"
-  | Reject reason -> Fmt.pf ppf "reject (%s)" reason

@@ -83,5 +83,4 @@ val decode_to_worker : string -> (to_worker, string) result
     descriptive [Error]. *)
 
 val pp_to_coordinator : Format.formatter -> to_coordinator -> unit
-val pp_to_worker : Format.formatter -> to_worker -> unit
 (** Compact debug rendering (no payload dumps). *)

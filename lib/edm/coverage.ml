@@ -46,10 +46,7 @@ let assess ?(max_ms = Propane.Runner.default_max_ms) ?(seed = 42L) ~outputs
       (fun det ->
         let golden_verdicts =
           List.map
-            (fun (id, golden) ->
-              ( id,
-                Detector.evaluate det
-                  (Propane.Trace_set.trace golden det.Detector.signal) ))
+            (fun (id, golden) -> (id, Detector.evaluate det golden))
             goldens
         in
         {
@@ -89,10 +86,7 @@ let assess ?(max_ms = Propane.Runner.default_max_ms) ?(seed = 42L) ~outputs
     in
     List.iter
       (fun acc ->
-        let verdict =
-          Detector.evaluate acc.det
-            (Propane.Trace_set.trace run acc.det.Detector.signal)
-        in
+        let verdict = Detector.evaluate acc.det run in
         (* A firing only signals an error when it deviates from the
            detector's behaviour on this test case's golden run: a
            mis-calibrated assertion that fires identically on the

@@ -8,17 +8,13 @@ let make ~name ~signal assertions =
 
 type verdict = { fired : bool; first_ms : int option }
 
-let evaluate t trace =
-  if not (String.equal (Propane.Trace.signal trace) t.signal) then
-    invalid_arg
-      (Printf.sprintf "Detector.evaluate: %s monitors %S, trace is %S" t.name
-         t.signal
-         (Propane.Trace.signal trace));
-  let n = Propane.Trace.length trace in
+let evaluate t traces =
+  let sample = Propane.Trace_set.get traces t.signal in
+  let n = Propane.Trace_set.duration_ms traces in
   let rec go prev j =
     if j >= n then { fired = false; first_ms = None }
     else
-      let v = Propane.Trace.get trace j in
+      let v = sample j in
       if List.for_all (fun a -> Assertion.check a ~prev v) t.assertions then
         go (Some v) (j + 1)
       else { fired = true; first_ms = Some j }

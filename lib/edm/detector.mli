@@ -1,7 +1,7 @@
 (** Error-detection mechanisms (EDMs).
 
     A detector monitors one signal with a conjunction of executable
-    assertions.  It can be evaluated offline against a recorded trace
+    assertions.  It can be evaluated offline against a recorded run
     (finding the first violation), which is how the cost-effectiveness
     study of {!Coverage} works. *)
 
@@ -19,9 +19,9 @@ type verdict = {
   first_ms : int option;  (** millisecond of the first violation *)
 }
 
-val evaluate : t -> Propane.Trace.t -> verdict
-(** Scans the trace sample by sample, feeding each assertion the
-    previous and current values.
-    @raise Invalid_argument if the trace belongs to another signal. *)
+val evaluate : t -> Propane.Trace_set.t -> verdict
+(** Scans the run's trace of the detector's signal sample by sample,
+    feeding each assertion the previous and current values.
+    @raise Invalid_argument if the set does not trace that signal. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,5 @@
 let incoming t name = Perm_graph.incoming_arcs t name
 
-let incoming_arc_count t name = List.length (incoming t name)
-
 let module_exposure_nw t name =
   List.fold_left (fun acc (a : Perm_graph.arc) -> acc +. a.weight) 0.0
     (incoming t name)

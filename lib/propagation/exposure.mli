@@ -25,8 +25,6 @@ val module_exposure_estimate : Perm_graph.t -> string -> Estimate.t
 val module_exposure_nw_estimate : Perm_graph.t -> string -> Estimate.t
 (** Eq. (5) with interval bounds propagated from the arc estimates. *)
 
-val incoming_arc_count : Perm_graph.t -> string -> int
-
 val signal_exposure : Perm_graph.t -> Signal.t -> float
 (** Eq. (6): {m X^S}, the sum of the unique arcs leading to the child
     nodes of every node generated by signal [S] in the system's

@@ -128,11 +128,6 @@ let incoming_arcs t name =
       | To_environment -> false)
     t.arcs
 
-let outgoing_arcs t name =
-  List.filter (fun a -> String.equal a.pair.module_name name) t.arcs
-
-let arc_count t = List.length t.arcs
-
 let pp_pair ppf p =
   Fmt.pf ppf "P^%s_{%d,%d}" p.module_name p.input p.output
 

@@ -53,10 +53,6 @@ val incoming_arcs : t -> string -> arc list
 (** Arcs whose destination is the given module (module-local feedback
     arcs included). *)
 
-val outgoing_arcs : t -> string -> arc list
-(** Arcs originating at the given module (one per pair and consumer). *)
-
-val arc_count : t -> int
 
 val pp_pair : Format.formatter -> pair -> unit
 (** Prints the paper's notation, e.g. ["P^CALC_{2,1}"]. *)

@@ -56,7 +56,6 @@ let output_signals t = Array.to_list t.outputs
 let feedback_signals t =
   List.filter (fun s -> input_index t s <> None) (output_signals t)
 
-let has_feedback t = feedback_signals t <> []
 let equal a b = String.equal a.name b.name
 
 let pp ppf t =

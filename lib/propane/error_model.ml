@@ -105,7 +105,7 @@ let apply t ~width ~rng v =
   let mask = (1 lsl width) - 1 in
   corrupt t ~width ~rng (v land mask)
 
-(* Injection lifetime: at which observer milliseconds (relative to the
+(* Injection lifetime: at which milliseconds of the run (relative to the
    campaign's injection time) does the model corrupt the signal?
    Spatial models fire exactly once, at the injection time; [Delayed]
    shifts that single shot; [Intermittent] re-fires every period for a

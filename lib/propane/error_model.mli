@@ -50,7 +50,7 @@ val payload : t -> t
     temporal values, [t] itself otherwise. *)
 
 val fires : t -> inject_ms:int -> ms:int -> bool
-(** Does the model corrupt the signal at observer millisecond [ms],
+(** Does the model corrupt the signal at millisecond [ms] of the run,
     given the campaign injection time [inject_ms]?  Spatial models fire
     exactly at [inject_ms]; [Delayed] fires once at
     [inject_ms + delay_ms]; [Intermittent] fires at

@@ -168,35 +168,9 @@ module Stream = struct
 
   let runs_observed t = t.runs
 
-  (* Width of the widest Wilson interval over the pairs a campaign's
-     targets actually exercise: the cells of every (consumer, input)
-     the target feeds.  Pairs no target reaches stay at the zero-trial
-     width of 1 forever and would make [`Ci_width] unreachable, so they
-     are deliberately out of scope. *)
-  let max_width ~targets t =
-    let target_set = SS.of_list targets in
-    Hashtbl.fold
-      (fun name consumers acc ->
-        if not (SS.mem name target_set) then acc
-        else
-          List.fold_left
-            (fun acc (st, i) ->
-              Array.fold_left
-                (fun acc cell ->
-                  let lo, hi =
-                    Propagation.Estimate.wilson_interval ~errors:cell.n_err
-                      ~trials:cell.n_inj
-                  in
-                  Float.max acc (hi -. lo))
-                acc
-                st.cells.(i - 1))
-            acc consumers)
-      t.by_target 0.0
-
-  (* Per-target flavour of [max_width]: the widest interval over the
-     cells this one target feeds — the budget planner's uncertainty
-     score for the target.  0 when no module consumes it (more runs
-     there cannot narrow anything). *)
+  (* The widest Wilson interval over the cells one target feeds — the
+     budget planner's uncertainty score for the target.  0 when no
+     module consumes it (more runs there cannot narrow anything). *)
   let target_width t ~target =
     match Hashtbl.find_opt t.by_target target with
     | None -> 0.0
@@ -213,6 +187,14 @@ module Stream = struct
               acc
               st.cells.(i - 1))
           0.0 consumers
+
+  (* Only the pairs a campaign's targets actually exercise: pairs no
+     target reaches stay at the zero-trial width of 1 forever and would
+     make [`Ci_width] unreachable. *)
+  let max_width ~targets t =
+    List.fold_left
+      (fun acc target -> Float.max acc (target_width t ~target))
+      0.0 targets
 end
 
 let estimate_all ?attribution ~model results =

@@ -1,6 +1,20 @@
 type divergence = { signal : string; first_ms : int }
 
-let compare_runs ?until_ms ~golden ~run () =
+(* The earliest millisecond below [until_ms] where two runs of one
+   signal disagree; a length mismatch inside the window is a difference
+   at the end of the shorter run. *)
+let first_difference ~until_ms golden golden_ms run run_ms =
+  let common = min golden_ms run_ms in
+  let stop = min common until_ms in
+  let rec go ms =
+    if ms >= stop then
+      if golden_ms <> run_ms && common < until_ms then Some common else None
+    else if golden ms <> run ms then Some ms
+    else go (ms + 1)
+  in
+  go 0
+
+let compare_runs ?(until_ms = max_int) ~golden ~run () =
   if
     not
       (List.equal String.equal (Trace_set.signals golden)
@@ -8,13 +22,13 @@ let compare_runs ?until_ms ~golden ~run () =
   then invalid_arg "Golden.compare_runs: trace sets cover different signals";
   List.filter_map
     (fun signal ->
-      match
-        Trace.first_difference ?until_ms
-          (Trace_set.trace golden signal)
-          (Trace_set.trace run signal)
-      with
-      | None -> None
-      | Some first_ms -> Some { signal; first_ms })
+      Option.map
+        (fun first_ms -> { signal; first_ms })
+        (first_difference ~until_ms
+           (Trace_set.get golden signal)
+           (Trace_set.duration_ms golden)
+           (Trace_set.get run signal)
+           (Trace_set.duration_ms run)))
     (Trace_set.signals golden)
 
 (** {1 Frozen goldens} *)
@@ -22,20 +36,13 @@ let compare_runs ?until_ms ~golden ~run () =
 type frozen = {
   frozen_signals : string array;  (* creation order of the trace set *)
   frozen_duration : int;
-  samples : int array;  (* signal-major: [samples.(s * duration + ms)] *)
+  samples : int array;  (* millisecond-major, as in the trace set *)
   saved_at : int array;  (* ascending *)
   saved : Sut.state array;
 }
 
 let freeze_saved ~saved set =
-  let order = Trace_set.signals set in
-  let signals = Array.of_list order in
   let duration = Trace_set.duration_ms set in
-  let samples = Array.make (max 1 (Array.length signals * duration)) 0 in
-  Array.iteri
-    (fun s name ->
-      Trace.blit_into (Trace_set.trace set name) samples ~pos:(s * duration))
-    signals;
   let saved_at = Array.of_list (List.map fst saved) in
   Array.iteri
     (fun i ms ->
@@ -45,9 +52,9 @@ let freeze_saved ~saved set =
              duration))
     saved_at;
   {
-    frozen_signals = signals;
+    frozen_signals = Array.of_list (Trace_set.signals set);
     frozen_duration = duration;
-    samples;
+    samples = Trace_set.samples set;
     saved_at;
     saved = Array.of_list (List.map snd saved);
   }
@@ -67,14 +74,72 @@ let latest_saved f ~upto =
   else go 0 (Array.length f.saved_at)
 
 let frozen_signals f = Array.to_list f.frozen_signals
-let frozen_signal_count f = Array.length f.frozen_signals
 let frozen_duration_ms f = f.frozen_duration
 
 let frozen_value f ~signal ~ms =
-  if signal < 0 || signal >= Array.length f.frozen_signals then
+  let n = Array.length f.frozen_signals in
+  if signal < 0 || signal >= n then
     invalid_arg (Printf.sprintf "Golden.frozen_value: signal %d" signal)
   else if ms < 0 || ms >= f.frozen_duration then
     invalid_arg (Printf.sprintf "Golden.frozen_value: ms %d" ms)
-  else f.samples.((signal * f.frozen_duration) + ms)
+  else f.samples.((ms * n) + signal)
+
+(** {1 Streaming comparison} *)
+
+(* [first.(s)] is the divergence millisecond of signal [s], or -1 while
+   it agrees with the golden; [remaining] counts the -1s. *)
+type check = {
+  golden : frozen;
+  until_ms : int;
+  first : int array;
+  mutable remaining : int;
+}
+
+let check ?(until_ms = max_int) ?scratch golden =
+  let n = Array.length golden.frozen_signals in
+  let first =
+    match scratch with
+    | None -> Array.make n (-1)
+    | Some a when Array.length a >= n ->
+        Array.fill a 0 n (-1);
+        a
+    | Some a ->
+        invalid_arg
+          (Printf.sprintf
+             "Golden.check: scratch holds %d signals, golden has %d"
+             (Array.length a) n)
+  in
+  { golden; until_ms; first; remaining = n }
+
+let sample c ~ms values =
+  let g = c.golden in
+  if c.remaining > 0 && ms < c.until_ms && ms < g.frozen_duration then begin
+    let n = Array.length g.frozen_signals in
+    let base = ms * n in
+    for s = 0 to n - 1 do
+      if c.first.(s) < 0 && values.(s) <> g.samples.(base + s) then begin
+        c.first.(s) <- ms;
+        c.remaining <- c.remaining - 1
+      end
+    done
+  end
+
+let saturated c = c.remaining = 0
+
+let divergences c ~run_ms =
+  let g = c.golden in
+  let n = Array.length g.frozen_signals in
+  let common = min run_ms g.frozen_duration in
+  (* The length rule of [first_difference]. *)
+  if run_ms <> g.frozen_duration && common < c.until_ms then
+    for s = 0 to n - 1 do
+      if c.first.(s) < 0 then c.first.(s) <- common
+    done;
+  let acc = ref [] in
+  for s = n - 1 downto 0 do
+    if c.first.(s) >= 0 then
+      acc := { signal = g.frozen_signals.(s); first_ms = c.first.(s) } :: !acc
+  done;
+  !acc
 
 let pp_divergence ppf d = Fmt.pf ppf "%s@%dms" d.signal d.first_ms

@@ -125,7 +125,6 @@ type block = {
 
 type planned = {
   mode : mode;
-  budget_total : int;
   mutable budget_left : int;
   round_budget : int;
   blocks : block array;
@@ -237,7 +236,6 @@ let create ?(mode = Adaptive) ?(select = fun _ -> true) ?attribution
   let planned =
     {
       mode;
-      budget_total = budget;
       budget_left = budget;
       round_budget =
         (match round_budget with
@@ -269,7 +267,6 @@ let create ?(mode = Adaptive) ?(select = fun _ -> true) ?attribution
   }
 
 let is_planned t = t.kind <> Static
-let budget t = match t.kind with Static -> None | Planned p -> Some p.budget_total
 
 (* Proportional allocation with caps: repeatedly grant one run to the
    block maximising weight / (2 * granted + 1) (Sainte-Lague divisors,
@@ -541,7 +538,6 @@ let candidates t =
         (Array.to_list p.blocks)
 
 let fresh_scheduled t = locked t @@ fun () -> t.fresh
-let executed t = locked t @@ fun () -> t.executed
 let allocated t = locked t @@ fun () -> t.allocated_runs
 
 let rounds t =

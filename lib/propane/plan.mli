@@ -121,9 +121,6 @@ val is_planned : t -> bool
     backends use this to relax their "every gap is explained by a stop
     rule" assertions and to journal rounds on finish. *)
 
-val budget : t -> int option
-(** The total budget; [None] for static sources. *)
-
 (** {1 The work-source protocol} *)
 
 val prime : t -> index:int -> Results.outcome -> unit
@@ -163,10 +160,6 @@ val candidates : t -> int list
 val fresh_scheduled : t -> int
 (** Cumulative count of indices enqueued for execution so far (primed
     indices excluded) — the "scheduled" figure backends report. *)
-
-val executed : t -> int
-(** Completions received for allocated indices, primed ones included
-    once their round allocates them. *)
 
 val allocated : t -> int
 (** Total runs granted across all rounds so far. *)

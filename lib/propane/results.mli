@@ -35,7 +35,7 @@ type outcome = {
           are absent.  For a {!Crashed} run these cover the samples up
           to the crash (every remaining signal diverges at the crash
           instant via the length-mismatch rule); a {!Hung} run carries
-          none — how far its observer got is wall-clock dependent, so
+          none — how far it got is wall-clock dependent, so
           partial divergences are discarded for determinism *)
   status : status;
 }

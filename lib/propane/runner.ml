@@ -10,8 +10,8 @@ let default_max_ms = 20_000
    Everything an injection run needs besides the (immutable, shared)
    frozen golden lives here and is reused across every run a domain
    executes: the signal-name table for per-name sampling, the flat
-   sample buffer handed to observers, and the divergence observer's
-   per-signal scratch.  One arena per worker domain means the
+   sample buffer each millisecond is read into, and the divergence
+   check's per-signal scratch.  One arena per worker domain means the
    millisecond loop allocates nothing and domains never contend on
    mutable state — goldens are frozen int arrays shared read-only. *)
 
@@ -39,11 +39,18 @@ let sampler_of ~arena (instance : Sut.instance) =
 (* The golden loop.  With a state hook, the instance's state is saved
    at the start of every millisecond in [instants] (ascending, each
    > 0) the run reaches; [instants] is only forced then, so SUTs without
-   the hook never pay for collecting them. *)
+   the hook never pay for collecting them.  A [max_ms] below the
+   default safety net is a campaign's read horizon (or a caller's
+   explicit limit), which the golden usually reaches: the trace set
+   gets room for it up front, so its array is never regrown. *)
 let golden_saving ~max_ms ~instants (sut : Sut.t) testcase =
   let arena = make_arena sut in
   let instance = sut.Sut.instantiate testcase in
-  let traces = Trace_set.create ~signals:(Sut.signal_names sut) () in
+  let traces =
+    Trace_set.create
+      ?capacity:(if max_ms < default_max_ms then Some max_ms else None)
+      ~signals:(Sut.signal_names sut) ()
+  in
   let sampler = sampler_of ~arena instance in
   let buf = arena.a_buf in
   let hook = instance.Sut.state_hook in
@@ -88,28 +95,21 @@ let crashed ~ms exn =
   in
   Results.Crashed { at_ms = ms; reason }
 
-(* One sample to every rider.  A named function, not a closure over
-   [ms], so the millisecond loop allocates nothing. *)
-let rec feed riders ~ms buf =
-  match riders with
-  | [] -> ()
-  | (r : Observer.t) :: rest ->
-      r.on_sample ~ms buf;
-      feed rest ~ms buf
+(* Truncation counts from the *last* firing of the error model, so a
+   delayed or intermittent injection's whole lifetime survives the
+   cut; for single-shot models this is the injection time, as before. *)
+let truncated_duration ?truncate_after_ms injection duration_ms =
+  match truncate_after_ms with
+  | None -> duration_ms
+  | Some extra ->
+      min duration_ms (Injection.last_fire_ms injection + extra + 1)
 
-(* A restored run skips the milliseconds before [upto]; they are the
-   golden run's, so riders get them from the frozen samples. *)
-let feed_golden riders (golden : Golden.frozen) ~upto buf =
-  let d = golden.frozen_duration in
-  for ms = 0 to upto - 1 do
-    for s = 0 to Array.length golden.frozen_signals - 1 do
-      buf.(s) <- golden.samples.((s * d) + ms)
-    done;
-    feed riders ~ms buf
-  done
-
-let observed_run_in ~arena ?rng ?run_timeout_ms ~riders (sut : Sut.t) ~golden
-    ~duration_ms testcase injection (div : Observer.t) =
+(* One injection run against [golden].  With [record] the run's samples
+   come back too: the golden prefix a restore skips, then the run's
+   own, up to its duration or the crash, hang or finish that ends it
+   first. *)
+let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
+    (sut : Sut.t) ~golden testcase injection =
   let target = injection.Injection.target in
   if not (Sut.has_signal sut target) then
     invalid_arg
@@ -126,15 +126,30 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ~riders (sut : Sut.t) ~golden
         Some
           (budget_ms, Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.))
   in
+  let duration_ms =
+    truncated_duration ?truncate_after_ms injection
+      (Golden.frozen_duration_ms golden)
+  in
+  let until_ms =
+    (* A truncated run only vouches for the window it covers. *)
+    match truncate_after_ms with None -> None | Some _ -> Some duration_ms
+  in
+  let check = Golden.check ?until_ms ~scratch:arena.a_first golden in
+  let recording =
+    if record then
+      Some
+        (Trace_set.create ~capacity:duration_ms
+           ~signals:(Sut.signal_names sut) ())
+    else None
+  in
   let width = Sut.signal_width sut target in
   let inject_at = Simkernel.Sim_time.to_ms injection.Injection.at in
   let error = injection.Injection.error in
   let first_fire = Injection.first_fire_ms injection in
-  let riding = match riders with [] -> false | _ :: _ -> true in
-  (* The outcome is settled once: when the divergence observer
-     saturates, or when the run crashes, hangs, finishes or reaches its
-     duration.  Riders step on after a saturation; what ends them later
-     ends only their samples. *)
+  (* The outcome is settled once: when the check saturates, or when the
+     run crashes, hangs, finishes or reaches its duration.  A recorded
+     run steps on after a saturation; what ends it later ends only the
+     recording. *)
   let settled = ref false in
   let run_ms = ref duration_ms and status = ref Results.Completed in
   let settle ~ms st =
@@ -144,122 +159,96 @@ let observed_run_in ~arena ?rng ?run_timeout_ms ~riders (sut : Sut.t) ~golden
       status := st
     end
   in
-  let sampled =
-    match
-      let instance = sut.Sut.instantiate testcase in
-      (* A golden state saved no later than the first fire: everything
-         before it would re-simulate the golden run. *)
-      match
-        (Golden.latest_saved golden ~upto:first_fire, instance.Sut.state_hook)
-      with
-      | Some (ms, state), Some hook ->
-          hook.Sut.restore state;
-          (instance, ms)
-      | _ -> (instance, 0)
-    with
-    | exception e ->
-        settle ~ms:0 (crashed ~ms:0 e);
-        0
-    | instance, start ->
-        let sampler = sampler_of ~arena instance in
-        let buf = arena.a_buf in
-        if riding then feed_golden riders golden ~upto:start buf;
-        (* Each millisecond: watchdog, finish check, injection, step,
-           sample.  Any exception out of the SUT is this run's crash,
-           not the campaign's.  Returns the milliseconds sampled. *)
-        let rec go ms =
-          if ms >= duration_ms then ms
-          else
-            match deadline with
-            | Some (budget_ms, d) when Unix.gettimeofday () > d ->
-                settle ~ms (Results.Hung { budget_ms });
-                ms
-            | _ -> (
-                match
-                  if instance.Sut.finished () then `Finished
+  (match
+     let instance = sut.Sut.instantiate testcase in
+     (* A golden state saved no later than the first fire: everything
+        before it would re-simulate the golden run. *)
+     match
+       (Golden.latest_saved golden ~upto:first_fire, instance.Sut.state_hook)
+     with
+     | Some (ms, state), Some hook ->
+         hook.Sut.restore state;
+         (instance, ms)
+     | _ -> (instance, 0)
+   with
+  | exception e -> settle ~ms:0 (crashed ~ms:0 e)
+  | instance, start ->
+      let sampler = sampler_of ~arena instance in
+      let buf = arena.a_buf in
+      (match recording with
+      | Some set -> Trace_set.sample_block set golden.Golden.samples ~ms:start
+      | None -> ());
+      (* Each millisecond: watchdog, finish check, injection, step,
+         sample.  Any exception out of the SUT is this run's crash, not
+         the campaign's.  The recording is appended by a [match], not an
+         [Option.iter] closure, so the loop allocates nothing. *)
+      let rec go ms =
+        if ms < duration_ms then
+          match deadline with
+          | Some (budget_ms, d) when Unix.gettimeofday () > d ->
+              settle ~ms (Results.Hung { budget_ms })
+          | _ -> (
+              match
+                if instance.Sut.finished () then `Finished
+                else begin
+                  if Error_model.fires error ~inject_ms:inject_at ~ms then
+                    instance.Sut.inject target (fun v ->
+                        Error_model.apply error ~width ~rng v);
+                  instance.Sut.step ();
+                  sampler buf;
+                  `Stepped
+                end
+              with
+              | exception e -> settle ~ms (crashed ~ms e)
+              | `Finished ->
+                  (* The SUT reached its end state before the golden
+                     duration (an injected run may finish early); the
+                     check's length rule sees the true length. *)
+                  settle ~ms Results.Completed
+              | `Stepped ->
+                  (match recording with
+                  | Some set -> Trace_set.sample_array set buf
+                  | None -> ());
+                  if !settled then go (ms + 1)
                   else begin
-                    if Error_model.fires error ~inject_ms:inject_at ~ms then
-                      instance.Sut.inject target (fun v ->
-                          Error_model.apply error ~width ~rng v);
-                    instance.Sut.step ();
-                    sampler buf;
-                    `Stepped
-                  end
-                with
-                | exception e ->
-                    settle ~ms (crashed ~ms e);
-                    ms
-                | `Finished ->
-                    (* The SUT reached its end state before the golden
-                       duration (an injected run may finish early); the
-                       observer's length-mismatch rule sees the true
-                       length. *)
-                    settle ~ms Results.Completed;
-                    ms
-                | `Stepped when !settled ->
-                    (* Past saturation only riders are left. *)
-                    feed riders ~ms buf;
-                    go (ms + 1)
-                | `Stepped ->
-                    div.on_sample ~ms buf;
-                    if riding then feed riders ~ms buf;
+                    Golden.sample check ~ms buf;
                     (* Saturation is only consulted once the first
                        corruption happened: a deterministic SUT cannot
                        diverge before it, and stopping earlier would
                        skip the injection itself (a [Delayed] model
                        arms at [inject_at] but fires later). *)
-                    if ms >= first_fire && div.saturated () then begin
+                    if ms >= first_fire && Golden.saturated check then begin
                       settle ~ms:(ms + 1) Results.Completed;
-                      if riding then go (ms + 1) else ms + 1
+                      if record then go (ms + 1)
                     end
-                    else go (ms + 1))
-        in
-        go start
-  in
-  div.finish ~run_ms:!run_ms;
-  if riding then
-    List.iter (fun (r : Observer.t) -> r.finish ~run_ms:sampled) riders;
-  (!run_ms, !status)
-
-(* Truncation counts from the *last* firing of the error model, so a
-   delayed or intermittent injection's whole lifetime survives the
-   cut; for single-shot models this is the injection time, as before. *)
-let truncated_duration ?truncate_after_ms injection duration_ms =
-  match truncate_after_ms with
-  | None -> duration_ms
-  | Some extra ->
-      min duration_ms (Injection.last_fire_ms injection + extra + 1)
-
-let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms
-    ?(observers = []) sut ~golden testcase injection =
-  let duration_ms =
-    truncated_duration ?truncate_after_ms injection
-      (Golden.frozen_duration_ms golden)
-  in
-  let until_ms =
-    (* A truncated run only vouches for the window it covers. *)
-    match truncate_after_ms with None -> None | Some _ -> Some duration_ms
-  in
-  let div, divergences =
-    Observer.divergence ?until_ms ~scratch:arena.a_first golden
-  in
-  let _run_ms, status =
-    observed_run_in ~arena ?rng ?run_timeout_ms ~riders:observers sut ~golden
-      ~duration_ms testcase injection div
-  in
+                    else go (ms + 1)
+                  end)
+      in
+      go start);
   let divergences =
     (* How far a hung run got before the watchdog fired is wall-clock
        dependent; partial divergences are dropped so outcomes (and
        resumed journals) stay deterministic.  A crash happens at a
-       simulated instant, so its divergences are kept. *)
-    match status with Results.Hung _ -> [] | _ -> divergences ()
+       simulated instant, so its divergences are kept: every signal yet
+       to diverge diverges at the crash. *)
+    match !status with
+    | Results.Hung _ -> []
+    | _ -> Golden.divergences check ~run_ms:!run_ms
   in
-  { Results.testcase = Testcase.id testcase; injection; divergences; status }
+  ( {
+      Results.testcase = Testcase.id testcase;
+      injection;
+      divergences;
+      status = !status;
+    },
+    recording )
 
-let run_experiment ?rng ?truncate_after_ms ?run_timeout_ms ?observers sut
-    ~golden testcase injection =
-  run_experiment_in ~arena:(make_arena sut) ?rng ?truncate_after_ms
-    ?run_timeout_ms ?observers sut ~golden testcase injection
+let run_experiment ?rng ?truncate_after_ms ?run_timeout_ms sut ~golden
+    testcase injection =
+  fst
+    (run_experiment_in ~arena:(make_arena sut) ?rng ?truncate_after_ms
+       ?run_timeout_ms ~record:false sut ~golden testcase injection)
+
 
 (* ------------------------------------------------------------------ *)
 
@@ -572,41 +561,27 @@ let goldens_for ~max_ms sut experiments remaining =
 
 let or_invalid = function Ok v -> v | Error msg -> invalid_arg msg
 
-(* One injection run of the campaign; with [keep] a recorder rides
-   along and its traces come back with the outcome.  A crashed or hung
-   attempt is re-run up to [retries] times on a fresh RNG stream before
-   its failure stands; the returned int is the number of re-executions
-   actually taken. *)
+(* One injection run of the campaign; with [record] its samples come
+   back with the outcome.  A crashed or hung attempt is re-run up to
+   [retries] times on a fresh RNG stream before its failure stands; the
+   returned int is the number of re-executions actually taken. *)
 let run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ?(retries = 0)
-    ~keep ~golden_for (sut : Sut.t) experiments idx =
+    ~record ~golden_for (sut : Sut.t) experiments idx =
   let testcase, injection = experiments.(idx) in
   let golden = golden_for testcase in
-  let attempt_one attempt =
-    let rng = rng_for ~attempt seed idx in
-    if keep then begin
-      let recorder, traces =
-        Observer.recorder ~signals:(Sut.signal_names sut)
-      in
-      let outcome =
-        run_experiment_in ~arena ~rng ?truncate_after_ms ?run_timeout_ms
-          ~observers:[ recorder ] sut ~golden testcase injection
-      in
-      (outcome, Some (traces ()))
-    end
-    else
-      ( run_experiment_in ~arena ~rng ?truncate_after_ms ?run_timeout_ms sut
-          ~golden testcase injection,
-        None )
-  in
   let rec go attempt =
-    let outcome, traces = attempt_one attempt in
+    let outcome, recording =
+      run_experiment_in ~arena ~rng:(rng_for ~attempt seed idx)
+        ?truncate_after_ms ?run_timeout_ms ~record sut ~golden testcase
+        injection
+    in
     if Results.is_failed outcome.Results.status && attempt < retries then begin
       Log.debug (fun m ->
           m "run %d attempt %d %a; retrying" idx attempt Results.pp_status
             outcome.Results.status);
       go (attempt + 1)
     end
-    else (outcome, traces, attempt)
+    else (outcome, recording, attempt)
   in
   go 0
 
@@ -651,7 +626,7 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
            index total);
     let outcome, _traces, retried =
       run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ~retries
-        ~keep:false ~golden_for sut experiments index
+        ~record:false ~golden_for sut experiments index
     in
     (outcome, retried)
 
@@ -1115,10 +1090,10 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
         (fun f -> f (Goldens_done { testcases = String_map.cardinal goldens }))
         on_event;
       let golden_for tc = String_map.find (Testcase.id tc) goldens in
-      let keep = on_run_traces <> None in
+      let record = on_run_traces <> None in
       let run_one ~arena idx =
         run_one ~arena ~seed ?truncate_after_ms ?run_timeout_ms ~retries
-          ~keep ~golden_for sut experiments idx
+          ~record ~golden_for sut experiments idx
       in
       let deliver ~worker idx (outcome, traces, retried) =
         (match (on_run_traces, traces) with

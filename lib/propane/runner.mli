@@ -3,18 +3,19 @@
 
     The runner steps a {!Sut.instance} millisecond by millisecond and,
     after each step, reads every observable signal once into a flat
-    sample that it hands to a streaming {!Observer}.  A golden run
+    sample.  A golden run appends each sample to a {!Trace_set},
     executes until the SUT reports completion (or [max_ms] as a safety
     net; a campaign's goldens stop earlier, at its read horizon — see
     {!run}) and is then {e frozen} ({!Golden.freeze}) into a compact
-    immutable form; each injection run executes for {e exactly} the
-    duration of its test case's golden run, cut at its truncation —
-    or less, when every monitored signal has already diverged and the
-    divergence observer saturates — so divergence timestamps compare
-    sample by sample without any per-run trace materialization.  For
-    SUTs with a {!Sut.state_hook} the golden run also saves its state
-    at the runs' first fires, and every injection run, riders included,
-    starts there instead of at millisecond 0 (see {!run_experiment}). *)
+    immutable form.  Each injection run feeds its samples to a
+    streaming {!Golden.check} and executes for {e exactly} the
+    duration of its test case's golden run, cut at its truncation — or
+    less, when every monitored signal has already diverged — so
+    divergence timestamps compare sample by sample without recording
+    the run.  For SUTs with a {!Sut.state_hook} the golden run also
+    saves its state at the runs' first fires, and every injection run,
+    recorded or not, starts there instead of at millisecond 0 (see
+    {!run_experiment}). *)
 
 val default_max_ms : int
 (** 20,000 simulated ms. *)
@@ -35,7 +36,6 @@ val run_experiment :
   ?rng:Simkernel.Rng.t ->
   ?truncate_after_ms:int ->
   ?run_timeout_ms:int ->
-  ?observers:Observer.t list ->
   Sut.t ->
   golden:Golden.frozen ->
   Testcase.t ->
@@ -51,31 +51,22 @@ val run_experiment :
     an injected run may end before the golden one, and the
     length-mismatch rule needs its true length.
 
-    {b Riders.}  [observers] ride along on the same run (e.g. a
-    {!Observer.recorder}) and never change its outcome: only the
-    divergence observer decides it.  Once that observer saturates the
-    outcome is fixed; a run without riders stops there, and a run with
-    riders steps on for them up to its duration.  A later crash, hang
-    or finish ends the riders' samples, not the outcome.
-
     {b Start.}  When the instance carries a {!Sut.state_hook} and
     [golden] saved a state at or before the injection's first fire
     ({!Golden.latest_saved}), the fresh instance is restored to the
     latest such state and the run starts at that millisecond instead
     of 0: under single-error semantics everything before the first
     fire is the golden run, so the outcome is unchanged
-    (property-tested against the ms-0 path).  Riders receive the
-    milliseconds before it from [golden]'s samples, so they see what a
-    run from millisecond 0 samples.  [golden] must then come from the
-    same SUT.
+    (property-tested against the ms-0 path).  [golden] must then come
+    from the same SUT.
 
     {b Failures.}  The run is fault-tolerant: an exception escaping
     the SUT (instantiation, injection, stepping or sampling) becomes
     [Crashed { at_ms; reason }] — [at_ms] the simulated millisecond it
     escaped, [reason] the exception rendered with separators
-    sanitised — instead of propagating.  The divergence observer is
-    finished with the shortened length, so every signal yet to diverge
-    diverges at the crash instant and a [Crashed] outcome keeps its
+    sanitised — instead of propagating.  The divergence check ends
+    with the shortened length, so every signal yet to diverge diverges
+    at the crash instant and a [Crashed] outcome keeps its
     divergences.  [run_timeout_ms] arms a wall-clock watchdog, checked
     between simulated milliseconds; a run over budget stops with
     [Hung { budget_ms }] and its divergences are discarded (how far
@@ -446,14 +437,16 @@ val run :
     there (for SUTs with a {!Sut.state_hook}; see {!run_experiment}),
     and it stops as soon as every signal has diverged.  Each golden
     saves the state at the distinct first fires of its test case's
-    {!Session.candidates}.  [on_run_traces] rides a {!Observer.recorder}
-    along every injection run and receives each run's outcome and
-    traces: the golden prefix, then the run's own samples up to its
-    duration, or up to the crash, hang or finish that ends it first.
-    Outcomes and journals are the same with or without it.  It and
-    [on_event] are only ever called from the calling domain, in
-    completion order, so they need no synchronisation; feed the events
-    to {!Telemetry.observe} for throughput and ETA.
+    {!Session.candidates}.  [on_run_traces] records every injection
+    run and receives its outcome and {!Trace_set}: the golden prefix a
+    restore skips, copied from the frozen golden, then the run's own
+    samples.  A recorded run steps on after its outcome is fixed, up to
+    its duration or the crash, hang or finish that ends it first; a
+    crash after that point ends only the recording.  Outcomes and
+    journals are the same with or without it.  It and [on_event] are
+    only ever called from the calling domain, in completion order, so
+    they need no synchronisation; feed the events to
+    {!Telemetry.observe} for throughput and ETA.
 
     {b Failure handling.}  A run whose SUT raises or (with
     [run_timeout_ms]) exceeds its wall-clock budget does {e not} abort

@@ -87,11 +87,6 @@ let inject t name corrupt =
   | At_read -> c.pending <- Some corrupt
   | Immediate -> c.value <- corrupt c.value land c.mask
 
-let pending_injection t name = (cell t name).pending <> None
-
-let clear_injections t =
-  String_tbl.iter (fun _ c -> c.pending <- None) t
-
 let add_write_guard t name guard =
   let c = cell t name in
   c.guards <- c.guards @ [ guard ]

@@ -67,8 +67,6 @@ val inject : t -> string -> (int -> int) -> unit
     trap fires replaces the first. *)
 
 val mode : t -> string -> mode
-val pending_injection : t -> string -> bool
-val clear_injections : t -> unit
 
 (** {1 Handles}
 

@@ -69,7 +69,7 @@ type instance = {
       (** optional bulk peek: [snap buf] fills [buf.(i)] with the raw
           current value of the [i]-th signal in the SUT's signal-list
           order, with {!instance.read}'s never-fires-traps semantics.
-          The runner's streaming observer loop uses it when present to
+          The runner's millisecond loop uses it when present to
           avoid one name lookup per signal per millisecond; [None]
           falls back to per-name [read]. *)
   state_hook : state_hook option;

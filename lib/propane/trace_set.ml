@@ -1,45 +1,74 @@
-module String_map = Map.Make (String)
-
 type t = {
-  order : string list;
-  ordered_traces : Trace.t array;  (* creation order, for fast sampling *)
-  traces : Trace.t String_map.t;
+  names : string array;  (* creation order *)
+  mutable data : int array;  (* millisecond-major *)
   mutable duration : int;
 }
 
-let create ~signals () =
+let create ?(capacity = 1024) ~signals () =
   if signals = [] then invalid_arg "Trace_set.create: no signals";
-  let traces =
-    List.fold_left
-      (fun acc s ->
-        if String.length s = 0 then
-          invalid_arg "Trace_set.create: empty signal name"
-        else if String_map.mem s acc then
-          invalid_arg
-            (Printf.sprintf "Trace_set.create: duplicate signal %S" s)
-        else String_map.add s (Trace.create ~signal:s ()) acc)
-      String_map.empty signals
+  if List.mem "" signals then invalid_arg "Trace_set.create: empty signal name";
+  let rec unique = function
+    | a :: (b :: _ as rest) ->
+        if String.equal a b then
+          invalid_arg (Printf.sprintf "Trace_set.create: duplicate signal %S" a)
+        else unique rest
+    | _ -> ()
   in
-  let ordered_traces =
-    Array.of_list (List.map (fun s -> String_map.find s traces) signals)
-  in
-  { order = signals; ordered_traces; traces; duration = 0 }
+  unique (List.sort String.compare signals);
+  let names = Array.of_list signals in
+  {
+    names;
+    data = Array.make (max 1 capacity * Array.length names) 0;
+    duration = 0;
+  }
 
-let signals t = t.order
+let signals t = Array.to_list t.names
+let duration_ms t = t.duration
 
-let sample t read =
-  Array.iter (fun tr -> Trace.push tr (read (Trace.signal tr))) t.ordered_traces;
-  t.duration <- t.duration + 1
+(* [Array.blit] into a major-heap array passes every element through
+   the write barrier; a typed [int] copy is plain stores. *)
+let blit_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+  done
+
+(* Appends [ms] milliseconds from the front of [src], doubling the
+   array when it is full. *)
+let append t src ~ms =
+  let n = Array.length t.names in
+  let used = t.duration * n and len = ms * n in
+  if used + len > Array.length t.data then begin
+    let bigger = Array.make (max (used + len) (2 * Array.length t.data)) 0 in
+    blit_ints t.data 0 bigger 0 used;
+    t.data <- bigger
+  end;
+  blit_ints src 0 t.data used len;
+  t.duration <- t.duration + ms
 
 let sample_array t values =
-  if Array.length values <> Array.length t.ordered_traces then
+  if Array.length values <> Array.length t.names then
     invalid_arg
       (Printf.sprintf "Trace_set.sample_array: %d values for %d signals"
-         (Array.length values)
-         (Array.length t.ordered_traces));
-  Array.iteri (fun i tr -> Trace.push tr values.(i)) t.ordered_traces;
-  t.duration <- t.duration + 1
+         (Array.length values) (Array.length t.names));
+  append t values ~ms:1
 
-let duration_ms t = t.duration
-let trace t s = String_map.find s t.traces
-let find_trace t s = String_map.find_opt s t.traces
+let sample_block t block ~ms =
+  let len = ms * Array.length t.names in
+  if ms < 0 || len > Array.length block then
+    invalid_arg
+      (Printf.sprintf "Trace_set.sample_block: %d ms need %d samples, got %d"
+         ms len (Array.length block));
+  append t block ~ms
+
+let get t signal =
+  match Array.find_index (String.equal signal) t.names with
+  | None -> invalid_arg (Printf.sprintf "Trace_set.get: no signal %S" signal)
+  | Some s ->
+      fun ms ->
+        if ms < 0 || ms >= t.duration then
+          invalid_arg
+            (Printf.sprintf "Trace_set.get: ms %d outside [0,%d)" ms
+               t.duration)
+        else t.data.((ms * Array.length t.names) + s)
+
+let samples t = Array.sub t.data 0 (t.duration * Array.length t.names)

@@ -1,28 +1,49 @@
-(** The traces of one run, keyed by signal name.
+(** The traces of one run, in one flat array.
 
-    A trace set is created with a fixed signal list; {!sample} appends
-    one synchronized sample per signal each millisecond, so all traces
-    always have equal length. *)
+    PROPANE "is capable of creating traces of individual variables ...
+    during the execution.  Each trace of a variable from an injection
+    experiment is compared to the corresponding trace in the Golden Run"
+    (Section 6).  A set holds one sample per signal per simulated
+    millisecond, sample [ms] being the signal's value at the end of
+    millisecond [ms].  It is created with a fixed signal list and keeps
+    every sample in one [int array], millisecond-major: signal [s]
+    (creation order) at millisecond [ms] sits at
+    [ms * signal_count + s].  A frozen golden ({!Golden.frozen}) keeps
+    its samples in the same layout. *)
 
 type t
 
-val create : signals:string list -> unit -> t
-(** @raise Invalid_argument on duplicate or empty signal lists. *)
+val create : ?capacity:int -> signals:string list -> unit -> t
+(** An empty set with room for [capacity] milliseconds (default 1,024)
+    before its array grows.
+    @raise Invalid_argument on duplicate or empty signal names, or an
+    empty list. *)
 
 val signals : t -> string list
 (** In creation order. *)
 
-val sample : t -> (string -> int) -> unit
-(** [sample t read] appends [read s] to the trace of each signal [s].
-    Called once per simulated millisecond by the runner. *)
+val duration_ms : t -> int
 
 val sample_array : t -> int array -> unit
-(** [sample_array t values] appends [values.(i)] to the trace of the
-    [i]-th signal (creation order).  @raise Invalid_argument if the
-    array length differs from the signal count. *)
+(** [sample_array t values] appends one millisecond, [values.(s)] being
+    the [s]-th signal's sample.
+    @raise Invalid_argument if the array length differs from the signal
+    count. *)
 
-val duration_ms : t -> int
-val trace : t -> string -> Trace.t
-(** @raise Not_found for an unknown signal. *)
+val sample_block : t -> int array -> ms:int -> unit
+(** [sample_block t block ~ms] appends the first [ms] milliseconds of
+    [block], an array in this layout (such as a frozen golden's
+    samples): how a restored run's recording starts with the golden
+    prefix.
+    @raise Invalid_argument if [block] holds fewer samples. *)
 
-val find_trace : t -> string -> Trace.t option
+val get : t -> string -> int -> int
+(** [get t signal ms] is [signal]'s sample at millisecond [ms].  The
+    name is looked up once [get t signal] is applied, so a scan over
+    one signal binds that first.
+    @raise Invalid_argument for a signal the set does not trace, or a
+    millisecond outside [\[0, duration_ms t)]. *)
+
+val samples : t -> int array
+(** A copy of every sample, [duration_ms t] milliseconds in this
+    layout. *)

@@ -30,17 +30,17 @@ let of_table table =
 
 let of_trace_set traces =
   let signals = Propane.Trace_set.signals traces in
+  let columns = List.map (Propane.Trace_set.get traces) signals in
   let b = Buffer.create 4096 in
   Buffer.add_string b (row ("ms" :: signals));
   Buffer.add_char b '\n';
   for ms = 0 to Propane.Trace_set.duration_ms traces - 1 do
     Buffer.add_string b (string_of_int ms);
     List.iter
-      (fun s ->
+      (fun sample ->
         Buffer.add_char b ',';
-        Buffer.add_string b
-          (string_of_int (Propane.Trace.get (Propane.Trace_set.trace traces s) ms)))
-      signals;
+        Buffer.add_string b (string_of_int (sample ms)))
+      columns;
     Buffer.add_char b '\n'
   done;
   Buffer.contents b

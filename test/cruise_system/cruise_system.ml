@@ -90,8 +90,7 @@ let measure ?(seed = 42L) () =
 
 let mission_failed ~golden ~run =
   let final traces =
-    Propane.Trace.get
-      (Propane.Trace_set.trace traces "speed_adc")
+    Propane.Trace_set.get traces "speed_adc"
       (Propane.Trace_set.duration_ms traces - 1)
   in
   abs (final golden - final run) > 200

@@ -549,9 +549,7 @@ let golden_run_tests =
             let tc = System.testcase ~mass_kg ~velocity_mps in
             let traces = Propane.Runner.golden_run sut tc in
             let dur = Propane.Trace_set.duration_ms traces in
-            let final s =
-              Propane.Trace.get (Propane.Trace_set.trace traces s) (dur - 1)
-            in
+            let final s = Propane.Trace_set.get traces s (dur - 1) in
             Alcotest.(check bool)
               "long enough for the injection window" true (dur > 5_100);
             Alcotest.(check int) "stopped" 1 (final "stopped");
@@ -578,9 +576,7 @@ let golden_run_tests =
         let tc = System.testcase ~mass_kg:14_000.0 ~velocity_mps:60.0 in
         let traces = Propane.Runner.golden_run sut tc in
         let dur = Propane.Trace_set.duration_ms traces in
-        let final =
-          Propane.Trace.get (Propane.Trace_set.trace traces "pulscnt") (dur - 1)
-        in
+        let final = Propane.Trace_set.get traces "pulscnt" (dur - 1) in
         Alcotest.(check bool)
           "within runway pulses" true
           (final > 500
@@ -593,17 +589,15 @@ let golden_run_tests =
         let dur = Propane.Trace_set.duration_ms traces in
         Alcotest.(check int)
           "i" 6
-          (Propane.Trace.get (Propane.Trace_set.trace traces "i") (dur - 1)));
+          (Propane.Trace_set.get traces "i" (dur - 1)));
     Alcotest.test_case "slow_speed precedes stopped" `Slow (fun () ->
         let tc = System.testcase ~mass_kg:14_000.0 ~velocity_mps:60.0 in
         let traces = Propane.Runner.golden_run sut tc in
         let first_one s =
-          let trace = Propane.Trace_set.trace traces s in
-          let n = Propane.Trace.length trace in
+          let sample = Propane.Trace_set.get traces s in
+          let n = Propane.Trace_set.duration_ms traces in
           let rec go j =
-            if j >= n then None
-            else if Propane.Trace.get trace j = 1 then Some j
-            else go (j + 1)
+            if j >= n then None else if sample j = 1 then Some j else go (j + 1)
           in
           go 0
         in
@@ -942,7 +936,9 @@ let envelope_gen =
   QCheck2.Gen.(pair (float_range 8_000.0 20_000.0) (float_range 40.0 80.0))
 
 let trace_values traces signal =
-  Propane.Trace.to_list (Propane.Trace_set.trace traces signal)
+  List.init
+    (Propane.Trace_set.duration_ms traces)
+    (Propane.Trace_set.get traces signal)
 
 let monotone values =
   match values with
@@ -961,9 +957,7 @@ let envelope_tests =
          envelope_gen (fun case ->
            let traces = golden case in
            let dur = Propane.Trace_set.duration_ms traces in
-           let final s =
-             Propane.Trace.get (Propane.Trace_set.trace traces s) (dur - 1)
-           in
+           let final s = Propane.Trace_set.get traces s (dur - 1) in
            dur > 5_100
            && dur < Propane.Runner.default_max_ms
            && final "stopped" = 1

@@ -892,9 +892,15 @@ let handshake_probe payload addr =
               match Cluster.Protocol.decode_to_worker p with
               | Ok (Cluster.Protocol.Reject r) -> Ok r
               | Ok m ->
-                  Error
-                    (Fmt.str "expected a reject, got %a"
-                       Cluster.Protocol.pp_to_worker m)
+                  let kind =
+                    match m with
+                    | Cluster.Protocol.Assign _ -> "assign"
+                    | Batch _ -> "batch"
+                    | Ping -> "ping"
+                    | Done -> "done"
+                    | Reject _ -> "reject"
+                  in
+                  Error ("expected a reject, got " ^ kind)
               | Error e -> Error e)
           | Ok None -> Error "connection closed without a reply"
           | Error e -> Error e)

@@ -46,10 +46,10 @@ let builder_tests =
         (* At millisecond j the stimulus writes j, the block doubles. *)
         Alcotest.(check int)
           "y(10)" 20
-          (Propane.Trace.get (Propane.Trace_set.trace traces "y") 10);
+          (Propane.Trace_set.get traces "y" 10);
         Alcotest.(check int)
           "x(10)" 10
-          (Propane.Trace.get (Propane.Trace_set.trace traces "x") 10));
+          (Propane.Trace_set.get traces "x" 10));
     Alcotest.test_case "periods and offsets gate execution" `Quick (fun () ->
         let slow =
           B.block ~name:"SLOW" ~period_ms:10 ~offset_ms:3 ~inputs:[ s "x" ]
@@ -64,7 +64,7 @@ let builder_tests =
           Propane.Runner.golden_run (B.sut system)
             (Propane.Testcase.make ~id:"t" ~params:[])
         in
-        let y ms = Propane.Trace.get (Propane.Trace_set.trace traces "y") ms in
+        let y = Propane.Trace_set.get traces "y" in
         Alcotest.(check int) "before offset" 0 (y 2);
         Alcotest.(check int) "at offset" 3 (y 3);
         Alcotest.(check int) "held" 3 (y 12);
@@ -87,7 +87,7 @@ let builder_tests =
             Propane.Runner.golden_run (B.sut system)
               (Propane.Testcase.make ~id:"t" ~params:[])
           in
-          Propane.Trace.get (Propane.Trace_set.trace traces "y") 4
+          Propane.Trace_set.get traces "y" 4
         in
         Alcotest.(check int) "first run" 5 (run ());
         Alcotest.(check int) "second run identical" 5 (run ()));
@@ -165,10 +165,10 @@ let builder_tests =
           in
           List.fold_left
             (fun acc s ->
-              let tr = Propane.Trace_set.trace traces s in
+              let sample = Propane.Trace_set.get traces s in
               let rec go acc ms =
                 if ms >= Propane.Trace_set.duration_ms traces then acc
-                else go (Hashtbl.hash (acc, Propane.Trace.get tr ms)) (ms + 1)
+                else go (Hashtbl.hash (acc, sample ms)) (ms + 1)
               in
               go (Hashtbl.hash (acc, s)) 0)
             0
@@ -607,12 +607,7 @@ let bound_step_tests =
            let gb = golden bound and gr = golden reference in
            let same_golden =
              Propane.Trace_set.signals gb = Propane.Trace_set.signals gr
-             && List.for_all
-                  (fun name ->
-                    Propane.Trace.equal
-                      (Propane.Trace_set.trace gb name)
-                      (Propane.Trace_set.trace gr name))
-                  (Propane.Trace_set.signals gb)
+             && Propane.Trace_set.samples gb = Propane.Trace_set.samples gr
            in
            let targets = Array.of_list (B.injection_targets system) in
            let outcome sut golden (pick, at, bit) =
@@ -694,9 +689,7 @@ let cruise_tests =
           Propane.Runner.golden_run Cruise_system.sut
             (Propane.Testcase.make ~id:"t" ~params:[])
         in
-        let v ms =
-          Propane.Trace.get (Propane.Trace_set.trace traces "speed_adc") ms
-        in
+        let v = Propane.Trace_set.get traces "speed_adc" in
         (* accelerating towards 20 m/s, then towards 30 m/s *)
         Alcotest.(check bool) "ramping" true (v 500 > 500 && v 500 < 2_500);
         Alcotest.(check bool) "near final" true (v 2_999 > 2_500));

@@ -56,7 +56,11 @@ let assertion_tests =
 (* ------------------------------------------------------------------ *)
 
 let detector_tests =
-  let trace values = Propane.Trace.of_list ~signal:"s" values in
+  let trace ?(signal = "s") values =
+    let set = Propane.Trace_set.create ~signals:[ signal ] () in
+    List.iter (fun v -> Propane.Trace_set.sample_array set [| v |]) values;
+    set
+  in
   let detector assertions =
     Edm.Detector.make ~name:"d" ~signal:"s" assertions
   in
@@ -87,7 +91,7 @@ let detector_tests =
     check_raises_invalid "wrong signal rejected" (fun () ->
         Edm.Detector.evaluate
           (detector [ Edm.Assertion.Boolean ])
-          (Propane.Trace.of_list ~signal:"other" [ 0 ]));
+          (trace ~signal:"other" [ 0 ]));
     check_raises_invalid "empty assertion list rejected" (fun () ->
         Edm.Detector.make ~name:"d" ~signal:"s" []);
     Alcotest.test_case "empty trace never fires" `Quick (fun () ->

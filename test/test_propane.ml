@@ -311,122 +311,102 @@ let error_model_property_tests =
 (* ------------------------------------------------------------------ *)
 
 let trace_tests =
-  let t values = Propane.Trace.of_list ~signal:"x" values in
+  (* One-signal runs, compared as the golden run comparison does. *)
+  let t values =
+    let set = Propane.Trace_set.create ~signals:[ "x" ] () in
+    List.iter (fun v -> Propane.Trace_set.sample_array set [| v |]) values;
+    set
+  in
+  let first_difference ?until_ms golden run =
+    match Propane.Golden.compare_runs ?until_ms ~golden ~run () with
+    | [] -> None
+    | [ d ] -> Some d.Propane.Golden.first_ms
+    | _ -> Alcotest.fail "one signal diverged twice"
+  in
   [
     Alcotest.test_case "push/get/length" `Quick (fun () ->
-        let tr = Propane.Trace.create ~signal:"x" () in
-        Propane.Trace.push tr 1;
-        Propane.Trace.push tr 2;
-        Alcotest.(check int) "len" 2 (Propane.Trace.length tr);
-        Alcotest.(check int) "get" 2 (Propane.Trace.get tr 1));
+        let tr = Propane.Trace_set.create ~signals:[ "x" ] () in
+        Propane.Trace_set.sample_array tr [| 1 |];
+        Propane.Trace_set.sample_array tr [| 2 |];
+        Alcotest.(check int) "len" 2 (Propane.Trace_set.duration_ms tr);
+        Alcotest.(check int) "get" 2 (Propane.Trace_set.get tr "x" 1));
     Alcotest.test_case "growth beyond initial capacity" `Quick (fun () ->
-        let tr = Propane.Trace.create ~capacity:4 ~signal:"x" () in
+        let tr = Propane.Trace_set.create ~capacity:4 ~signals:[ "x" ] () in
         for j = 0 to 999 do
-          Propane.Trace.push tr j
+          Propane.Trace_set.sample_array tr [| j |]
         done;
-        Alcotest.(check int) "len" 1000 (Propane.Trace.length tr);
-        Alcotest.(check int) "last" 999 (Propane.Trace.get tr 999));
+        Alcotest.(check int) "len" 1000 (Propane.Trace_set.duration_ms tr);
+        Alcotest.(check int) "last" 999 (Propane.Trace_set.get tr "x" 999));
     check_raises_invalid "get out of range" (fun () ->
-        Propane.Trace.get (t [ 1 ]) 1);
+        Propane.Trace_set.get (t [ 1 ]) "x" 1);
     Alcotest.test_case "first_difference finds earliest" `Quick (fun () ->
         Alcotest.(check (option int))
           "diff" (Some 2)
-          (Propane.Trace.first_difference (t [ 1; 2; 3; 4 ]) (t [ 1; 2; 9; 4 ])));
+          (first_difference (t [ 1; 2; 3; 4 ]) (t [ 1; 2; 9; 4 ])));
     Alcotest.test_case "identical traces never differ" `Quick (fun () ->
         Alcotest.(check (option int))
           "none" None
-          (Propane.Trace.first_difference (t [ 1; 2; 3 ]) (t [ 1; 2; 3 ])));
-    Alcotest.test_case "from_ms skips early differences" `Quick (fun () ->
-        Alcotest.(check (option int))
-          "late only" (Some 3)
-          (Propane.Trace.first_difference ~from_ms:2 (t [ 0; 1; 2; 3 ])
-             (t [ 9; 1; 2; 9 ])));
+          (first_difference (t [ 1; 2; 3 ]) (t [ 1; 2; 3 ])));
     Alcotest.test_case "length mismatch is a divergence" `Quick (fun () ->
         Alcotest.(check (option int))
           "at end of shorter" (Some 2)
-          (Propane.Trace.first_difference (t [ 1; 2; 3 ]) (t [ 1; 2 ])));
+          (first_difference (t [ 1; 2; 3 ]) (t [ 1; 2 ])));
     Alcotest.test_case "until_ms bounds the comparison" `Quick (fun () ->
         Alcotest.(check (option int))
           "ignored" None
-          (Propane.Trace.first_difference ~until_ms:2 (t [ 1; 2; 3 ])
-             (t [ 1; 2; 9 ])));
+          (first_difference ~until_ms:2 (t [ 1; 2; 3 ]) (t [ 1; 2; 9 ])));
     Alcotest.test_case "until_ms ignores a shorter run" `Quick (fun () ->
         Alcotest.(check (option int))
           "ignored" None
-          (Propane.Trace.first_difference ~until_ms:2 (t [ 1; 2; 3; 4 ])
-             (t [ 1; 2 ])));
+          (first_difference ~until_ms:2 (t [ 1; 2; 3; 4 ]) (t [ 1; 2 ])));
     check_raises_invalid "different signals rejected" (fun () ->
-        Propane.Trace.first_difference
-          (Propane.Trace.of_list ~signal:"x" [ 1 ])
-          (Propane.Trace.of_list ~signal:"y" [ 1 ]));
-    Alcotest.test_case "of_list/to_list roundtrip" `Quick (fun () ->
-        Alcotest.(check (list int))
-          "roundtrip" [ 5; 6; 7 ]
-          (Propane.Trace.to_list (t [ 5; 6; 7 ])));
+        let y = Propane.Trace_set.create ~signals:[ "y" ] () in
+        Propane.Trace_set.sample_array y [| 1 |];
+        Propane.Golden.compare_runs ~golden:(t [ 1 ]) ~run:y ());
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"equal traces have no first difference"
          ~count:200
          QCheck2.Gen.(small_list (int_range 0 1000))
-         (fun values ->
-           Propane.Trace.first_difference (t values) (t values) = None));
-    Alcotest.test_case "pp shows a short trace in full" `Quick (fun () ->
-        Alcotest.(check string)
-          "short" "x[3]: 1 2 3"
-          (Fmt.str "%a" Propane.Trace.pp (t [ 1; 2; 3 ])));
-    Alcotest.test_case "pp elides past 16 samples" `Quick (fun () ->
-        Alcotest.(check string)
-          "elided" "x[20]: 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 ..."
-          (Fmt.str "%a" Propane.Trace.pp (t (List.init 20 Fun.id))));
-    Alcotest.test_case "pp of an empty trace" `Quick (fun () ->
-        Alcotest.(check string)
-          "empty" "x[0]: "
-          (Fmt.str "%a" Propane.Trace.pp (t [])));
-    Alcotest.test_case "blit_into copies at the offset" `Quick (fun () ->
-        let dst = Array.make 5 9 in
-        Propane.Trace.blit_into (t [ 1; 2; 3 ]) dst ~pos:1;
-        Alcotest.(check (array int)) "copied" [| 9; 1; 2; 3; 9 |] dst);
-    check_raises_invalid "blit_into rejects an overflow" (fun () ->
-        Propane.Trace.blit_into (t [ 1; 2; 3 ]) (Array.make 3 0) ~pos:1);
+         (fun values -> first_difference (t values) (t values) = None));
   ]
 
 (* ------------------------------------------------------------------ *)
 
 let trace_set_tests =
+  let samples set signal =
+    List.init (Propane.Trace_set.duration_ms set) (Propane.Trace_set.get set signal)
+  in
   [
     Alcotest.test_case "synchronized sampling" `Quick (fun () ->
+        (* A restored run's recording: a block of golden milliseconds,
+           then one millisecond at a time. *)
         let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
-        Propane.Trace_set.sample set (function "a" -> 1 | _ -> 2);
-        Propane.Trace_set.sample set (function "a" -> 3 | _ -> 4);
-        Alcotest.(check int) "duration" 2 (Propane.Trace_set.duration_ms set);
-        Alcotest.(check (list int))
-          "a" [ 1; 3 ]
-          (Propane.Trace.to_list (Propane.Trace_set.trace set "a"));
-        Alcotest.(check (list int))
-          "b" [ 2; 4 ]
-          (Propane.Trace.to_list (Propane.Trace_set.trace set "b")));
+        Propane.Trace_set.sample_block set [| 1; 2; 3; 4; 99 |] ~ms:2;
+        Propane.Trace_set.sample_array set [| 5; 6 |];
+        Alcotest.(check int) "duration" 3 (Propane.Trace_set.duration_ms set);
+        Alcotest.(check (list int)) "a" [ 1; 3; 5 ] (samples set "a");
+        Alcotest.(check (list int)) "b" [ 2; 4; 6 ] (samples set "b"));
+    check_raises_invalid "sample_block rejects a short block" (fun () ->
+        let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
+        Propane.Trace_set.sample_block set [| 1; 2; 3 |] ~ms:2);
     check_raises_invalid "duplicate signals rejected" (fun () ->
         Propane.Trace_set.create ~signals:[ "a"; "a" ] ());
     check_raises_invalid "empty signal list rejected" (fun () ->
         Propane.Trace_set.create ~signals:[] ());
-    Alcotest.test_case "find_trace distinguishes unknown" `Quick (fun () ->
+    Alcotest.test_case "get refuses an unknown signal" `Quick (fun () ->
         let set = Propane.Trace_set.create ~signals:[ "a" ] () in
-        Alcotest.(check bool)
-          "known" true
-          (Propane.Trace_set.find_trace set "a" <> None);
-        Alcotest.(check bool)
-          "unknown" true
-          (Propane.Trace_set.find_trace set "zz" = None));
+        Propane.Trace_set.sample_array set [| 7 |];
+        Alcotest.(check int) "known" 7 (Propane.Trace_set.get set "a" 0);
+        match Propane.Trace_set.get set "zz" 0 with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "unknown signal accepted");
     Alcotest.test_case "sample_array appends in signal order" `Quick (fun () ->
         let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
         Propane.Trace_set.sample_array set [| 1; 2 |];
         Propane.Trace_set.sample_array set [| 3; 4 |];
         Alcotest.(check int) "duration" 2 (Propane.Trace_set.duration_ms set);
-        Alcotest.(check (list int))
-          "a" [ 1; 3 ]
-          (Propane.Trace.to_list (Propane.Trace_set.trace set "a"));
-        Alcotest.(check (list int))
-          "b" [ 2; 4 ]
-          (Propane.Trace.to_list (Propane.Trace_set.trace set "b")));
+        Alcotest.(check (list int)) "a" [ 1; 3 ] (samples set "a");
+        Alcotest.(check (list int)) "b" [ 2; 4 ] (samples set "b"));
     check_raises_invalid "sample_array rejects a length mismatch" (fun () ->
         let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
         Propane.Trace_set.sample_array set [| 1 |]);
@@ -441,8 +421,9 @@ let golden_tests =
     in
     let n = List.length (snd (List.hd values_per_signal)) in
     for j = 0 to n - 1 do
-      Propane.Trace_set.sample set (fun s ->
-          List.nth (List.assoc s values_per_signal) j)
+      Propane.Trace_set.sample_array set
+        (Array.of_list
+           (List.map (fun (_, values) -> List.nth values j) values_per_signal))
     done;
     set
   in
@@ -478,15 +459,13 @@ let golden_tests =
         Alcotest.(check (list string))
           "signals" [ "a"; "b" ]
           (Propane.Golden.frozen_signals f);
-        Alcotest.(check int) "count" 2 (Propane.Golden.frozen_signal_count f);
         Alcotest.(check int) "duration" 3 (Propane.Golden.frozen_duration_ms f);
         List.iteri
           (fun s name ->
-            let tr = Propane.Trace_set.trace set name in
             for ms = 0 to 2 do
               Alcotest.(check int)
                 (Printf.sprintf "%s@%d" name ms)
-                (Propane.Trace.get tr ms)
+                (Propane.Trace_set.get set name ms)
                 (Propane.Golden.frozen_value f ~signal:s ~ms)
             done)
           [ "a"; "b" ]);
@@ -507,11 +486,11 @@ let observer_tests =
     List.iter2 (fun x y -> Propane.Trace_set.sample_array set [| x; y |]) a b;
     set
   in
-  let drive (obs : Propane.Observer.t) a b =
+  let drive check a b =
     List.iteri
-      (fun ms (x, y) -> obs.Propane.Observer.on_sample ~ms [| x; y |])
+      (fun ms (x, y) -> Propane.Golden.sample check ~ms [| x; y |])
       (List.combine a b);
-    obs.Propane.Observer.finish ~run_ms:(List.length a)
+    Propane.Golden.divergences check ~run_ms:(List.length a)
   in
   (* Golden and run of independent lengths, low-entropy samples so
      divergences, agreements and length mismatches all occur. *)
@@ -535,41 +514,30 @@ let observer_tests =
          (fun (ga, gb, ra, rb, until_ms) ->
            let golden = set_of ga gb and run = set_of ra rb in
            let post = Propane.Golden.compare_runs ?until_ms ~golden ~run () in
-           let obs, divergences =
-             Propane.Observer.divergence ?until_ms
-               (Propane.Golden.freeze golden)
+           let check =
+             Propane.Golden.check ?until_ms (Propane.Golden.freeze golden)
            in
-           drive obs ra rb;
-           divergences () = post));
+           drive check ra rb = post));
     Alcotest.test_case "divergence observer saturates when all diverge" `Quick
       (fun () ->
         let golden = Propane.Golden.freeze (set_of [ 1; 1; 1 ] [ 2; 2; 2 ]) in
-        let obs, divergences = Propane.Observer.divergence golden in
-        Alcotest.(check bool) "fresh" false (obs.Propane.Observer.saturated ());
-        obs.Propane.Observer.on_sample ~ms:0 [| 1; 2 |];
+        let check = Propane.Golden.check golden in
+        Alcotest.(check bool) "fresh" false (Propane.Golden.saturated check);
+        Propane.Golden.sample check ~ms:0 [| 1; 2 |];
         Alcotest.(check bool)
           "clean sample" false
-          (obs.Propane.Observer.saturated ());
-        obs.Propane.Observer.on_sample ~ms:1 [| 9; 9 |];
+          (Propane.Golden.saturated check);
+        Propane.Golden.sample check ~ms:1 [| 9; 9 |];
         Alcotest.(check bool)
           "all diverged" true
-          (obs.Propane.Observer.saturated ());
-        obs.Propane.Observer.finish ~run_ms:2;
+          (Propane.Golden.saturated check);
         Alcotest.(check bool)
           "both reported" true
-          (divergences ()
+          (Propane.Golden.divergences check ~run_ms:2
           = [
               { Propane.Golden.signal = "a"; first_ms = 1 };
               { Propane.Golden.signal = "b"; first_ms = 1 };
             ]));
-    Alcotest.test_case "recorder keeps the raw run" `Quick (fun () ->
-        let obs, traces = Propane.Observer.recorder ~signals:[ "a"; "b" ] in
-        drive obs [ 1; 2 ] [ 3; 4 ];
-        let set = traces () in
-        Alcotest.(check int) "duration" 2 (Propane.Trace_set.duration_ms set);
-        Alcotest.(check (list int))
-          "a" [ 1; 2 ]
-          (Propane.Trace.to_list (Propane.Trace_set.trace set "a")));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -679,17 +647,15 @@ let signal_store_tests =
         let store = make () in
         Propane.Signal_store.write store "x" 5;
         Propane.Signal_store.inject store "x" (fun v -> v + 1);
-        Alcotest.(check bool)
-          "pending" true
-          (Propane.Signal_store.pending_injection store "x");
         Alcotest.(check int)
           "peek unaffected" 5
           (Propane.Signal_store.peek store "x");
         Alcotest.(check int) "corrupted" 6 (Propane.Signal_store.read store "x");
         Alcotest.(check int) "persists" 6 (Propane.Signal_store.read store "x");
-        Alcotest.(check bool)
-          "consumed" false
-          (Propane.Signal_store.pending_injection store "x"));
+        Propane.Signal_store.write store "x" 10;
+        Alcotest.(check int)
+          "consumed" 10
+          (Propane.Signal_store.read store "x"));
     Alcotest.test_case "at-read trap survives producer writes" `Quick
       (fun () ->
         let store = make () in
@@ -737,11 +703,6 @@ let signal_store_tests =
         Propane.Signal_store.add_write_guard store "y" (fun v -> min v 10);
         Propane.Signal_store.poke store "y" 100;
         Alcotest.(check int) "raw" 100 (Propane.Signal_store.peek store "y"));
-    Alcotest.test_case "clear_injections drops pendings" `Quick (fun () ->
-        let store = make () in
-        Propane.Signal_store.inject store "x" (fun v -> v + 1);
-        Propane.Signal_store.clear_injections store;
-        Alcotest.(check int) "clean" 0 (Propane.Signal_store.read store "x"));
     check_raises_invalid "unknown signal rejected" (fun () ->
         Propane.Signal_store.read (make ()) "zz");
     check_raises_invalid "mode for unknown signal rejected" (fun () ->
@@ -1044,7 +1005,7 @@ let runner_tests =
             match !captured with
             | None -> Alcotest.fail "no traces captured"
             | Some ts ->
-                let x = Propane.Trace_set.trace ts "x" in
+                let x = Propane.Trace_set.get ts "x" in
                 Alcotest.(check int)
                   "full duration" 100
                   (Propane.Trace_set.duration_ms ts);
@@ -1059,7 +1020,7 @@ let runner_tests =
                   in
                   Alcotest.(check int)
                     (Printf.sprintf "hook %b x@%d" hook ms)
-                    expect (Propane.Trace.get x ms)
+                    expect (x ms)
                 done)
           [ false; true ]);
     check_raises_invalid "temporal models cannot nest in an injection"
@@ -1187,31 +1148,81 @@ let runner_tests =
           (List.length outcome.Propane.Results.divergences));
     Alcotest.test_case "a rider recorder keeps the run full-length" `Quick
       (fun () ->
-        let sut = scaler_sut () in
         let tc = Propane.Testcase.make ~id:"t" ~params:[] in
-        let golden = Propane.Golden.freeze (Propane.Runner.golden_run sut tc) in
+        let campaign =
+          Propane.Campaign.make ~name:"recorded" ~targets:[ "x" ]
+            ~testcases:[ tc ] ~times:[ Sim.Sim_time.of_ms 10 ]
+            ~errors:[ Propane.Error_model.Bit_flip 15 ]
+        in
+        let lengths = ref [] in
+        let results =
+          runner
+            ~on_run_traces:(fun ~index:_ _ set ->
+              lengths := Propane.Trace_set.duration_ms set :: !lengths)
+            (scaler_sut ()) campaign
+        in
+        Alcotest.(check (list int)) "full duration" [ 100 ] !lengths;
+        match Propane.Results.outcomes results with
+        | [ outcome ] ->
+            Alcotest.(check (option int))
+              "outcome unchanged" (Some 10)
+              (Propane.Results.divergence_of outcome "y")
+        | _ -> Alcotest.fail "one run expected");
+    Alcotest.test_case "the run loop allocates nothing per simulated ms" `Quick
+      (fun () ->
+        (* x counts up, y stays 0: a flip of x never reaches y, so no run
+           saturates and each steps to its golden's end.  Neither [step]
+           nor [snapshot] allocates, and there is no state hook. *)
+        let sut =
+          let instantiate _tc =
+            let x = ref 0 in
+            {
+              Propane.Sut.read = (function "x" -> !x | _ -> 0);
+              write = (fun name v -> if name = "x" then x := v);
+              inject = (fun name f -> if name = "x" then x := f !x);
+              step = (fun () -> incr x);
+              finished = (fun () -> false);
+              snapshot =
+                Some
+                  (fun buf ->
+                    buf.(0) <- !x;
+                    buf.(1) <- 0);
+              state_hook = None;
+            }
+          in
+          {
+            Propane.Sut.name = "counter";
+            signals = [ ("x", 16); ("y", 16) ];
+            digests = [];
+            instantiate;
+          }
+        in
+        let tc = Propane.Testcase.make ~id:"t" ~params:[] in
         let injection =
-          Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 10)
+          Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 5)
             ~error:(Propane.Error_model.Bit_flip 15)
         in
-        let recorder, traces =
-          Propane.Observer.recorder ~signals:(Propane.Sut.signal_names sut)
+        let words_per_run max_ms =
+          let golden = Propane.Runner.frozen_golden ~max_ms sut tc in
+          let run () = Propane.Runner.run_experiment sut ~golden tc injection in
+          Alcotest.(check (list string))
+            "x alone diverges" [ "x@5ms" ]
+            (List.map
+               (Fmt.str "%a" Propane.Golden.pp_divergence)
+               (run ()).Propane.Results.divergences);
+          let before = Gc.minor_words () in
+          let (_ : Propane.Results.outcome) = run () in
+          Gc.minor_words () -. before
         in
-        let outcome =
-          Propane.Runner.run_experiment ~observers:[ recorder ] sut ~golden tc
-            injection
-        in
-        Alcotest.(check int)
-          "full duration" 100
-          (Propane.Trace_set.duration_ms (traces ()));
-        Alcotest.(check (option int))
-          "outcome unchanged" (Some 10)
-          (Propane.Results.divergence_of outcome "y"));
+        let short = words_per_run 1_000 and long = words_per_run 10_000 in
+        if long > short then
+          Alcotest.failf "%.0f words per 1,000-ms run, %.0f per 10,000-ms run"
+            short long);
     Alcotest.test_case "a rider never changes an outcome" `Quick (fun () ->
         (* The stuck-at's first fire makes x and y diverge at 6 ms, and
            the fault crashes the SUT one step later.  The outcome is
            fixed when every signal has diverged; the crash only ends the
-           rider's traces. *)
+           recording. *)
         let error =
           Propane.Error_model.Intermittent
             {
@@ -1244,15 +1255,6 @@ let runner_tests =
             let golden = Propane.Runner.frozen_golden ~save_at:[ 6 ] sut tc in
             check "bare"
               (Propane.Runner.run_experiment sut ~golden tc injection);
-            let recorder, traces =
-              Propane.Observer.recorder ~signals:(Propane.Sut.signal_names sut)
-            in
-            check "recorder"
-              (Propane.Runner.run_experiment ~observers:[ recorder ] sut
-                 ~golden tc injection);
-            Alcotest.(check int)
-              "recorder stops at the crash" 7
-              (Propane.Trace_set.duration_ms (traces ()));
             List.iter
               (fun jobs ->
                 let lengths = ref [] in
@@ -1322,7 +1324,9 @@ let runner_tests =
                 Hashtbl.replace seen index
                   (List.map
                      (fun s ->
-                       Propane.Trace.to_list (Propane.Trace_set.trace set s))
+                       List.init
+                         (Propane.Trace_set.duration_ms set)
+                         (Propane.Trace_set.get set s))
                      (Propane.Trace_set.signals set)))
               (scaler_sut ~hook ()) scaler_campaign
           in
@@ -1362,7 +1366,7 @@ let runner_tests =
         (* A self-halting SUT: s ramps by one per ms and the run is over
            once s reaches 60; k never changes.  Flipping bit 6 of s at
            ms 10 pushes it past the threshold, so the injected run ends
-           ~50 ms before the golden one — the observer must be told the
+           ~50 ms before the golden one — the check must be told the
            true length for the length-mismatch rule to fire on k. *)
         let halting =
           let instantiate _tc =
@@ -2911,9 +2915,7 @@ let live_tests =
 let severity_tests =
   let mission_failed ~golden ~run =
     let final traces =
-      Propane.Trace.get
-        (Propane.Trace_set.trace traces "y")
-        (Propane.Trace_set.duration_ms traces - 1)
+      Propane.Trace_set.get traces "y" (Propane.Trace_set.duration_ms traces - 1)
     in
     abs (final golden - final run) > 1_000
   in

@@ -200,8 +200,8 @@ let csv_tests =
     Alcotest.test_case "trace set converts row per millisecond" `Quick
       (fun () ->
         let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
-        Propane.Trace_set.sample set (function "a" -> 1 | _ -> 2);
-        Propane.Trace_set.sample set (function "a" -> 3 | _ -> 4);
+        Propane.Trace_set.sample_array set [| 1; 2 |];
+        Propane.Trace_set.sample_array set [| 3; 4 |];
         Alcotest.(check string)
           "csv" "ms,a,b\n0,1,2\n1,3,4\n"
           (Report.Csv.of_trace_set set));
