@@ -34,17 +34,18 @@ let physics t = t.physics
 let pre_step t =
   (* The free-running timer and the pulse counter are hardware counters:
      they accumulate on top of whatever the register holds, so injected
-     corruption is carried along rather than overwritten. *)
+     corruption is carried along rather than overwritten.  The registers
+     are Immediate, so [read_handle] fires no trap here. *)
   Store.poke_handle t.tcnt
-    (Store.peek_handle t.tcnt + Params.tcnt_ticks_per_ms);
+    (Store.read_handle t.tcnt + Params.tcnt_ticks_per_ms);
   (* Input capture: TIC1 latches the timer at each pulse.  On the 1 ms
      grid the latch becomes visible at the start of the millisecond
      following the pulse (capture latency). *)
-  if t.latch_pending then Store.poke_handle t.tic1 (Store.peek_handle t.tcnt);
+  if t.latch_pending then Store.poke_handle t.tic1 (Store.read_handle t.tcnt);
   let pulses = Physics.total_pulses t.physics in
   let delta = pulses - t.prev_pulses in
   if delta > 0 then
-    Store.poke_handle t.pacnt (Store.peek_handle t.pacnt + delta);
+    Store.poke_handle t.pacnt (Store.read_handle t.pacnt + delta);
   t.latch_pending <- delta > 0;
   t.prev_pulses <- pulses
 

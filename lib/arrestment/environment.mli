@@ -21,6 +21,11 @@
 type t
 
 val create : Propane.Signal_store.t -> mass_kg:float -> velocity_mps:float -> t
+(** The store holds the hardware registers in
+    {!Propane.Signal_store.Immediate} mode, as {!System} creates it: an
+    injection then corrupts a register at once and never waits in a
+    trap, so the environment's register reads fire none. *)
+
 val physics : t -> Physics.t
 
 val pre_step : t -> unit

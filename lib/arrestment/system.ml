@@ -79,14 +79,12 @@ let instantiate guards tc =
       Pres_a.step pres_a);
   Simkernel.Slot_scheduler.set_background scheduler ~name:"CALC" (fun () ->
       Calc.step calc);
-  let peek_handles =
-    Array.of_list
-      (List.map (fun (name, _) -> Store.handle store name) Signals.store_layout)
-  in
   let save () =
+    let values = Array.make (List.length Signals.store_layout) 0 in
+    Store.snapshot store values;
     Arrestment
       {
-        values = Array.map Store.peek_handle peek_handles;
+        values;
         environment = Environment.save env;
         clock = Clock_mod.save clock;
         dist_s = Dist_s.save dist_s;
@@ -98,7 +96,7 @@ let instantiate guards tc =
   in
   let restore = function
     | Arrestment s ->
-        Array.iteri (fun i h -> Store.poke_handle h s.values.(i)) peek_handles;
+        Store.load store s.values;
         Environment.restore env s.environment;
         Clock_mod.restore clock s.clock;
         Dist_s.restore dist_s s.dist_s;
@@ -118,10 +116,7 @@ let instantiate guards tc =
         Simkernel.Slot_scheduler.tick scheduler;
         Environment.post_step env);
     finished = (fun () -> Environment.finished env);
-    snapshot =
-      Some
-        (fun buf ->
-          Array.iteri (fun i h -> buf.(i) <- Store.peek_handle h) peek_handles);
+    snapshot = Some (Store.snapshot store);
     (* A guard closure keeps per-run state the saved state cannot
        carry, so guarded instances always start at millisecond 0. *)
     state_hook =

@@ -204,68 +204,55 @@ let injection_targets t =
            (Propagation.Sw_module.input_signals b.descriptor))
        t.blocks)
 
-(* One transfer call: read [inputs] through the trap layer into [buf],
-   apply [f], store its results through [store_output].  [buf] is the
-   same array on every call, so [f] must not keep it. *)
-let transfer ~what ~name f ~inputs ~outputs store_output =
+(* One block or plant firing, compiled over its port arrays: one bulk
+   read through the trap layer into [buf], the transfer call, the
+   arity check and one bulk write.  [buf] is the same array on every
+   call, so [f] must not keep it. *)
+let compile ~what ~name f ~inputs ~outputs =
   let buf = Array.make (Array.length inputs) 0 in
+  let arity = Array.length outputs in
   fun () ->
-    for i = 0 to Array.length inputs - 1 do
-      buf.(i) <- Propane.Signal_store.read_handle inputs.(i)
-    done;
+    Propane.Signal_store.read_ports inputs buf;
     let results = f buf in
-    if Array.length results <> Array.length outputs then
+    if Array.length results <> arity then
       invalid_arg
         (Printf.sprintf "Builder: %s %S produced %d outputs, expected %d" what
-           name (Array.length results) (Array.length outputs));
-    for k = 0 to Array.length outputs - 1 do
-      store_output outputs.(k) results.(k)
-    done
+           name (Array.length results) arity);
+    Propane.Signal_store.write_ports outputs results
 
 let instantiate t _testcase =
   let store = Propane.Signal_store.create ~modes:t.modes ~signals:t.layout () in
   let handle s = Propane.Signal_store.handle store (Propagation.Signal.name s) in
   let handles signals = Array.of_list (List.map handle signals) in
-  let drives =
-    Array.of_list
-      (List.map
-         (fun s ->
-           let h = handle s.signal and drive = s.drive () in
-           fun ms -> Propane.Signal_store.write_handle h (drive ms))
-         t.stimuli)
-  in
+  let stimulus_ports = handles (List.map (fun s -> s.signal) t.stimuli) in
+  let drives = Array.of_list (List.map (fun s -> s.drive ()) t.stimuli) in
+  let driven = Array.make (Array.length drives) 0 in
+  (* A builder store has no write guards, so the plants' bulk write is
+     the raw register refresh their contract promises. *)
   let plants =
     Array.of_list
       (List.map
          (fun p ->
-           transfer ~what:"plant" ~name:p.plant_name (p.plant_factory ())
-             ~inputs:(handles p.reads) ~outputs:(handles p.writes)
-             Propane.Signal_store.poke_handle)
+           compile ~what:"plant" ~name:p.plant_name (p.plant_factory ())
+             ~inputs:(handles p.reads) ~outputs:(handles p.writes))
          t.plants)
   in
-  let blocks =
-    Array.of_list
-      (List.map
-         (fun b ->
-           let fire =
-             transfer ~what:"block"
-               ~name:(Propagation.Sw_module.name b.descriptor)
-               (b.factory ())
-               ~inputs:
-                 (handles (Propagation.Sw_module.input_signals b.descriptor))
-               ~outputs:
-                 (handles (Propagation.Sw_module.output_signals b.descriptor))
-               Propane.Signal_store.write_handle
-           in
-           (b, fire))
-         t.blocks)
+  let blocks = Array.of_list t.blocks in
+  let fires =
+    Array.map
+      (fun b ->
+        compile ~what:"block"
+          ~name:(Propagation.Sw_module.name b.descriptor)
+          (b.factory ())
+          ~inputs:(handles (Propagation.Sw_module.input_signals b.descriptor))
+          ~outputs:(handles (Propagation.Sw_module.output_signals b.descriptor)))
+      blocks
   in
+  let periods = Array.map (fun b -> b.period_ms) blocks in
+  (* Block [i] next fires at millisecond [next.(i)]: its offset, then
+     every period after. *)
+  let next = Array.map (fun b -> b.offset_ms) blocks in
   let ms = ref 0 in
-  let peek_handles =
-    Array.of_list
-      (List.map (fun (name, _) -> Propane.Signal_store.handle store name)
-         t.layout)
-  in
   {
     Propane.Sut.read = Propane.Signal_store.peek store;
     write = Propane.Signal_store.poke store;
@@ -274,20 +261,17 @@ let instantiate t _testcase =
       (fun () ->
         let now = !ms in
         for i = 0 to Array.length plants - 1 do plants.(i) () done;
-        for i = 0 to Array.length drives - 1 do drives.(i) now done;
-        for i = 0 to Array.length blocks - 1 do
-          let b, fire = blocks.(i) in
-          if now >= b.offset_ms && (now - b.offset_ms) mod b.period_ms = 0 then
-            fire ()
+        for i = 0 to Array.length drives - 1 do driven.(i) <- drives.(i) now done;
+        Propane.Signal_store.write_ports stimulus_ports driven;
+        for i = 0 to Array.length fires - 1 do
+          if next.(i) = now then begin
+            next.(i) <- now + periods.(i);
+            fires.(i) ()
+          end
         done;
         ms := now + 1);
     finished = (fun () -> !ms >= t.duration_ms);
-    snapshot =
-      Some
-        (fun buf ->
-          for i = 0 to Array.length peek_handles - 1 do
-            buf.(i) <- Propane.Signal_store.peek_handle peek_handles.(i)
-          done);
+    snapshot = Some (Propane.Signal_store.snapshot store);
     (* Block, plant and stimulus closures hold opaque state. *)
     state_hook = None;
   }

@@ -14,34 +14,62 @@ let unit_draw ~seed ~trial (pair : Perm_graph.pair) =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
 
-(* One trial: spread the corruption breadth-first; every signal is
-   corrupted at most once. *)
-let trial_reaches graph ~seed ~trial ~input ~output =
+(* The graph as integers, resolved once per call: for every signal
+   (by index), the pairs it feeds that can transmit at all, each with
+   its draw key, its permeability and the index of its output signal. *)
+type edge = { pair : Perm_graph.pair; p : float; dest : int }
+
+let adjacency graph =
   let model = Perm_graph.model graph in
-  let corrupted = ref (Signal.Set.singleton input) in
-  let queue = Queue.create () in
-  Queue.add input queue;
-  let reached = ref false in
-  while not (Queue.is_empty queue) do
-    let signal = Queue.pop queue in
-    if Signal.equal signal output then reached := true
-    else
-      List.iter
-        (fun (m, i) ->
-          let name = Sw_module.name m in
-          let matrix = Perm_graph.matrix graph name in
-          for k = 1 to Sw_module.output_count m do
-            let out_signal = Sw_module.output_signal m k in
-            if not (Signal.Set.mem out_signal !corrupted) then begin
-              let pair = { Perm_graph.module_name = name; input = i; output = k } in
-              let p = Perm_matrix.get matrix ~input:i ~output:k in
-              if p > 0.0 && unit_draw ~seed ~trial pair < p then begin
-                corrupted := Signal.Set.add out_signal !corrupted;
-                Queue.add out_signal queue
-              end
-            end
-          done)
-        (System_model.consumers model signal)
+  let signals = Array.of_list (System_model.signals model) in
+  let index = Hashtbl.create (Array.length signals) in
+  Array.iteri (fun i s -> Hashtbl.replace index (Signal.name s) i) signals;
+  let index_of s = Hashtbl.find index (Signal.name s) in
+  let edges signal =
+    List.concat_map
+      (fun (m, i) ->
+        let name = Sw_module.name m in
+        let matrix = Perm_graph.matrix graph name in
+        List.filter_map
+          (fun k ->
+            let p = Perm_matrix.get matrix ~input:i ~output:k in
+            if p > 0.0 then
+              Some
+                {
+                  pair = { Perm_graph.module_name = name; input = i; output = k };
+                  p;
+                  dest = index_of (Sw_module.output_signal m k);
+                }
+            else None)
+          (List.init (Sw_module.output_count m) succ))
+      (System_model.consumers model signal)
+  in
+  (index_of, Array.map (fun s -> Array.of_list (edges s)) signals)
+
+(* One trial: spread the corruption breadth-first from [source]; every
+   signal is corrupted at most once.  Whether [target] gets corrupted
+   does not depend on the visiting order (each pair's draw is fixed by
+   the trial), so the trial ends as soon as it is.  [corrupted] is all
+   [false] on entry and on exit; [queue] has one slot per signal. *)
+let trial_reaches edges ~seed ~trial ~source ~target ~corrupted ~queue =
+  corrupted.(source) <- true;
+  queue.(0) <- source;
+  let head = ref 0 and tail = ref 1 and reached = ref (source = target) in
+  while (not !reached) && !head < !tail do
+    let out = edges.(queue.(!head)) in
+    incr head;
+    for e = 0 to Array.length out - 1 do
+      let { pair; p; dest } = out.(e) in
+      if (not corrupted.(dest)) && unit_draw ~seed ~trial pair < p then begin
+        corrupted.(dest) <- true;
+        queue.(!tail) <- dest;
+        incr tail;
+        if dest = target then reached := true
+      end
+    done
+  done;
+  for i = 0 to !tail - 1 do
+    corrupted.(queue.(i)) <- false
   done;
   !reached
 
@@ -54,9 +82,14 @@ let arrival_probability ?(trials = 10_000) ~seed graph ~input ~output =
   if not (System_model.is_system_output model output) then
     invalid_arg
       (Fmt.str "Monte_carlo: %a is not a system output" Signal.pp output);
+  let index_of, edges = adjacency graph in
+  let source = index_of input and target = index_of output in
+  let corrupted = Array.make (Array.length edges) false in
+  let queue = Array.make (Array.length edges) 0 in
   let hits = ref 0 in
   for trial = 0 to trials - 1 do
-    if trial_reaches graph ~seed ~trial ~input ~output then incr hits
+    if trial_reaches edges ~seed ~trial ~source ~target ~corrupted ~queue then
+      incr hits
   done;
   float_of_int !hits /. float_of_int trials
 

@@ -46,6 +46,7 @@ type t = {
   model : Propagation.System_model.t;
   stream : Estimator.Stream.t;
   targets : string list;
+  unseen : (string, unit) Hashtbl.t;  (* targets without an outcome yet *)
   mutable relatives : Propagation.Ranking.relative Propagation.String_map.t;
   mutable ranking : (string * bool) list;
   mutable stable_for : int;
@@ -61,10 +62,13 @@ let create ?attribution ~model ~targets () =
     Propagation.String_map.mapi Propagation.Ranking.relative
       (Estimator.Stream.matrices stream)
   in
+  let unseen = Hashtbl.create (List.length targets) in
+  List.iter (fun target -> Hashtbl.replace unseen target ()) targets;
   {
     model;
     stream;
     targets;
+    unseen;
     relatives;
     ranking = rank relatives;
     stable_for = 0;
@@ -85,6 +89,7 @@ let digest t =
 let same_order a b = List.equal (fun (x, _) (y, _) -> String.equal x y) a b
 
 let observe t outcome =
+  Hashtbl.remove t.unseen outcome.Results.injection.Injection.target;
   Estimator.Stream.observe t.stream outcome;
   let previous = t.ranking in
   (match Estimator.Stream.drain_dirty t.stream with
@@ -98,11 +103,15 @@ let observe t outcome =
               t.relatives)
         dirty;
       t.ranking <- rank t.relatives);
-  (* The first outcome starts the count: the ranking before any
-     evidence is not an order the campaign has learned. *)
+  (* Nothing counts before every target has an outcome: an all-zero
+     ranking stays put while the first targets' runs arrive, and a
+     ranking that some target has no evidence for is not an order the
+     campaign has learned.  Nor does the first outcome: the ranking
+     before it rests on no evidence. *)
   t.stable_for <-
     (if
-       Estimator.Stream.runs_observed t.stream > 1
+       Hashtbl.length t.unseen = 0
+       && Estimator.Stream.runs_observed t.stream > 1
        && same_order previous t.ranking
      then t.stable_for + 1
      else 0);

@@ -16,9 +16,12 @@
     On top of the rolling ranking sit the adaptive stop {!rule}s of
     [Runner.run ?stop_when]:
 
-    - [`Rankings_stable n] — the relative-permeability module ranking
-      has not changed for [n] consecutive observed runs.  Useful as
-      "stop when more runs stopped teaching us anything about order".
+    - [`Rankings_stable n] — every target passed to {!create} has an
+      observed outcome, and the relative-permeability module ranking
+      has not changed for the [n] consecutive observed runs since.
+      Useful as "stop when more runs stopped teaching us anything
+      about order"; the coverage condition keeps an all-zero ranking
+      from looking stable before most targets were injected.
     - [`Ci_width w] — every 95% interval over the pairs the campaign
       injects into is at most [w] wide.  Useful as "stop at a target
       precision". *)
@@ -45,7 +48,10 @@ type digest = {
   max_ci_width : float;
       (** widest interval over the campaign's target pairs *)
   stable_for : int;
-      (** consecutive runs with an unchanged module ranking *)
+      (** consecutive runs with an unchanged module ranking, counted
+          only from the run after which every target has an outcome
+          (that run counts when the ranking did not change); [0]
+          before *)
   resolved_modules : int;  (** rows with non-overlapping CIs *)
   module_count : int;
 }
@@ -59,8 +65,10 @@ val create :
   unit ->
   t
 (** [targets] are the campaign's injection targets
-    ({!Campaign.t.targets}); they scope the [`Ci_width] rule to the
-    pairs the campaign can actually narrow.  [attribution] must match
+    ({!Campaign.t.targets}), or the ones it re-injects under cell
+    reuse; they scope the [`Ci_width] rule to the pairs the campaign
+    can actually narrow, and [`Rankings_stable] counts nothing until
+    each has an outcome.  [attribution] must match
     what the final batch estimation uses, otherwise live and post-hoc
     analyses disagree. *)
 

@@ -10,7 +10,8 @@
       or after the injection instant, so the corruption lands between
       the producer's write and the consumer's read exactly like a trap
       placed at the read site;
-    - the tracing runner uses {!peek}, which never triggers traps.
+    - the tracing runner uses {!peek} or {!snapshot}, which never
+      trigger traps.
 
     A corrupted value persists until the producer overwrites it — the
     transient-data-error semantics of the paper's SWIFI model. *)
@@ -71,7 +72,9 @@ val mode : t -> string -> mode
 (** {1 Handles}
 
     Hot paths (module bodies executing every simulated millisecond)
-    resolve a signal once and then access its cell directly. *)
+    resolve a signal once and then access its cell directly; the bulk
+    values below serve a module's ports, or the whole store, in one
+    call. *)
 
 type handle
 
@@ -79,15 +82,42 @@ val handle : t -> string -> handle
 (** @raise Invalid_argument for an unknown signal. *)
 
 val read_handle : handle -> int
-(** Same trap semantics as {!read}. *)
-
-val peek_handle : handle -> int
+(** Same trap semantics as {!read}.  An {!Immediate} signal never holds
+    a pending injection, so on one this is a raw read: hardware models
+    use it for read-modify-write register updates. *)
 
 val write_handle : handle -> int -> unit
 (** Same guard semantics as {!write}. *)
 
 val poke_handle : handle -> int -> unit
 (** Same semantics as {!poke} (no guards). *)
+
+(** {2 Bulk access}
+
+    One call per millisecond instead of one per signal.  Each raises
+    [Invalid_argument] when the array's length differs from the number
+    of handles or signals. *)
+
+val read_ports : handle array -> int array -> unit
+(** [read_ports handles buf] sets [buf.(i)] to {!read_handle}[ handles.(i)]
+    for every [i], in index order: trap semantics included. *)
+
+val write_ports : handle array -> int array -> unit
+(** [write_ports handles values] is {!write_handle}[ handles.(i)
+    values.(i)] for every [i], in index order: guard semantics
+    included. *)
+
+val snapshot : t -> int array -> unit
+(** [snapshot t buf] sets [buf.(i)] to the raw value of the [i]-th
+    signal of [create ~signals], as {!peek} would: no trap fires.  A
+    store-backed SUT passes [snapshot store] as
+    {!Sut.instance.snapshot}. *)
+
+val load : t -> int array -> unit
+(** [load t values] overwrites every signal with [values.(i)] (same
+    order as {!snapshot}), truncated to its width, as {!poke} would:
+    no guards, and pending injections stay pending.  With {!snapshot}
+    it saves and restores a store's values. *)
 
 val add_write_guard : t -> string -> (int -> int) -> unit
 (** Appends a transformer applied (in registration order) whenever a

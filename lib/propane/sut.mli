@@ -71,7 +71,10 @@ type instance = {
           order, with {!instance.read}'s never-fires-traps semantics.
           The runner's millisecond loop uses it when present to
           avoid one name lookup per signal per millisecond; [None]
-          falls back to per-name [read]. *)
+          falls back to per-name [read].  A SUT backed by a
+          {!Signal_store} created with its signal list passes
+          [Some (Signal_store.snapshot store)]: one call per
+          millisecond that allocates nothing. *)
   state_hook : state_hook option;
       (** optional save/restore of the instance's state (see
           {!state_hook}).  With it, each injection run starts from the

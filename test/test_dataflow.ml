@@ -587,6 +587,54 @@ let reference_sut spec blocks (built : Propane.Sut.t) =
   in
   { built with Propane.Sut.instantiate }
 
+(* A run of a Builder SUT allocates per run, never per simulated
+   millisecond: a closure or array built by the step, the schedule or
+   the snapshot would grow with the golden's length. *)
+let step_allocation_tests =
+  [
+    Alcotest.test_case "the compiled step allocates nothing per simulated ms"
+      `Quick (fun () ->
+        let identity ?period_ms ?offset_ms name input output =
+          B.block ~name ?period_ms ?offset_ms ~inputs:[ s input ]
+            ~outputs:[ s output ] (fun () inputs -> inputs)
+        in
+        (* A flip of a reaches b and c but never k's chain, so no run
+           saturates and each steps to its golden's end. *)
+        let system =
+          B.create_exn ~duration_ms:10_000
+            ~blocks:
+              [
+                identity "FIRST" "a" "b";
+                identity ~period_ms:2 ~offset_ms:1 "SECOND" "b" "c";
+                identity "KEEP" "k" "kept";
+              ]
+            ~stimuli:[ B.ramp (s "a"); B.constant 7 (s "k") ]
+            ()
+        in
+        let sut = B.sut system in
+        let tc = Propane.Testcase.make ~id:"t" ~params:[] in
+        let injection =
+          Propane.Injection.make ~target:"a" ~at:(Simkernel.Sim_time.of_ms 5)
+            ~error:(Propane.Error_model.Bit_flip 15)
+        in
+        let words_per_run max_ms =
+          let golden = Propane.Runner.frozen_golden ~max_ms sut tc in
+          let run () = Propane.Runner.run_experiment sut ~golden tc injection in
+          Alcotest.(check (list string))
+            "k's chain never diverges" [ "a@5ms"; "b@5ms"; "c@5ms" ]
+            (List.map
+               (Fmt.str "%a" Propane.Golden.pp_divergence)
+               (run ()).Propane.Results.divergences);
+          let before = Gc.minor_words () in
+          let (_ : Propane.Results.outcome) = run () in
+          Gc.minor_words () -. before
+        in
+        let short = words_per_run 1_000 and long = words_per_run 10_000 in
+        if long > short then
+          Alcotest.failf "%.0f words per 1,000-ms run, %.0f per 10,000-ms run"
+            short long);
+  ]
+
 let injections_gen =
   QCheck2.Gen.(
     list_size (int_range 1 6)
@@ -754,5 +802,6 @@ let () =
       ("cruise", cruise_tests);
       ("random_systems", random_system_tests);
       ("bound_step", bound_step_tests);
+      ("step_allocation", step_allocation_tests);
       ("known_answers", known_answer_tests);
     ]

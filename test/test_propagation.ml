@@ -1193,6 +1193,120 @@ let compose_tests =
 
 (* ------------------------------------------------------------------ *)
 
+(* The breadth-first search [Monte_carlo] ran on signal sets, name
+   lookups and a [Queue] before it moved to integer arrays: the oracle
+   its estimates must equal bit for bit.  [unit_draw] is a copy. *)
+let set_based_arrival ~trials ~seed graph ~input ~output =
+  let unit_draw ~trial (pair : Perm_graph.pair) =
+    let h =
+      Hashtbl.hash (seed, trial, pair.module_name, pair.input, pair.output)
+    in
+    let z = Int64.add (Int64.of_int h) 0x9E3779B97F4A7C15L in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul
+        (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL
+    in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
+  in
+  let model = Perm_graph.model graph in
+  let trial_reaches trial =
+    let corrupted = ref (Signal.Set.singleton input) in
+    let queue = Queue.create () in
+    Queue.add input queue;
+    let reached = ref false in
+    while not (Queue.is_empty queue) do
+      let signal = Queue.pop queue in
+      if Signal.equal signal output then reached := true
+      else
+        List.iter
+          (fun (m, i) ->
+            let name = Sw_module.name m in
+            let matrix = Perm_graph.matrix graph name in
+            for k = 1 to Sw_module.output_count m do
+              let out_signal = Sw_module.output_signal m k in
+              if not (Signal.Set.mem out_signal !corrupted) then begin
+                let pair =
+                  { Perm_graph.module_name = name; input = i; output = k }
+                in
+                let p = Perm_matrix.get matrix ~input:i ~output:k in
+                if p > 0.0 && unit_draw ~trial pair < p then begin
+                  corrupted := Signal.Set.add out_signal !corrupted;
+                  Queue.add out_signal queue
+                end
+              end
+            done)
+          (System_model.consumers model signal)
+    done;
+    !reached
+  in
+  let hits = ref 0 in
+  for trial = 0 to trials - 1 do
+    if trial_reaches trial then incr hits
+  done;
+  float_of_int !hits /. float_of_int trials
+
+(* Random permeability graphs: 1-3 system inputs, 1-6 modules with 1-2
+   outputs each, inputs drawn from every signal (feedback and
+   self-loops included), permeabilities 0, 1 or in between, and system
+   outputs that other modules may still consume. *)
+let random_graph_gen =
+  let open QCheck2.Gen in
+  let* n_in = int_range 1 3 in
+  let* n_outs = list_size (int_range 1 6) (int_range 1 2) in
+  let inputs = List.init n_in (fun i -> Printf.sprintf "x%d" i) in
+  let outputs =
+    List.mapi
+      (fun j n -> List.init n (fun k -> Printf.sprintf "m%d_o%d" j k))
+      n_outs
+  in
+  let pool = Array.of_list (inputs @ List.concat outputs) in
+  let permeability =
+    oneof [ return 0.0; return 1.0; float_bound_inclusive 1.0 ]
+  in
+  let* modules =
+    flatten_l
+      (List.mapi
+         (fun j outs ->
+           let* picks =
+             list_size (int_range 1 3) (int_bound (Array.length pool - 1))
+           in
+           let ins =
+             List.map (Array.get pool) (List.sort_uniq compare picks)
+           in
+           let* rows =
+             list_repeat (List.length ins)
+               (list_repeat (List.length outs) permeability)
+           in
+           let name = Printf.sprintf "M%d" j in
+           return
+             ( mk_mod ~name ins outs,
+               (name, Perm_matrix.of_rows
+                        (Array.of_list (List.map Array.of_list rows))) ))
+         outputs)
+  in
+  let* exposed = list_repeat (List.length (List.concat outputs)) bool in
+  let system_outputs =
+    List.map s
+      (List.concat outputs
+      |> List.filteri (fun i _ -> List.nth exposed i)
+      |> function
+      | [] -> [ List.hd (List.rev (List.concat outputs)) ]
+      | l -> l)
+  in
+  let model =
+    System_model.make_exn ~modules:(List.map fst modules)
+      ~system_inputs:(List.map s inputs) ~system_outputs
+  in
+  return
+    (Perm_graph.build_exn model (String_map.of_list (List.map snd modules)))
+
 let monte_carlo_tests =
   [
     Alcotest.test_case "single-path system matches the product" `Quick
@@ -1254,6 +1368,24 @@ let monte_carlo_tests =
     check_raises_invalid "rejects a non-input source" (fun () ->
         Monte_carlo.arrival_probability ~trials:10 ~seed:1 Fig_example.graph
           ~input:(s "b2") ~output:(s "e_out"));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~name:"estimates equal a set-based search's, float for float"
+         QCheck2.Gen.(triple random_graph_gen (int_range 1 300) int)
+         (fun (graph, trials, seed) ->
+           let model = Perm_graph.model graph in
+           List.for_all
+             (fun input ->
+               List.for_all
+                 (fun output ->
+                   Int64.equal
+                     (Int64.bits_of_float
+                        (Monte_carlo.arrival_probability ~trials ~seed graph
+                           ~input ~output))
+                     (Int64.bits_of_float
+                        (set_based_arrival ~trials ~seed graph ~input ~output)))
+                 (System_model.system_outputs model))
+             (System_model.system_inputs model)));
   ]
 
 let () =

@@ -709,6 +709,82 @@ let signal_store_tests =
         Propane.Signal_store.create
           ~modes:[ ("zz", Propane.Signal_store.Immediate) ]
           ~signals:store_layout ());
+    Alcotest.test_case "snapshot is per-name peek in creation order" `Quick
+      (fun () ->
+        let store = make () in
+        Propane.Signal_store.write store "x" 5;
+        Propane.Signal_store.write store "y" 7;
+        Propane.Signal_store.write store "hw" 9;
+        Propane.Signal_store.inject store "x" (fun v -> v + 1);
+        let buf = Array.make 3 0 in
+        Propane.Signal_store.snapshot store buf;
+        Alcotest.(check (array int))
+          "peeks"
+          (Array.of_list
+             (List.map
+                (fun (name, _) -> Propane.Signal_store.peek store name)
+                store_layout))
+          buf;
+        Alcotest.(check (array int)) "values" [| 5; 7; 9 |] buf;
+        Alcotest.(check int)
+          "trap still armed" 6
+          (Propane.Signal_store.read store "x"));
+    Alcotest.test_case "read_ports fires a trap once, through the guards"
+      `Quick (fun () ->
+        (* The same reads through read_handle are the reference. *)
+        let fired read =
+          let store = make () in
+          Propane.Signal_store.add_write_guard store "x" (fun v -> min v 10);
+          Propane.Signal_store.write store "x" 5;
+          Propane.Signal_store.write store "y" 3;
+          Propane.Signal_store.inject store "x" (fun v -> v + 5000);
+          let ports =
+            [|
+              Propane.Signal_store.handle store "x";
+              Propane.Signal_store.handle store "y";
+            |]
+          in
+          let first = read ports in
+          Propane.Signal_store.write store "x" 4;
+          (first, read ports)
+        in
+        let bulk ports =
+          let buf = Array.make 2 0 in
+          Propane.Signal_store.read_ports ports buf;
+          buf
+        in
+        let first, second = fired bulk in
+        Alcotest.(check (array int)) "repaired" [| 10; 3 |] first;
+        Alcotest.(check (array int)) "consumed" [| 4; 3 |] second;
+        Alcotest.(check (pair (array int) (array int)))
+          "as read_handle"
+          (fired (Array.map Propane.Signal_store.read_handle))
+          (first, second));
+    Alcotest.test_case "write_ports masks and applies guards" `Quick (fun () ->
+        let store =
+          Propane.Signal_store.create ~signals:[ ("n", 8); ("y", 16) ] ()
+        in
+        Propane.Signal_store.add_write_guard store "y" (fun v -> min v 10);
+        Propane.Signal_store.write_ports
+          [|
+            Propane.Signal_store.handle store "n";
+            Propane.Signal_store.handle store "y";
+          |]
+          [| 0x1FF; 100 |];
+        Alcotest.(check (list int))
+          "stored" [ 0xFF; 10 ]
+          (List.map (Propane.Signal_store.peek store) [ "n"; "y" ]));
+    Alcotest.test_case "load masks and bypasses guards" `Quick (fun () ->
+        let store =
+          Propane.Signal_store.create ~signals:[ ("n", 8); ("y", 16) ] ()
+        in
+        Propane.Signal_store.add_write_guard store "y" (fun v -> min v 10);
+        Propane.Signal_store.load store [| 0x1FF; 100 |];
+        Alcotest.(check (list int))
+          "stored" [ 0xFF; 100 ]
+          (List.map (Propane.Signal_store.peek store) [ "n"; "y" ]));
+    check_raises_invalid "bulk values need one per signal" (fun () ->
+        Propane.Signal_store.snapshot (make ()) (Array.make 2 0));
     Alcotest.test_case "mode lookup" `Quick (fun () ->
         let store = make () in
         Alcotest.(check bool)
@@ -2602,9 +2678,10 @@ let live_tests =
      let targets = fig2.Propane.Campaign.targets in
      let reference outcomes =
        let stream = Propane.Estimator.Stream.create ~model:fig2_model () in
-       let last = ref None and stable = ref 0 in
+       let last = ref None and stable = ref 0 and seen = ref [] in
        List.map
-         (fun outcome ->
+         (fun (outcome : Propane.Results.outcome) ->
+           seen := outcome.injection.Propane.Injection.target :: !seen;
            Propane.Estimator.Stream.observe stream outcome;
            let analysis =
              Propagation.Analysis.run_exn fig2_model
@@ -2619,7 +2696,10 @@ let live_tests =
            in
            (stable :=
               match !last with
-              | Some prev when prev = order -> !stable + 1
+              | Some prev
+                when prev = order
+                     && List.for_all (fun t -> List.mem t !seen) targets ->
+                  !stable + 1
               | _ -> 0);
            last := Some order;
            {
@@ -2743,6 +2823,36 @@ let live_tests =
         (* The serial stop point is deterministic: same seed, same rule,
            same prefix of the campaign. *)
         check_same_results "deterministic" first (run ()));
+    Alcotest.test_case "rankings-stable waits for every target's outcome"
+      `Quick (fun () ->
+        (* y feeds no module, so its 80 runs leave the ranking as it
+           was; the stop may come only after x's first run. *)
+        let campaign =
+          Propane.Campaign.make ~name:"scaler" ~targets:[ "y"; "x" ]
+            ~testcases:scaler_campaign.Propane.Campaign.testcases
+            ~times:scaler_campaign.Propane.Campaign.times
+            ~errors:scaler_campaign.Propane.Campaign.errors
+        in
+        let live =
+          Propane.Live.create ~model:scale_model
+            ~targets:campaign.Propane.Campaign.targets ()
+        in
+        let results =
+          runner ~seed:7L ~live ~stop_when:(`Rankings_stable 3)
+            (scaler_sut ()) campaign
+        in
+        let injected target =
+          List.exists
+            (fun (o : Propane.Results.outcome) ->
+              o.injection.Propane.Injection.target = target)
+            (Propane.Results.outcomes results)
+        in
+        Alcotest.(check bool)
+          "stopped early" true
+          (Propane.Results.count results < Propane.Campaign.size campaign);
+        Alcotest.(check (list bool))
+          "both targets have outcomes" [ true; true ]
+          [ injected "y"; injected "x" ]);
     Alcotest.test_case "ci-width rule stops once the interval is tight" `Quick
       (fun () ->
         let live =
