@@ -590,7 +590,7 @@ let reference_sut spec blocks (built : Propane.Sut.t) =
 (* A run of a Builder SUT allocates per run, never per simulated
    millisecond: a closure or array built by the step, the schedule or
    the snapshot would grow with the golden's length. *)
-let step_allocation_tests =
+let allocation_tests =
   [
     Alcotest.test_case "the compiled step allocates nothing per simulated ms"
       `Quick (fun () ->
@@ -802,6 +802,6 @@ let () =
       ("cruise", cruise_tests);
       ("random_systems", random_system_tests);
       ("bound_step", bound_step_tests);
-      ("step_allocation", step_allocation_tests);
+      ("allocation", allocation_tests);
       ("known_answers", known_answer_tests);
     ]
