@@ -32,8 +32,9 @@ let create store =
 let checkpoint_count = Array.length Params.checkpoint_pulses
 
 (* Pressure set point for the deceleration that stops a nominal-mass
-   aircraft within the remaining cable run-out. *)
-let set_point ~velocity_mps ~position_m =
+   aircraft within the remaining cable run-out.  Inlined, so its float
+   arguments are never boxed and a step allocates nothing. *)
+let[@inline] set_point ~velocity_mps ~position_m =
   let nominal_mass_kg = 14_000.0 in
   let target_m = Params.runway_length_m -. 5.0 in
   let remaining = Float.max 5.0 (target_m -. position_m) in
@@ -127,3 +128,9 @@ let restore t s =
   t.last_cp_mscnt <- s.s_last_cp_mscnt;
   t.current_sv <- s.s_current_sv;
   t.finished <- s.s_finished
+
+let matches t s =
+  t.last_cp_pulscnt = s.s_last_cp_pulscnt
+  && t.last_cp_mscnt = s.s_last_cp_mscnt
+  && t.current_sv = s.s_current_sv
+  && Bool.equal t.finished s.s_finished

@@ -35,6 +35,9 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s variables equal [s]'s. *)
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [pulscnt; mscnt; slow_speed; stopped; i]; outputs
     [i; SetValue]. *)

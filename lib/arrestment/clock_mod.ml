@@ -30,3 +30,4 @@ type state = int
 
 let save t = t.ms
 let restore t ms = t.ms <- ms
+let matches t ms = t.ms = ms

@@ -21,5 +21,8 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s counter equals [s]. *)
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [ms_slot_nbr]; outputs [mscnt; ms_slot_nbr]. *)

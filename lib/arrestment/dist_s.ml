@@ -126,3 +126,18 @@ let restore t s =
   Array.blit s.s_window 0 t.window 0 window_ms;
   t.window_pos <- s.s_window_pos;
   t.window_sum <- s.s_window_sum
+
+let matches t s =
+  t.prev_pacnt = s.s_prev_pacnt
+  && t.total = s.s_total
+  && t.no_pulse_ms = s.s_no_pulse_ms
+  && Bool.equal t.saw_pulse s.s_saw_pulse
+  && t.slow_ms = s.s_slow_ms
+  && t.window_pos = s.s_window_pos
+  && t.window_sum = s.s_window_sum
+  &&
+  let i = ref 0 in
+  while !i < window_ms && t.window.(!i) = s.s_window.(!i) do
+    incr i
+  done;
+  !i = window_ms

@@ -29,5 +29,8 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s variables and window ring equal [s]'s. *)
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [PACNT; TIC1; TCNT]; outputs [pulscnt; slow_speed; stopped]. *)

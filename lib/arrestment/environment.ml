@@ -90,3 +90,10 @@ let restore t s =
   t.latch_pending <- s.s_latch_pending;
   t.elapsed_ms <- s.s_elapsed_ms;
   t.rest_ms <- s.s_rest_ms
+
+let matches t s =
+  t.prev_pulses = s.s_prev_pulses
+  && Bool.equal t.latch_pending s.s_latch_pending
+  && t.elapsed_ms = s.s_elapsed_ms
+  && t.rest_ms = s.s_rest_ms
+  && Physics.matches t.physics s.s_physics

@@ -40,6 +40,9 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s counters and physics equal [s]'s, floats by their bits. *)
+
 val elapsed_ms : t -> int
 val finished : t -> bool
 (** The aircraft has been at rest for {!Params.finished_hold_ms}, or

@@ -49,3 +49,13 @@ let restore t s =
   t.x_m <- s.s_x_m;
   t.v_mps <- s.s_v_mps;
   t.pressure <- s.s_pressure
+
+(* By their bits, so -0.0 and 0.0 differ and a NaN equals itself.
+   Inlined, and with [=] at type [int64], no float or integer is
+   boxed. *)
+let[@inline] same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let matches t s =
+  same_float t.x_m s.s_x_m
+  && same_float t.v_mps s.s_v_mps
+  && same_float t.pressure s.s_pressure

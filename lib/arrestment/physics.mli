@@ -26,6 +26,9 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s position, velocity and pressure have the bits of [s]'s. *)
+
 val position_m : t -> float
 val velocity_mps : t -> float
 val applied_pressure : t -> int

@@ -62,3 +62,8 @@ let restore t s =
   t.last <- s.s_last;
   t.have_last <- s.s_have_last;
   t.rejected_once <- s.s_rejected_once
+
+let matches t s =
+  t.last = s.s_last
+  && Bool.equal t.have_last s.s_have_last
+  && Bool.equal t.rejected_once s.s_rejected_once

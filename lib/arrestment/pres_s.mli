@@ -26,5 +26,8 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s filter variables equal [s]'s. *)
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [ADC]; outputs [InValue]. *)

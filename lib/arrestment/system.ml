@@ -106,6 +106,20 @@ let instantiate guards tc =
         Simkernel.Slot_scheduler.restore scheduler s.scheduler
     | _ -> invalid_arg "Arrestment.System: not an arrestment state"
   in
+  (* The store first: its values differ in most runs that have not
+     rejoined the golden run. *)
+  let matches = function
+    | Arrestment s ->
+        Store.matches store s.values
+        && Environment.matches env s.environment
+        && Clock_mod.matches clock s.clock
+        && Dist_s.matches dist_s s.dist_s
+        && Pres_s.matches pres_s s.pres_s
+        && Calc.matches calc s.calc
+        && V_reg.matches v_reg s.v_reg
+        && Simkernel.Slot_scheduler.matches scheduler s.scheduler
+    | _ -> invalid_arg "Arrestment.System: not an arrestment state"
+  in
   {
     Propane.Sut.read = Store.peek store;
     write = Store.poke store;
@@ -120,7 +134,9 @@ let instantiate guards tc =
     (* A guard closure keeps per-run state the saved state cannot
        carry, so guarded instances always start at millisecond 0. *)
     state_hook =
-      (match guards with [] -> Some { save; restore } | _ :: _ -> None);
+      (match guards with
+      | [] -> Some { save; restore; matches }
+      | _ :: _ -> None);
   }
 
 let sut ?(guards = []) ?fault () =

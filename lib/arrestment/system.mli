@@ -35,7 +35,10 @@ val sut : ?guards:guard list -> ?fault:Propane.Fault.spec -> unit -> Propane.Sut
 (** Fresh SUT description.  Its instances carry a
     {!Propane.Sut.state_hook} saving the signal store, every module's
     variables, the environment and physics, and the scheduler's
-    position, so injection runs start at their first fire.  [guards]
+    position, so injection runs start at their first fire.  Its
+    [matches] compares the same parts in place, the store's values and
+    pending traps first and floats by their bits, so a run stops once
+    it has rejoined the golden run.  [guards]
     are installed on every instance (and therefore present in golden
     and injection runs alike); a guarded instance carries no hook,
     because guard closures hold per-run state the saved state cannot

@@ -41,3 +41,4 @@ type state = int
 
 let save t = t.integ
 let restore t integ = t.integ <- integ
+let matches t integ = t.integ = integ

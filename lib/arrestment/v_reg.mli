@@ -20,5 +20,8 @@ type state
 val save : t -> state
 val restore : t -> state -> unit
 
+val matches : t -> state -> bool
+(** [t]'s integrator equals [s]. *)
+
 val descriptor : Propagation.Sw_module.t
 (** inputs [SetValue; InValue]; outputs [OutValue]. *)

@@ -61,7 +61,14 @@ let apply s (sut : Sut.t) =
         since_inject := 0;
         inner.Sut.inject name f
       in
-      { inner with Sut.step; inject }
+      (* The countdown is in no saved state: a run that matched the
+         golden's would drop its crash or hang. *)
+      let state_hook =
+        Option.map
+          (fun h -> { h with Sut.matches = (fun _ -> false) })
+          inner.Sut.state_hook
+      in
+      { inner with Sut.step; inject; state_hook }
     end
   in
   { sut with Sut.instantiate }

@@ -47,9 +47,12 @@ val apply : spec -> Sut.t -> Sut.t
     intercepted.  A hanging run without a runner watchdog is still
     bounded: it merely takes [hang_step_wall_ms] of wall-clock per
     remaining simulated millisecond.  Wrapped instances keep the inner
-    {!Sut.state_hook}: a run restored at its first fire still arms the
-    countdown on its injection, so crash and hang timing is the same
-    as for a run started at millisecond 0. *)
+    {!Sut.state_hook}'s [save] and [restore]: a run restored at its
+    first fire still arms the countdown on its injection, so crash and
+    hang timing is the same as for a run started at millisecond 0.
+    Their [matches] is always [false]: no saved state holds the
+    countdown, so a run never stops early on rejoining the golden run
+    and its crash or hang still happens. *)
 
 val wrap :
   ?crash_after_ms:int ->

@@ -61,17 +61,22 @@ let freeze_saved ~saved set =
 
 let freeze set = freeze_saved ~saved:[] set
 
-let latest_saved f ~upto =
-  (* Binary search keeping [saved_at.(lo) <= upto < saved_at.(hi)], with
-     [hi = length] standing for infinity. *)
+let saved_after f ~ms =
+  (* Binary search keeping [saved_at.(lo - 1) <= ms < saved_at.(hi)],
+     with index -1 standing for minus infinity and [length] for
+     infinity. *)
   let rec go lo hi =
-    if hi - lo <= 1 then Some (f.saved_at.(lo), f.saved.(lo))
+    if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if f.saved_at.(mid) <= upto then go mid hi else go lo mid
+      if f.saved_at.(mid) <= ms then go (mid + 1) hi else go lo mid
   in
-  if Array.length f.saved_at = 0 || f.saved_at.(0) > upto then None
-  else go 0 (Array.length f.saved_at)
+  go 0 (Array.length f.saved_at)
+
+let latest_saved f ~upto =
+  match saved_after f ~ms:upto with
+  | 0 -> None
+  | i -> Some (f.saved_at.(i - 1), f.saved.(i - 1))
 
 let frozen_signals f = Array.to_list f.frozen_signals
 let frozen_duration_ms f = f.frozen_duration

@@ -43,8 +43,9 @@ type frozen = private {
           {!Trace_set}.  Read-only. *)
   saved_at : int array;
       (** ascending milliseconds at which the golden run saved the
-          SUT's state ({!Sut.state_hook}); empty for SUTs without the
-          hook *)
+          SUT's state ({!Sut.state_hook}): where injection runs start,
+          and where runs past their last fire check whether they have
+          rejoined the golden run.  Empty for SUTs without the hook. *)
   saved : Sut.state array;
       (** [saved.(i)] is the state at the start of millisecond
           [saved_at.(i)], i.e. after that many steps.  Read-only. *)
@@ -65,6 +66,12 @@ val latest_saved : frozen -> upto:int -> (int * Sut.state) option
     a run whose first corruption fires at [upto] can start, since
     everything it simulates before that millisecond is the golden
     run. *)
+
+val saved_after : frozen -> ms:int -> int
+(** The index in [saved_at] (and [saved]) of the first instant after
+    [ms], or the length of [saved_at] when there is none: from there
+    on, a run whose last corruption fired at [ms] checks whether its
+    state has rejoined the golden run. *)
 
 val frozen_signals : frozen -> string list
 val frozen_duration_ms : frozen -> int

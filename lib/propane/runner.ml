@@ -107,7 +107,7 @@ let truncated_duration ?truncate_after_ms injection duration_ms =
 (* One injection run against [golden].  With [record] the run's samples
    come back too: the golden prefix a restore skips, then the run's
    own, up to its duration or the crash, hang or finish that ends it
-   first. *)
+   first, and the golden suffix once it has rejoined the golden run. *)
 let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
     (sut : Sut.t) ~golden testcase injection =
   let target = injection.Injection.target in
@@ -146,10 +146,11 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
   let inject_at = Simkernel.Sim_time.to_ms injection.Injection.at in
   let error = injection.Injection.error in
   let first_fire = Injection.first_fire_ms injection in
+  let last_fire = Injection.last_fire_ms injection in
   (* The outcome is settled once: when the check saturates, or when the
-     run crashes, hangs, finishes or reaches its duration.  A recorded
-     run steps on after a saturation; what ends it later ends only the
-     recording. *)
+     run crashes, hangs, finishes, rejoins the golden run or reaches its
+     duration.  A recorded run steps on after a saturation; what ends it
+     later ends only the recording. *)
   let settled = ref false in
   let run_ms = ref duration_ms and status = ref Results.Completed in
   let settle ~ms st =
@@ -176,20 +177,39 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
       let sampler = sampler_of ~arena instance in
       let buf = arena.a_buf in
       (match recording with
-      | Some set -> Trace_set.sample_block set golden.Golden.samples ~ms:start
+      | Some set ->
+          Trace_set.sample_block set golden.Golden.samples ~from:0
+            ~until:start
       | None -> ());
-      (* Each millisecond: watchdog, finish check, injection, step,
-         sample.  Any exception out of the SUT is this run's crash, not
-         the campaign's.  The recording is appended by a [match], not an
-         [Option.iter] closure, so the loop allocates nothing. *)
-      let rec go ms =
+      (* Once the last corruption has fired, the run asks at each
+         instant the golden saved a state at ([saved_at.(next)], from
+         [next] on) whether its own state equals it.  If so, the rest of
+         the run is the golden run: no signal can diverge any more and
+         the run lasts its whole duration. *)
+      let saved_at = golden.Golden.saved_at and saved = golden.Golden.saved in
+      let matches, first_check =
+        match instance.Sut.state_hook with
+        | Some hook ->
+            (hook.Sut.matches, Golden.saved_after golden ~ms:last_fire)
+        | None -> ((fun _ -> false), Array.length saved_at)
+      in
+      (* Each millisecond: watchdog, rejoin check, finish check,
+         injection, step, sample.  Any exception out of the SUT is this
+         run's crash, not the campaign's.  The recording is appended by a
+         [match], not an [Option.iter] closure, so the loop allocates
+         nothing. *)
+      let rec go ms next =
         if ms < duration_ms then
           match deadline with
           | Some (budget_ms, d) when Unix.gettimeofday () > d ->
               settle ~ms (Results.Hung { budget_ms })
           | _ -> (
+              let at_saved =
+                next < Array.length saved_at && saved_at.(next) = ms
+              in
               match
-                if instance.Sut.finished () then `Finished
+                if at_saved && matches saved.(next) then `Rejoined
+                else if instance.Sut.finished () then `Finished
                 else begin
                   if Error_model.fires error ~inject_ms:inject_at ~ms then
                     instance.Sut.inject target (fun v ->
@@ -200,6 +220,13 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
                 end
               with
               | exception e -> settle ~ms (crashed ~ms e)
+              | `Rejoined -> (
+                  settle ~ms:duration_ms Results.Completed;
+                  match recording with
+                  | Some set ->
+                      Trace_set.sample_block set golden.Golden.samples ~from:ms
+                        ~until:duration_ms
+                  | None -> ())
               | `Finished ->
                   (* The SUT reached its end state before the golden
                      duration (an injected run may finish early); the
@@ -209,7 +236,8 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
                   (match recording with
                   | Some set -> Trace_set.sample_array set buf
                   | None -> ());
-                  if !settled then go (ms + 1)
+                  let next = if at_saved then next + 1 else next in
+                  if !settled then go (ms + 1) next
                   else begin
                     Golden.sample check ~ms buf;
                     (* Saturation is only consulted once the first
@@ -219,12 +247,12 @@ let run_experiment_in ~arena ?rng ?truncate_after_ms ?run_timeout_ms ~record
                        arms at [inject_at] but fires later). *)
                     if ms >= first_fire && Golden.saturated check then begin
                       settle ~ms:(ms + 1) Results.Completed;
-                      if record then go (ms + 1)
+                      if record then go (ms + 1) next
                     end
-                    else go (ms + 1)
+                    else go (ms + 1) next
                   end)
       in
-      go start);
+      go start first_check);
   let divergences =
     (* How far a hung run got before the watchdog fired is wall-clock
        dependent; partial divergences are dropped so outcomes (and
@@ -503,24 +531,44 @@ let rng_for ?(attempt = 0) seed index =
 
 module String_map = Map.Make (String)
 
-(* The instants a golden run saves its state at, per test case: the
-   distinct first fires (> 0) of [indices], ascending.  Built lazily,
-   the first time a golden instance turns out to carry a state hook. *)
-let first_fires experiments (indices : int Seq.t) =
+(* The instants a golden run saves its state at, per test case, for
+   the runs of [indices]: each run's first fire (> 0), where it starts,
+   and its last fire + 1, 2, 4, ... below its duration against a
+   [horizon] golden, where it checks whether it has rejoined the golden
+   run.  Distinct and ascending; built lazily, the first time a golden
+   instance turns out to carry a state hook.  Runs at one instant share
+   their fires, so each distinct schedule is expanded once. *)
+let save_instants ?truncate_after_ms ~horizon experiments (indices : int Seq.t)
+    =
   let by_testcase =
     lazy
-      (Seq.fold_left
+      (let seen = Hashtbl.create 64 in
+       Seq.fold_left
          (fun acc idx ->
            let tc, injection = experiments.(idx) in
-           let ms = Injection.first_fire_ms injection in
-           if ms <= 0 then acc
-           else
+           let first = Injection.first_fire_ms injection
+           and last = Injection.last_fire_ms injection in
+           let room =
+             truncated_duration ?truncate_after_ms injection horizon - last
+           in
+           let schedule = (Testcase.id tc, first, last, room) in
+           if Hashtbl.mem seen schedule then acc
+           else begin
+             Hashtbl.add seen schedule ();
+             let rec rejoins acc step =
+               if step > 0 && step < room then
+                 rejoins ((last + step) :: acc) (2 * step)
+               else acc
+             in
              String_map.update (Testcase.id tc)
-               (fun l -> Some (ms :: Option.value l ~default:[]))
-               acc)
+               (fun l ->
+                 let l = Option.value l ~default:[] in
+                 Some (rejoins (if first > 0 then first :: l else l) 1))
+               acc
+           end)
          String_map.empty indices
-      |> String_map.map (fun l ->
-             Array.of_list (List.sort_uniq Int.compare l)))
+       |> String_map.map (fun l ->
+              Array.of_list (List.sort_uniq Int.compare l)))
   in
   fun tc () ->
     Option.value ~default:[||]
@@ -539,13 +587,16 @@ let golden_horizon ?truncate_after_ms ~max_ms experiments =
 
 (* Frozen golden runs for exactly the test cases the remaining
    experiments need — a resumed campaign does not re-execute goldens
-   whose injection runs are all journalled — each saving the SUT's state
-   at the first fires of those runs.  The recording trace sets are
-   dropped immediately after freezing, so a campaign holds one compact
-   immutable array (plus its saved states) per test case, shared
-   read-only across worker domains. *)
-let goldens_for ~max_ms sut experiments remaining =
-  let instants = first_fires experiments (List.to_seq remaining) in
+   whose injection runs are all journalled — each stopped at [horizon]
+   and saving the SUT's state at the [save_instants] of those runs.  The
+   recording trace sets are dropped immediately after freezing, so a
+   campaign holds one compact immutable array (plus its saved states)
+   per test case, shared read-only across worker domains. *)
+let goldens_for ?truncate_after_ms ~horizon sut experiments remaining =
+  let instants =
+    save_instants ?truncate_after_ms ~horizon experiments
+      (List.to_seq remaining)
+  in
   List.fold_left
     (fun acc idx ->
       let tc, _ = experiments.(idx) in
@@ -554,7 +605,7 @@ let goldens_for ~max_ms sut experiments remaining =
       else begin
         Log.debug (fun m -> m "golden run for %s" id);
         String_map.add id
-          (frozen_of ~max_ms ~instants:(instants tc) sut tc)
+          (frozen_of ~max_ms:horizon ~instants:(instants tc) sut tc)
           acc
       end)
     String_map.empty remaining
@@ -603,9 +654,12 @@ let executor ?(config = Config.default) ~seed (sut : Sut.t) campaign =
   let total = Array.length experiments in
   let arena = make_arena sut in
   let horizon = golden_horizon ?truncate_after_ms ~max_ms experiments in
-  (* A worker may be handed any index, so each golden saves the state
-     at every first fire of its test case. *)
-  let instants = first_fires experiments (Seq.init total Fun.id) in
+  (* A worker may be handed any index, so each golden saves the states
+     every run of its test case needs. *)
+  let instants =
+    save_instants ?truncate_after_ms ~horizon experiments
+      (Seq.init total Fun.id)
+  in
   let goldens : (string, Golden.frozen) Hashtbl.t = Hashtbl.create 8 in
   let golden_for tc =
     let id = Testcase.id tc in
@@ -1081,8 +1135,8 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
         config
       in
       let goldens =
-        goldens_for
-          ~max_ms:(golden_horizon ?truncate_after_ms ~max_ms experiments)
+        goldens_for ?truncate_after_ms
+          ~horizon:(golden_horizon ?truncate_after_ms ~max_ms experiments)
           sut experiments
           (Session.candidates session)
       in

@@ -10,12 +10,14 @@
     immutable form.  Each injection run feeds its samples to a
     streaming {!Golden.check} and executes for {e exactly} the
     duration of its test case's golden run, cut at its truncation — or
-    less, when every monitored signal has already diverged — so
-    divergence timestamps compare sample by sample without recording
-    the run.  For SUTs with a {!Sut.state_hook} the golden run also
-    saves its state at the runs' first fires, and every injection run,
-    recorded or not, starts there instead of at millisecond 0 (see
-    {!run_experiment}). *)
+    less, when every monitored signal has already diverged or its state
+    has rejoined the golden run — so divergence timestamps compare
+    sample by sample without recording the run.  For SUTs with a
+    {!Sut.state_hook} the golden run also saves its state at the runs'
+    first fires, and every injection run, recorded or not, starts there
+    instead of at millisecond 0; it saves its state after each run's
+    last fire too, at last fire + 1, 2, 4, …, where a run checks
+    whether it has rejoined (see {!run_experiment}). *)
 
 val default_max_ms : int
 (** 20,000 simulated ms. *)
@@ -29,8 +31,10 @@ val frozen_golden :
     carry a {!Sut.state_hook}, the golden run also saves the state at
     the start of each millisecond of [save_at] (default none) that is
     positive and before the run's end ([saved_at] and [saved] of
-    {!Golden.frozen}); the campaign engine saves at the first fires of
-    the runs it will execute. *)
+    {!Golden.frozen}).  No library code calls it: campaigns freeze
+    their goldens themselves, stopped at their read horizon and saving
+    at the instants their runs need ({!run}).  It is the tests' oracle,
+    a golden with chosen saved instants for {!run_experiment}. *)
 
 val run_experiment :
   ?rng:Simkernel.Rng.t ->
@@ -43,7 +47,8 @@ val run_experiment :
   Results.outcome
 (** One injection run with streaming golden-run comparison against the
     frozen golden: divergences are detected per sample in O(1), and the
-    run early-exits once every signal has diverged.  The outcome is
+    run early-exits once every signal has diverged or once its state
+    rejoins the golden.  The outcome is
     exactly what post-hoc {!Golden.compare_runs} over recorded traces
     would report (property-tested).  With [truncate_after_ms] the
     comparison window is bounded by the truncated run's duration.  The
@@ -59,6 +64,15 @@ val run_experiment :
     fire is the golden run, so the outcome is unchanged
     (property-tested against the ms-0 path).  [golden] must then come
     from the same SUT.
+
+    {b Rejoin.}  Past the injection's last fire
+    ({!Injection.last_fire_ms}), the run asks the hook's [matches] at
+    every instant [golden] saved a state at ({!Golden.saved_after}).
+    On a match its state equals the golden run's, so it can only
+    reproduce the golden's samples: the run stops [Completed] with the
+    divergences found so far and the length it would have reached, and
+    the outcome is unchanged (property-tested against a hook that never
+    matches and against the ms-0 path).
 
     {b Failures.}  The run is fault-tolerant: an exception escaping
     the SUT (instantiation, injection, stepping or sampling) becomes
@@ -435,15 +449,18 @@ val run :
     Runs are streamed: no per-run trace is materialized, a run starts
     at its injection's first fire from the state its golden run saved
     there (for SUTs with a {!Sut.state_hook}; see {!run_experiment}),
-    and it stops as soon as every signal has diverged.  Each golden
-    saves the state at the distinct first fires of its test case's
-    {!Session.candidates}.  [on_run_traces] records every injection
-    run and receives its outcome and {!Trace_set}: the golden prefix a
-    restore skips, copied from the frozen golden, then the run's own
-    samples.  A recorded run steps on after its outcome is fixed, up to
-    its duration or the crash, hang or finish that ends it first; a
-    crash after that point ends only the recording.  Outcomes and
-    journals are the same with or without it.  It and [on_event] are
+    and it stops as soon as every signal has diverged or its state has
+    rejoined the golden run.  Each golden saves the state at the
+    distinct first fires of its test case's {!Session.candidates}, and
+    at each of their last fires + 1, 2, 4, … below the run's duration.
+    [on_run_traces] records every injection run and receives its
+    outcome and {!Trace_set}: the golden prefix a restore skips, copied
+    from the frozen golden, then the run's own samples, then the golden
+    suffix once it has rejoined.  A recorded run steps on after every
+    signal has diverged, up to its duration or the crash, hang, finish
+    or rejoin that ends it first; a crash after that point ends only
+    the recording.  Outcomes and journals are the same with or without
+    it.  It and [on_event] are
     only ever called from the calling domain, in completion order, so
     they need no synchronisation; feed the events to
     {!Telemetry.observe} for throughput and ETA.
@@ -482,10 +499,11 @@ val executor :
     the server's [Assign], not from the shipped recipe.  Partial
     application matters: golden runs execute lazily the first time an
     index needs their test case and stay memoised across calls.  Each
-    saves the SUT's state at the first fire of every experiment of its
-    test case, so every run starts there as in {!run}, and stops at the
-    same campaign-wide read horizon as {!run}'s goldens: every process
-    serving a campaign freezes the same goldens.
+    saves the SUT's state at the first fire and the rejoin instants of
+    every experiment of its test case, so every run starts and stops as
+    in {!run}, and stops at the same campaign-wide read horizon as
+    {!run}'s goldens: every process serving a campaign freezes the same
+    goldens.
 
     Of [config] only [max_ms], [truncate_after_ms], [run_timeout_ms]
     and [retries] apply — scheduling and journalling fields belong to

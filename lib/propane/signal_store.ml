@@ -124,8 +124,26 @@ let load t values =
   if Array.length values <> Array.length order then
     length_mismatch "load" (Array.length order) values;
   for i = 0 to Array.length order - 1 do
-    poke_cell order.(i) values.(i)
+    let c = order.(i) in
+    c.pending <- None;
+    poke_cell c values.(i)
   done
+
+let matches t values =
+  let order = t.order in
+  if Array.length values <> Array.length order then
+    length_mismatch "matches" (Array.length order) values;
+  let i = ref 0 in
+  while
+    !i < Array.length order
+    &&
+    let c = order.(!i) in
+    c.value = values.(!i)
+    && match c.pending with None -> true | Some _ -> false
+  do
+    incr i
+  done;
+  !i = Array.length order
 
 type handle = cell
 

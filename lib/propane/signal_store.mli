@@ -115,9 +115,15 @@ val snapshot : t -> int array -> unit
 
 val load : t -> int array -> unit
 (** [load t values] overwrites every signal with [values.(i)] (same
-    order as {!snapshot}), truncated to its width, as {!poke} would:
-    no guards, and pending injections stay pending.  With {!snapshot}
+    order as {!snapshot}), truncated to its width, as {!poke} would
+    (no guards), and drops every pending injection.  With {!snapshot}
     it saves and restores a store's values. *)
+
+val matches : t -> int array -> bool
+(** [matches t values] holds when every signal's raw value equals
+    [values.(i)] (same order as {!snapshot}) and no injection is
+    pending: the store is in the state {!load}[ t values] leaves.  It
+    stops at the first difference and allocates nothing. *)
 
 val add_write_guard : t -> string -> (int -> int) -> unit
 (** Appends a transformer applied (in registration order) whenever a

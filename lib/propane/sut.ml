@@ -1,5 +1,9 @@
 type state = ..
-type state_hook = { save : unit -> state; restore : state -> unit }
+type state_hook = {
+  save : unit -> state;
+  restore : state -> unit;
+  matches : state -> bool;
+}
 
 type instance = {
   read : string -> int;

@@ -23,13 +23,21 @@ type state_hook = {
           instance, since it outlives it and is restored into other
           instances, possibly concurrently from several domains *)
   restore : state -> unit;
-      (** overwrite this instance's state with a saved one; the saved
-          value itself is never mutated (copy out of it, never alias
-          it).  @raise Invalid_argument for another SUT's state *)
+      (** overwrite this instance's state with a saved one, pending
+          injections included: afterwards nothing of the instance's
+          own past is left, and [matches] holds for the state.  The
+          saved value itself is never mutated (copy out of it, never
+          alias it).  @raise Invalid_argument for another SUT's state *)
+  matches : state -> bool;
+      (** [true] exactly when the instance's whole state, pending
+          injections included, equals the saved one, so that stepping
+          it from now on behaves exactly as the instance the state was
+          saved from did.  Compares in place and allocates nothing.
+          @raise Invalid_argument for another SUT's state *)
 }
-(** Save and restore of an instance's state: the contract that lets
-    the runner start an injection run at its first fire instead of at
-    millisecond 0.
+(** Save, restore and compare an instance's state: the contract that
+    lets the runner start an injection run at its first fire instead
+    of at millisecond 0, and stop it once it rejoins the golden run.
 
     {b Contract.}  Let [a] be an instance that took [k] {!instance.step}s
     from instantiation with no injection and no [write], and [b] a
@@ -43,6 +51,16 @@ type state_hook = {
     instantiation, and only with a state saved from the same test
     case's golden run.
 
+    Likewise, when an instance [c] that has taken [k] steps, injected
+    or not, answers [c.matches (a.save ())] with [true], stepping,
+    sampling and [finished] on [c] must behave exactly as on [a] from
+    then on: the runner then ends the run, since it can only reproduce
+    the golden run's samples.  An injection still waiting in a trap is
+    state, so an instance holding one never matches a golden state.
+    The runner asks only after the run's last injection, and only with
+    a state saved from the same test case's golden run at that same
+    millisecond.
+
     A wrapper that builds instances with [{ inner with step; ... }]
     inherits its inner instance's hook: restore then rewinds the inner
     state while the wrapper's own per-run state stays fresh.  That is
@@ -50,7 +68,12 @@ type state_hook = {
     happened before the run's first injection ({!Fault}, for example,
     arms on [inject]).  A wrapper whose behaviour depends on the
     number of steps (or anything else) since instantiation must set
-    [state_hook = None]. *)
+    [state_hook = None].  A wrapper whose behaviour depends on
+    anything since instantiation {e or injection} must also answer
+    [false] from [matches]: its own state is in no saved state, so an
+    inherited match would drop it ({!Fault} counts milliseconds since
+    the injection and never matches).  A wrapper that only observes,
+    such as a timer, may inherit the whole hook. *)
 
 type instance = {
   read : string -> int;
@@ -76,11 +99,12 @@ type instance = {
           [Some (Signal_store.snapshot store)]: one call per
           millisecond that allocates nothing. *)
   state_hook : state_hook option;
-      (** optional save/restore of the instance's state (see
-          {!state_hook}).  With it, each injection run starts from the
-          golden run's state at its first fire instead of re-simulating
-          the golden prefix from millisecond 0; [None] keeps every run
-          starting at 0. *)
+      (** optional save, restore and compare of the instance's state
+          (see {!state_hook}).  With it, each injection run starts from
+          the golden run's state at its first fire instead of
+          re-simulating the golden prefix from millisecond 0, and stops
+          once its state equals the golden run's again; [None] keeps
+          every run starting at 0 and stepping to its end. *)
 }
 
 type t = {

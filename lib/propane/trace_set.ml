@@ -32,33 +32,34 @@ let blit_ints (src : int array) src_pos (dst : int array) dst_pos len =
     Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
   done
 
-(* Appends [ms] milliseconds from the front of [src], doubling the
-   array when it is full. *)
-let append t src ~ms =
+(* Appends milliseconds [from, until) of [src], doubling the array
+   when it is full. *)
+let append t src ~from ~until =
   let n = Array.length t.names in
-  let used = t.duration * n and len = ms * n in
+  let used = t.duration * n and len = (until - from) * n in
   if used + len > Array.length t.data then begin
     let bigger = Array.make (max (used + len) (2 * Array.length t.data)) 0 in
     blit_ints t.data 0 bigger 0 used;
     t.data <- bigger
   end;
-  blit_ints src 0 t.data used len;
-  t.duration <- t.duration + ms
+  blit_ints src (from * n) t.data used len;
+  t.duration <- t.duration + (until - from)
 
 let sample_array t values =
   if Array.length values <> Array.length t.names then
     invalid_arg
       (Printf.sprintf "Trace_set.sample_array: %d values for %d signals"
          (Array.length values) (Array.length t.names));
-  append t values ~ms:1
+  append t values ~from:0 ~until:1
 
-let sample_block t block ~ms =
-  let len = ms * Array.length t.names in
-  if ms < 0 || len > Array.length block then
+let sample_block t block ~from ~until =
+  let need = until * Array.length t.names in
+  if from < 0 || until < from || need > Array.length block then
     invalid_arg
-      (Printf.sprintf "Trace_set.sample_block: %d ms need %d samples, got %d"
-         ms len (Array.length block));
-  append t block ~ms
+      (Printf.sprintf
+         "Trace_set.sample_block: ms [%d, %d) need %d samples, got %d" from
+         until need (Array.length block));
+  append t block ~from ~until
 
 let get t signal =
   match Array.find_index (String.equal signal) t.names with

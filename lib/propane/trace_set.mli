@@ -30,12 +30,14 @@ val sample_array : t -> int array -> unit
     @raise Invalid_argument if the array length differs from the signal
     count. *)
 
-val sample_block : t -> int array -> ms:int -> unit
-(** [sample_block t block ~ms] appends the first [ms] milliseconds of
-    [block], an array in this layout (such as a frozen golden's
-    samples): how a restored run's recording starts with the golden
-    prefix.
-    @raise Invalid_argument if [block] holds fewer samples. *)
+val sample_block : t -> int array -> from:int -> until:int -> unit
+(** [sample_block t block ~from ~until] appends milliseconds
+    [\[from, until)] of [block], an array in this layout (such as a
+    frozen golden's samples): how a restored run's recording starts
+    with the golden prefix, and how a run that rejoined the golden run
+    ends with the golden suffix.
+    @raise Invalid_argument if [block] holds fewer samples, or the
+    range is negative or reversed. *)
 
 val get : t -> string -> int -> int
 (** [get t signal ms] is [signal]'s sample at millisecond [ms].  The

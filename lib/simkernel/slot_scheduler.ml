@@ -6,7 +6,7 @@ type t = {
   tasks : task list array;  (* per slot, in registration order *)
   mutable background : task option;
   mutable ticks : int;
-  mutable last_slot : int option;
+  mutable last_slot : int;  (* -1 before the first tick *)
 }
 
 let create ?(slots = 7) ~slot_source () =
@@ -17,7 +17,7 @@ let create ?(slots = 7) ~slot_source () =
     tasks = Array.make slots [];
     background = None;
     ticks = 0;
-    last_slot = None;
+    last_slot = -1;
   }
 
 let add_task t ~slot ~name run =
@@ -39,7 +39,7 @@ let tick t =
      way the 3-bit hardware counter of the target would. *)
   let raw = t.slot_source () in
   let slot = ((raw mod t.slots) + t.slots) mod t.slots in
-  t.last_slot <- Some slot;
+  t.last_slot <- slot;
   List.iter (fun task -> task.run ()) t.tasks.(slot);
   (match t.background with Some task -> task.run () | None -> ());
   t.ticks <- t.ticks + 1
@@ -51,12 +51,14 @@ let run t ~ms =
   done
 
 let ticks t = t.ticks
-let last_slot t = t.last_slot
+let last_slot t = if t.last_slot < 0 then None else Some t.last_slot
 
-type state = { s_ticks : int; s_last_slot : int option }
+type state = { s_ticks : int; s_last_slot : int }
 
 let save t = { s_ticks = t.ticks; s_last_slot = t.last_slot }
 
 let restore t s =
   t.ticks <- s.s_ticks;
   t.last_slot <- s.s_last_slot
+
+let matches t s = t.ticks = s.s_ticks && t.last_slot = s.s_last_slot

@@ -53,3 +53,6 @@ val save : t -> state
 val restore : t -> state -> unit
 (** [restore t s] sets [t]'s position to [s]; [t] must have the same
     wiring as the scheduler [s] was saved from. *)
+
+val matches : t -> state -> bool
+(** [t]'s position equals [s]. *)

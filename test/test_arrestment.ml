@@ -726,6 +726,56 @@ let restore_tests =
         | () -> Alcotest.fail "restored a foreign state");
   ]
 
+(* A run's millisecond loop allocates nothing in the SUT: neither a
+   step nor a rejoin check does, so the words counted for N of either
+   do not grow with N. *)
+let allocation_tests =
+  let sut = System.sut () in
+  let tc = System.testcase ~mass_kg:12_000.0 ~velocity_mps:70.0 in
+  let grows what words =
+    let short = words 1_000 and long = words 10_000 in
+    if long > short then
+      Alcotest.failf "%s: %.0f words for 1,000, %.0f for 10,000" what short
+        long
+  in
+  [
+    Alcotest.test_case "an arrestment step allocates nothing" `Quick
+      (fun () ->
+        grows "steps" (fun n ->
+            let instance = sut.Propane.Sut.instantiate tc in
+            let before = Gc.minor_words () in
+            for _ = 1 to n do
+              instance.Propane.Sut.step ()
+            done;
+            Gc.minor_words () -. before));
+    Alcotest.test_case "matches allocates nothing" `Quick (fun () ->
+        (* The instance's own state: every part is compared. *)
+        let instance = sut.Propane.Sut.instantiate tc in
+        for _ = 1 to 500 do
+          instance.Propane.Sut.step ()
+        done;
+        let hook = hook instance in
+        let state = hook.Propane.Sut.save () in
+        Alcotest.(check bool) "its own state" true (hook.matches state);
+        grows "matches" (fun n ->
+            let before = Gc.minor_words () in
+            for _ = 1 to n do
+              ignore (Sys.opaque_identity (hook.matches state))
+            done;
+            Gc.minor_words () -. before));
+    Alcotest.test_case "a pending trap or a step is a difference" `Quick
+      (fun () ->
+        let instance = sut.Propane.Sut.instantiate tc in
+        let hook = hook instance in
+        let state = hook.Propane.Sut.save () in
+        instance.Propane.Sut.inject "SetValue" Fun.id;
+        Alcotest.(check bool) "pending trap" false (hook.matches state);
+        hook.restore state;
+        Alcotest.(check bool) "restore drops it" true (hook.matches state);
+        instance.Propane.Sut.step ();
+        Alcotest.(check bool) "one step on" false (hook.matches state));
+  ]
+
 (* Campaigns start each run at its first fire from the golden's saved
    state.  The same SUT without its state hook runs every run from
    millisecond 0; that path is the oracle. *)
@@ -1165,6 +1215,7 @@ let () =
       ("model", model_tests);
       ("golden_runs", golden_run_tests);
       ("restore", restore_tests @ [ restore_property; restored_journals ]);
+      ("allocation", allocation_tests);
       ("campaign", campaign_tests);
       ("envelope", envelope_tests);
       ("recipe", recipe_tests);

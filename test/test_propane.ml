@@ -379,16 +379,19 @@ let trace_set_tests =
   [
     Alcotest.test_case "synchronized sampling" `Quick (fun () ->
         (* A restored run's recording: a block of golden milliseconds,
-           then one millisecond at a time. *)
+           one millisecond at a time, then the golden's suffix once the
+           run has rejoined it. *)
         let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
-        Propane.Trace_set.sample_block set [| 1; 2; 3; 4; 99 |] ~ms:2;
+        let golden = [| 1; 2; 3; 4; 99; 98; 7; 8; 9 |] in
+        Propane.Trace_set.sample_block set golden ~from:0 ~until:2;
         Propane.Trace_set.sample_array set [| 5; 6 |];
-        Alcotest.(check int) "duration" 3 (Propane.Trace_set.duration_ms set);
-        Alcotest.(check (list int)) "a" [ 1; 3; 5 ] (samples set "a");
-        Alcotest.(check (list int)) "b" [ 2; 4; 6 ] (samples set "b"));
+        Propane.Trace_set.sample_block set golden ~from:3 ~until:4;
+        Alcotest.(check int) "duration" 4 (Propane.Trace_set.duration_ms set);
+        Alcotest.(check (list int)) "a" [ 1; 3; 5; 7 ] (samples set "a");
+        Alcotest.(check (list int)) "b" [ 2; 4; 6; 8 ] (samples set "b"));
     check_raises_invalid "sample_block rejects a short block" (fun () ->
         let set = Propane.Trace_set.create ~signals:[ "a"; "b" ] () in
-        Propane.Trace_set.sample_block set [| 1; 2; 3 |] ~ms:2);
+        Propane.Trace_set.sample_block set [| 1; 2; 3 |] ~from:0 ~until:2);
     check_raises_invalid "duplicate signals rejected" (fun () ->
         Propane.Trace_set.create ~signals:[ "a"; "a" ] ());
     check_raises_invalid "empty signal list rejected" (fun () ->
@@ -798,39 +801,46 @@ let signal_store_tests =
 (* ------------------------------------------------------------------ *)
 (* Synthetic SUT: y = x >> 4, x driven externally as a ramp.           *)
 
-type Propane.Sut.state += Scaler of { t : int; x : int; y : int }
+type Propane.Sut.state += Scaler of { t : int; values : int array }
 
 (* [hook] adds a state hook, so campaigns start its runs at their first
-   fire. *)
-let scaler_sut ?(hook = false) () =
+   fire and stop them once they rejoin the golden run.  y is recomputed
+   from x every [read_every] ms; x is rewritten every ms. *)
+let scaler_sut ?(hook = false) ?(read_every = 1) () =
   let instantiate _tc =
     let store =
       Propane.Signal_store.create ~signals:[ ("x", 16); ("y", 16) ] ()
     in
     let t = ref 0 in
-    let peek = Propane.Signal_store.peek store
-    and poke = Propane.Signal_store.poke store in
-    let save () = Scaler { t = !t; x = peek "x"; y = peek "y" } in
+    let save () =
+      let values = Array.make 2 0 in
+      Propane.Signal_store.snapshot store values;
+      Scaler { t = !t; values }
+    in
     let restore = function
       | Scaler s ->
           t := s.t;
-          poke "x" s.x;
-          poke "y" s.y
+          Propane.Signal_store.load store s.values
+      | _ -> invalid_arg "scaler: foreign state"
+    in
+    let matches = function
+      | Scaler s -> !t = s.t && Propane.Signal_store.matches store s.values
       | _ -> invalid_arg "scaler: foreign state"
     in
     {
-      Propane.Sut.read = peek;
-      write = poke;
+      Propane.Sut.read = Propane.Signal_store.peek store;
+      write = Propane.Signal_store.poke store;
       inject = Propane.Signal_store.inject store;
       step =
         (fun () ->
           incr t;
           Propane.Signal_store.write store "x" (!t * 16);
-          Propane.Signal_store.write store "y"
-            (Propane.Signal_store.read store "x" lsr 4));
+          if !t mod read_every = 0 then
+            Propane.Signal_store.write store "y"
+              (Propane.Signal_store.read store "x" lsr 4));
       finished = (fun () -> !t >= 100);
       snapshot = None;
-      state_hook = (if hook then Some { save; restore } else None);
+      state_hook = (if hook then Some { save; restore; matches } else None);
     }
   in
   {
@@ -881,7 +891,9 @@ let runner_tests =
       `Quick (fun () ->
         (* The scaler campaign fires at 10..50 ms; a 5 ms truncation
            leaves at most 6 ms per run once the prefix is skipped, and
-           no run reads its golden past 50 + 5 + 1 ms. *)
+           no run reads its golden past 50 + 5 + 1 ms.  x is rewritten
+           every ms, so a hooked run's state equals the golden's again
+           2 ms after its fire, and the run stops there. *)
         let steps ?truncate_after_ms ~golden hook =
           let sut, counts = counting (scaler_sut ~hook ()) in
           let results =
@@ -902,8 +914,8 @@ let runner_tests =
           "without the hook every run steps through its prefix" true
           (List.for_all (fun n -> n > 10) from_zero);
         Alcotest.(check bool)
-          "with it no run steps more than 6 ms" true
-          (List.for_all (fun n -> n <= 6) from_fire);
+          "with it no run steps more than 2 ms" true
+          (List.for_all (fun n -> n <= 2) from_fire);
         Alcotest.(check bool) "same outcomes" true (plain = hooked));
     Alcotest.test_case "latest_saved picks the last instant at or before"
       `Quick (fun () ->
@@ -922,6 +934,11 @@ let runner_tests =
           "lookups"
           [ None; Some 10; Some 10; Some 20; Some 30; Some 30 ]
           (List.map at [ 9; 10; 19; 20; 30; 5_000 ]);
+        Alcotest.(check (list int))
+          "first instant after" [ 0; 1; 1; 2; 3; 3 ]
+          (List.map
+             (fun ms -> Propane.Golden.saved_after golden ~ms)
+             [ 9; 10; 19; 20; 30; 5_000 ]);
         let plain =
           Propane.Runner.frozen_golden ~save_at:[ 30 ] (scaler_sut ()) tc
         in
@@ -1617,6 +1634,147 @@ let horizon_tests =
                by_run ~jobs:2 ~on_run_traces:traced ();
                by_executor;
              ]));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* A run whose state rejoins the golden run stops there.  The oracles
+   are the same SUT with a hook that never matches (runs restore at
+   their first fire but step to their end) and without a hook (runs
+   start at ms 0). *)
+
+let never_rejoins (sut : Propane.Sut.t) =
+  let instantiate tc =
+    let instance = sut.Propane.Sut.instantiate tc in
+    {
+      instance with
+      Propane.Sut.state_hook =
+        Option.map
+          (fun h -> { h with Propane.Sut.matches = (fun _ -> false) })
+          instance.Propane.Sut.state_hook;
+    }
+  in
+  { sut with Propane.Sut.instantiate }
+
+let hookless (sut : Propane.Sut.t) =
+  let instantiate tc =
+    { (sut.Propane.Sut.instantiate tc) with Propane.Sut.state_hook = None }
+  in
+  { sut with Propane.Sut.instantiate }
+
+let rejoin_tests =
+  let ramp = Propane.Testcase.make ~id:"ramp" ~params:[] in
+  let describe (o : Propane.Results.outcome) =
+    Fmt.str "%a [%a]" Propane.Results.pp_status o.status
+      Fmt.(list ~sep:(any "; ") Propane.Golden.pp_divergence)
+      o.divergences
+  in
+  let gen =
+    QCheck2.Gen.(
+      tup4
+        (tup3 (oneofl [ 1; 4 ]) (oneofl [ [ "x" ]; [ "y" ]; [ "x"; "y" ] ])
+           (int_range 1 2))
+        (opt (int_range 0 40))
+        (list_size (int_range 1 3) (int_range 0 110))
+        (list_size (int_range 1 3) gen_error_model))
+  in
+  let print ((read_every, targets, jobs), truncate, times, errors) =
+    Printf.sprintf
+      "read every %d ms, targets [%s], jobs %d, truncate %s, times [%s], \
+       errors [%s]"
+      read_every (String.concat "; " targets) jobs
+      (Option.fold ~none:"none" ~some:string_of_int truncate)
+      (String.concat "; " (List.map string_of_int times))
+      (String.concat "; " (List.map EM.describe errors))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100 ~print
+         ~name:"rejoined runs keep their outcomes and recordings" gen
+         (fun ((read_every, targets, jobs), truncate_after_ms, times, errors)
+         ->
+           let campaign =
+             Propane.Campaign.make ~name:"rejoin" ~targets ~testcases:[ ramp ]
+               ~times:
+                 (List.map Sim.Sim_time.of_ms
+                    (List.sort_uniq Int.compare times))
+               ~errors
+           in
+           (* Streamed outcomes, then recorded outcomes and samples. *)
+           let runs sut =
+             let streamed =
+               runner ~seed:13L ?truncate_after_ms ~jobs sut campaign
+             in
+             let samples = Hashtbl.create 16 in
+             let recorded =
+               runner ~seed:13L ?truncate_after_ms ~jobs
+                 ~on_run_traces:(fun ~index _ set ->
+                   Hashtbl.replace samples index
+                     ( Propane.Trace_set.duration_ms set,
+                       Propane.Trace_set.samples set ))
+                 sut campaign
+             in
+             ( Propane.Results.outcomes streamed,
+               Propane.Results.outcomes recorded,
+               List.init (Hashtbl.length samples) (Hashtbl.find samples) )
+           in
+           let sut = scaler_sut ~hook:true ~read_every () in
+           let exit = runs sut in
+           exit = runs (never_rejoins sut) && exit = runs (hookless sut)));
+    Alcotest.test_case "a pending trap keeps a run from rejoining" `Quick
+      (fun () ->
+        (* y reads x only when t is a multiple of 4, in ms 3, 7, 11, ...
+           A flip of x injected at 9 or 10 waits in its trap until the
+           read at 11, while every value is golden: a run that matched
+           in between would lose both divergences. *)
+        let sut = scaler_sut ~hook:true ~read_every:4 () in
+        let campaign =
+          Propane.Campaign.make ~name:"pending" ~targets:[ "x" ]
+            ~testcases:[ ramp ]
+            ~times:(List.map Sim.Sim_time.of_ms [ 9; 10; 11 ])
+            ~errors:[ EM.Bit_flip 15 ]
+        in
+        let outcomes sut =
+          Propane.Results.outcomes (runner ~seed:3L sut campaign)
+        in
+        let exit = outcomes sut in
+        Alcotest.(check (list string))
+          "every flip diverges at the read"
+          (List.init 3 (fun _ -> "completed [x@11ms; y@11ms]"))
+          (List.map describe exit);
+        Alcotest.(check bool)
+          "as without the exit" true
+          (exit = outcomes (never_rejoins sut)));
+    Alcotest.test_case "a faulted run crashes as if it never rejoined" `Quick
+      (fun () ->
+        (* Low-bit flips of x never reach y, so no run saturates; each
+           rejoins its golden 2 ms after the fire, and the fault crashes
+           it 5 ms after. *)
+        let sut =
+          Propane.Fault.wrap ~crash_after_ms:5 (scaler_sut ~hook:true ())
+        in
+        let campaign =
+          Propane.Campaign.make ~name:"crash" ~targets:[ "x" ]
+            ~testcases:[ ramp ]
+            ~times:(List.map Sim.Sim_time.of_ms [ 10; 20; 30 ])
+            ~errors:(List.init 4 (fun b -> EM.Bit_flip b))
+        in
+        let outcomes sut =
+          Propane.Results.outcomes (runner ~seed:3L sut campaign)
+        in
+        let exit = outcomes sut in
+        List.iter
+          (fun (o : Propane.Results.outcome) ->
+            match o.status with
+            | Propane.Results.Crashed { at_ms; _ } ->
+                Alcotest.(check int)
+                  "5 ms after the fire"
+                  (Propane.Injection.inject_ms o.injection + 5)
+                  at_ms
+            | _ -> Alcotest.failf "not crashed: %s" (describe o))
+          exit;
+        Alcotest.(check bool)
+          "as without the exit" true
+          (exit = outcomes (never_rejoins sut)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -3769,6 +3927,7 @@ let () =
       ("signal_store", signal_store_tests);
       ("runner", runner_tests);
       ("horizon", horizon_tests);
+      ("rejoin", rejoin_tests);
       ("estimator", estimator_tests);
       ("results", results_tests);
       ("latency", latency_tests);
