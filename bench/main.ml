@@ -663,7 +663,10 @@ let prob () =
       ~combinator:Propagation.Compose.Max_path analysis
   in
   let hi = Propagation.Compose.equivalent_matrix analysis in
-  let mc = Propagation.Monte_carlo.arrival_matrix ~trials:20_000 ~seed:42 graph in
+  let mc =
+    Propagation.Monte_carlo.arrival_matrix ~trials:20_000 ~seed:42 graph
+      ~sources:(Propagation.System_model.system_inputs model)
+  in
   List.iteri
     (fun idx input ->
       let i = idx + 1 in

@@ -31,6 +31,7 @@ let () =
   let mc =
     Monte_carlo.arrival_matrix ~trials:20_000 ~seed:42
       inner_analysis.Analysis.graph
+      ~sources:(System_model.system_inputs Arrestment.Model.system)
   in
   Format.printf
     "equivalent permeability of the collapsed controller (input -> TOC2):@.";

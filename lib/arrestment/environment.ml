@@ -29,8 +29,6 @@ let create store ~mass_kg ~velocity_mps =
     rest_ms = 0;
   }
 
-let physics t = t.physics
-
 let pre_step t =
   (* The free-running timer and the pulse counter are hardware counters:
      they accumulate on top of whatever the register holds, so injected

@@ -26,8 +26,6 @@ val create : Propane.Signal_store.t -> mass_kg:float -> velocity_mps:float -> t
     injection then corrupts a register at once and never waits in a
     trap, so the environment's register reads fire none. *)
 
-val physics : t -> Physics.t
-
 val pre_step : t -> unit
 val post_step : t -> unit
 val convert_adc : t -> unit

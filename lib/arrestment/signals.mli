@@ -62,9 +62,6 @@ val toc2 : Propagation.Signal.t
 (** [TOC2] — output-compare (PWM) hardware register driving the
     pressure valves. *)
 
-val all : Propagation.Signal.t list
-(** The fourteen signals in a fixed documentation order. *)
-
 val store_layout : (string * int) list
 (** [(name, width)] for {!Propane.Signal_store.create}. *)
 

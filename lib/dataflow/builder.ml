@@ -194,7 +194,6 @@ let create_exn ?name ?width ?duration_ms ?plants ~blocks ~stimuli () =
   | Error msg -> invalid_arg ("Builder.create_exn: " ^ msg)
 
 let model t = t.model
-let duration_ms t = t.duration_ms
 
 let injection_targets t =
   List.sort_uniq String.compare

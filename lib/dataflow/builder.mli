@@ -124,8 +124,6 @@ val sut : ?fault:Propane.Fault.spec -> t -> Propane.Sut.t
 (** [fault] wraps the SUT in a {!Propane.Fault} chaos harness (crash /
     hang after injection); omitted, the SUT is returned as built. *)
 
-val duration_ms : t -> int
-
 val injection_targets : t -> string list
 (** All distinct block-input signals, the natural campaign targets. *)
 

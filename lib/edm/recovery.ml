@@ -15,8 +15,3 @@ let make_guard t () =
           v
         end
         else Option.value ~default:0 !last
-
-let describe = function
-  | Clamp { lo; hi } -> Printf.sprintf "clamp to [%d, %d]" lo hi
-  | Hold_last_if a -> "hold-last unless " ^ Assertion.describe a
-  | Forward -> "forward (no recovery)"

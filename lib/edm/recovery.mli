@@ -17,5 +17,3 @@ val make_guard : t -> unit -> int -> int
 (** [make_guard t ()] is a fresh transformer suitable for
     [add_write_guard]; statefulness (the held value of [Hold_last_if])
     is confined to the closure. *)
-
-val describe : t -> string

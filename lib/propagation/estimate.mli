@@ -55,9 +55,6 @@ val is_measured : t -> bool
 val zero : t
 (** [exact 0.] *)
 
-val one : t
-(** [exact 1.] *)
-
 (** {1 Interval arithmetic}
 
     Derived estimates carry no counts ([n_err = n_inj = 0]); only the

@@ -61,7 +61,6 @@ val sort_by_weight : t list -> t list
     textual rendering, so the order is total and reproducible. *)
 
 val non_zero : t list -> t list
-val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** e.g. ["TOC2 <- OutValue <- SetValue <- pulscnt <- PACNT (w=0.123)"]

@@ -64,9 +64,6 @@ val non_weighted_estimate : t -> Estimate.t
 val row : t -> input:int -> float array
 (** Copy of the permeabilities from one input to every output. *)
 
-val column : t -> output:int -> float array
-(** Copy of the permeabilities from every input to one output. *)
-
 val row_sum : t -> input:int -> float
 val column_sum : t -> output:int -> float
 val column_sum_estimate : t -> output:int -> Estimate.t

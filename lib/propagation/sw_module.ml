@@ -56,8 +56,6 @@ let output_signals t = Array.to_list t.outputs
 let feedback_signals t =
   List.filter (fun s -> input_index t s <> None) (output_signals t)
 
-let equal a b = String.equal a.name b.name
-
 let pp ppf t =
   Fmt.pf ppf "@[<h>%s(%a -> %a)@]" t.name
     Fmt.(list ~sep:comma Signal.pp)

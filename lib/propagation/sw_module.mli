@@ -49,5 +49,4 @@ val feedback_signals : t -> Signal.t list
 (** Signals that this module both produces and consumes (module-local
     feedback loops, e.g. signal [i] of module [CALC]). *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

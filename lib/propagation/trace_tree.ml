@@ -90,8 +90,6 @@ let fold f acc t = fold_node f acc t.root
 let leaf_count t =
   fold (fun acc n -> if n.children = [] then acc + 1 else acc) 0 t
 
-let node_count t = fold (fun acc _ -> acc + 1) 0 t
-
 let depth t =
   let rec go node =
     match node.children with

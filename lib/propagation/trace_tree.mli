@@ -47,7 +47,6 @@ val build_all : Perm_graph.t -> t list
 (** One tree per declared system input (step B4). *)
 
 val leaf_count : t -> int
-val node_count : t -> int
 val depth : t -> int
 
 val fold : ('a -> node -> 'a) -> 'a -> t -> 'a

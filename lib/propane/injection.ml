@@ -11,12 +11,5 @@ let make ~target ~at ~error =
   { target; at; error }
 
 let inject_ms t = Simkernel.Sim_time.to_ms t.at
-let fires t ~ms = Error_model.fires t.error ~inject_ms:(inject_ms t) ~ms
 let first_fire_ms t = Error_model.first_fire_ms t.error ~inject_ms:(inject_ms t)
 let last_fire_ms t = Error_model.last_fire_ms t.error ~inject_ms:(inject_ms t)
-
-let describe t =
-  Printf.sprintf "%s into %s at %d ms"
-    (Error_model.describe t.error)
-    t.target
-    (Simkernel.Sim_time.to_ms t.at)

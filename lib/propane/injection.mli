@@ -20,16 +20,12 @@ val make : target:string -> at:Simkernel.Sim_time.t -> error:Error_model.t -> t
 val inject_ms : t -> int
 (** [Sim_time.to_ms t.at] — the campaign's scheduled injection time. *)
 
-val fires : t -> ms:int -> bool
-(** Does the error model corrupt the target at millisecond [ms]?  See
-    {!Error_model.fires}: exactly [t.at] for spatial models, later /
-    repeatedly for temporal ones. *)
-
 val first_fire_ms : t -> int
-(** First millisecond at which {!fires} holds. *)
+(** First millisecond at which the error model corrupts the target
+    ({!Error_model.fires}): exactly [t.at] for spatial models, later
+    for temporal ones. *)
 
 val last_fire_ms : t -> int
-(** Last millisecond at which {!fires} holds — the injection lifetime's
-    end; runs must stay alive through it to realise the full model. *)
-
-val describe : t -> string
+(** Last millisecond at which the error model corrupts the target — the
+    injection lifetime's end; runs must stay alive through it to
+    realise the full model. *)

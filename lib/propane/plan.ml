@@ -17,43 +17,6 @@ type prior = {
   weight : float;
 }
 
-(* Corruption probability of every signal given an error on [target],
-   by noisy-or relaxation over the graph's arcs: p(s) grows towards
-   the fixpoint of p(s) = 1 - prod over arcs into s of
-   (1 - p(src) * weight).  Monotone and bounded, so module-count + 2
-   passes settle any DAG and give feedback loops the same
-   single-unrolling reading as the tree builders. *)
-let corruption_map graph ~target =
-  let model = P.Perm_graph.model graph in
-  let p = Hashtbl.create 64 in
-  let get s = Option.value ~default:0.0 (Hashtbl.find_opt p s) in
-  Hashtbl.replace p target 1.0;
-  let arcs = P.Perm_graph.arcs graph in
-  let passes = List.length (P.System_model.modules model) + 2 in
-  for _ = 1 to passes do
-    (* miss(s) = prod (1 - p(src) * w) over arcs producing s, from the
-       previous relaxation state *)
-    let miss = Hashtbl.create 64 in
-    List.iter
-      (fun (arc : P.Perm_graph.arc) ->
-        let m =
-          P.System_model.find_module_exn model arc.pair.module_name
-        in
-        let src = P.Signal.name (P.Sw_module.input_signal m arc.pair.input) in
-        let out = P.Signal.name arc.signal in
-        let contribution = get src *. arc.weight in
-        let acc = Option.value ~default:1.0 (Hashtbl.find_opt miss out) in
-        Hashtbl.replace miss out (acc *. (1.0 -. contribution)))
-      arcs;
-    Hashtbl.iter
-      (fun s m ->
-        let v = Float.max (get s) (1.0 -. m) in
-        let v = if s = target then 1.0 else v in
-        Hashtbl.replace p s v)
-      miss
-  done;
-  get
-
 let noisy_or = List.fold_left (fun acc x -> 1.0 -. ((1.0 -. acc) *. (1.0 -. x))) 0.0
 
 let flat_matrices model =
@@ -71,11 +34,26 @@ let flat_matrices model =
 
 let priors ~model ~targets () =
   let graph = P.Perm_graph.build_exn model (flat_matrices model) in
-  let outputs = P.System_model.system_outputs model in
   let signal_of name =
     List.find_opt
       (fun s -> P.Signal.name s = name)
       (P.System_model.signals model)
+  in
+  (* every target's reach, from one sampled matrix: the noisy-or over
+     its row *)
+  let reaches =
+    match List.filter_map signal_of targets with
+    | [] -> []
+    | sources ->
+        let arrival =
+          P.Monte_carlo.arrival_matrix ~trials:2000 ~seed:1 graph ~sources
+        in
+        List.mapi
+          (fun r s ->
+            ( P.Signal.name s,
+              noisy_or
+                (Array.to_list (P.Perm_matrix.row arrival ~input:(r + 1))) ))
+          sources
   in
   List.map
     (fun target ->
@@ -99,20 +77,7 @@ let priors ~model ~targets () =
                 (cells + outs, spread))
               (0, 0.0) consumers
           in
-          let reach =
-            if P.System_model.is_system_input model signal then
-              (* the system-input case has an exact estimator *)
-              noisy_or
-                (List.map
-                   (fun output ->
-                     P.Monte_carlo.arrival_probability ~trials:2000 ~seed:1
-                       graph ~input:signal ~output)
-                   outputs)
-            else
-              let corruption = corruption_map graph ~target in
-              noisy_or
-                (List.map (fun o -> corruption (P.Signal.name o)) outputs)
-          in
+          let reach = List.assoc target reaches in
           let weight = Float.max 0.05 (spread *. (0.5 +. reach)) in
           { target; cells; spread; reach; weight })
     targets

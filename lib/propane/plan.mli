@@ -14,11 +14,12 @@
     paper already knows something: the permeability graph
     ({!Propagation.Perm_graph}) fixes which modules a target feeds, and
     a flat 0.5 prior matrix gives each target an expected binomial
-    variance mass and a downstream reach — the noisy-or arrival bound
-    of {!Propagation.Compose}, or the {!Propagation.Monte_carlo}
-    estimate when the target is a system input.  The pilot round
-    splits the budget proportionally to these priors, so measurement
-    starts where the analysis predicts the most information.
+    variance mass and a downstream reach — the probability, sampled by
+    {!Propagation.Monte_carlo}, that an error on the target arrives at
+    a system output.  One estimator scores every target, system input
+    or internal signal.  The pilot round splits the budget
+    proportionally to these priors, so measurement starts where the
+    analysis predicts the most information.
 
     {b Rounds and determinism.}  Allocation is a barrier process:
     round [k+1] is computed only from the multiset of outcomes of
@@ -73,13 +74,13 @@ type prior = {
 val priors :
   model:Propagation.System_model.t -> targets:string list -> unit -> prior list
 (** One prior per target, in the given order, under flat 0.5
-    permeabilities (the maximum-entropy prior).  [reach] is computed
-    analytically: a noisy-or fixpoint over the permeability graph's
-    arcs for internal targets, the {!Propagation.Monte_carlo} arrival
-    estimate (deterministic seed) for system inputs.  Targets no
-    module consumes get [cells = 0] and a floor weight, so they still
-    receive pilot coverage (estimation needs every campaign target
-    injected at least once). *)
+    permeabilities (the maximum-entropy prior).  [reach] is the
+    noisy-or over the system outputs of the target's row in one
+    {!Propagation.Monte_carlo.arrival_matrix} call (2,000 trials, a
+    fixed seed) over every target that is a signal of the model.
+    Targets no module consumes get [cells = 0] and a floor weight, so
+    they still receive pilot coverage (estimation needs every campaign
+    target injected at least once). *)
 
 (** {1 Construction} *)
 

@@ -87,6 +87,6 @@ val persist : t -> Estimator.Stream.t -> Results.t -> (unit, string) result
     partial counters would poison later compositions) and whose module
     carries a digest.  Returns the first store error, if any. *)
 
-val stats : t -> Cache.stats
 val write_stats : t -> (unit, string) result
-(** {!Cache.write_stats} of {!stats} into the plan's directory. *)
+(** {!Cache.write_stats} of the plan's cell and run counts into the
+    plan's directory. *)

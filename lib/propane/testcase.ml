@@ -51,5 +51,3 @@ let uniform_axis name ~lo ~hi ~steps =
   if not (lo < hi) then invalid_arg "Testcase.uniform_axis: need lo < hi";
   let width = (hi -. lo) /. float_of_int (steps - 1) in
   (name, List.init steps (fun j -> lo +. (float_of_int j *. width)))
-
-let equal a b = String.equal a.id b.id

@@ -29,5 +29,3 @@ val uniform_axis : string -> lo:float -> hi:float -> steps:int -> string * float
 (** [steps] uniformly spaced values from [lo] to [hi] inclusive — the
     paper's "uniformly distributed between 8,000-20,000 kg".
     @raise Invalid_argument unless [steps >= 2] and [lo < hi]. *)
-
-val equal : t -> t -> bool

@@ -19,8 +19,6 @@ type location = {
   propagated : int;  (** runs whose error reached a system output *)
 }
 
-val ratio : location -> float
-
 val locations : outputs:string list -> Results.t -> location list
 (** Groups the outcomes by location, in first-seen order. *)
 

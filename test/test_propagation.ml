@@ -1193,9 +1193,10 @@ let compose_tests =
 
 (* ------------------------------------------------------------------ *)
 
-(* The breadth-first search [Monte_carlo] ran on signal sets, name
-   lookups and a [Queue] before it moved to integer arrays: the oracle
-   its estimates must equal bit for bit.  [unit_draw] is a copy. *)
+(* The forward breadth-first search [Monte_carlo] ran on signal sets,
+   name lookups and a [Queue] before it moved to integer arrays and
+   then to a backward spread: the oracle its estimates must equal bit
+   for bit, from every starting signal.  [unit_draw] is a copy. *)
 let set_based_arrival ~trials ~seed graph ~input ~output =
   let unit_draw ~trial (pair : Perm_graph.pair) =
     let h =
@@ -1307,6 +1308,35 @@ let random_graph_gen =
   return
     (Perm_graph.build_exn model (String_map.of_list (List.map snd modules)))
 
+(* Every simple path's weight from [source] to [output]: the product
+   of the permeabilities along it (the empty path, weight 1, when the
+   source is the output). *)
+let simple_path_weights graph ~source ~output =
+  let model = Perm_graph.model graph in
+  let rec walk signal visited weight =
+    if Signal.equal signal output then [ weight ]
+    else
+      List.concat_map
+        (fun (m, i) ->
+          let matrix = Perm_graph.matrix graph (Sw_module.name m) in
+          List.concat_map
+            (fun k ->
+              let next = Sw_module.output_signal m k in
+              if Signal.Set.mem next visited then []
+              else
+                walk next (Signal.Set.add next visited)
+                  (weight *. Perm_matrix.get matrix ~input:i ~output:k))
+            (List.init (Sw_module.output_count m) succ))
+        (System_model.consumers model signal)
+  in
+  walk source (Signal.Set.singleton source) 1.0
+
+(* The estimate for one source of a single-output graph. *)
+let arrival ~trials ~seed graph source =
+  Perm_matrix.get
+    (Monte_carlo.arrival_matrix ~trials ~seed graph ~sources:[ source ])
+    ~input:1 ~output:1
+
 let monte_carlo_tests =
   [
     Alcotest.test_case "single-path system matches the product" `Quick
@@ -1326,14 +1356,16 @@ let monte_carlo_tests =
                ])
         in
         let p =
-          Monte_carlo.arrival_probability ~trials:20_000 ~seed:7 graph
-            ~input:(s "in") ~output:(s "out")
+          arrival ~trials:20_000 ~seed:7 graph (s "in")
         in
         Alcotest.(check (float 0.02)) "0.2" 0.2 p);
     Alcotest.test_case "bracketed by max-path and noisy-or" `Quick (fun () ->
         let analysis = Fig_example.analysis () in
         let graph = analysis.Analysis.graph in
-        let mc = Monte_carlo.arrival_matrix ~trials:5_000 ~seed:3 graph in
+        let mc =
+          Monte_carlo.arrival_matrix ~trials:5_000 ~seed:3 graph
+            ~sources:Fig_example.inputs
+        in
         let lo = Compose.equivalent_matrix ~combinator:Compose.Max_path analysis in
         let hi = Compose.equivalent_matrix analysis in
         Perm_matrix.fold
@@ -1344,12 +1376,37 @@ let monte_carlo_tests =
             Alcotest.(check bool)
               "below noisy-or" true
               (v <= Perm_matrix.get hi ~input ~output +. 0.03))
-          mc ());
+          mc ();
+        (* Internal signals, against their own simple paths: the
+           heaviest path's product below, and above the union of all
+           paths taken as independent, which overstates it because
+           paths sharing pairs are positively correlated. *)
+        let internal = System_model.internal_signals Fig_example.system in
+        let mc =
+          Monte_carlo.arrival_matrix ~trials:5_000 ~seed:3 graph
+            ~sources:internal
+        in
+        List.iteri
+          (fun r source ->
+            let weights =
+              simple_path_weights graph ~source ~output:Fig_example.output
+            in
+            let v = Perm_matrix.get mc ~input:(r + 1) ~output:1 in
+            let name = Signal.name source in
+            Alcotest.(check bool)
+              (name ^ " above max path") true
+              (v >= List.fold_left Float.max 0.0 weights -. 0.03);
+            Alcotest.(check bool)
+              (name ^ " below noisy-or") true
+              (v
+              <= 1.0
+                 -. List.fold_left (fun acc w -> acc *. (1.0 -. w)) 1.0 weights
+                 +. 0.03))
+          internal);
     Alcotest.test_case "deterministic in the seed" `Quick (fun () ->
         let graph = Fig_example.graph in
         let p () =
-          Monte_carlo.arrival_probability ~trials:2_000 ~seed:11 graph
-            ~input:(s "ext_a") ~output:(s "e_out")
+          arrival ~trials:2_000 ~seed:11 graph (s "ext_a")
         in
         close "same" (p ()) (p ()));
     Alcotest.test_case "zero permeability never arrives" `Quick (fun () ->
@@ -1363,29 +1420,31 @@ let monte_carlo_tests =
             (String_map.of_list [ ("A", Perm_matrix.of_rows [| [| 0.0 |] |]) ])
         in
         close "zero" 0.0
-          (Monte_carlo.arrival_probability ~trials:1_000 ~seed:1 graph
-             ~input:(s "in") ~output:(s "out")));
-    check_raises_invalid "rejects a non-input source" (fun () ->
-        Monte_carlo.arrival_probability ~trials:10 ~seed:1 Fig_example.graph
-          ~input:(s "b2") ~output:(s "e_out"));
+          (arrival ~trials:1_000 ~seed:1 graph (s "in")));
+    check_raises_invalid "rejects a signal outside the model" (fun () ->
+        Monte_carlo.arrival_matrix ~trials:10 ~seed:1 Fig_example.graph
+          ~sources:[ s "ext_a"; s "nowhere" ]);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:200
          ~name:"estimates equal a set-based search's, float for float"
          QCheck2.Gen.(triple random_graph_gen (int_range 1 300) int)
          (fun (graph, trials, seed) ->
            let model = Perm_graph.model graph in
+           let sources = System_model.signals model in
+           let mc = Monte_carlo.arrival_matrix ~trials ~seed graph ~sources in
            List.for_all
-             (fun input ->
+             (fun (r, input) ->
                List.for_all
-                 (fun output ->
+                 (fun (c, output) ->
                    Int64.equal
                      (Int64.bits_of_float
-                        (Monte_carlo.arrival_probability ~trials ~seed graph
-                           ~input ~output))
+                        (Perm_matrix.get mc ~input:r ~output:c))
                      (Int64.bits_of_float
                         (set_based_arrival ~trials ~seed graph ~input ~output)))
-                 (System_model.system_outputs model))
-             (System_model.system_inputs model)));
+                 (List.mapi
+                    (fun c o -> (c + 1, o))
+                    (System_model.system_outputs model)))
+             (List.mapi (fun r i -> (r + 1, i)) sources)));
   ]
 
 let () =

@@ -3913,6 +3913,61 @@ let replay_tests =
               completed));
   ]
 
+(* A diamond behind x: x -> M -> y; y -> B -> u and y -> C -> v;
+   u, v -> D -> out.  Under the flat 0.5 prior an error on x reaches
+   out with probability 0.5 * (1 - 0.75^2) = 0.21875: both branches
+   start at y, which M writes once whoever reads it.  [produced] puts a
+   module P between the system input and x. *)
+let diamond_priors ~produced ~targets =
+  let s = Propagation.Signal.make in
+  let m name inputs outputs =
+    Propagation.Sw_module.make ~name ~inputs:(List.map s inputs)
+      ~outputs:(List.map s outputs)
+  in
+  let core =
+    [
+      m "M" [ "x" ] [ "y" ];
+      m "B" [ "y" ] [ "u" ];
+      m "C" [ "y" ] [ "v" ];
+      m "D" [ "u"; "v" ] [ "out" ];
+    ]
+  in
+  let modules, system_inputs =
+    if produced then (m "P" [ "in" ] [ "x" ] :: core, [ s "in" ])
+    else (core, [ s "x" ])
+  in
+  Propane.Plan.priors
+    ~model:
+      (Propagation.System_model.make_exn ~modules ~system_inputs
+         ~system_outputs:[ s "out" ])
+    ~targets ()
+
+let plan_tests =
+  [
+    Alcotest.test_case "reconvergent fan-out is counted once" `Quick
+      (fun () ->
+        let reach ~produced =
+          match diamond_priors ~produced ~targets:[ "x" ] with
+          | [ prior ] -> prior.Propane.Plan.reach
+          | _ -> Alcotest.fail "one prior per target"
+        in
+        let internal = reach ~produced:true in
+        Alcotest.(check int64)
+          "the same estimate as a system input"
+          (Int64.bits_of_float (reach ~produced:false))
+          (Int64.bits_of_float internal);
+        Alcotest.(check (float 0.03)) "exact reach" 0.21875 internal);
+    Alcotest.test_case "a target outside the model keeps the floor" `Quick
+      (fun () ->
+        match diamond_priors ~produced:true ~targets:[ "nowhere"; "x" ] with
+        | [ outside; x ] ->
+            Alcotest.(check int) "cells" 0 outside.Propane.Plan.cells;
+            close "reach" 0.0 outside.Propane.Plan.reach;
+            close "weight" 0.05 outside.Propane.Plan.weight;
+            Alcotest.(check int) "x cells" 1 x.Propane.Plan.cells
+        | _ -> Alcotest.fail "one prior per target");
+  ]
+
 let () =
   Alcotest.run "propane"
     [
@@ -3924,6 +3979,7 @@ let () =
       ("observer", observer_tests);
       ("testcase", testcase_tests);
       ("campaign", campaign_tests);
+      ("plan", plan_tests);
       ("signal_store", signal_store_tests);
       ("runner", runner_tests);
       ("horizon", horizon_tests);
