@@ -1355,9 +1355,7 @@ let monte_carlo_tests =
                  ("B", Perm_matrix.of_rows [| [| 0.4 |] |]);
                ])
         in
-        let p =
-          arrival ~trials:20_000 ~seed:7 graph (s "in")
-        in
+        let p = arrival ~trials:20_000 ~seed:7 graph (s "in") in
         Alcotest.(check (float 0.02)) "0.2" 0.2 p);
     Alcotest.test_case "bracketed by max-path and noisy-or" `Quick (fun () ->
         let analysis = Fig_example.analysis () in
@@ -1405,9 +1403,7 @@ let monte_carlo_tests =
           internal);
     Alcotest.test_case "deterministic in the seed" `Quick (fun () ->
         let graph = Fig_example.graph in
-        let p () =
-          arrival ~trials:2_000 ~seed:11 graph (s "ext_a")
-        in
+        let p () = arrival ~trials:2_000 ~seed:11 graph (s "ext_a") in
         close "same" (p ()) (p ()));
     Alcotest.test_case "zero permeability never arrives" `Quick (fun () ->
         let a = mk_mod ~name:"A" [ "in" ] [ "out" ] in
