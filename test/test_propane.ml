@@ -3959,11 +3959,18 @@ let plan_tests =
         Alcotest.(check (float 0.03)) "exact reach" 0.21875 internal);
     Alcotest.test_case "a target outside the model keeps the floor" `Quick
       (fun () ->
+        let floor (p : Propane.Plan.prior) =
+          Alcotest.(check int) "cells" 0 p.Propane.Plan.cells;
+          close "reach" 0.0 p.Propane.Plan.reach;
+          close "weight" 0.05 p.Propane.Plan.weight
+        in
+        (* with no target in the model, nothing is sampled *)
+        (match diamond_priors ~produced:true ~targets:[ "nowhere" ] with
+        | [ outside ] -> floor outside
+        | _ -> Alcotest.fail "one prior per target");
         match diamond_priors ~produced:true ~targets:[ "nowhere"; "x" ] with
         | [ outside; x ] ->
-            Alcotest.(check int) "cells" 0 outside.Propane.Plan.cells;
-            close "reach" 0.0 outside.Propane.Plan.reach;
-            close "weight" 0.05 outside.Propane.Plan.weight;
+            floor outside;
             Alcotest.(check int) "x cells" 1 x.Propane.Plan.cells
         | _ -> Alcotest.fail "one prior per target");
   ]
