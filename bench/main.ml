@@ -45,7 +45,17 @@ let plan_rows : Json.t list ref = ref []
 
 let record rows row = rows := !rows @ [ row ]
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A section this run produced no rows for keeps the rows the existing
+   file holds, so `bench/main.exe models` alone rewrites only the
+   models rows. *)
 let write_bench_json () =
+  let path = "BENCH_campaign.json" in
   let sections =
     [
       ("scaling", scaling_rows);
@@ -55,14 +65,25 @@ let write_bench_json () =
     ]
   in
   if List.exists (fun (_, rows) -> !rows <> []) sections then begin
+    let existing =
+      match Json.parse (read_file path) with
+      | Ok json -> json
+      | Error _ | (exception Sys_error _) -> Json.Null
+    in
     let render (name, rows) =
-      let rows = List.map (fun r -> "\n    " ^ Json.to_string r) !rows in
+      let rows =
+        if !rows <> [] then !rows
+        else
+          Option.value ~default:[]
+            (Option.bind (Json.member name existing) Json.list)
+      in
+      let rows = List.map (fun r -> "\n    " ^ Json.to_string r) rows in
       Printf.sprintf "  %s: [%s%s]"
         (Json.to_string (Json.Str name))
         (String.concat "," rows)
         (if rows = [] then "" else "\n  ")
     in
-    let oc = open_out "BENCH_campaign.json" in
+    let oc = open_out path in
     Printf.fprintf oc "{\n  \"nproc\": %d,\n%s\n}\n" nproc
       (String.concat ",\n" (List.map render sections));
     close_out oc;
@@ -331,119 +352,25 @@ let observations () =
   Format.printf "%a@." Edm.Selector.pp (Edm.Selector.propose placement)
 
 (* ------------------------------------------------------------------ *)
-(* Ablations (beyond the paper; see DESIGN.md section 9)               *)
-
-let ablation () =
-  section "Ablation: error model and attribution window";
-  let testcases =
-    Propane.Testcase.grid
-      [
-        Propane.Testcase.uniform_axis "mass" ~lo:8_000.0 ~hi:20_000.0 ~steps:2;
-        Propane.Testcase.uniform_axis "velocity" ~lo:40.0 ~hi:80.0 ~steps:2;
-      ]
-  in
-  let times = List.map Simkernel.Sim_time.of_ms [ 1_000; 3_000 ] in
-  let sut = Arrestment.System.sut () in
-  let run name errors =
-    let c =
-      Propane.Campaign.make ~name ~targets:Arrestment.Model.injection_targets
-        ~testcases ~times ~errors
-    in
-    Propane.Runner.run
-      ~config:(Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ())
-      sut c
-  in
-  let summarise name results attribution =
-    match
-      Propane.Estimator.estimate_all ~attribution
-        ~model:Arrestment.Model.system results
-    with
-    | Error msg -> Printf.printf "%-28s estimation failed: %s\n" name msg
-    | Ok matrices ->
-        let total =
-          Propagation.String_map.fold
-            (fun _ m acc -> acc +. Propagation.Perm_matrix.non_weighted m)
-            matrices 0.0
-        in
-        let analysis =
-          Propagation.Analysis.run_exn Arrestment.Model.system matrices
-        in
-        let nz =
-          List.length
-            (List.assoc Arrestment.Signals.toc2
-               analysis.Propagation.Analysis.output_paths)
-        in
-        Printf.printf
-          "%-28s sum of all 25 permeabilities = %6.3f; non-zero TOC2 paths = \
-           %d\n"
-          name total nz
-  in
-  let direct = Propane.Estimator.default_attribution in
-  let bitflip_results =
-    run "ablation-bitflip"
-      (Propane.Error_model.bit_flips ~width:Arrestment.Signals.width)
-  in
-  summarise "bit-flips, direct window" bitflip_results direct;
-  summarise "bit-flips, any divergence" bitflip_results
-    Propane.Estimator.Any_divergence;
-  summarise "stuck-at {0,max}, direct"
-    (run "ablation-stuckat"
-       [ Propane.Error_model.Stuck_at 0; Propane.Error_model.Stuck_at 0xFFFF ])
-    direct;
-  summarise "offsets {-256,+256}, direct"
-    (run "ablation-offset"
-       [ Propane.Error_model.Offset (-256); Propane.Error_model.Offset 256 ])
-    direct;
-  summarise "uniform replacement, direct"
-    (run "ablation-uniform"
-       (List.init 4 (fun _ -> Propane.Error_model.Replace_uniform)))
-    direct
-
-(* ------------------------------------------------------------------ *)
-(* Error-model ablation with ranking shifts.  One reduced campaign per
-   roster over the identical workload grid; each row lands in
-   BENCH_campaign.json with the full per-module interval data so CI
-   can track how far each model moves the paper's module ranking. *)
+(* Error-model ablation with ranking shifts: Recipe.ablation on the
+   2x2-case, 2-instant grid, the study `propane analyze --by-model
+   --cases 2 --times 2` prints.  Each row lands in BENCH_campaign.json
+   with the full per-module interval data so CI can track how far each
+   model moves the paper's module ranking. *)
 
 let models () =
   section "Error-model ablation: permeability-ranking shift per model";
-  let testcases =
-    Propane.Testcase.grid
-      [
-        Propane.Testcase.uniform_axis "mass" ~lo:8_000.0 ~hi:20_000.0 ~steps:2;
-        Propane.Testcase.uniform_axis "velocity" ~lo:40.0 ~hi:80.0 ~steps:2;
-      ]
-  in
-  let times = List.map Simkernel.Sim_time.of_ms [ 1_000; 3_000 ] in
-  let campaign_of errors =
-    Propane.Campaign.make ~name:"bench-models"
-      ~targets:Arrestment.Model.injection_targets ~testcases ~times ~errors
-  in
-  let rosters =
-    List.map
-      (fun spec ->
-        match
-          Propane.Error_model.roster_of_string
-            ~width:Arrestment.Signals.width spec
-        with
-        | Ok errors -> (spec, errors)
-        | Error msg -> failwith (spec ^ ": " ^ msg))
-      Arrestment.Recipe.models
-  in
   match
-    Propane.Ablation.study
-      ~config:
-        (Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ())
-      ~sut:(Arrestment.System.sut ()) ~model:Arrestment.Model.system
-      ~campaign_of rosters
+    Arrestment.Recipe.ablation (Arrestment.Recipe.make ~cases:2 ~times:2 ())
   with
   | Error msg -> failwith ("models: " ^ msg)
   | Ok rows ->
       List.iter
-        (fun (r : Propane.Ablation.row) ->
+        (fun (r : Arrestment.Recipe.ablation_row) ->
           Printf.printf "%-18s %5d runs  tau %+.2f  %s\n" r.spec r.runs
             r.tau_vs_baseline
-            (String.concat " > " r.order);
+            (String.concat " > "
+               (List.map (fun (name, _, _) -> name) r.estimates));
           record model_rows
             (Json.Obj
                [
@@ -763,12 +690,6 @@ let suts_under_test () =
       (fun () -> Dataflow.Builder.sut (Lazy.force layered_system)),
       layered_campaign );
   ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let tmp_path name =
   Filename.concat
@@ -1372,7 +1293,6 @@ let targets =
     ("table3", table3);
     ("table4", table4);
     ("observations", observations);
-    ("ablation", ablation);
     ("models", models);
     ("severity", severity);
     ("uniformity", uniformity);

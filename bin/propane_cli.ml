@@ -124,7 +124,7 @@ let window_arg =
   let doc = "Direct-attribution window in ms (see Estimator)." in
   Arg.(
     value
-    & opt (int_at_least 1 "--window") 64
+    & opt (int_at_least 1 "--window") Propane.Estimator.default_window_ms
     & info [ "window" ] ~docv:"MS" ~doc)
 
 let progress_arg =
@@ -532,18 +532,18 @@ let reuse_arg =
 
 (* ------------------------------------------------------------------ *)
 
-(* Error-model ablation (analyze --by-model; bench has a scaled-down
-   twin).  One reduced campaign per roster over the identical workload
-   and injection grid, so any ranking shift is attributable to the
-   error model alone — the axis the paper's Section 6 flags but never
-   measures. *)
+(* Error-model ablation (analyze --by-model; bench models runs the same
+   Recipe.ablation at --cases 2 --times 2).  One reduced campaign per
+   roster over the identical workload and injection grid, so any
+   ranking shift is attributable to the error model alone — the axis
+   the paper's Section 6 flags but never measures. *)
 let run_model_ablation ~cases ~times ~seed ~window ~jobs ~ci () =
   match Recipe.ablation (Recipe.make ~cases ~times ~seed ~window ~jobs ()) with
   | Error msg ->
       prerr_endline ("propane analyze: " ^ msg);
       exit 124
   | Ok rows ->
-      let ranking (r : Propane.Ablation.row) =
+      let ranking (r : Recipe.ablation_row) =
         (* " > " separates a resolved rank boundary, " ~ " one whose
            95% intervals still overlap. *)
         let rec join = function
@@ -564,7 +564,7 @@ let run_model_ablation ~cases ~times ~seed ~window ~jobs ~ci () =
                ("Ranking by P~rel (~ = unresolved)", Report.Table.Left);
              ]
            (List.map
-              (fun (r : Propane.Ablation.row) ->
+              (fun (r : Recipe.ablation_row) ->
                 [
                   r.spec;
                   string_of_int r.runs;
@@ -585,7 +585,7 @@ let run_model_ablation ~cases ~times ~seed ~window ~jobs ~ci () =
                  ("95% CI", Report.Table.Left);
                ]
              (List.concat_map
-                (fun (r : Propane.Ablation.row) ->
+                (fun (r : Recipe.ablation_row) ->
                   List.map
                     (fun (name, (e : Propagation.Estimate.t), _) ->
                       [
@@ -1483,10 +1483,9 @@ let estimate_cmd =
 let latency_cmd =
   let run () load window =
     with_loaded_results load (fun results ->
-        let attribution = Propane.Estimator.Direct { window_ms = window } in
         List.iter
           (fun s -> Format.printf "%a@." Propane.Latency.pp_stats s)
-          (Propane.Latency.all_stats ~attribution
+          (Propane.Latency.all_stats ~window_ms:window
              ~model:Arrestment.Model.system results))
   in
   Cmd.v

@@ -14,9 +14,9 @@ type t = {
 let default_model = "single-bit"
 
 let make ?(cases = 3) ?(times = 4) ?(full = false) ?(model = default_model)
-    ?(window = 64) ?seed ?(run_timeout_ms = 0) ?retries ?fail_fast ?jobs
-    ?journal ?resume ?journal_batch ?stop_when ?budget ?plan ?chaos_crash
-    ?chaos_hang () =
+    ?(window = Estimator.default_window_ms) ?seed ?(run_timeout_ms = 0)
+    ?retries ?fail_fast ?jobs ?journal ?resume ?journal_batch ?stop_when
+    ?budget ?plan ?chaos_crash ?chaos_hang () =
   let config =
     Runner.Config.make ?seed ~truncate_after_ms:(2 * window)
       ?run_timeout_ms:(if run_timeout_ms <= 0 then None else Some run_timeout_ms)
@@ -162,8 +162,6 @@ let campaign r =
   Campaign.make ~name ~targets:Model.injection_targets ~testcases ~times
     ~errors:(errors_of r.model)
 
-let attribution r = Estimator.Direct { window_ms = r.window }
-
 type prepared = {
   sut : Sut.t;
   campaign : Campaign.t;
@@ -176,7 +174,7 @@ type prepared = {
 
 let prepare ?reuse ?(live = false) r =
   Result.iter_error invalid_arg (validate r);
-  let sut = sut r and campaign = campaign r and attribution = attribution r in
+  let sut = sut r and campaign = campaign r and window_ms = r.window in
   let reuse =
     Option.map
       (fun dir -> Reuse.plan ~recipe:(key r) ~sut ~model:Model.system ~dir campaign)
@@ -193,7 +191,7 @@ let prepare ?reuse ?(live = false) r =
     plan =
       Option.map
         (fun budget ->
-          Plan.create ~mode ?select ~attribution ~budget ~model:Model.system
+          Plan.create ~mode ?select ~window_ms ~budget ~model:Model.system
             ~campaign ())
         budget;
     live =
@@ -201,7 +199,7 @@ let prepare ?reuse ?(live = false) r =
          analysis, and so the stop rule, watches the dirty targets. *)
       (if live || stop_when <> None || budget <> None then
          Some
-           (Live.create ~attribution ~model:Model.system
+           (Live.create ~window_ms ~model:Model.system
               ~targets:
                 (match reuse with
                 | Some plan -> Reuse.dirty_targets plan
@@ -212,16 +210,17 @@ let prepare ?reuse ?(live = false) r =
 
 let analyse ?reuse ~window results =
   let ( let* ) = Result.bind in
-  let attribution = Estimator.Direct { window_ms = window } in
   let* stream =
     match reuse with
     | Some plan ->
-        let stream = Reuse.compose ~attribution plan results in
+        let stream = Reuse.compose ~window_ms:window plan results in
         let* () = Reuse.persist plan stream results in
         let* () = Reuse.write_stats plan in
         Ok stream
     | None ->
-        let stream = Estimator.Stream.create ~attribution ~model:Model.system () in
+        let stream =
+          Estimator.Stream.create ~window_ms:window ~model:Model.system ()
+        in
         List.iter (Estimator.Stream.observe stream) (Results.outcomes results);
         Ok stream
   in
@@ -231,12 +230,56 @@ let models =
   [ "single-bit"; "multi-bit:2"; "burst:4"; "stuck-at"; "offset:64";
     "noise:16"; "uniform"; "delayed:8"; "intermittent:4:16" ]
 
+type ablation_row = {
+  spec : string;
+  runs : int;
+  estimates : (string * Propagation.Estimate.t * bool) list;
+  tau_vs_baseline : float;
+}
+
 let ablation r =
-  let testcases, times = workload r in
-  let campaign_of errors =
-    Campaign.make ~name:"ablation-7.3" ~targets:Model.injection_targets
-      ~testcases ~times ~errors
+  let ( let* ) = Result.bind in
+  let testcases, times = workload r and sut = sut r in
+  let row spec =
+    let campaign =
+      Campaign.make ~name:"ablation-7.3" ~targets:Model.injection_targets
+        ~testcases ~times ~errors:(errors_of spec)
+    in
+    let results = Runner.run ~config:r.config sut campaign in
+    let* matrices =
+      Estimator.estimate_all ~window_ms:r.window ~model:Model.system results
+    in
+    let* analysis = Propagation.Analysis.run Model.system matrices in
+    Ok
+      {
+        spec;
+        runs = Campaign.size campaign;
+        estimates =
+          List.map
+            (fun (m : Propagation.Ranking.module_row) ->
+              (m.module_name, m.relative_permeability_est, m.resolved))
+            (Propagation.Ranking.sort_module_rows
+               Propagation.Ranking.By_relative_permeability
+               (Propagation.Ranking.module_rows analysis.graph));
+        tau_vs_baseline = 1.0;
+      }
   in
-  Ablation.study ~config:r.config ~attribution:(attribution r) ~sut:(sut r)
-    ~model:Model.system ~campaign_of
-    (List.map (fun spec -> (spec, errors_of spec)) models)
+  let rec rows = function
+    | [] -> Ok []
+    | spec :: specs ->
+        let* row = row spec in
+        let* rows = rows specs in
+        Ok (row :: rows)
+  in
+  let* rows = rows models in
+  let order row = List.map (fun (name, _, _) -> name) row.estimates in
+  let baseline = order (List.hd rows) in
+  Ok
+    (List.map
+       (fun row ->
+         {
+           row with
+           tau_vs_baseline =
+             Propagation.Sensitivity.kendall_tau baseline (order row);
+         })
+       rows)

@@ -103,6 +103,23 @@ val analyse :
 val models : string list
 (** The error-model rosters of the ablation, single-bit baseline first. *)
 
-val ablation : t -> (Propane.Ablation.row list, string) result
-(** {!Propane.Ablation.study} of {!models}: one campaign per roster on
-    the recipe's grid, config, window and SUT. *)
+type ablation_row = {
+  spec : string;  (** roster label, e.g. ["single-bit"] or ["burst:4"] *)
+  runs : int;  (** campaign size for this roster *)
+  estimates : (string * Propagation.Estimate.t * bool) list;
+      (** per module, highest relative permeability first: its value
+          with the 95% interval, and whether the rank vs. the next
+          module is resolved *)
+  tau_vs_baseline : float;
+      (** Kendall tau of this module order against the single-bit
+          baseline's; 1.0 for the baseline itself *)
+}
+
+val ablation : t -> (ablation_row list, string) result
+(** The error-model ablation: how far does the module ranking move when
+    the fault model changes?  One campaign per roster of {!models} on
+    the recipe's grid, config, window and SUT, so that ranking shifts
+    are attributable to the error model alone — the threat the paper's
+    Section 6 names ("the type of injected errors can also effect the
+    estimates") but does not measure.  Fails with the estimator's or
+    analysis's message on inconsistent matrices. *)

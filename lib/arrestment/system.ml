@@ -122,7 +122,6 @@ let instantiate guards tc =
   in
   {
     Propane.Sut.read = Store.peek store;
-    write = Store.poke store;
     inject = Store.inject store;
     step =
       (fun () ->

@@ -254,7 +254,6 @@ let instantiate t _testcase =
   let ms = ref 0 in
   {
     Propane.Sut.read = Propane.Signal_store.peek store;
-    write = Propane.Signal_store.poke store;
     inject = Propane.Signal_store.inject store;
     step =
       (fun () ->

@@ -1,25 +1,18 @@
-type attribution =
-  | Direct of { window_ms : int }
-  | Any_divergence
+let default_window_ms = 64
 
-let default_attribution = Direct { window_ms = 64 }
-
-let attributed attribution (outcome : Results.outcome) output_name =
+let attributed ~window_ms (outcome : Results.outcome) output_name =
   match Results.divergence_of outcome output_name with
   | None -> false
-  | Some diverged_at -> (
+  | Some diverged_at ->
       (* Attribution brackets the error model's firing window: from the
          first corruption (identical to the injection time for
          single-shot models) to [window_ms] past the last one, so
          delayed and intermittent injections are not blamed for — or
-         robbed of — divergences outside their lifetime. *)
-      let first_fire = Injection.first_fire_ms outcome.injection in
-      match attribution with
-      | Any_divergence -> diverged_at >= first_fire
-      | Direct { window_ms } ->
-          diverged_at >= first_fire
-          && diverged_at
-             <= Injection.last_fire_ms outcome.injection + window_ms)
+         robbed of — divergences outside their lifetime.  The
+         difference cannot overflow where [last_fire + window_ms]
+         would. *)
+      diverged_at >= Injection.first_fire_ms outcome.injection
+      && diverged_at - Injection.last_fire_ms outcome.injection <= window_ms
 
 module Stream = struct
   module SS = Set.Make (String)
@@ -34,14 +27,14 @@ module Stream = struct
   }
 
   type t = {
-    attribution : attribution;
+    window_ms : int;
     states : module_state list;  (* model declaration order *)
     by_target : (string, (module_state * int) list) Hashtbl.t;
     mutable dirty : SS.t;
     mutable runs : int;
   }
 
-  let create ?(attribution = default_attribution) ~model () =
+  let create ?(window_ms = default_window_ms) ~model () =
     let states =
       List.map
         (fun m ->
@@ -71,7 +64,7 @@ module Stream = struct
           (Propagation.Sw_module.input_signals m))
       (Propagation.System_model.modules model)
       states;
-    { attribution; states; by_target; dirty = SS.empty; runs = 0 }
+    { window_ms; states; by_target; dirty = SS.empty; runs = 0 }
 
   let observe t (outcome : Results.outcome) =
     t.runs <- t.runs + 1;
@@ -91,7 +84,8 @@ module Stream = struct
             Array.iteri
               (fun k0 cell ->
                 cell.n_inj <- cell.n_inj + 1;
-                if failed || attributed t.attribution outcome st.output_names.(k0)
+                if failed
+                   || attributed ~window_ms:t.window_ms outcome st.output_names.(k0)
                 then cell.n_err <- cell.n_err + 1)
               st.cells.(i - 1))
           consumers
@@ -197,7 +191,7 @@ module Stream = struct
       0.0 targets
 end
 
-let estimate_all ?attribution ~model results =
+let estimate_all ?window_ms ~model results =
   let missing =
     List.concat_map
       (fun m ->
@@ -211,7 +205,7 @@ let estimate_all ?attribution ~model results =
   in
   match List.sort_uniq String.compare missing with
   | [] ->
-      let stream = Stream.create ?attribution ~model () in
+      let stream = Stream.create ?window_ms ~model () in
       List.iter (Stream.observe stream) (Results.outcomes results);
       Ok (Stream.matrices stream)
   | missing ->

@@ -18,37 +18,34 @@
     flow through a module takes at most one activation period plus its
     filter horizons (here < 40 ms), while the loop back through valve,
     airframe and sensors takes hundreds; the default 64 ms window
-    separates the two regimes cleanly.  {!Any_divergence} counts
-    everything (used by the ablation bench).
+    separates the two regimes cleanly.  A window at least as long as a
+    run's truncation counts every divergence.
 
     The counts themselves are kept in one place, {!Stream}; a finished
     campaign goes through it too ({!estimate_all}). *)
 
-type attribution =
-  | Direct of { window_ms : int }
-  | Any_divergence
+val default_window_ms : int
+(** 64 ms. *)
 
-val default_attribution : attribution
-(** [Direct {window_ms = 64}]. *)
-
-val attributed : attribution -> Results.outcome -> string -> bool
-(** [attributed a outcome output]: the outcome's divergence of [output]
-    counts as a direct error.  Under {!Direct} the divergence must fall
-    between the injection's first fire and [window_ms] past its last
-    fire; under {!Any_divergence} anywhere from the first fire on.
-    Failed runs are not judged here: the estimator counts them as errors
-    on every output, and [Latency] skips them. *)
+val attributed : window_ms:int -> Results.outcome -> string -> bool
+(** [attributed ~window_ms outcome output]: the outcome's divergence of
+    [output] counts as a direct error, i.e. it falls between the
+    injection's first fire and [window_ms] past its last fire.  No
+    window overflows, [max_int] included.  Failed runs are not judged
+    here: the estimator counts them as errors on every output, and
+    [Latency] skips them. *)
 
 val estimate_all :
-  ?attribution:attribution ->
+  ?window_ms:int ->
   model:Propagation.System_model.t ->
   Results.t ->
   (Propagation.Perm_matrix.t Propagation.String_map.t, string) result
 (** Matrices for every module of the model: the outcomes folded into one
-    {!Stream}, so each cell is [n_err / n_inj] with its counts and 95%
-    Wilson interval.  [Error] lists the module input signals the
-    campaign never injected into (an incomplete campaign would silently
-    bias every downstream measure to zero). *)
+    {!Stream} ([window_ms] defaults to {!default_window_ms}), so each
+    cell is [n_err / n_inj] with its counts and 95% Wilson interval.
+    [Error] lists the module input signals the campaign never injected
+    into (an incomplete campaign would silently bias every downstream
+    measure to zero). *)
 
 (** Streaming (one outcome at a time) permeability estimation: the one
     place Eq. 1 is counted.
@@ -67,7 +64,7 @@ module Stream : sig
   type t
 
   val create :
-    ?attribution:attribution ->
+    ?window_ms:int ->
     model:Propagation.System_model.t ->
     unit ->
     t

@@ -7,7 +7,7 @@ type stats = {
   median_ms : int;
 }
 
-let pair_stats ?(attribution = Estimator.default_attribution) ~model ~results
+let pair_stats ?(window_ms = Estimator.default_window_ms) ~model ~results
     module_name =
   let m = Propagation.System_model.find_module_exn model module_name in
   let stats_for i k =
@@ -23,7 +23,7 @@ let pair_stats ?(attribution = Estimator.default_attribution) ~model ~results
           (* A crashed run's tail-rule divergences mark the crash, not
              a propagation; failed runs carry no latency signal. *)
           if Results.is_failed o.status
-             || not (Estimator.attributed attribution o output_name)
+             || not (Estimator.attributed ~window_ms o output_name)
           then None
           else
             (* Latency counts from the first actual corruption, not
@@ -55,11 +55,11 @@ let pair_stats ?(attribution = Estimator.default_attribution) ~model ~results
           stats_for (i0 + 1) (k0 + 1)))
     (List.init (Propagation.Sw_module.input_count m) Fun.id)
 
-let all_stats ?attribution ~model results =
+let all_stats ?window_ms ~model results =
   List.concat_map
     (fun m ->
       List.filter_map Fun.id
-        (pair_stats ?attribution ~model ~results (Propagation.Sw_module.name m)))
+        (pair_stats ?window_ms ~model ~results (Propagation.Sw_module.name m)))
     (Propagation.System_model.modules model)
 
 let pp_stats ppf s =

@@ -21,12 +21,13 @@ type stats = {
 }
 
 val all_stats :
-  ?attribution:Estimator.attribution ->
+  ?window_ms:int ->
   model:Propagation.System_model.t ->
   Results.t ->
   stats list
 (** The statistics of every input/output pair with at least one
-    attributed error, module by module in model order, each module's
+    error attributed within [window_ms] (default
+    {!Estimator.default_window_ms}), module by module in model order, each module's
     pairs in row-major order. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -56,8 +56,8 @@ let rank relatives =
   Propagation.Ranking.rank_relative
     (List.map snd (Propagation.String_map.bindings relatives))
 
-let create ?attribution ~model ~targets () =
-  let stream = Estimator.Stream.create ?attribution ~model () in
+let create ?window_ms ~model ~targets () =
+  let stream = Estimator.Stream.create ?window_ms ~model () in
   let relatives =
     Propagation.String_map.mapi Propagation.Ranking.relative
       (Estimator.Stream.matrices stream)

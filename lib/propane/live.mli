@@ -59,7 +59,7 @@ type digest = {
 type t
 
 val create :
-  ?attribution:Estimator.attribution ->
+  ?window_ms:int ->
   model:Propagation.System_model.t ->
   targets:string list ->
   unit ->
@@ -68,9 +68,9 @@ val create :
     ({!Campaign.t.targets}), or the ones it re-injects under cell
     reuse; they scope the [`Ci_width] rule to the pairs the campaign
     can actually narrow, and [`Rankings_stable] counts nothing until
-    each has an outcome.  [attribution] must match
-    what the final batch estimation uses, otherwise live and post-hoc
-    analyses disagree. *)
+    each has an outcome.  [window_ms] ({!Estimator.attributed}) must
+    match what the final batch estimation uses, otherwise live and
+    post-hoc analyses disagree. *)
 
 val observe : t -> Results.outcome -> digest
 (** Fold one outcome in and return the refreshed digest.  Costs

@@ -148,7 +148,7 @@ let static ?(select = fun _ -> true) ~done_ ~total () =
     allocated_runs = !n;
   }
 
-let create ?(mode = Adaptive) ?(select = fun _ -> true) ?attribution
+let create ?(mode = Adaptive) ?(select = fun _ -> true) ?window_ms
     ?round_budget ~budget ~model ~campaign () =
   if budget < 1 then invalid_arg "Plan.create: budget < 1";
   let targets = (campaign : Campaign.t).targets in
@@ -210,7 +210,7 @@ let create ?(mode = Adaptive) ?(select = fun _ -> true) ?attribution
       blocks;
       weights = Array.map (fun b -> weight_of b.target) blocks;
       consumers_of;
-      stream = Estimator.Stream.create ?attribution ~model ();
+      stream = Estimator.Stream.create ?window_ms ~model ();
       round_no = 0;
       current = [];
       current_left = 0;

@@ -89,7 +89,7 @@ type t
 val create :
   ?mode:mode ->
   ?select:(int -> bool) ->
-  ?attribution:Estimator.attribution ->
+  ?window_ms:int ->
   ?round_budget:int ->
   budget:int ->
   model:Propagation.System_model.t ->
@@ -101,7 +101,7 @@ val create :
     indices (the cache-reuse filter of {!Reuse.select}: cells already
     measured get {e zero} fresh allocation).  The pilot round
     allocates by {!priors} over the campaign's targets.
-    [attribution] configures the internal {!Estimator.Stream} and must
+    [window_ms] configures the internal {!Estimator.Stream} and must
     match the campaign's estimation settings.  [round_budget] caps the
     runs granted per refinement round (default [max targets (budget /
     8)]); the pilot additionally guarantees one run per target.

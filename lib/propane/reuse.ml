@@ -93,8 +93,8 @@ let journal_cells t =
         st.cells)
     t.states
 
-let compose ?attribution t results =
-  let stream = Estimator.Stream.create ?attribution ~model:t.model () in
+let compose ?window_ms t results =
+  let stream = Estimator.Stream.create ?window_ms ~model:t.model () in
   List.iter
     (fun st ->
       List.iter

@@ -68,7 +68,7 @@ val journal_cells : t -> Journal.cell list
     plan order, marked [reused] or [fresh]. *)
 
 val compose :
-  ?attribution:Estimator.attribution ->
+  ?window_ms:int ->
   t ->
   Results.t ->
   Estimator.Stream.t
@@ -76,7 +76,7 @@ val compose :
     target's cells, then fold in the fresh outcomes.  The returned
     stream's matrices are the composed whole-campaign estimates;
     counting is commutative, so they equal a from-scratch campaign's
-    exactly when the cached rows are truthful.  [attribution] must
+    exactly when the cached rows are truthful.  [window_ms] must
     match the value the cached rows were measured under (it is
     normally part of [recipe], making a mismatch a cache miss
     instead). *)

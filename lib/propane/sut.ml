@@ -7,7 +7,6 @@ type state_hook = {
 
 type instance = {
   read : string -> int;
-  write : string -> int -> unit;
   inject : string -> (int -> int) -> unit;
   step : unit -> unit;
   finished : unit -> bool;

@@ -40,11 +40,10 @@ type state_hook = {
     of at millisecond 0, and stop it once it rejoins the golden run.
 
     {b Contract.}  Let [a] be an instance that took [k] {!instance.step}s
-    from instantiation with no injection and no [write], and [b] a
-    fresh instance of the same SUT and test case.  After
-    [b.restore (a.save ())], stepping, sampling, [read], [inject] and
-    [finished] on [b] must behave exactly as they would on [a] from
-    then on.  [save] therefore captures every piece of mutable state:
+    from instantiation with no injection, and [b] a fresh instance of
+    the same SUT and test case.  After [b.restore (a.save ())],
+    stepping, sampling, [read], [inject] and [finished] on [b] must
+    behave exactly as they would on [a] from then on.  [save] therefore captures every piece of mutable state:
     signal values, module-internal variables, the environment and
     physics, the scheduler's position, and any internal random
     generator.  [restore] is called at most once, right after
@@ -79,8 +78,6 @@ type instance = {
   read : string -> int;
       (** raw current value of a signal (tracing; never fires traps);
           must accept every name in the SUT's signal list *)
-  write : string -> int -> unit;
-      (** overwrite a signal's stored value directly (test setup) *)
   inject : string -> (int -> int) -> unit;
       (** register a one-shot corruption applied at the signal's trap
           point, i.e. the next time the software reads it (see

@@ -1196,8 +1196,7 @@ let recipe_tests =
         in
         let batch =
           Result.bind
-            (Propane.Estimator.estimate_all
-               ~attribution:(Propane.Estimator.Direct { window_ms = r.window })
+            (Propane.Estimator.estimate_all ~window_ms:r.window
                ~model:Model.system results)
             (Propagation.Analysis.run Model.system)
         in

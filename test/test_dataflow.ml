@@ -566,7 +566,6 @@ let reference_sut spec blocks (built : Propane.Sut.t) =
     let ms = ref 0 in
     {
       Propane.Sut.read = St.peek store;
-      write = St.poke store;
       inject = St.inject store;
       step =
         (fun () ->

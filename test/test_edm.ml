@@ -154,7 +154,6 @@ let scaler_sut () =
     let t = ref 0 in
     {
       Propane.Sut.read = Propane.Signal_store.peek store;
-      write = Propane.Signal_store.poke store;
       inject = Propane.Signal_store.inject store;
       step =
         (fun () ->

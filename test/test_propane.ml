@@ -829,7 +829,6 @@ let scaler_sut ?(hook = false) ?(read_every = 1) () =
     in
     {
       Propane.Sut.read = Propane.Signal_store.peek store;
-      write = Propane.Signal_store.poke store;
       inject = Propane.Signal_store.inject store;
       step =
         (fun () ->
@@ -1271,7 +1270,6 @@ let runner_tests =
             let x = ref 0 in
             {
               Propane.Sut.read = (function "x" -> !x | _ -> 0);
-              write = (fun name v -> if name = "x" then x := v);
               inject = (fun name f -> if name = "x" then x := f !x);
               step = (fun () -> incr x);
               finished = (fun () -> false);
@@ -1470,7 +1468,6 @@ let runner_tests =
             in
             {
               Propane.Sut.read = Propane.Signal_store.peek store;
-              write = Propane.Signal_store.poke store;
               inject = Propane.Signal_store.inject store;
               step =
                 (fun () ->
@@ -1780,15 +1777,36 @@ let rejoin_tests =
 (* ------------------------------------------------------------------ *)
 
 (* The SCALE cell (x -> y) that [estimate_all] measures from [results]. *)
-let scale_cell ?attribution results =
+let scale_cell ?window_ms results =
   match
-    Propane.Estimator.estimate_all ?attribution ~model:scale_model results
+    Propane.Estimator.estimate_all ?window_ms ~model:scale_model results
   with
   | Error msg -> Alcotest.fail msg
   | Ok matrices ->
       Propagation.Perm_matrix.estimate
         (Propagation.String_map.find "SCALE" matrices)
         ~input:1 ~output:1
+
+(* One completed run whose error on x fires at 100, 120, ..., 180 ms
+   and whose y first diverges at [first_ms]. *)
+let intermittent_run first_ms =
+  let results = Propane.Results.create ~sut:"scaler" ~campaign:"c" in
+  Propane.Results.add results
+    {
+      Propane.Results.testcase = "t";
+      injection =
+        Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 100)
+          ~error:
+            (Propane.Error_model.Intermittent
+               {
+                 model = Propane.Error_model.Bit_flip 0;
+                 period_ms = 20;
+                 window_ms = 100;
+               });
+      divergences = [ { Propane.Golden.signal = "y"; first_ms } ];
+      status = Propane.Results.Completed;
+    };
+  results
 
 let estimator_tests =
   [
@@ -1825,16 +1843,21 @@ let estimator_tests =
             divergences = [ { Propane.Golden.signal = "y"; first_ms = 600 } ];
             status = Propane.Results.Completed;
           };
-        let direct =
-          scale_cell
-            ~attribution:(Propane.Estimator.Direct { window_ms = 64 })
-            results
-        in
-        let any =
-          scale_cell ~attribution:Propane.Estimator.Any_divergence results
-        in
+        let direct = scale_cell ~window_ms:64 results in
+        let wide = scale_cell ~window_ms:4000 results in
         close "direct discounts" 0.0 direct.Propagation.Estimate.value;
-        close "any counts" 1.0 any.Propagation.Estimate.value);
+        close "a wide window counts" 1.0 wide.Propagation.Estimate.value);
+    Alcotest.test_case "the window ends at last fire + window_ms" `Quick
+      (fun () ->
+        let n_err ~window_ms first_ms =
+          (scale_cell ~window_ms (intermittent_run first_ms))
+            .Propagation.Estimate.n_err
+        in
+        Alcotest.(check int) "at 180 + 64 ms" 1 (n_err ~window_ms:64 244);
+        Alcotest.(check int) "at 180 + 65 ms" 0 (n_err ~window_ms:64 245);
+        Alcotest.(check int)
+          "max_int counts a late one" 1
+          (n_err ~window_ms:max_int 100_000));
     Alcotest.test_case "failed runs count as errors unconditionally" `Quick
       (fun () ->
         let results = Propane.Results.create ~sut:"scaler" ~campaign:"c" in
@@ -1934,43 +1957,40 @@ let latency_tests =
           synthetic_results [ ("x", "t", 100, [ ("y", 400) ]) ]
         in
         match
-          Propane.Latency.all_stats
-            ~attribution:(Propane.Estimator.Direct { window_ms = 64 })
-            ~model:scale_model results
+          Propane.Latency.all_stats ~window_ms:64 ~model:scale_model results
         with
         | [] -> ()
         | _ -> Alcotest.fail "expected no stats");
-    Alcotest.test_case "any-divergence keeps late ones" `Quick (fun () ->
+    Alcotest.test_case "a wide window keeps late ones" `Quick (fun () ->
         let results =
           synthetic_results [ ("x", "t", 100, [ ("y", 400) ]) ]
         in
         match
-          Propane.Latency.all_stats
-            ~attribution:Propane.Estimator.Any_divergence ~model:scale_model
-            results
+          Propane.Latency.all_stats ~window_ms:4000 ~model:scale_model results
         with
         | [ s ] -> Alcotest.(check int) "latency" 300 s.Propane.Latency.max_ms
         | _ -> Alcotest.fail "expected stats");
+    Alcotest.test_case "the window ends at last fire + window_ms" `Quick
+      (fun () ->
+        let latencies ~window_ms first_ms =
+          List.map
+            (fun s -> s.Propane.Latency.max_ms)
+            (Propane.Latency.all_stats ~window_ms ~model:scale_model
+               (intermittent_run first_ms))
+        in
+        Alcotest.(check (list int))
+          "at 180 + 64 ms" [ 144 ]
+          (latencies ~window_ms:64 244);
+        Alcotest.(check (list int))
+          "at 180 + 65 ms" []
+          (latencies ~window_ms:64 245);
+        Alcotest.(check (list int))
+          "max_int counts a late one" [ 99_900 ]
+          (latencies ~window_ms:max_int 100_000));
     Alcotest.test_case "intermittent errors keep the estimator's window"
       `Quick (fun () ->
-        (* Fires at 100, 120, ..., 180 ms; y diverges 20 ms after the
-           last fire, 100 ms after the first. *)
-        let results = Propane.Results.create ~sut:"scaler" ~campaign:"c" in
-        Propane.Results.add results
-          {
-            Propane.Results.testcase = "t";
-            injection =
-              Propane.Injection.make ~target:"x" ~at:(Sim.Sim_time.of_ms 100)
-                ~error:
-                  (Propane.Error_model.Intermittent
-                     {
-                       model = Propane.Error_model.Bit_flip 0;
-                       period_ms = 20;
-                       window_ms = 100;
-                     });
-            divergences = [ { Propane.Golden.signal = "y"; first_ms = 200 } ];
-            status = Propane.Results.Completed;
-          };
+        (* y diverges 20 ms after the last fire, 100 ms after the first. *)
+        let results = intermittent_run 200 in
         Alcotest.(check int)
           "estimator counts it" 1
           (scale_cell results).Propagation.Estimate.n_err;

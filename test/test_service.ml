@@ -292,7 +292,6 @@ let scaler_sut ?(slow = false) () =
     let t = ref 0 in
     {
       Propane.Sut.read = Propane.Signal_store.peek store;
-      write = Propane.Signal_store.poke store;
       inject = Propane.Signal_store.inject store;
       step =
         (fun () ->
@@ -385,9 +384,7 @@ let parse_submission body =
           in
           let campaign = campaign_of_kind kind in
           let live =
-            Propane.Live.create
-              ~attribution:(Propane.Estimator.Direct { window_ms = 64 })
-              ~model:scale_model ~targets:[ "x" ] ()
+            Propane.Live.create ~model:scale_model ~targets:[ "x" ] ()
           in
           Ok
             {
