@@ -30,8 +30,9 @@ val make :
   ?stop_when:Propane.Live.rule -> ?budget:int -> ?plan:Propane.Plan.mode ->
   ?chaos_crash:int -> ?chaos_hang:int -> unit -> t
 (** The one mapping from campaign flags to a recipe, with the CLI's
-    defaults (3 cases, 4 times, {!default_model}, a 64 ms window, the
-    config's other defaults).  [truncate_after_ms] is twice the window;
+    defaults (3 cases, 4 times, {!default_model}, the
+    {!Propane.Estimator.default_window_ms} window, the config's other
+    defaults).  [truncate_after_ms] is twice the window;
     a [run_timeout_ms] of 0 or less means no watchdog.  Never fails;
     see {!validate}. *)
 
