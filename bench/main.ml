@@ -7,10 +7,11 @@
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table1 fig10 plan   -- selected targets
 
-   The fault-injection campaign behind Tables 1-4 defaults to a reduced
-   but representative grid (3x3 test cases, 5 instants); set
-   PROPANE_SCALE=full in the environment for the paper-scale campaign
-   (25 test cases, 10 instants, 52,000 runs, a few seconds). *)
+   The fault-injection campaign behind Tables 1-4 is the one `propane
+   campaign` runs by default (3x3 test cases, 4 instants, 7,488 runs);
+   set PROPANE_SCALE=full in the environment for the paper-scale
+   campaign of `propane campaign --full` (25 test cases, 10 instants,
+   52,000 runs, a few seconds). *)
 
 module Json = Propane_service.Json
 
@@ -115,60 +116,29 @@ let spread ~digits xs =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The measured campaign behind Tables 1-4 (run once, memoised).       *)
+(* The measured campaign behind Tables 1-4: the recipe `propane
+   campaign` runs by default (PROPANE_SCALE=full: `--full`), run once. *)
 
-let campaign () =
-  if full_scale then Arrestment.System.paper_campaign ()
-  else
-    Propane.Campaign.make ~name:"reduced-7.3"
-      ~targets:Arrestment.Model.injection_targets
-      ~testcases:
-        (Propane.Testcase.grid
-           [
-             Propane.Testcase.uniform_axis "mass" ~lo:8_000.0 ~hi:20_000.0
-               ~steps:3;
-             Propane.Testcase.uniform_axis "velocity" ~lo:40.0 ~hi:80.0
-               ~steps:3;
-           ])
-      ~times:(List.map Simkernel.Sim_time.of_ms [ 500; 1500; 2500; 3500; 4500 ])
-      ~errors:(Propane.Error_model.bit_flips ~width:Arrestment.Signals.width)
+let recipe = Arrestment.Recipe.make ~full:full_scale ()
 
-let measured_results : Propane.Results.t option ref = ref None
+let results =
+  lazy
+    (let c = Arrestment.Recipe.campaign recipe in
+     Format.printf "running campaign: %a@." Propane.Campaign.pp c;
+     let t0 = Sys.time () in
+     let r =
+       Propane.Runner.run ~config:recipe.config (Arrestment.Recipe.sut recipe) c
+     in
+     Format.eprintf "campaign finished in %.1f s (cpu)@." (Sys.time () -. t0);
+     r)
 
-let results () =
-  match !measured_results with
-  | Some r -> r
-  | None ->
-      let c = campaign () in
-      Format.printf "running campaign: %a@." Propane.Campaign.pp c;
-      let t0 = Sys.time () in
-      let r =
-        Propane.Runner.run
-          ~config:(Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ())
-          (Arrestment.System.sut ())
-          c
-      in
-      Format.eprintf "campaign finished in %.1f s (cpu)@." (Sys.time () -. t0);
-      measured_results := Some r;
-      r
-
-let measured_analysis_ref : Propagation.Analysis.t option ref = ref None
-
-let measured_analysis () =
-  match !measured_analysis_ref with
-  | Some a -> a
-  | None ->
-      let matrices =
-        match
-          Propane.Estimator.estimate_all ~model:Arrestment.Model.system
-            (results ())
-        with
-        | Ok m -> m
-        | Error msg -> failwith msg
-      in
-      let a = Propagation.Analysis.run_exn Arrestment.Model.system matrices in
-      measured_analysis_ref := Some a;
-      a
+let measured_analysis =
+  lazy
+    (match
+       Arrestment.Recipe.analyse ~window:recipe.window (Lazy.force results)
+     with
+    | Ok a -> a
+    | Error msg -> failwith msg)
 
 let paper_analysis =
   lazy
@@ -186,12 +156,13 @@ let table1 () =
   Report.Table.print
     (Report.Experiments.table1
        ~reference:(Arrestment.Model.paper_matrices ())
-       (measured_analysis ()))
+       (Lazy.force measured_analysis))
 
 let table2 () =
   section "Table 2: relative permeability and error exposure per module";
   print_endline "-- measured --";
-  Report.Table.print (Report.Experiments.table2 (measured_analysis ()));
+  Report.Table.print
+    (Report.Experiments.table2 (Lazy.force measured_analysis));
   print_newline ();
   print_endline "-- from the paper's permeability values --";
   Report.Table.print (Report.Experiments.table2 (Lazy.force paper_analysis))
@@ -199,7 +170,8 @@ let table2 () =
 let table3 () =
   section "Table 3: signal error exposures";
   print_endline "-- measured --";
-  Report.Table.print (Report.Experiments.table3 (measured_analysis ()));
+  Report.Table.print
+    (Report.Experiments.table3 (Lazy.force measured_analysis));
   print_newline ();
   print_endline "-- from the paper's permeability values --";
   Report.Table.print (Report.Experiments.table3 (Lazy.force paper_analysis))
@@ -208,7 +180,9 @@ let table4 () =
   section "Table 4: propagation paths for system output TOC2";
   print_endline "-- measured --";
   Report.Table.print
-    (Report.Experiments.table4 (measured_analysis ()) Arrestment.Signals.toc2);
+    (Report.Experiments.table4
+       (Lazy.force measured_analysis)
+       Arrestment.Signals.toc2);
   print_newline ();
   print_endline "-- from the paper's permeability values --";
   Report.Table.print
@@ -224,7 +198,7 @@ let table4 () =
     (List.length all, List.length (Propagation.Path.non_zero all))
   in
   let total_p, nz_p = count (Lazy.force paper_analysis) in
-  let total_m, nz_m = count (measured_analysis ()) in
+  let total_m, nz_m = count (Lazy.force measured_analysis) in
   Printf.printf
     "path census: paper values %d paths / %d non-zero (paper reports 22/13); \
      measured %d / %d\n"
@@ -289,7 +263,7 @@ let fig12 = trace_fig "Fig. 12: trace tree of system input PACNT" Arrestment.Sig
 
 let observations () =
   section "Section 8 observations (OB1-OB6)";
-  let analysis = measured_analysis () in
+  let analysis = Lazy.force measured_analysis in
   let placement = analysis.Propagation.Analysis.placement in
   let module_row name =
     List.find
@@ -369,8 +343,7 @@ let models () =
         (fun (r : Arrestment.Recipe.ablation_row) ->
           Printf.printf "%-18s %5d runs  tau %+.2f  %s\n" r.spec r.runs
             r.tau_vs_baseline
-            (String.concat " > "
-               (List.map (fun (name, _, _) -> name) r.estimates));
+            (Arrestment.Recipe.ranking r);
           record model_rows
             (Json.Obj
                [
@@ -441,7 +414,7 @@ let severity () =
 let uniformity () =
   section "Uniform propagation? (paper Section 2 vs. [12])";
   let report =
-    Propane.Uniformity.analyse ~outputs:[ "TOC2" ] (results ())
+    Propane.Uniformity.analyse ~outputs:[ "TOC2" ] (Lazy.force results)
   in
   Format.printf "%a@." Propane.Uniformity.pp_report report;
   let f = Propane.Uniformity.uniform_fraction report in
@@ -458,7 +431,8 @@ let uniformity () =
 let latency () =
   section "Propagation latency per input/output pair (direct errors)";
   let stats =
-    Propane.Latency.all_stats ~model:Arrestment.Model.system (results ())
+    Propane.Latency.all_stats ~window_ms:recipe.window
+      ~model:Arrestment.Model.system (Lazy.force results)
   in
   Report.Table.print
     (Report.Table.make ~title:"Latency of direct error propagation"
@@ -685,7 +659,8 @@ let suts_under_test () =
   [
     ( "arrestment",
       (fun () -> Arrestment.System.sut ()),
-      fun () -> Arrestment.System.paper_campaign () );
+      fun () ->
+        Arrestment.Recipe.campaign (Arrestment.Recipe.make ~full:true ()) );
     ( "layered",
       (fun () -> Dataflow.Builder.sut (Lazy.force layered_system)),
       layered_campaign );

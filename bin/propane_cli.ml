@@ -543,17 +543,6 @@ let run_model_ablation ~cases ~times ~seed ~window ~jobs ~ci () =
       prerr_endline ("propane analyze: " ^ msg);
       exit 124
   | Ok rows ->
-      let ranking (r : Recipe.ablation_row) =
-        (* " > " separates a resolved rank boundary, " ~ " one whose
-           95% intervals still overlap. *)
-        let rec join = function
-          | [] -> ""
-          | [ (name, _, _) ] -> name
-          | (name, _, resolved) :: rest ->
-              name ^ (if resolved then " > " else " ~ ") ^ join rest
-        in
-        join r.estimates
-      in
       Report.Table.print
         (Report.Table.make ~title:"Module ranking by error model"
            ~columns:
@@ -569,7 +558,7 @@ let run_model_ablation ~cases ~times ~seed ~window ~jobs ~ci () =
                   r.spec;
                   string_of_int r.runs;
                   Printf.sprintf "%+.2f" r.tau_vs_baseline;
-                  ranking r;
+                  Recipe.ranking r;
                 ])
               rows));
       if ci then begin
@@ -1456,16 +1445,29 @@ let load_arg =
     & opt (some non_dir_file) None
     & info [ "load" ] ~docv:"FILE" ~doc)
 
-let with_loaded_results load f =
+(* A run stops [truncate_after_ms] past its last fire, so a longer
+   window counts what the truncation counts: say so on stderr, leaving
+   stdout as it is. *)
+let with_loaded_results ?window load f =
   match Propane.Journal.load load with
   | Error msg ->
       prerr_endline msg;
       exit 1
-  | Ok journal -> f (Propane.Journal.results journal)
+  | Ok journal ->
+      (match (window, Option.map Recipe.decode journal.recipe) with
+      | ( Some window,
+          Some (Ok { config = { truncate_after_ms = Some cut; _ }; _ }) )
+        when window > cut ->
+          Printf.eprintf
+            "propane: --window %d exceeds the journal's truncate_after_ms=%d; \
+             it counts what --window %d counts\n%!"
+            window cut cut
+      | _ -> ());
+      f (Propane.Journal.results journal)
 
 let estimate_cmd =
   let run () load window ci =
-    with_loaded_results load (fun results ->
+    with_loaded_results ~window load (fun results ->
         match Recipe.analyse ~window results with
         | Error msg ->
             prerr_endline ("propane estimate: " ^ msg);
@@ -1482,7 +1484,7 @@ let estimate_cmd =
 
 let latency_cmd =
   let run () load window =
-    with_loaded_results load (fun results ->
+    with_loaded_results ~window load (fun results ->
         List.iter
           (fun s -> Format.printf "%a@." Propane.Latency.pp_stats s)
           (Propane.Latency.all_stats ~window_ms:window

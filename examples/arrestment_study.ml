@@ -9,53 +9,34 @@
       propagation paths of TOC2 (Table 4);
    5. print the paper's values side by side.
 
-   The default campaign is a reduced grid so the example finishes in
-   about a minute; set STUDY_SCALE=full for the paper-scale campaign
-   (25 test cases x 10 instants x 16 bits x 13 signals = 52,000 runs).
+   The campaign is the one `propane campaign` runs by default (3x3
+   test cases x 4 instants x 16 bits x 13 signals = 7,488 runs, well
+   under a second); set PROPANE_SCALE=full for the paper-scale
+   campaign of `propane campaign --full` (25 test cases x 10 instants,
+   52,000 runs, a few seconds).  The CPU time goes to stderr.
 
    Run with: dune exec examples/arrestment_study.exe *)
 
 let full_scale =
-  match Sys.getenv_opt "STUDY_SCALE" with
+  match Sys.getenv_opt "PROPANE_SCALE" with
   | Some "full" -> true
   | Some _ | None -> false
 
 let () =
-  let testcases =
-    if full_scale then Arrestment.System.paper_testcases
-    else
-      Propane.Testcase.grid
-        [
-          Propane.Testcase.uniform_axis "mass" ~lo:8_000.0 ~hi:20_000.0 ~steps:3;
-          Propane.Testcase.uniform_axis "velocity" ~lo:40.0 ~hi:80.0 ~steps:3;
-        ]
-  in
-  let times =
-    if full_scale then Propane.Campaign.paper_times
-    else List.map Simkernel.Sim_time.of_ms [ 500; 2000; 3500; 5000 ]
-  in
-  let campaign =
-    Propane.Campaign.make
-      ~name:(if full_scale then "paper-7.3" else "reduced-7.3")
-      ~targets:Arrestment.Model.injection_targets ~testcases ~times
-      ~errors:(Propane.Error_model.bit_flips ~width:Arrestment.Signals.width)
-  in
-  Format.printf "%a@." Propane.Campaign.pp campaign;
-  let sut = Arrestment.System.sut () in
+  let recipe = Arrestment.Recipe.make ~full:full_scale () in
+  let campaign = Arrestment.Recipe.campaign recipe in
+  Format.printf "%a@.@." Propane.Campaign.pp campaign;
   let t0 = Sys.time () in
   let results =
-    Propane.Runner.run
-      ~config:(Propane.Runner.Config.make ~seed:42L ~truncate_after_ms:128 ())
-      sut campaign
+    Propane.Runner.run ~config:recipe.config
+      (Arrestment.Recipe.sut recipe)
+      campaign
   in
-  Format.printf "campaign done in %.1f s (cpu)@.@." (Sys.time () -. t0);
+  Format.eprintf "campaign done in %.1f s (cpu)@." (Sys.time () -. t0);
 
-  match
-    Propane.Estimator.estimate_all ~model:Arrestment.Model.system results
-  with
+  match Arrestment.Recipe.analyse ~window:recipe.window results with
   | Error msg -> prerr_endline ("estimation failed: " ^ msg)
-  | Ok matrices ->
-      let analysis = Propagation.Analysis.run_exn Arrestment.Model.system matrices in
+  | Ok analysis ->
       Report.Table.print
         (Report.Experiments.table1
            ~reference:(Arrestment.Model.paper_matrices ())

@@ -138,14 +138,15 @@ let sut r =
   in
   System.sut ?fault ()
 
+(* Section 7.3's plan is 5 masses x 5 velocities and ten instants,
+   0.5 s apart. *)
 let workload r =
-  if r.full then (System.paper_testcases, Campaign.paper_times)
-  else
-    let axis name ~lo ~hi = Testcase.uniform_axis name ~lo ~hi ~steps:r.cases in
-    ( Testcase.grid
-        [ axis "mass" ~lo:8_000.0 ~hi:20_000.0; axis "velocity" ~lo:40.0 ~hi:80.0 ],
-      List.init r.times (fun j ->
-          Simkernel.Sim_time.of_ms (500 + (j * 4500 / max 1 (r.times - 1)))) )
+  let cases, times = if r.full then (5, 10) else (r.cases, r.times) in
+  let axis name ~lo ~hi = Testcase.uniform_axis name ~lo ~hi ~steps:cases in
+  ( Testcase.grid
+      [ axis "mass" ~lo:8_000.0 ~hi:20_000.0; axis "velocity" ~lo:40.0 ~hi:80.0 ],
+    List.init times (fun j ->
+        Simkernel.Sim_time.of_ms (500 + (j * 4500 / max 1 (times - 1)))) )
 
 let errors_of spec =
   match roster spec with Ok errors -> errors | Error msg -> invalid_arg msg
@@ -236,6 +237,15 @@ type ablation_row = {
   estimates : (string * Propagation.Estimate.t * bool) list;
   tau_vs_baseline : float;
 }
+
+let ranking row =
+  let rec join = function
+    | [] -> ""
+    | [ (name, _, _) ] -> name
+    | (name, _, resolved) :: rest ->
+        name ^ (if resolved then " > " else " ~ ") ^ join rest
+  in
+  join row.estimates
 
 let ablation r =
   let ( let* ) = Result.bind in

@@ -3,8 +3,10 @@
 
     Every entry point that runs or inspects an arrestment campaign
     builds it here — the CLI's [campaign], [plan], [worker], [replay],
-    [estimate] and [analyze --by-model], and the service's submission
-    parser — so they cannot disagree on what a flag means.  The
+    [estimate] and [analyze --by-model], the service's submission
+    parser, the bench harness's measured targets and [models], and the
+    [arrestment_study] example — so they cannot disagree on what a
+    flag means or which grid a table was measured on.  The
     encoding is the opaque string a journal header and a cluster
     Assign carry: a bare [propane worker] or a later [propane replay]
     rebuilds the exact campaign and SUT from it. *)
@@ -115,6 +117,11 @@ type ablation_row = {
       (** Kendall tau of this module order against the single-bit
           baseline's; 1.0 for the baseline itself *)
 }
+
+val ranking : ablation_row -> string
+(** The row's modules, highest first, joined by [" > "] where the rank
+    against the next module is resolved and by [" ~ "] where their 95%
+    intervals overlap. *)
 
 val ablation : t -> (ablation_row list, string) result
 (** The error-model ablation: how far does the module ranking move when

@@ -7,15 +7,6 @@ let testcase ~mass_kg ~velocity_mps =
     ~id:(Printf.sprintf "m%.0f-v%.0f" mass_kg velocity_mps)
     ~params:[ ("mass", mass_kg); ("velocity", velocity_mps) ]
 
-let paper_testcases =
-  let mass =
-    Propane.Testcase.uniform_axis "mass" ~lo:8_000.0 ~hi:20_000.0 ~steps:5
-  in
-  let velocity =
-    Propane.Testcase.uniform_axis "velocity" ~lo:40.0 ~hi:80.0 ~steps:5
-  in
-  Propane.Testcase.grid [ mass; velocity ]
-
 let hardware_registers =
   [ Signals.pacnt; Signals.tic1; Signals.tcnt; Signals.adc; Signals.toc2 ]
 
@@ -163,7 +154,3 @@ let mission_failed ~golden ~run =
     final run "stopped" = 0 && run_pulscnt > final golden "pulscnt" + 50
   in
   overrun || still_rolling
-
-let paper_campaign ?(name = "paper-7.3") ?(testcases = paper_testcases) () =
-  Propane.Campaign.paper_plan ~name ~targets:Model.injection_targets
-    ~testcases ~width:Signals.width ()

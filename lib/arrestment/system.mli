@@ -27,10 +27,6 @@ type guard = {
 val testcase : mass_kg:float -> velocity_mps:float -> Propane.Testcase.t
 (** Test case with parameters ["mass"] and ["velocity"]. *)
 
-val paper_testcases : Propane.Testcase.t list
-(** The paper's 25-case workload: 5 masses uniformly in 8,000-20,000 kg
-    x 5 velocities uniformly in 40-80 m/s (Section 7.3). *)
-
 val sut : ?guards:guard list -> ?fault:Propane.Fault.spec -> unit -> Propane.Sut.t
 (** Fresh SUT description.  Its instances carry a
     {!Propane.Sut.state_hook} saving the signal store, every module's
@@ -54,10 +50,3 @@ val mission_failed :
     when the aircraft ran past the available cable, or was still rolling
     at the reference stop time (no [stopped] flag while the pulse count
     kept growing past the golden run's final count). *)
-
-val paper_campaign :
-  ?name:string -> ?testcases:Propane.Testcase.t list -> unit -> Propane.Campaign.t
-(** The full Section 7.3 campaign: bit-flips in all 16 bit positions at
-    10 instants (0.5-5.0 s) under the 25 test cases, for each of the 13
-    module-input signals — 4,000 injections per signal, 52,000 runs.
-    Pass a smaller [testcases] list to scale the workload down. *)

@@ -49,7 +49,7 @@ let unlink = function
   | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ()
 
-let listen ?(backlog = 64) addr =
+let listen addr =
   let fd = socket_for addr in
   (try
      Unix.set_close_on_exec fd;
@@ -57,7 +57,7 @@ let listen ?(backlog = 64) addr =
      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
      | Unix_sock _ -> unlink addr);
      Unix.bind fd (sockaddr addr);
-     Unix.listen fd backlog;
+     Unix.listen fd 64;
      Unix.set_nonblock fd
    with e ->
      Unix.close fd;
@@ -79,7 +79,7 @@ let accept listen =
   in
   go []
 
-let connect ?(attempts = 40) ?(delay_s = 0.05) addr =
+let connect addr =
   let rec go n =
     let fd = socket_for addr in
     match
@@ -97,7 +97,7 @@ let connect ?(attempts = 40) ?(delay_s = 0.05) addr =
       when n > 1 ->
         Unix.close fd;
         ignore err;
-        Unix.sleepf delay_s;
+        Unix.sleepf 0.05;
         go (n - 1)
     | exception Unix.Unix_error (err, _, _) ->
         Unix.close fd;
@@ -105,4 +105,4 @@ let connect ?(attempts = 40) ?(delay_s = 0.05) addr =
           (Printf.sprintf "cannot connect to %s: %s" (to_string addr)
              (Unix.error_message err))
   in
-  go (max 1 attempts)
+  go 40

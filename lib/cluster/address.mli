@@ -17,9 +17,10 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val listen : ?backlog:int -> t -> Unix.file_descr
-(** Binds and listens (non-blocking, close-on-exec).  A stale Unix
-    socket path is unlinked first; TCP sets [SO_REUSEADDR].
+val listen : t -> Unix.file_descr
+(** Binds and listens (non-blocking, close-on-exec, a backlog of 64).
+    A stale Unix socket path is unlinked first; TCP sets
+    [SO_REUSEADDR].
     @raise Unix.Unix_error when binding fails. *)
 
 val accept : Unix.file_descr -> Unix.file_descr list
@@ -27,11 +28,10 @@ val accept : Unix.file_descr -> Unix.file_descr list
     without blocking, oldest first.  The accepted descriptors are
     blocking and close-on-exec, with [TCP_NODELAY] set for TCP. *)
 
-val connect :
-  ?attempts:int -> ?delay_s:float -> t -> (Unix.file_descr, string) result
-(** Connects, retrying [attempts] times (default 40) every [delay_s]
-    (default 0.05) on [ECONNREFUSED]/[ENOENT] — a worker spawned
-    alongside the coordinator may race its listener by a moment.  The
+val connect : t -> (Unix.file_descr, string) result
+(** Connects, trying up to 40 times 0.05 s apart on
+    [ECONNREFUSED]/[ENOENT]/[EAGAIN] — a worker spawned alongside the
+    coordinator may race its listener by a moment.  The
     returned descriptor is blocking with [TCP_NODELAY] set for TCP
     (messages are small and latency-sensitive). *)
 

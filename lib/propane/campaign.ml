@@ -18,14 +18,6 @@ let make ~name ~targets ~testcases ~times ~errors =
   then invalid_arg "Campaign.make: duplicate targets";
   { name; targets; testcases; times; errors }
 
-let paper_times =
-  List.init 10 (fun j ->
-      Simkernel.Sim_time.of_ms (500 * (j + 1)))
-
-let paper_plan ?(name = "paper-7.3") ~targets ~testcases ~width () =
-  make ~name ~targets ~testcases ~times:paper_times
-    ~errors:(Error_model.bit_flips ~width)
-
 let runs_per_target t =
   List.length t.testcases * List.length t.times * List.length t.errors
 

@@ -3,9 +3,8 @@
     A campaign is the cartesian product {e targets x test cases x
     injection times x error instances}, each element being one
     injection run compared against the golden run of its test case.
-    The paper's plan (Section 7.3) is, per target signal: 16 bit
-    positions x 10 time instants (0.5 s to 5.0 s in half-second steps)
-    x 25 test cases = 4,000 injections. *)
+    The paper's plan for its target system (Section 7.3) is built by
+    the arrestment recipe, not here. *)
 
 type t = private {
   name : string;
@@ -24,18 +23,6 @@ val make :
   t
 (** @raise Invalid_argument if any dimension is empty or [targets]
     contains duplicates. *)
-
-val paper_times : Simkernel.Sim_time.t list
-(** The 10 instants of Section 7.3: 0.5 s, 1.0 s, ..., 5.0 s. *)
-
-val paper_plan :
-  ?name:string ->
-  targets:string list ->
-  testcases:Testcase.t list ->
-  width:int ->
-  unit ->
-  t
-(** Bit-flips in every bit position at {!paper_times}. *)
 
 val size : t -> int
 (** Total number of injection runs. *)

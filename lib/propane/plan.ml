@@ -410,16 +410,7 @@ let prime t ~index outcome =
   if t.started then invalid_arg "Plan.prime: scheduling already started";
   match t.kind with
   | Planned _ -> t.bank.(index) <- Some outcome
-  | Static ->
-      (* static sources are built over the replayed set via [done_];
-         priming one late just retires it from the queue *)
-      if Bytes.get t.status index = '\001' then begin
-        Bytes.set t.status index '\002';
-        t.queue <- List.filter (fun i -> i <> index) t.queue;
-        t.queue_len <- t.queue_len - 1;
-        t.fresh <- t.fresh - 1;
-        t.allocated_runs <- t.allocated_runs - 1
-      end
+  | Static -> invalid_arg "Plan.prime: a static source takes [done_] instead"
 
 let take t ~max:limit =
   locked t @@ fun () ->

@@ -125,11 +125,14 @@ val is_planned : t -> bool
 (** {1 The work-source protocol} *)
 
 val prime : t -> index:int -> Results.outcome -> unit
-(** Bank a replayed outcome before scheduling starts (the resume
-    path).  Primed indices are never handed out by {!take}; when a
-    round allocates one, its banked outcome feeds the barrier as if
-    just executed, which is how resume re-derives the round sequence.
-    @raise Invalid_argument after the first {!take}. *)
+(** Bank a replayed outcome in a budget plan before scheduling starts
+    (the resume path).  Primed indices are never handed out by
+    {!take}; when a round allocates one, its banked outcome feeds the
+    barrier as if just executed, which is how resume re-derives the
+    round sequence.  A {!static} source learns its replayed indices
+    from [done_] instead.
+    @raise Invalid_argument on a {!static} source, or after the first
+    {!take}. *)
 
 val take : t -> max:int -> int list
 (** Up to [max] runnable indices, ascending, removed from the queue.

@@ -545,6 +545,10 @@ let observer_tests =
 
 (* ------------------------------------------------------------------ *)
 
+(* Section 7.3's plan: the recipe behind `propane campaign --full`. *)
+let paper_campaign =
+  lazy (Arrestment.Recipe.campaign (Arrestment.Recipe.make ~full:true ()))
+
 let testcase_tests =
   [
     Alcotest.test_case "params are retrievable" `Quick (fun () ->
@@ -582,7 +586,7 @@ let testcase_tests =
     Alcotest.test_case "the paper's workload is 25 cases" `Quick (fun () ->
         Alcotest.(check int)
           "count" 25
-          (List.length Arrestment.System.paper_testcases));
+          (List.length (Lazy.force paper_campaign).testcases));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -590,24 +594,19 @@ let testcase_tests =
 let campaign_tests =
   [
     Alcotest.test_case "paper plan is 4,000 runs per signal" `Quick (fun () ->
-        let plan =
-          Propane.Campaign.paper_plan ~targets:[ "x" ]
-            ~testcases:Arrestment.System.paper_testcases ~width:16 ()
-        in
         Alcotest.(check int)
           "per target" 4_000
-          (Propane.Campaign.runs_per_target plan);
-        Alcotest.(check int) "size" 4_000 (Propane.Campaign.size plan));
+          (Propane.Campaign.runs_per_target (Lazy.force paper_campaign)));
     Alcotest.test_case "full arrestment campaign is 52,000 runs" `Quick
       (fun () ->
         Alcotest.(check int)
           "size" 52_000
-          (Propane.Campaign.size (Arrestment.System.paper_campaign ())));
+          (Propane.Campaign.size (Lazy.force paper_campaign)));
     Alcotest.test_case "paper times are 0.5s..5.0s" `Quick (fun () ->
-        let times = List.map Sim.Sim_time.to_ms Propane.Campaign.paper_times in
-        Alcotest.(check int) "count" 10 (List.length times);
-        Alcotest.(check int) "first" 500 (List.hd times);
-        Alcotest.(check int) "last" 5_000 (List.nth times 9));
+        Alcotest.(check (list int))
+          "times"
+          [ 500; 1_000; 1_500; 2_000; 2_500; 3_000; 3_500; 4_000; 4_500; 5_000 ]
+          (List.map Sim.Sim_time.to_ms (Lazy.force paper_campaign).times));
     Alcotest.test_case "experiments expand deterministically" `Quick (fun () ->
         let plan =
           Propane.Campaign.make ~name:"t" ~targets:[ "x"; "y" ]
