@@ -1,24 +1,16 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 8), plus the gates and rows the repository
+(* Benchmark harness: the paper's figures and the studies no `propane`
+   command prints (failure severity, rank and workload sensitivity, the
+   Pr-adjusted path measures), plus the gates and rows the repository
    benchmark (perfbench/, one domain per process) cannot produce: the
-   serial / domains-2 / workers-2 scaling matrix, the campaign service,
-   and adaptive-vs-uniform plan run counts.
+   serial / domains-2 / workers-2 scaling matrix, the error-model
+   ablation, the campaign service, and adaptive-vs-uniform plan run
+   counts.  The measured Tables 1-4, uniformity and latency are
+   `propane campaign`, `estimate`, `uniformity` and `latency`.
 
      dune exec bench/main.exe              -- everything
-     dune exec bench/main.exe -- table1 fig10 plan   -- selected targets
-
-   The fault-injection campaign behind Tables 1-4 is the one `propane
-   campaign` runs by default (3x3 test cases, 4 instants, 7,488 runs);
-   set PROPANE_SCALE=full in the environment for the paper-scale
-   campaign of `propane campaign --full` (25 test cases, 10 instants,
-   52,000 runs, a few seconds). *)
+     dune exec bench/main.exe -- fig10 plan   -- selected targets *)
 
 module Json = Propane_service.Json
-
-let full_scale =
-  match Sys.getenv_opt "PROPANE_SCALE" with
-  | Some "full" -> true
-  | Some _ | None -> false
 
 let nproc = Domain.recommended_domain_count ()
 
@@ -116,93 +108,13 @@ let spread ~digits xs =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The measured campaign behind Tables 1-4: the recipe `propane
-   campaign` runs by default (PROPANE_SCALE=full: `--full`), run once. *)
-
-let recipe = Arrestment.Recipe.make ~full:full_scale ()
-
-let results =
-  lazy
-    (let c = Arrestment.Recipe.campaign recipe in
-     Format.printf "running campaign: %a@." Propane.Campaign.pp c;
-     let t0 = Sys.time () in
-     let r =
-       Propane.Runner.run ~config:recipe.config (Arrestment.Recipe.sut recipe) c
-     in
-     Format.eprintf "campaign finished in %.1f s (cpu)@." (Sys.time () -. t0);
-     r)
-
-let measured_analysis =
-  lazy
-    (match
-       Arrestment.Recipe.analyse ~window:recipe.window (Lazy.force results)
-     with
-    | Ok a -> a
-    | Error msg -> failwith msg)
+(* The analysis of the paper's permeability values, behind the figures
+   and [prob]. *)
 
 let paper_analysis =
   lazy
     (Propagation.Analysis.run_exn Arrestment.Model.system
        (Arrestment.Model.paper_matrices ()))
-
-(* ------------------------------------------------------------------ *)
-(* Tables                                                              *)
-
-let table1 () =
-  section "Table 1: error permeability of the 25 input/output pairs";
-  print_endline "(Value = measured by this reproduction's campaign;";
-  print_endline " Paper = the paper's values as reconstructed in Model)";
-  print_newline ();
-  Report.Table.print
-    (Report.Experiments.table1
-       ~reference:(Arrestment.Model.paper_matrices ())
-       (Lazy.force measured_analysis))
-
-let table2 () =
-  section "Table 2: relative permeability and error exposure per module";
-  print_endline "-- measured --";
-  Report.Table.print
-    (Report.Experiments.table2 (Lazy.force measured_analysis));
-  print_newline ();
-  print_endline "-- from the paper's permeability values --";
-  Report.Table.print (Report.Experiments.table2 (Lazy.force paper_analysis))
-
-let table3 () =
-  section "Table 3: signal error exposures";
-  print_endline "-- measured --";
-  Report.Table.print
-    (Report.Experiments.table3 (Lazy.force measured_analysis));
-  print_newline ();
-  print_endline "-- from the paper's permeability values --";
-  Report.Table.print (Report.Experiments.table3 (Lazy.force paper_analysis))
-
-let table4 () =
-  section "Table 4: propagation paths for system output TOC2";
-  print_endline "-- measured --";
-  Report.Table.print
-    (Report.Experiments.table4
-       (Lazy.force measured_analysis)
-       Arrestment.Signals.toc2);
-  print_newline ();
-  print_endline "-- from the paper's permeability values --";
-  Report.Table.print
-    (Report.Experiments.table4 (Lazy.force paper_analysis)
-       Arrestment.Signals.toc2);
-  print_newline ();
-  let count analysis =
-    let tree =
-      List.assoc Arrestment.Signals.toc2
-        analysis.Propagation.Analysis.backtrack_trees
-    in
-    let all = Propagation.Path.of_backtrack_tree tree in
-    (List.length all, List.length (Propagation.Path.non_zero all))
-  in
-  let total_p, nz_p = count (Lazy.force paper_analysis) in
-  let total_m, nz_m = count (Lazy.force measured_analysis) in
-  Printf.printf
-    "path census: paper values %d paths / %d non-zero (paper reports 22/13); \
-     measured %d / %d\n"
-    total_p nz_p total_m nz_m
 
 (* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
@@ -257,73 +169,6 @@ let trace_fig name signal () =
 
 let fig11 = trace_fig "Fig. 11: trace tree of system input ADC" Arrestment.Signals.adc
 let fig12 = trace_fig "Fig. 12: trace tree of system input PACNT" Arrestment.Signals.pacnt
-
-(* ------------------------------------------------------------------ *)
-(* Section 8 observations                                              *)
-
-let observations () =
-  section "Section 8 observations (OB1-OB6)";
-  let analysis = Lazy.force measured_analysis in
-  let placement = analysis.Propagation.Analysis.placement in
-  let module_row name =
-    List.find
-      (fun (r : Propagation.Ranking.module_row) ->
-        String.equal r.module_name name)
-      analysis.Propagation.Analysis.module_rows
-  in
-  let ob1 =
-    List.filteri
-      (fun idx _ -> idx < 2)
-      placement.Propagation.Placement.exposed_modules
-  in
-  Printf.printf "OB1. most exposed modules (Xnw): %s (paper: CALC and V_REG)\n"
-    (String.concat ", "
-       (List.map
-          (fun (r : Propagation.Ranking.module_row) ->
-            Printf.sprintf "%s (%.3f)" r.module_name r.non_weighted_exposure)
-          ob1));
-  let stopped_column =
-    Propagation.Perm_matrix.column_sum
-      (Propagation.Perm_graph.matrix analysis.Propagation.Analysis.graph
-         "DIST_S")
-      ~output:3
-  in
-  Printf.printf
-    "OB2. permeability into `stopped` (column sum): %.3f (paper: 0.000)\n"
-    stopped_column;
-  let pres_s = module_row "PRES_S" in
-  Printf.printf
-    "OB3. PRES_S permeability: %.3f (paper: 0.000) while \
-     P(InValue->OutValue) = %.3f (paper: 0.920)\n"
-    pres_s.relative_permeability
-    (Propagation.Perm_matrix.get
-       (Propagation.Perm_graph.matrix analysis.Propagation.Analysis.graph
-          "V_REG")
-       ~input:2 ~output:1);
-  Printf.printf "OB4. EDM signal ranking: %s\n"
-    (String.concat ", "
-       (List.filteri
-          (fun idx _ -> idx < 4)
-          (List.map
-             (fun (r : Propagation.Ranking.signal_row) ->
-               Printf.sprintf "%s (%.3f)" (Propagation.Signal.name r.signal)
-                 r.exposure)
-             placement.Propagation.Placement.edm_signals)));
-  Printf.printf "     excluded: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (s, reason) ->
-            Fmt.str "%a (%a)" Propagation.Signal.pp s
-              Propagation.Placement.pp_exclusion_reason reason)
-          placement.Propagation.Placement.excluded));
-  Printf.printf "OB5. cut signals (on every non-zero path to TOC2): %s\n"
-    (String.concat ", "
-       (List.map Propagation.Signal.name
-          placement.Propagation.Placement.cut_signals));
-  Printf.printf "OB6. barrier modules (read system inputs): %s\n"
-    (String.concat ", " placement.Propagation.Placement.barrier_modules);
-  print_newline ();
-  Format.printf "%a@." Edm.Selector.pp (Edm.Selector.propose placement)
 
 (* ------------------------------------------------------------------ *)
 (* Error-model ablation with ranking shifts: Recipe.ablation on the
@@ -407,55 +252,6 @@ let severity () =
     (total Propane.Severity.Internal_only)
     (total Propane.Severity.Output_deviation)
     (total Propane.Severity.Mission_failure)
-
-(* ------------------------------------------------------------------ *)
-(* Uniform-propagation check (the paper's Section 2 rebuttal of [12]) *)
-
-let uniformity () =
-  section "Uniform propagation? (paper Section 2 vs. [12])";
-  let report =
-    Propane.Uniformity.analyse ~outputs:[ "TOC2" ] (Lazy.force results)
-  in
-  Format.printf "%a@." Propane.Uniformity.pp_report report;
-  let f = Propane.Uniformity.uniform_fraction report in
-  Printf.printf
-    "\n\
-     [12] predicts a uniform fraction close to 1.00; the paper reports \
-     \"our findings do not corroborate this assertion\".  Measured: %.2f \
-     (%d of %d locations show mixed behaviour).\n"
-    f report.Propane.Uniformity.mixed report.Propane.Uniformity.locations
-
-(* ------------------------------------------------------------------ *)
-(* Propagation latency per pair                                        *)
-
-let latency () =
-  section "Propagation latency per input/output pair (direct errors)";
-  let stats =
-    Propane.Latency.all_stats ~window_ms:recipe.window
-      ~model:Arrestment.Model.system (Lazy.force results)
-  in
-  Report.Table.print
-    (Report.Table.make ~title:"Latency of direct error propagation"
-       ~columns:
-         [
-           ("Pair", Report.Table.Left);
-           ("n", Report.Table.Right);
-           ("min ms", Report.Table.Right);
-           ("median ms", Report.Table.Right);
-           ("mean ms", Report.Table.Right);
-           ("max ms", Report.Table.Right);
-         ]
-       (List.map
-          (fun (s : Propane.Latency.stats) ->
-            [
-              Fmt.str "%a" Propagation.Perm_graph.pp_pair s.pair;
-              string_of_int s.samples;
-              string_of_int s.min_ms;
-              string_of_int s.median_ms;
-              Printf.sprintf "%.1f" s.mean_ms;
-              string_of_int s.max_ms;
-            ])
-          stats))
 
 (* ------------------------------------------------------------------ *)
 (* Rank-stability study (Section 6's relative-order assumption)        *)
@@ -1263,15 +1059,8 @@ let targets =
     ("fig10", fig10);
     ("fig11", fig11);
     ("fig12", fig12);
-    ("table1", table1);
-    ("table2", table2);
-    ("table3", table3);
-    ("table4", table4);
-    ("observations", observations);
     ("models", models);
     ("severity", severity);
-    ("uniformity", uniformity);
-    ("latency", latency);
     ("sensitivity", sensitivity);
     ("workload", workload);
     ("prob", prob);

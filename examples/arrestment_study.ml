@@ -11,19 +11,14 @@
 
    The campaign is the one `propane campaign` runs by default (3x3
    test cases x 4 instants x 16 bits x 13 signals = 7,488 runs, well
-   under a second); set PROPANE_SCALE=full for the paper-scale
-   campaign of `propane campaign --full` (25 test cases x 10 instants,
-   52,000 runs, a few seconds).  The CPU time goes to stderr.
+   under a second); `propane campaign --full` runs the paper-scale
+   campaign (25 test cases x 10 instants, 52,000 runs).  The CPU time
+   goes to stderr.
 
    Run with: dune exec examples/arrestment_study.exe *)
 
-let full_scale =
-  match Sys.getenv_opt "PROPANE_SCALE" with
-  | Some "full" -> true
-  | Some _ | None -> false
-
 let () =
-  let recipe = Arrestment.Recipe.make ~full:full_scale () in
+  let recipe = Arrestment.Recipe.make () in
   let campaign = Arrestment.Recipe.campaign recipe in
   Format.printf "%a@.@." Propane.Campaign.pp campaign;
   let t0 = Sys.time () in

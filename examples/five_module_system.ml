@@ -59,11 +59,11 @@ let () =
      resulting analysis against the postulated values above. *)
   print_endline "== Executable twin: measured permeabilities ==";
   let measured = Dataflow.Fig2_system.measure () in
-  let measured_analysis =
+  let twin_analysis =
     Analysis.run_exn (Dataflow.Builder.model Dataflow.Fig2_system.system)
       measured
   in
-  Report.Table.print (Report.Experiments.table2 measured_analysis);
+  Report.Table.print (Report.Experiments.table2 twin_analysis);
   print_newline ();
   Report.Table.print
-    (Report.Experiments.table4 measured_analysis (Signal.make "e_out"))
+    (Report.Experiments.table4 twin_analysis (Signal.make "e_out"))

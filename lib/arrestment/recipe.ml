@@ -13,6 +13,10 @@ type t = {
 
 let default_model = "single-bit"
 
+(* Section 7.3's grid, which [make] and [decode] both give a [full]
+   recipe, so one written with other [cases] and [times] still resumes. *)
+let paper_grid r = if r.full then { r with cases = 5; times = 10 } else r
+
 let make ?(cases = 3) ?(times = 4) ?(full = false) ?(model = default_model)
     ?(window = Estimator.default_window_ms) ?seed ?(run_timeout_ms = 0)
     ?retries ?fail_fast ?jobs ?journal ?resume ?journal_batch ?stop_when
@@ -23,7 +27,7 @@ let make ?(cases = 3) ?(times = 4) ?(full = false) ?(model = default_model)
       ?retries ?fail_fast ?jobs ?journal ?resume ?journal_batch ?stop_when
       ?budget ?plan ()
   in
-  { cases; times; full; model; window; config; chaos_crash; chaos_hang }
+  paper_grid { cases; times; full; model; window; config; chaos_crash; chaos_hang }
 
 let roster spec = Error_model.roster_of_string ~width:Signals.width spec
 
@@ -80,6 +84,7 @@ let decode s =
       in
       let config v = Result.to_option (Runner.Config.decode v) in
       match
+        paper_grid
         {
           cases = get int_of_string_opt "cases";
           times = get int_of_string_opt "times";
@@ -138,10 +143,7 @@ let sut r =
   in
   System.sut ?fault ()
 
-(* Section 7.3's plan is 5 masses x 5 velocities and ten instants,
-   0.5 s apart. *)
-let workload r =
-  let cases, times = if r.full then (5, 10) else (r.cases, r.times) in
+let workload { cases; times; _ } =
   let axis name ~lo ~hi = Testcase.uniform_axis name ~lo ~hi ~steps:cases in
   ( Testcase.grid
       [ axis "mass" ~lo:8_000.0 ~hi:20_000.0; axis "velocity" ~lo:40.0 ~hi:80.0 ],

@@ -4,7 +4,7 @@
     Every entry point that runs or inspects an arrestment campaign
     builds it here — the CLI's [campaign], [plan], [worker], [replay],
     [estimate] and [analyze --by-model], the service's submission
-    parser, the bench harness's measured targets and [models], and the
+    parser, the bench harness's [models] target and the
     [arrestment_study] example — so they cannot disagree on what a
     flag means or which grid a table was measured on.  The
     encoding is the opaque string a journal header and a cluster
@@ -14,7 +14,7 @@
 type t = {
   cases : int;  (** test cases per axis: [cases] masses x [cases] velocities *)
   times : int;  (** injection instants, evenly spread over 0.5-5.0 s *)
-  full : bool;  (** the paper-scale grid instead (25 cases, 10 times) *)
+  full : bool;  (** the paper's grid: {!make} and {!decode} set 5 cases, 10 times *)
   model : string;  (** error-model roster ({!Propane.Error_model.roster_of_string}) *)
   window : int;  (** direct-attribution window in ms ({!Propane.Estimator}) *)
   config : Propane.Runner.Config.t;  (** the options the campaign runs under *)

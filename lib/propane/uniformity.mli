@@ -33,8 +33,6 @@ type report = {
 
 val analyse : outputs:string list -> Results.t -> report
 
-val uniform_fraction : report -> float
-(** [(uniform_all + uniform_none) / locations]; [12] predicts close to
-    1, the paper's data (and ours) does not. *)
-
 val pp_report : Format.formatter -> report -> unit
+(** The counts and the uniform fraction, [(uniform_all + uniform_none) /
+    locations], which [12] predicts close to 1. *)

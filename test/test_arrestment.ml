@@ -1177,6 +1177,26 @@ let recipe_tests =
             ("model", { ok with model = "stuck-nowhere" });
             ("retries", { ok with config = { ok.config with retries = -1 } });
           ]);
+    Alcotest.test_case "a --full journal resumes under any --cases" `Quick
+      (fun () ->
+        (* The line `campaign --full` wrote before the grid was fixed. *)
+        let older =
+          "propane-recipe3;cases=3;times=4;full=true;model=single-bit;\
+           window=64;config=max_ms=20000,seed=42,truncate_after_ms=128,\
+           retries=0,fail_fast=false,jobs=1,journal_batch=32;chaos_crash=;\
+           chaos_hang="
+        in
+        let full = Recipe.make ~full:true ~cases:4 () in
+        match Recipe.decode older with
+        | Error msg -> Alcotest.fail msg
+        | Ok r ->
+            Alcotest.(check (option (triple string string string)))
+              "first_difference" None
+              (Recipe.first_difference r full);
+            Alcotest.(check bool)
+              "the grid is written as 5 cases, 10 times" true
+              (contains ~needle:";cases=5;times=10;full=true;"
+                 (Recipe.encode full)));
     recipe_property ~count:4 ~print:Recipe.encode
       "prepare and the one ending match estimate_all"
       QCheck2.Gen.(

@@ -675,7 +675,75 @@ let bound_step_tests =
 (* ------------------------------------------------------------------ *)
 (* Known answers: on an XOR-and-mask DAG, a uniform campaign flipping
    each of the 16 bits at every instant measures every permeability
-   cell as exactly keep/16. *)
+   cell as exactly keep/16, so those cells cannot miss.  A uniform
+   replacement of an input reaches a block's output iff the change
+   shows in the low [keep] bits, so with p = (2^16 - 2^(16-keep)) /
+   (2^16 - 1); an adaptive plan reads a budgeted slice of 16 such
+   replacements per instant, and its intervals may miss p. *)
+let replace_p keep =
+  float_of_int ((1 lsl 16) - (1 lsl (16 - keep))) /. float_of_int 0xFFFF
+
+let adaptive_replace ~seed ~every_ms system =
+  let model = B.model system in
+  let campaign =
+    Propane.Campaign.make ~name:"xor-replace"
+      ~targets:(B.injection_targets system)
+      ~testcases:[ Propane.Testcase.make ~id:"t" ~params:[] ]
+      ~times:
+        (List.init (192 / every_ms) (fun k ->
+             Simkernel.Sim_time.of_ms (every_ms * (k + 1))))
+      ~errors:(List.init 16 (fun _ -> Propane.Error_model.Replace_uniform))
+  in
+  let budget = Propane.Campaign.size campaign in
+  let plan = Propane.Plan.create ~budget ~model ~campaign () in
+  let config =
+    Propane.Runner.Config.make ~seed ~truncate_after_ms:16 ~budget
+      ~plan:Propane.Plan.Adaptive ()
+  in
+  let results = Propane.Runner.run ~config ~plan (B.sut system) campaign in
+  match Propane.Estimator.estimate_all ~model results with
+  | Error msg -> Alcotest.fail msg
+  | Ok matrices ->
+      (matrices, (Propagation.Analysis.run_exn model matrices).module_rows)
+
+(* Module pairs whose relative-permeability intervals are disjoint, and
+   how many of them are ordered against the exact p's. *)
+let resolved_pairs ~exact (rows : Propagation.Ranking.module_row list) =
+  List.fold_left
+    (fun acc (a : Propagation.Ranking.module_row) ->
+      List.fold_left
+        (fun (resolved, wrong) (b : Propagation.Ranking.module_row) ->
+          if a.relative_permeability_est.lo > b.relative_permeability_est.hi
+          then
+            ( resolved + 1,
+              if exact a.module_name <= exact b.module_name then wrong + 1
+              else wrong )
+          else (resolved, wrong))
+        acc rows)
+    (0, 0) rows
+
+(* Cells whose 95% interval misses p, and all cells. *)
+let missed_cells ~exact matrices =
+  Propagation.String_map.fold
+    (fun name matrix acc ->
+      let p = exact name in
+      Propagation.Perm_matrix.fold_estimates
+        (fun ~input:_ ~output:_ (e : Propagation.Estimate.t) (missed, cells) ->
+          ((if p < e.lo || p > e.hi then missed + 1 else missed), cells + 1))
+        matrix acc)
+    matrices (0, 0)
+
+(* Two single-input blocks at keep 4 and 5: p = 0.9375 and 0.9688. *)
+let tight_pair =
+  let s = Propagation.Signal.make in
+  B.create_exn ~name:"xor-pair" ~duration_ms:200
+    ~blocks:
+      [
+        Xor_mask.block ~name:"K4" ~keep:4 ~inputs:[ s "a" ] ~output:(s "a4");
+        Xor_mask.block ~name:"K5" ~keep:5 ~inputs:[ s "b" ] ~output:(s "b5");
+      ]
+    ~stimuli:[ B.ramp ~slope:3 (s "a"); B.ramp ~slope:5 (s "b") ]
+    ()
 
 let known_answer_tests =
   [
@@ -714,6 +782,44 @@ let known_answer_tests =
                       matrix ())
                   matrices)
           [ 101L; 7L; 3L ]);
+    Alcotest.test_case
+      "adaptive plan under uniform replacement ranks the DAG by p" `Quick
+      (fun () ->
+        let dag = Xor_mask.dag ~seed:101L in
+        let exact name = replace_p (dag.keep name) in
+        let wrong, missed, cells =
+          List.fold_left
+            (fun (wrong, missed, cells) seed ->
+              let matrices, rows =
+                adaptive_replace ~seed ~every_ms:6 dag.system
+              in
+              let _, w = resolved_pairs ~exact rows in
+              let m, c = missed_cells ~exact matrices in
+              (wrong + w, missed + m, cells + c))
+            (0, 0, 0)
+            (List.init 10 (fun k -> Int64.of_int (1000 + k)))
+        in
+        Alcotest.(check int) "resolved pairs against the exact order" 0 wrong;
+        Alcotest.(check (pair int int)) "cells missing p, of all" (8, 210)
+          (missed, cells));
+    (* The plan's refinement rounds grant runs only to the inputs of a
+       row ranked unresolved against the row below it, so K4, ranked
+       below, mostly keeps its pilot share while K5's input runs to its
+       cap, and most seeds leave the pair unresolved. *)
+    Alcotest.test_case "the tight pair never resolves the wrong way" `Quick
+      (fun () ->
+        let exact name = replace_p (if String.equal name "K4" then 4 else 5) in
+        let resolved, wrong =
+          List.fold_left
+            (fun (resolved, wrong) seed ->
+              let _, rows = adaptive_replace ~seed ~every_ms:2 tight_pair in
+              let r, w = resolved_pairs ~exact rows in
+              (resolved + r, wrong + w))
+            (0, 0)
+            (List.init 50 (fun k -> Int64.of_int (k + 1)))
+        in
+        Alcotest.(check int) "resolved the wrong way" 0 wrong;
+        Alcotest.(check int) "seeds that resolve it, of 50" 20 resolved);
   ]
 
 (* ------------------------------------------------------------------ *)
