@@ -22,15 +22,18 @@
 
     {b Robustness rules.}  The workers' connections are a {!Fleet}:
     a connection that does not [Join] within [heartbeat_timeout_s], or
-    that holds runs and sends nothing for as long (workers heartbeat
-    before every run, so the budget must only exceed the slowest
-    single run, golden included), is closed.  A dead worker's
-    outstanding indices return to the head of the queue — ahead of
-    unstarted work, because the journal's reorder buffer is waiting on
-    them — mirroring the retry semantics of the local engine.  Batch
+    that holds runs and sends nothing for as long, is closed.  A
+    worker holding runs writes at least once per 100 ms plus one run,
+    so the budget must exceed the slowest single run, golden included,
+    plus 100 ms; a batch may take longer than the budget.  A dead
+    worker's outstanding indices (the batch it ran and the one it held
+    ahead) return to the head of the queue — ahead of unstarted work,
+    because the journal's reorder buffer is waiting on them —
+    mirroring the retry semantics of the local engine.  Batch
     sizes adapt: [queue / (2 * workers)] capped at [batch_max] and
     floored at 1, so the campaign tail degenerates to single-run
-    batches and a straggler can strand at most one run.  A result for
+    batches and a straggler can strand at most two runs: the one it
+    runs and the one it holds ahead.  A result for
     an index the connection does not hold kills the connection too:
     only handed-out runs are ever recorded. *)
 

@@ -32,6 +32,9 @@ type 'c conn = {
   w : 'c worker;
   fd : Unix.file_descr;
   dec : Frame.decoder;
+  mutable held : int list list;
+      (* the batches with runs still out, oldest first: at most the one
+         running and the one ahead; [w.outstanding] is their runs *)
   mutable joined : bool;
   mutable deadline : float;  (* armed until Join and while runs are out *)
   mutable last_ping : float;
@@ -78,6 +81,10 @@ let workers t =
 
 let send c msg = Frame.write c.fd (Protocol.encode_to_worker msg)
 
+let hold c held =
+  c.held <- held;
+  c.w.outstanding <- List.concat held
+
 let kill t source ~reason c =
   Hashtbl.remove t.conns c.w.id;
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -88,7 +95,7 @@ let kill t source ~reason c =
           m "worker %d died (%s); reassigning %d outstanding runs" c.w.id
             reason (List.length lost));
       source.requeue x lost);
-  c.w.outstanding <- []
+  hold c []
 
 let give_work t source c =
   match source.choose c.w.serving with
@@ -98,9 +105,14 @@ let give_work t source c =
       | [] -> c.w.parked <- true
       | batch ->
           c.w.parked <- false;
-          c.w.outstanding <- batch;
-          c.deadline <- Unix.gettimeofday () +. t.timeout_s;
+          if not (armed c) then
+            c.deadline <- Unix.gettimeofday () +. t.timeout_s;
+          hold c (c.held @ [ batch ]);
           send c (Protocol.Batch batch))
+  | Some _ when c.w.outstanding <> [] ->
+      (* Results are recorded against [serving]: the worker keeps its
+         campaign, parked, until every run it holds has its result. *)
+      c.w.parked <- true
   | Some x ->
       (* The worker rebuilds its executor, then asks for a batch. *)
       c.w.serving <- Some x;
@@ -134,16 +146,25 @@ let handle t source c msg =
         ~reason:(Fmt.str "%a before joining" Protocol.pp_to_coordinator msg)
         c
   | Protocol.Join _ | Protocol.Heartbeat -> ()
-  | Protocol.Request_batch when c.w.outstanding <> [] ->
-      (* A new batch, or a retarget, would orphan the runs it holds. *)
-      kill t source ~reason:"asked for a batch while holding runs" c
+  | Protocol.Request_batch when c.w.parked ->
+      kill t source ~reason:"asked for a batch with a request pending" c
+  | Protocol.Request_batch when List.compare_length_with c.held 2 >= 0 ->
+      (* The batch running and the one ahead are all a worker may
+         hold. *)
+      kill t source ~reason:"asked for a third batch" c
   | Protocol.Request_batch -> give_work t source c
   | Protocol.Result { index; retries; outcome } -> (
       (* Only a run handed to this worker may be recorded; a stray
          result would be journalled as if it had been scheduled. *)
       match c.w.serving with
       | Some x when List.mem index c.w.outstanding ->
-          c.w.outstanding <- List.filter (fun i -> i <> index) c.w.outstanding;
+          hold c
+            (List.filter_map
+               (fun batch ->
+                 match List.filter (fun i -> i <> index) batch with
+                 | [] -> None
+                 | rest -> Some rest)
+               c.held);
           c.w.completed <- c.w.completed + 1;
           source.record x ~index ~worker:c.w.id ~retries outcome
       | _ ->
@@ -206,6 +227,7 @@ let accept t =
           w;
           fd;
           dec = Frame.decoder ();
+          held = [];
           joined = false;
           deadline = now +. t.timeout_s;
           last_ping = 0.0;

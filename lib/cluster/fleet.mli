@@ -19,18 +19,24 @@
       [Reject] naming both versions.  Any other message before [Join]
       closes the connection.
     - A worker that holds runs and sends nothing for
-      [heartbeat_timeout_s] is dead (workers heartbeat before every
-      run).  So is one whose connection drops, or that sends a frame
-      that does not decode.  Its outstanding runs go back to its
-      campaign through the source's [requeue], ahead of unstarted
-      work.
-    - A result for a run the worker does not hold, or a
-      [Request_batch] while it still holds runs, closes the
-      connection: only handed-out runs are ever recorded, each in the
+      [heartbeat_timeout_s] is dead (a worker holding runs writes at
+      least once per 100 ms plus one run, so the timeout must exceed
+      the slowest run plus 100 ms).  So is one whose connection drops,
+      or that sends a frame that does not decode.  Its outstanding
+      runs, of both batches it may hold, go back to its campaign
+      through the source's [requeue], ahead of unstarted work.
+    - A worker may hold the batch it runs plus one batch ahead, and
+      have one [Request_batch] unanswered.  A [Request_batch] sent
+      while one is pending, or while it holds runs of two batches,
+      closes the connection, as does a result for a run it does not
+      hold: only handed-out runs are ever recorded, each in the
       campaign that handed it out.
-    - A joined worker with nothing outstanding is parked.  It is sent
-      [Ping] after half the timeout of silence, which its [Heartbeat]
-      answers.
+    - A worker that holds runs is never retargeted.  When [choose]
+      picks another campaign, the worker stays parked until every run
+      it holds has its result, and only then is sent the [Assign].
+    - A joined worker whose request found no work is parked.  One
+      that also holds nothing is sent [Ping] after half the timeout
+      of silence, which its [Heartbeat] answers.
 
     [SIGPIPE] is ignored from {!create} on: a write racing a worker's
     death fails with [EPIPE] and closes that connection only. *)
@@ -66,8 +72,11 @@ type 'c worker = private {
   mutable pid : int;
   mutable serving : 'c option;  (** the campaign last assigned *)
   mutable parked : bool;
-      (** waiting in [Request_batch] for work, holding no runs *)
-  mutable outstanding : int list;  (** handed out, not yet resulted *)
+      (** waiting for work: its [Request_batch] (or its [Join]) has no
+          answer yet.  It may still be running the batch it holds. *)
+  mutable outstanding : int list;
+      (** handed out, not yet resulted: the runs of the batch it runs
+          and of the one ahead, in hand-out order *)
   mutable completed : int;  (** results received *)
   mutable last_seen : float;  (** [Unix.gettimeofday] of its last message *)
 }

@@ -1,4 +1,4 @@
-let version = 3
+let version = 4
 
 type welcome = {
   sut : string;

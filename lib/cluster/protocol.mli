@@ -7,8 +7,8 @@
     that the line-based on-disk formats must sanitise away
     (property-tested; see [test_cluster.ml]).
 
-    The conversation is strictly pull-based, and the same whether a
-    single-campaign coordinator ([propane campaign --listen]) or the
+    The conversation is pull-based and pipelined, and the same whether
+    a single-campaign coordinator ([propane campaign --listen]) or the
     multi-campaign service ([propane serve]) is on the other end:
     {v
     worker                         server
@@ -17,25 +17,36 @@
                                    | Reject reason
       Request_batch             ->
                                 <- Batch [i0; i1; ...]
-      Result {index; outcome}   ->      (one per run, in batch order)
-      ...
-      Request_batch             ->
+      Request_batch             ->      (asks ahead, then runs i0, i1, ...)
+                                <- Batch [j0; ...]   (held while i runs)
+      Result {index; outcome}   ->      (one per run, in batch order,
+      ...                               in one write per batch)
+      Request_batch             ->      (on reading Batch [j0; ...])
                                 <- Batch [...] | Assign {...} | Done
     v}
+    A worker asks for its next batch as soon as a [Batch] arrives,
+    before running it, so the server answers and records the previous
+    batch while the worker runs.  It holds at most the batch it runs
+    and one ahead, and has at most one [Request_batch] unanswered.
     [Heartbeat] may be sent at any time to prove liveness; every
-    message counts as one.  The server answers a [Request_batch] that
-    finds no work with silence (the worker blocks reading) until new
-    work appears — a dead worker's batch being reassigned, or a newly
-    submitted campaign — or until it sends [Done].  [Ping] asks a
-    blocked worker to prove liveness with a [Heartbeat].
+    message counts as one.  Before a run, a worker that has written
+    nothing for 100 ms flushes its buffered results, or sends a
+    [Heartbeat] if it has none, so a worker holding runs writes at
+    least once per 100 ms plus one run.  The server answers a
+    [Request_batch] that finds no work with silence (the worker blocks
+    reading once its batch is done) until new work appears — a dead
+    worker's batch being reassigned, or a newly submitted campaign —
+    or until it sends [Done].  [Ping] asks a blocked worker to prove
+    liveness with a [Heartbeat].
 
     [Assign] (re)targets the worker at a campaign: the worker rebuilds
     its executor from the [welcome] and resumes with [Request_batch].
     A coordinator assigns its one campaign right after [Join]; the
     service assigns whichever campaign its fair share picks once one is
     runnable (until then the joined worker waits, answering pings), and
-    may retarget the worker between batches.  A worker pinned to one
-    recipe checks each [Assign] itself and leaves on a mismatch.
+    may retarget the worker between batches, once every run it holds
+    has its result.  A worker pinned to one recipe checks each
+    [Assign] itself and leaves on a mismatch.
 
     A [Join] with another protocol version receives [Reject] naming
     both versions, and the worker must exit.  [Join] keeps the tag and
@@ -44,8 +55,8 @@
     server disconnects it. *)
 
 val version : int
-(** Current protocol version (3).  Bump on any change to the message
-    encodings below. *)
+(** Current protocol version (4).  Bump on any change to the message
+    encodings below or to the conversation above. *)
 
 type welcome = {
   sut : string;  (** SUT name, for worker-side validation *)

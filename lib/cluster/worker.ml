@@ -2,6 +2,13 @@ let src = Logs.Src.create "cluster.worker" ~doc:"campaign worker process"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* The clock rule: before a run, a worker that has written nothing for
+   this long flushes its buffered results, or heartbeats if it has
+   none.  So a worker holding runs writes at least once per
+   [silence_s] plus one run, which is what the server's watchdog
+   relies on. *)
+let silence_s = 0.1
+
 let run ?host ?pid ?(config_digest = "") ?on_result ~connect ~make () =
   (* A dying server must surface as EPIPE on our next send, not as a
      fatal SIGPIPE. *)
@@ -17,7 +24,16 @@ let run ?host ?pid ?(config_digest = "") ?on_result ~connect ~make () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           let reader = Frame.reader fd in
-          let send msg = Frame.write fd (Protocol.encode_to_coordinator msg) in
+          let exception Server_gone in
+          let last_write = ref (Unix.gettimeofday ()) in
+          let write payloads =
+            (match Frame.write_many fd payloads with
+            | () -> ()
+            | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+                raise Server_gone);
+            last_write := Unix.gettimeofday ()
+          in
+          let send msg = write [ Protocol.encode_to_coordinator msg ] in
           let recv () =
             match Frame.read reader with
             | Error msg -> Error msg
@@ -44,38 +60,41 @@ let run ?host ?pid ?(config_digest = "") ?on_result ~connect ~make () =
                     w.total host pid);
               Ok execute
           in
-          (* Results are buffered and flushed in one write per batch,
-             halving the per-run syscalls on the hot path; the per-run
-             heartbeat still flows, covering the watchdog.  A failed
-             outcome flushes at once so a fail-fast server aborts
-             promptly. *)
+          (* Results are buffered and flushed in one write per batch.
+             The clock rule keeps a long batch from going silent, and a
+             failed outcome flushes at once so a fail-fast server
+             aborts promptly. *)
           let run_batch execute indices =
             let buffered = ref [] in
             let flush_results () =
-              Frame.write_many fd (List.rev !buffered);
-              buffered := []
+              let sent = List.rev !buffered in
+              buffered := [];
+              write sent;
+              List.iter
+                (fun _ ->
+                  incr completed;
+                  Option.iter (fun f -> f ~completed:!completed) on_result)
+                sent
             in
             List.iter
               (fun index ->
-                (* The heartbeat covers the (possibly lazy golden plus
-                   injection) run about to start. *)
-                send Protocol.Heartbeat;
+                if Unix.gettimeofday () -. !last_write >= silence_s then
+                  if !buffered = [] then send Protocol.Heartbeat
+                  else flush_results ();
                 let outcome, retries = execute index in
                 buffered :=
                   Protocol.encode_to_coordinator
                     (Protocol.Result { index; retries; outcome })
                   :: !buffered;
                 if Propane.Results.is_failed outcome.Propane.Results.status
-                then flush_results ();
-                incr completed;
-                match on_result with
-                | Some f -> f ~completed:!completed
-                | None -> ())
+                then flush_results ())
               indices;
             flush_results ()
           in
           (* [await] blocks for the server's next message: a parked
-             worker may wait here through pings until work appears. *)
+             worker may wait here through pings until work appears.
+             Each batch is asked for before the previous one runs, so
+             the server answers, and records, while we execute. *)
           let rec await execute =
             let* msg = recv () in
             match (msg, execute) with
@@ -87,27 +106,33 @@ let run ?host ?pid ?(config_digest = "") ?on_result ~connect ~make () =
                 Error (Printf.sprintf "server rejected us: %s" reason)
             | Protocol.Assign w, _ ->
                 let* execute = assign w in
-                request (Some execute)
+                send Protocol.Request_batch;
+                await (Some execute)
             | Protocol.Batch indices, Some execute ->
+                send Protocol.Request_batch;
                 run_batch execute indices;
-                request (Some execute)
+                await (Some execute)
             | Protocol.Batch _, None -> Error "batch before any assignment"
-          and request execute =
-            match send Protocol.Request_batch with
-            | () -> await execute
-            | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> (
-                (* The server may have completed the campaign and closed
-                   our socket while this request was in flight; the
-                   [Done] it sent first is still readable. *)
-                match recv () with
-                | Ok Protocol.Done -> Ok !completed
-                | Ok _ | Error _ ->
-                    Error "connection to server lost: EPIPE (write)")
+          in
+          (* A server that ends the campaign (or fails fast) sends
+             [Done] and closes: a write racing that close fails, and
+             the [Done] is still readable behind whatever the server
+             sent before it. *)
+          let rec find_done () =
+            match recv () with
+            | Ok Protocol.Done -> Ok !completed
+            | Ok _ -> find_done ()
+            | Error _ -> Error "connection to server lost: EPIPE (write)"
           in
           try
             send (Protocol.Join { version = Protocol.version; host; pid });
             await None
-          with Unix.Unix_error (err, fn, _) ->
-            Error
-              (Printf.sprintf "connection to server lost: %s (%s)"
-                 (Unix.error_message err) fn))
+          with
+          | Server_gone -> (
+              try find_done ()
+              with Unix.Unix_error _ ->
+                Error "connection to server lost: EPIPE (write)")
+          | Unix.Unix_error (err, fn, _) ->
+              Error
+                (Printf.sprintf "connection to server lost: %s (%s)"
+                   (Unix.error_message err) fn))

@@ -2,10 +2,14 @@
 
     A worker connects to a server — a single-campaign {!Coordinator}
     or the campaign service — joins it, and then pulls batches of
-    experiment indices until the server says it is done.  Every run
-    streams back as its own {!Protocol.Result} message, so the
-    server's journal loses at most the runs in flight when a worker
-    dies — the same guarantee the local engine gives per domain.
+    experiment indices until the server says it is done.  It asks for
+    the next batch as soon as one arrives, so the server answers while
+    it runs.  Each run's {!Protocol.Result} is buffered and the batch's
+    results go back in one write; a failed outcome is sent at once,
+    and a worker that has written nothing for 100 ms flushes (or
+    heartbeats) before its next run.  A worker that dies loses the
+    batch it ran and the one it held ahead; the server runs them
+    again.
 
     The worker never decides {e what} to run: each
     {!Protocol.Assign} names the SUT, campaign, seed and size, plus an

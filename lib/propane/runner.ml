@@ -1035,23 +1035,33 @@ module Session = struct
 end
 
 (* [jobs] worker domains fed by the calling domain, which owns the
-   session: it hands each idle domain one index at a time and records
+   session: it keeps up to [queue_depth] indices per domain in flight
+   through a shared queue, refilled with guided batches, and records
    every result itself — [Coordinator.serve]'s loop with a queue in
    place of a socket.  Each domain runs in a private arena, so the
-   frozen goldens are all they share.  An exception escaping a domain
-   poisons the campaign: nothing more is handed out, the runs in flight
-   drain into the session, and the exception is re-raised. *)
-let run_in_domains ~jobs ~session ~run_one ~deliver =
-  let mutex = Mutex.create () and cond = Condition.create () in
+   frozen goldens are all they share.  A run that [halts] the campaign
+   (a fail-fast failure), an exception escaping a domain, or a stop
+   closes the queue: no domain starts another run, the indices none
+   has started go back to the session, and the runs still executing
+   drain into it.  An exception is then re-raised. *)
+let queue_depth = 16
+
+let run_in_domains ~jobs ~session ~run_one ~halts ~deliver =
+  let mutex = Mutex.create () in
+  let work_ready = Condition.create () and done_ready = Condition.create () in
   let work = Queue.create () and results = Queue.create () in
   let closing = ref false in
+  let close () =
+    closing := true;
+    Condition.broadcast work_ready
+  in
   let worker wid () =
     let run = run_one () in
     let rec loop () =
       match
         Mutex.protect mutex (fun () ->
             while Queue.is_empty work && not !closing do
-              Condition.wait cond mutex
+              Condition.wait work_ready mutex
             done;
             if !closing then None else Some (Queue.pop work))
       with
@@ -1060,29 +1070,43 @@ let run_in_domains ~jobs ~session ~run_one ~deliver =
           let r = match run idx with r -> Ok r | exception e -> Error e in
           Mutex.protect mutex (fun () ->
               Queue.push (wid, idx, r) results;
-              Condition.broadcast cond);
-          if Result.is_ok r then loop ()
+              (match r with Ok r when not (halts r) -> () | _ -> close ());
+              Condition.signal done_ready);
+          loop ()
     in
     loop ()
   in
   let domains = List.init jobs (fun wid -> Domain.spawn (worker wid)) in
-  let live = ref jobs and in_flight = ref 0 and failure = ref None in
+  let in_flight = ref 0 and failure = ref None in
   let rec hand_out () =
-    if !failure = None && !in_flight < !live then
-      match Session.take session ~batch_max:1 ~workers:jobs with
+    if !in_flight < queue_depth * jobs then
+      match Session.take session ~batch_max:queue_depth ~workers:jobs with
       | [] -> ()
-      | idx :: _ ->
-          incr in_flight;
+      | batch ->
+          in_flight := !in_flight + List.length batch;
           Mutex.protect mutex (fun () ->
-              Queue.push idx work;
-              Condition.broadcast cond);
+              List.iter (fun idx -> Queue.push idx work) batch;
+              Condition.broadcast work_ready);
           hand_out ()
+  in
+  let halted = ref false in
+  let halt () =
+    if not !halted then begin
+      halted := true;
+      let unstarted =
+        Mutex.protect mutex (fun () ->
+            close ();
+            let l = List.of_seq (Queue.to_seq work) in
+            Queue.clear work;
+            l)
+      in
+      in_flight := !in_flight - List.length unstarted;
+      Session.requeue session unstarted
+    end
   in
   Fun.protect
     ~finally:(fun () ->
-      Mutex.protect mutex (fun () ->
-          closing := true;
-          Condition.broadcast cond);
+      Mutex.protect mutex close;
       List.iter Domain.join domains)
     (fun () ->
       hand_out ();
@@ -1090,25 +1114,27 @@ let run_in_domains ~jobs ~session ~run_one ~deliver =
          waiting on the runs in flight; only with nothing in flight is
          the source exhausted or the campaign stopped. *)
       while !in_flight > 0 do
-        let batch =
+        let batch, closed =
           Mutex.protect mutex (fun () ->
               while Queue.is_empty results do
-                Condition.wait cond mutex
+                Condition.wait done_ready mutex
               done;
               let batch = List.of_seq (Queue.to_seq results) in
               Queue.clear results;
-              batch)
+              (batch, !closing))
         in
         List.iter
           (fun (wid, idx, r) ->
             decr in_flight;
-            match r with
+            (match r with
             | Ok r -> deliver ~worker:wid idx r
-            | Error e ->
-                decr live;
-                if !failure = None then failure := Some e)
+            | Error e -> if !failure = None then failure := Some e);
+            if
+              closed || Session.stopping session
+              || Session.failed session <> None
+            then halt ())
           batch;
-        hand_out ()
+        if not !halted then hand_out ()
       done);
   Option.iter raise !failure
 
@@ -1130,6 +1156,7 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
         run_timeout_ms;
         retries;
         jobs;
+        fail_fast;
         _;
       } =
         config
@@ -1172,5 +1199,7 @@ let run ?(config = Config.default) ?on_event ?on_run_traces ?live ?select
        else
          run_in_domains ~jobs ~session
            ~run_one:(fun () -> run_one ~arena:(make_arena sut))
+           ~halts:(fun (outcome, _, _) ->
+             fail_fast && Results.is_failed outcome.Results.status)
            ~deliver);
       Session.finish session)

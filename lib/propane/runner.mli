@@ -343,8 +343,10 @@ module Session : sig
       flight must keep polling until {!complete}. *)
 
   val requeue : t -> int list -> unit
-  (** Returns a dead worker's outstanding indices to the {e head} of
-      the queue: the reorder buffer is stalled on exactly these. *)
+  (** Returns taken indices that never ran — a dead worker's
+      outstanding runs, or the runs a halted {!run} had queued for its
+      domains — to the {e head} of the queue: the reorder buffer is
+      stalled on exactly these. *)
 
   val record :
     t -> index:int -> worker:int -> retries:int -> Results.outcome -> unit
@@ -437,12 +439,15 @@ val run :
     goldens (property-tested).  {!golden_run} and {!frozen_golden}
     keep running to the end.  With [jobs = 1] every run executes in
     the calling domain and a stop or failure starts no further run —
-    the stop point is deterministic for a fixed seed.  Otherwise
-    [jobs] worker domains each receive one index at a time from the
-    calling domain, which owns the session; after a stop or failure
-    at most the one run in flight per domain still completes and
-    journals.  An exception escaping a worker domain likewise stops
-    the hand-out, drains the runs in flight and is re-raised.  Every
+    the stop point is deterministic for a fixed seed.  Otherwise the
+    calling domain, which owns the session, keeps up to 16 indices per
+    worker domain in flight through a shared queue, refilled with
+    guided batches ({!Session.take} [~batch_max:16 ~workers:jobs]).
+    A stop or a failure closes the queue: the indices no domain has
+    started go back to the session ({!Session.requeue}), so at most
+    the one run executing per domain still completes and journals.
+    An exception escaping a worker domain likewise closes the queue,
+    drains the runs executing and is re-raised.  Every
     injection run gets a fresh SUT instance, so [instantiate] must not
     rely on global mutable state.
 

@@ -464,6 +464,9 @@ let campaign_json ?(verbose = false) t c =
         ])
   end
 
+(* Parked with a batch still running is busy, not idle. *)
+let idle (w : campaign Cluster.Fleet.worker) = w.parked && w.outstanding = []
+
 let fleet_json t =
   let now = Unix.gettimeofday () in
   let roster = Cluster.Fleet.workers t.fleet in
@@ -482,7 +485,7 @@ let fleet_json t =
             ( "outstanding",
               Json.Num (float_of_int (List.length w.outstanding)) );
             ("completed", Json.Num (float_of_int w.completed));
-            ("idle", Json.Bool w.parked);
+            ("idle", Json.Bool (idle w));
             ("last_seen_s", Json.Num (Float.max 0.0 (now -. w.last_seen)));
           ])
       roster
@@ -496,10 +499,7 @@ let fleet_json t =
       0
       (List.filter runnable (campaigns_in_order t))
   in
-  let idle =
-    List.length
-      (List.filter (fun (w : campaign Cluster.Fleet.worker) -> w.parked) roster)
-  in
+  let idle = List.length (List.filter idle roster) in
   let bottleneck, hint =
     if queue_depth > 0 && idle = 0 then begin
       let wanted = (queue_depth + t.cfg.batch_max - 1) / t.cfg.batch_max in

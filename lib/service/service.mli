@@ -43,7 +43,9 @@
          is still served after a restart.}
       {- [GET /fleet] — the worker roster, plus a bottleneck diagnosis:
          [queue_depth] (runs queued across runnable campaigns), [idle]
-         (parked workers) and a sizing [hint] — when runs are queued
+         (parked workers that hold no runs: one that asked ahead while
+         its batch still runs is busy) and a sizing [hint] — when runs
+         are queued
          and no worker is idle, how many more workers could each take a
          full batch right now.}} *)
 

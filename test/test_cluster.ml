@@ -354,13 +354,15 @@ let scale_model =
 
 (* Throttled variant: slow enough that the coordinator observes results
    while workers still hold unexecuted runs, so adaptive stop rules
-   have room to act (an unthrottled scaler run lasts microseconds). *)
-let slow_scaler_sut () =
+   have room to act (an unthrottled scaler run lasts microseconds).
+   [run_s] adds a fixed delay to every run, golden included. *)
+let slow_scaler_sut ?(run_s = 0.) () =
   let base = scaler_sut () in
   {
     base with
     Propane.Sut.instantiate =
       (fun tc ->
+        Unix.sleepf run_s;
         let inner = base.Propane.Sut.instantiate tc in
         {
           inner with
@@ -445,6 +447,52 @@ let check_results_match what serial cluster =
     (what ^ ": outcomes identical")
     true
     (Propane.Results.outcomes serial = Propane.Results.outcomes cluster)
+
+(* A hand-rolled worker, for tests that break the protocol on purpose:
+   joins [addr] as [host], then runs [f send receive gone] and closes
+   the connection.  [send] writes its messages in one write; [receive]
+   skips pings and is [None] at end of stream, on a frame that does not
+   decode, or after 10 s of silence; [gone ()] reads one frame and
+   tells whether the server closed the connection. *)
+let hand_rolled ~host addr f =
+  match Cluster.Address.connect addr with
+  | Error msg -> Error msg
+  | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let reader = Cluster.Frame.reader fd in
+          let send msgs =
+            Cluster.Frame.write_many fd
+              (List.map Cluster.Protocol.encode_to_coordinator msgs)
+          in
+          let rec receive () =
+            match Cluster.Frame.read reader with
+            | Ok (Some p) -> (
+                match Cluster.Protocol.decode_to_worker p with
+                | Ok Cluster.Protocol.Ping -> receive ()
+                | Ok m -> Some m
+                | Error _ -> None)
+            | Ok None | Error _ -> None
+            | exception Unix.Unix_error _ -> None
+          in
+          let gone () =
+            match Cluster.Frame.read reader with
+            | Ok None -> true
+            | Ok (Some _) | Error _ -> false
+            | exception Unix.Unix_error _ -> false
+          in
+          send
+            [
+              Cluster.Protocol.Join
+                { version = Cluster.Protocol.version; host; pid = 1 };
+            ];
+          Ok (f send receive gone))
+
+let batch_of = function
+  | Some (Cluster.Protocol.Batch batch) -> batch
+  | _ -> Alcotest.fail "expected a batch"
 
 let integration_tests =
   [
@@ -550,6 +598,75 @@ let integration_tests =
             Sys.remove serial_path;
             Sys.remove cluster_path)
           [ Propane.Plan.Uniform; Propane.Plan.Adaptive ]);
+    Alcotest.test_case "a worker asks for its next batch before running one"
+      `Slow (fun () ->
+        (* A scripted coordinator assigns the scaler, hands out one
+           batch of 16 and answers nothing more.  The worker must ask
+           for the next batch before the first result, and 16 fast runs
+           give its 100-ms clock rule no reason to heartbeat. *)
+        let addr = Cluster.Address.Unix_sock (tmp_path ".sock") in
+        let listen = Cluster.Address.listen addr in
+        let worker =
+          Domain.spawn (fun () ->
+              Cluster.Worker.run ~connect:addr
+                ~make:(fun w -> make_executor w)
+                ())
+        in
+        let rec accept () =
+          match Cluster.Address.accept listen with
+          | fd :: _ -> fd
+          | [] ->
+              ignore (Unix.select [ listen ] [] [] 1.0);
+              accept ()
+        in
+        let fd = accept () in
+        let finished = ref None in
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            (try Unix.close listen with Unix.Unix_error _ -> ());
+            Cluster.Address.unlink addr;
+            finished := Some (Domain.join worker))
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            let reader = Cluster.Frame.reader fd in
+            let send m =
+              Cluster.Frame.write fd (Cluster.Protocol.encode_to_worker m)
+            in
+            let receive () =
+              match Cluster.Frame.read reader with
+              | Ok (Some p) -> (
+                  match Cluster.Protocol.decode_to_coordinator p with
+                  | Ok Cluster.Protocol.Request_batch -> "request"
+                  | Ok Heartbeat -> "heartbeat"
+                  | Ok (Result _) -> "result"
+                  | Ok (Join _) -> "join"
+                  | Error msg -> msg)
+              | Ok None -> "end of stream"
+              | Error msg -> msg
+              | exception Unix.Unix_error (err, _, _) -> Unix.error_message err
+            in
+            Alcotest.(check string) "joins" "join" (receive ());
+            send
+              (Cluster.Protocol.Assign
+                 {
+                   sut = "scaler";
+                   campaign = "scaler";
+                   seed;
+                   total = Propane.Campaign.size scaler_campaign;
+                   config = "";
+                 });
+            Alcotest.(check string) "asks after the assignment" "request"
+              (receive ());
+            send (Cluster.Protocol.Batch (List.init 16 Fun.id));
+            let seen = List.init 17 (fun _ -> receive ()) in
+            send Cluster.Protocol.Done;
+            Alcotest.(check (list string))
+              "asks ahead, then results and no heartbeat"
+              ("request" :: List.init 16 (fun _ -> "result"))
+              seen);
+        Alcotest.(check (option (result int string)))
+          "dismissed after its batch" (Some (Ok 16)) !finished);
     Alcotest.test_case "dead worker's runs are reassigned" `Slow (fun () ->
         let serial_path = tmp_path ".journal" in
         let cluster_path = tmp_path ".journal" in
@@ -576,27 +693,13 @@ let integration_tests =
         let stalling addr =
           [
             Domain.spawn (fun () ->
-                match Cluster.Address.connect addr with
-                | Error _ -> Error "connect failed"
-                | Ok fd ->
-                    let reader = Cluster.Frame.reader fd in
-                    let send m =
-                      Cluster.Frame.write fd
-                        (Cluster.Protocol.encode_to_coordinator m)
-                    in
-                    send
-                      (Cluster.Protocol.Join
-                         {
-                           version = Cluster.Protocol.version;
-                           host = "stall";
-                           pid = 1;
-                         });
-                    ignore (Cluster.Frame.read reader);
-                    send Cluster.Protocol.Request_batch;
-                    ignore (Cluster.Frame.read reader);
-                    Unix.sleepf 2.0;
-                    (try Unix.close fd with Unix.Unix_error _ -> ());
-                    Ok 0);
+                Result.map
+                  (fun () -> 0)
+                  (hand_rolled ~host:"stall" addr (fun send receive _ ->
+                       ignore (receive ());
+                       send [ Cluster.Protocol.Request_batch ];
+                       ignore (receive ());
+                       Unix.sleepf 2.0)));
           ]
         in
         let cluster =
@@ -662,55 +765,29 @@ let integration_tests =
         let stray addr =
           [
             Domain.spawn (fun () ->
-                (match Cluster.Address.connect addr with
-                | Error _ -> ()
-                | Ok fd ->
-                    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-                    let reader = Cluster.Frame.reader fd in
-                    let send m =
-                      Cluster.Frame.write fd
-                        (Cluster.Protocol.encode_to_coordinator m)
-                    in
-                    let receive () =
-                      match Cluster.Frame.read reader with
-                      | Ok (Some p) -> (
-                          match Cluster.Protocol.decode_to_worker p with
-                          | Ok m -> Some m
-                          | Error _ -> None)
-                      | Ok None | Error _ -> None
-                      | exception Unix.Unix_error _ -> None
-                    in
-                    send
-                      (Cluster.Protocol.Join
-                         {
-                           version = Cluster.Protocol.version;
-                           host = "stray";
-                           pid = 1;
-                         });
-                    ignore (receive ());
-                    send Cluster.Protocol.Request_batch;
-                    (match receive () with
-                    | Some (Cluster.Protocol.Batch (first :: _ as batch)) ->
-                        let outside =
-                          List.find
-                            (fun i -> not (List.mem i batch))
-                            (List.init total (fun i -> total - 1 - i))
-                        in
-                        let outcome, _ =
-                          Propane.Runner.executor ~seed (scaler_sut ())
-                            scaler_campaign first
-                        in
-                        send
-                          (Cluster.Protocol.Result
-                             { index = outside; retries = 0; outcome });
-                        (* End of stream, not the receive timeout. *)
-                        hung_up :=
-                          (match Cluster.Frame.read reader with
-                          | Ok None -> true
-                          | Ok (Some _) | Error _ -> false
-                          | exception Unix.Unix_error _ -> false)
-                    | _ -> ());
-                    (try Unix.close fd with Unix.Unix_error _ -> ()));
+                ignore
+                  (hand_rolled ~host:"stray" addr (fun send receive gone ->
+                       ignore (receive ());
+                       send [ Cluster.Protocol.Request_batch ];
+                       match receive () with
+                       | Some (Cluster.Protocol.Batch (first :: _ as batch)) ->
+                           let outside =
+                             List.find
+                               (fun i -> not (List.mem i batch))
+                               (List.init total (fun i -> total - 1 - i))
+                           in
+                           let outcome, _ =
+                             Propane.Runner.executor ~seed (scaler_sut ())
+                               scaler_campaign first
+                           in
+                           send
+                             [
+                               Cluster.Protocol.Result
+                                 { index = outside; retries = 0; outcome };
+                             ];
+                           (* End of stream, not the receive timeout. *)
+                           hung_up := gone ()
+                       | _ -> ()));
                 Cluster.Worker.run ~connect:addr ~make:(fun w -> make_executor w) ());
           ]
         in
@@ -724,46 +801,30 @@ let integration_tests =
           "journal bytes" (read_file serial_path) (read_file cluster_path);
         Sys.remove serial_path;
         Sys.remove cluster_path);
-    Alcotest.test_case "asking for more while holding a batch kills the \
-                        connection" `Slow (fun () ->
+    Alcotest.test_case "asking for more while holding a batch ahead kills \
+                        the connection" `Slow (fun () ->
         let serial_path = tmp_path ".journal" in
         let cluster_path = tmp_path ".journal" in
         let serial = serial_reference ~journal:serial_path in
         let hung_up = ref false in
-        (* A hand-rolled client asks for a second batch without
-           answering the first: its runs must return to the queue, not
-           be orphaned by a new batch.  A real worker then drains the
+        (* A hand-rolled client takes the batch it may run and the one
+           it may hold ahead, then asks for a third without answering
+           either: their runs must return to the queue, not be
+           orphaned by a new batch.  A real worker then drains the
            campaign alone. *)
         let greedy addr =
           [
             Domain.spawn (fun () ->
-                (match Cluster.Address.connect addr with
-                | Error _ -> ()
-                | Ok fd ->
-                    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-                    let reader = Cluster.Frame.reader fd in
-                    let send m =
-                      Cluster.Frame.write fd
-                        (Cluster.Protocol.encode_to_coordinator m)
-                    in
-                    send
-                      (Cluster.Protocol.Join
-                         {
-                           version = Cluster.Protocol.version;
-                           host = "greedy";
-                           pid = 1;
-                         });
-                    ignore (Cluster.Frame.read reader);
-                    send Cluster.Protocol.Request_batch;
-                    ignore (Cluster.Frame.read reader);
-                    send Cluster.Protocol.Request_batch;
-                    (* End of stream, not the receive timeout. *)
-                    hung_up :=
-                      (match Cluster.Frame.read reader with
-                      | Ok None -> true
-                      | Ok (Some _) | Error _ -> false
-                      | exception Unix.Unix_error _ -> false);
-                    (try Unix.close fd with Unix.Unix_error _ -> ()));
+                ignore
+                  (hand_rolled ~host:"greedy" addr (fun send receive gone ->
+                       ignore (receive ());
+                       send [ Cluster.Protocol.Request_batch ];
+                       ignore (batch_of (receive ()));
+                       send [ Cluster.Protocol.Request_batch ];
+                       ignore (batch_of (receive ()));
+                       send [ Cluster.Protocol.Request_batch ];
+                       (* End of stream, not the receive timeout. *)
+                       hung_up := gone ()));
                 Cluster.Worker.run ~connect:addr
                   ~make:(fun w -> make_executor w)
                   ());
@@ -774,6 +835,90 @@ let integration_tests =
             ~extra_clients:greedy ()
         in
         Alcotest.(check bool) "greedy connection killed" true !hung_up;
+        check_results_match "results" serial cluster;
+        Alcotest.(check string)
+          "journal bytes" (read_file serial_path) (read_file cluster_path);
+        Sys.remove serial_path;
+        Sys.remove cluster_path);
+    Alcotest.test_case "a worker dying with a batch ahead loses neither batch"
+      `Slow (fun () ->
+        let serial_path = tmp_path ".journal" in
+        let cluster_path = tmp_path ".journal" in
+        let serial = serial_reference ~journal:serial_path in
+        let held = ref [] and drained = ref (Error "not run") in
+        (* A hand-rolled client takes two batches and hangs up without
+           a result; only then does a real worker attach.  It can
+           finish the campaign only if both batches were requeued. *)
+        let dying addr =
+          [
+            Domain.spawn (fun () ->
+                ignore
+                  (hand_rolled ~host:"dying" addr (fun send receive _ ->
+                       ignore (receive ());
+                       send [ Cluster.Protocol.Request_batch ];
+                       let first = batch_of (receive ()) in
+                       send [ Cluster.Protocol.Request_batch ];
+                       held := [ first; batch_of (receive ()) ]));
+                drained :=
+                  Cluster.Worker.run ~connect:addr
+                    ~make:(fun w -> make_executor w)
+                    ());
+          ]
+        in
+        let cluster =
+          cluster_run ~journal:cluster_path ~worker_hooks:[]
+            ~extra_clients:dying ()
+        in
+        Alcotest.(check int) "two batches held" 2 (List.length !held);
+        Alcotest.(check (result int string))
+          "the real worker ran every run"
+          (Ok (Propane.Campaign.size scaler_campaign))
+          !drained;
+        check_results_match "results" serial cluster;
+        Alcotest.(check string)
+          "journal bytes" (read_file serial_path) (read_file cluster_path);
+        Sys.remove serial_path;
+        Sys.remove cluster_path);
+    Alcotest.test_case "batches longer than the heartbeat timeout finish"
+      `Slow (fun () ->
+        (* Each run lasts about 60 ms, so a batch of 8 outlasts the
+           0.3-s timeout while a run plus the worker's 100-ms write
+           interval does not: the clock rule alone keeps the worker
+           alive.  A fast worker attaches only if the slow one was
+           cut off, so a failure cannot hang the campaign. *)
+        let select idx = idx < 16 in
+        let serial_path = tmp_path ".journal" in
+        let cluster_path = tmp_path ".journal" in
+        let serial =
+          Propane.Runner.run
+            ~config:
+              (Propane.Runner.Config.make ~seed ~jobs:1 ~journal:serial_path
+                 ())
+            ~select (scaler_sut ()) scaler_campaign
+        in
+        let slow = ref (Error "not run") in
+        let worker addr =
+          [
+            Domain.spawn (fun () ->
+                slow :=
+                  Cluster.Worker.run ~connect:addr
+                    ~make:
+                      (make_executor ~sut:(slow_scaler_sut ~run_s:0.06))
+                    ();
+                match !slow with
+                | Ok _ -> Ok 0
+                | Error _ ->
+                    Cluster.Worker.run ~connect:addr
+                      ~make:(fun w -> make_executor w)
+                      ());
+          ]
+        in
+        let cluster =
+          cluster_run ~heartbeat_timeout_s:0.3 ~journal:cluster_path
+            ~worker_hooks:[] ~extra_clients:worker ~select ()
+        in
+        Alcotest.(check (result int string))
+          "the slow worker ran every run and was dismissed" (Ok 16) !slow;
         check_results_match "results" serial cluster;
         Alcotest.(check string)
           "journal bytes" (read_file serial_path) (read_file cluster_path);

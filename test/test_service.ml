@@ -538,6 +538,47 @@ let submit_ok ~addr body =
   Alcotest.(check int) "submit accepted" 201 status;
   jstr "id" json
 
+(* A hand-rolled fleet worker, for tests that break the protocol on
+   purpose: joins [listen] as [host], runs [f send receive gone] and
+   closes the connection however [f] ends.  [send] writes its messages
+   in one write; [receive] skips pings and is [None] at end of stream,
+   on a frame that does not decode, or after 10 s of silence; [gone ()]
+   reads one frame and tells whether the service closed the
+   connection. *)
+let hand_rolled ~host listen f =
+  let fd = connect_ok listen in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let reader = Cluster.Frame.reader fd in
+      let send msgs =
+        Cluster.Frame.write_many fd
+          (List.map Cluster.Protocol.encode_to_coordinator msgs)
+      in
+      let rec receive () =
+        match Cluster.Frame.read reader with
+        | Ok (Some p) -> (
+            match Cluster.Protocol.decode_to_worker p with
+            | Ok Cluster.Protocol.Ping -> receive ()
+            | Ok m -> Some m
+            | Error _ -> None)
+        | Ok None | Error _ -> None
+        | exception Unix.Unix_error _ -> None
+      in
+      let gone () =
+        match Cluster.Frame.read reader with
+        | Ok None -> true
+        | Ok (Some _) | Error _ -> false
+        | exception Unix.Unix_error _ -> false
+      in
+      send
+        [
+          Cluster.Protocol.Join
+            { version = Cluster.Protocol.version; host; pid = 1 };
+        ];
+      f send receive gone)
+
 (* ------------------------------------------------------------------ *)
 (* Integration                                                         *)
 
@@ -812,32 +853,10 @@ let service_tests =
                  a run outside it, with a genuine outcome of another
                  run.  Only after the service hangs up does a real
                  worker join and drain the campaign alone. *)
-              (match Cluster.Address.connect listen with
-              | Error msg -> Alcotest.failf "connect: %s" msg
-              | Ok fd ->
-                  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-                  let reader = Cluster.Frame.reader fd in
-                  let send m =
-                    Cluster.Frame.write fd
-                      (Cluster.Protocol.encode_to_coordinator m)
-                  in
-                  let rec receive () =
-                    match Cluster.Frame.read reader with
-                    | Ok (Some p) -> (
-                        match Cluster.Protocol.decode_to_worker p with
-                        | Ok Cluster.Protocol.Ping -> receive ()
-                        | Ok m -> Some m
-                        | Error _ -> None)
-                    | Ok None | Error _ -> None
-                    | exception Unix.Unix_error _ -> None
-                  in
-                  send
-                    (Cluster.Protocol.Join
-                       { version = Cluster.Protocol.version; host = "stray";
-                         pid = 1 });
-                  (match receive () with
+              hand_rolled ~host:"stray" listen (fun send receive gone ->
+                  match receive () with
                   | Some (Cluster.Protocol.Assign w) -> (
-                      send Cluster.Protocol.Request_batch;
+                      send [ Cluster.Protocol.Request_batch ];
                       match (receive (), worker_make w) with
                       | Some (Cluster.Protocol.Batch (first :: _ as batch)),
                         Ok exec ->
@@ -847,18 +866,15 @@ let service_tests =
                               (List.init total (fun i -> total - 1 - i))
                           in
                           send
-                            (Cluster.Protocol.Result
-                               { index = outside; retries = 0;
-                                 outcome = fst (exec first) });
+                            [
+                              Cluster.Protocol.Result
+                                { index = outside; retries = 0;
+                                  outcome = fst (exec first) };
+                            ];
                           (* End of stream, not the receive timeout. *)
-                          hung_up :=
-                            (match Cluster.Frame.read reader with
-                            | Ok None -> true
-                            | Ok (Some _) | Error _ -> false
-                            | exception Unix.Unix_error _ -> false)
+                          hung_up := gone ()
                       | _ -> Alcotest.fail "expected a batch")
                   | _ -> Alcotest.fail "expected an assignment");
-                  (try Unix.close fd with Unix.Unix_error _ -> ()));
               real :=
                 Some
                   (Domain.spawn (fun () ->
@@ -873,6 +889,105 @@ let service_tests =
         in
         Option.iter (fun d -> ignore (Domain.join d)) !real;
         Alcotest.(check bool) "stray worker killed" true !hung_up;
+        Alcotest.(check bool) "clean shutdown" true (result = Ok ()));
+    Alcotest.test_case "a parked worker that holds runs is neither idle nor \
+                        retargeted" `Slow (fun () ->
+        let solo_a = solo_journal "a" and solo_b = solo_journal "b" in
+        let state_dir = fresh_state_dir () in
+        let listen = fleet_address state_dir in
+        let retarget = ref "" and real = ref None in
+        let result =
+          with_service ~workers:0 ~state_dir (fun addr ->
+              let a = submit_ok ~addr (submission "a") in
+              (* A hand-rolled worker takes a batch of a and one ahead.
+                 Then b arrives with the larger weight, so the fair
+                 share wants the worker on b; it answers the first
+                 batch and asks again, which parks it while it still
+                 holds the second. *)
+              let b =
+                hand_rolled ~host:"ahead" listen @@ fun send receive _ ->
+                  let batch () =
+                    send [ Cluster.Protocol.Request_batch ];
+                    match receive () with
+                    | Some (Cluster.Protocol.Batch b) -> b
+                    | _ -> Alcotest.fail "expected a batch"
+                  in
+                  let exec =
+                    match receive () with
+                    | Some (Cluster.Protocol.Assign w) -> (
+                        match worker_make w with
+                        | Ok exec -> exec
+                        | Error msg -> Alcotest.fail msg)
+                    | _ -> Alcotest.fail "expected an assignment"
+                  in
+                  let results batch =
+                    List.map
+                      (fun index ->
+                        let outcome, retries = exec index in
+                        Cluster.Protocol.Result { index; retries; outcome })
+                      batch
+                  in
+                  let first = batch () in
+                  let ahead = batch () in
+                  let b = submit_ok ~addr (submission ~weight:3 "b") in
+                  (* The result after the request shows, once counted,
+                     that the request was handled. *)
+                  send
+                    (results first
+                    @ [ Cluster.Protocol.Request_batch ]
+                    @ results [ List.hd ahead ]);
+                  wait_until ~timeout:10. ~what:"the request handled"
+                    (fun () ->
+                      let _, json =
+                        http_json ~addr ~meth:"GET" ~path:("/campaigns/" ^ a)
+                          ()
+                      in
+                      jint "completed" json = List.length first + 1);
+                  let _, fleet = http_json ~addr ~meth:"GET" ~path:"/fleet" () in
+                  Alcotest.(check int) "no worker idle" 0 (jint "idle" fleet);
+                  Alcotest.(check string)
+                    "the fleet is the bottleneck" "workers"
+                    (jstr "bottleneck" fleet);
+                  (match Option.bind (Json.member "workers" fleet) Json.list with
+                  | Some [ w ] ->
+                      Alcotest.(check (option bool))
+                        "the worker is busy" (Some false)
+                        (Option.bind (Json.member "idle" w) Json.bool);
+                      Alcotest.(check string)
+                        "still serving a" a (jstr "campaign" w);
+                      Alcotest.(check int)
+                        "holding the rest of its batch"
+                        (List.length ahead - 1)
+                        (jint "outstanding" w)
+                  | _ -> Alcotest.fail "expected one worker");
+                  (* Only once every run has its result is it moved. *)
+                  send (results (List.tl ahead));
+                  (match receive () with
+                  | Some (Cluster.Protocol.Assign w) -> retarget := w.campaign
+                  | _ -> Alcotest.fail "expected an assignment");
+                  b
+              in
+              real :=
+                Some
+                  (Domain.spawn (fun () ->
+                       Cluster.Worker.run ~connect:listen ~make:worker_make
+                         ()));
+              wait_until ~what:"both campaigns done" (fun () ->
+                  state_of ~addr a = "done" && state_of ~addr b = "done");
+              Alcotest.(check string)
+                "journal of a" solo_a
+                (read_file (Filename.concat state_dir (a ^ ".journal")));
+              Alcotest.(check string)
+                "journal of b" solo_b
+                (read_file (Filename.concat state_dir (b ^ ".journal")));
+              (* Parked with nothing held is idle. *)
+              wait_until ~what:"an idle fleet" (fun () ->
+                  let _, fleet = http_json ~addr ~meth:"GET" ~path:"/fleet" () in
+                  jint "idle" fleet = 1 && jstr "bottleneck" fleet = "work");
+              `Drain)
+        in
+        Option.iter (fun d -> ignore (Domain.join d)) !real;
+        Alcotest.(check string) "retargeted to b" "scaler-b" !retarget;
         Alcotest.(check bool) "clean shutdown" true (result = Ok ()));
     Alcotest.test_case "version skew is rejected naming both versions" `Quick
       (fun () ->
