@@ -446,7 +446,11 @@ val run :
     A stop or a failure closes the queue: the indices no domain has
     started go back to the session ({!Session.requeue}), so at most
     the one run executing per domain still completes and journals.
-    An exception escaping a worker domain likewise closes the queue,
+    Runs that finished before the calling domain saw the stop are
+    recorded too, so a stopped campaign can record up to 16 runs per
+    domain past the outcome that satisfied the rule.  A fail-fast
+    failure closes the queue from the domain that ran it.  An
+    exception escaping a worker domain likewise closes the queue,
     drains the runs executing and is re-raised.  Every
     injection run gets a fresh SUT instance, so [instantiate] must not
     rely on global mutable state.
