@@ -453,42 +453,46 @@ let check_results_match what serial cluster =
    the connection.  [send] writes its messages in one write; [receive]
    skips pings and is [None] at end of stream, on a frame that does not
    decode, or after 10 s of silence; [gone ()] reads one frame and
-   tells whether the server closed the connection. *)
+   tells whether the server closed the connection.  Whatever goes wrong
+   ends only this client, so a failing check cannot keep the real
+   worker that follows it from draining the campaign. *)
 let hand_rolled ~host addr f =
   match Cluster.Address.connect addr with
-  | Error msg -> Error msg
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-          let reader = Cluster.Frame.reader fd in
-          let send msgs =
-            Cluster.Frame.write_many fd
-              (List.map Cluster.Protocol.encode_to_coordinator msgs)
-          in
-          let rec receive () =
-            match Cluster.Frame.read reader with
-            | Ok (Some p) -> (
-                match Cluster.Protocol.decode_to_worker p with
-                | Ok Cluster.Protocol.Ping -> receive ()
-                | Ok m -> Some m
-                | Error _ -> None)
-            | Ok None | Error _ -> None
-            | exception Unix.Unix_error _ -> None
-          in
-          let gone () =
-            match Cluster.Frame.read reader with
-            | Ok None -> true
-            | Ok (Some _) | Error _ -> false
-            | exception Unix.Unix_error _ -> false
-          in
-          send
-            [
-              Cluster.Protocol.Join
-                { version = Cluster.Protocol.version; host; pid = 1 };
-            ];
-          Ok (f send receive gone))
+  | Error _ -> ()
+  | Ok fd -> (
+      try
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            let reader = Cluster.Frame.reader fd in
+            let send msgs =
+              Cluster.Frame.write_many fd
+                (List.map Cluster.Protocol.encode_to_coordinator msgs)
+            in
+            let rec receive () =
+              match Cluster.Frame.read reader with
+              | Ok (Some p) -> (
+                  match Cluster.Protocol.decode_to_worker p with
+                  | Ok Cluster.Protocol.Ping -> receive ()
+                  | Ok m -> Some m
+                  | Error _ -> None)
+              | Ok None | Error _ -> None
+              | exception Unix.Unix_error _ -> None
+            in
+            let gone () =
+              match Cluster.Frame.read reader with
+              | Ok None -> true
+              | Ok (Some _) | Error _ -> false
+              | exception Unix.Unix_error _ -> false
+            in
+            send
+              [
+                Cluster.Protocol.Join
+                  { version = Cluster.Protocol.version; host; pid = 1 };
+              ];
+            f send receive gone)
+      with _ -> ())
 
 let batch_of = function
   | Some (Cluster.Protocol.Batch batch) -> batch
@@ -693,13 +697,12 @@ let integration_tests =
         let stalling addr =
           [
             Domain.spawn (fun () ->
-                Result.map
-                  (fun () -> 0)
-                  (hand_rolled ~host:"stall" addr (fun send receive _ ->
-                       ignore (receive ());
-                       send [ Cluster.Protocol.Request_batch ];
-                       ignore (receive ());
-                       Unix.sleepf 2.0)));
+                hand_rolled ~host:"stall" addr (fun send receive _ ->
+                    ignore (receive ());
+                    send [ Cluster.Protocol.Request_batch ];
+                    ignore (receive ());
+                    Unix.sleepf 2.0);
+                Ok 0);
           ]
         in
         let cluster =
@@ -765,29 +768,28 @@ let integration_tests =
         let stray addr =
           [
             Domain.spawn (fun () ->
-                ignore
-                  (hand_rolled ~host:"stray" addr (fun send receive gone ->
-                       ignore (receive ());
-                       send [ Cluster.Protocol.Request_batch ];
-                       match receive () with
-                       | Some (Cluster.Protocol.Batch (first :: _ as batch)) ->
-                           let outside =
-                             List.find
-                               (fun i -> not (List.mem i batch))
-                               (List.init total (fun i -> total - 1 - i))
-                           in
-                           let outcome, _ =
-                             Propane.Runner.executor ~seed (scaler_sut ())
-                               scaler_campaign first
-                           in
-                           send
-                             [
-                               Cluster.Protocol.Result
-                                 { index = outside; retries = 0; outcome };
-                             ];
-                           (* End of stream, not the receive timeout. *)
-                           hung_up := gone ()
-                       | _ -> ()));
+                hand_rolled ~host:"stray" addr (fun send receive gone ->
+                    ignore (receive ());
+                    send [ Cluster.Protocol.Request_batch ];
+                    match receive () with
+                    | Some (Cluster.Protocol.Batch (first :: _ as batch)) ->
+                        let outside =
+                          List.find
+                            (fun i -> not (List.mem i batch))
+                            (List.init total (fun i -> total - 1 - i))
+                        in
+                        let outcome, _ =
+                          Propane.Runner.executor ~seed (scaler_sut ())
+                            scaler_campaign first
+                        in
+                        send
+                          [
+                            Cluster.Protocol.Result
+                              { index = outside; retries = 0; outcome };
+                          ];
+                        (* End of stream, not the receive timeout. *)
+                        hung_up := gone ()
+                    | _ -> ());
                 Cluster.Worker.run ~connect:addr ~make:(fun w -> make_executor w) ());
           ]
         in
@@ -815,16 +817,15 @@ let integration_tests =
         let greedy addr =
           [
             Domain.spawn (fun () ->
-                ignore
-                  (hand_rolled ~host:"greedy" addr (fun send receive gone ->
-                       ignore (receive ());
-                       send [ Cluster.Protocol.Request_batch ];
-                       ignore (batch_of (receive ()));
-                       send [ Cluster.Protocol.Request_batch ];
-                       ignore (batch_of (receive ()));
-                       send [ Cluster.Protocol.Request_batch ];
-                       (* End of stream, not the receive timeout. *)
-                       hung_up := gone ()));
+                hand_rolled ~host:"greedy" addr (fun send receive gone ->
+                    ignore (receive ());
+                    send [ Cluster.Protocol.Request_batch ];
+                    ignore (batch_of (receive ()));
+                    send [ Cluster.Protocol.Request_batch ];
+                    ignore (batch_of (receive ()));
+                    send [ Cluster.Protocol.Request_batch ];
+                    (* End of stream, not the receive timeout. *)
+                    hung_up := gone ());
                 Cluster.Worker.run ~connect:addr
                   ~make:(fun w -> make_executor w)
                   ());
@@ -852,13 +853,12 @@ let integration_tests =
         let dying addr =
           [
             Domain.spawn (fun () ->
-                ignore
-                  (hand_rolled ~host:"dying" addr (fun send receive _ ->
-                       ignore (receive ());
-                       send [ Cluster.Protocol.Request_batch ];
-                       let first = batch_of (receive ()) in
-                       send [ Cluster.Protocol.Request_batch ];
-                       held := [ first; batch_of (receive ()) ]));
+                hand_rolled ~host:"dying" addr (fun send receive _ ->
+                    ignore (receive ());
+                    send [ Cluster.Protocol.Request_batch ];
+                    let first = batch_of (receive ()) in
+                    send [ Cluster.Protocol.Request_batch ];
+                    held := [ first; batch_of (receive ()) ]);
                 drained :=
                   Cluster.Worker.run ~connect:addr
                     ~make:(fun w -> make_executor w)
